@@ -155,7 +155,7 @@ let translate_fn (fn : Ir.fn) (opts : Mach.opts) : Mach.mfn =
     | Ir.Br l -> Mach.Mjmp l
     | Ir.Cbr (c, l1, l2) -> Mach.Mcbr (mval c, l1, l2)
   in
-  let blocks = Hashtbl.create 16 in
+  let blocks = Ir.Label_store.create fn.Ir.next_label in
   Ir.iter_blocks fn (fun b ->
       let mins =
         List.filter_map
@@ -165,7 +165,7 @@ let translate_fn (fn : Ir.fn) (opts : Mach.opts) : Mach.mfn =
               (mkind i.Ir.ik))
           b.Ir.instrs
       in
-      Hashtbl.replace blocks b.Ir.b_label
+      Ir.Label_store.replace blocks b.Ir.b_label
         {
           Mach.mb_label = b.Ir.b_label;
           mins;

@@ -61,7 +61,7 @@ type frame_slot = {
 type mfn = {
   mf_name : string;
   mf_line : int;
-  mf_blocks : (int, mblock) Hashtbl.t;
+  mf_blocks : mblock Ir.Label_store.t;
   mf_entry : int;
   mutable mf_layout : int list;
   mf_param_locs : mloc list;
@@ -105,7 +105,7 @@ let opts_o0 =
   }
 
 let mblock mfn l =
-  match Hashtbl.find_opt mfn.mf_blocks l with
+  match Ir.Label_store.find_opt mfn.mf_blocks l with
   | Some b -> b
   | None ->
       invalid_arg (Printf.sprintf "Mach.mblock: no block %d in %s" l mfn.mf_name)

@@ -238,8 +238,8 @@ let tail_merge (m : Mach.mfn) =
       List.iteri
         (fun bi b_l ->
           if (not !merged) && bi > ai then begin
-            match (Hashtbl.find_opt m.Mach.mf_blocks a_l,
-                   Hashtbl.find_opt m.Mach.mf_blocks b_l) with
+            match (Ir.Label_store.find_opt m.Mach.mf_blocks a_l,
+                   Ir.Label_store.find_opt m.Mach.mf_blocks b_l) with
             | Some a, Some b when same_term a.Mach.mterm b.Mach.mterm ->
                 let ra =
                   List.rev
@@ -268,7 +268,9 @@ let tail_merge (m : Mach.mfn) =
                   (* New label reusing a fresh id. *)
                   let fresh =
                     1
-                    + Hashtbl.fold (fun l _ acc -> max l acc) m.Mach.mf_blocks 0
+                    + Ir.Label_store.fold
+                        (fun l _ acc -> max l acc)
+                        m.Mach.mf_blocks 0
                   in
                   let nb =
                     {
@@ -280,7 +282,7 @@ let tail_merge (m : Mach.mfn) =
                       mb_freq = a.Mach.mb_freq +. b.Mach.mb_freq;
                     }
                   in
-                  Hashtbl.replace m.Mach.mf_blocks fresh nb;
+                  Ir.Label_store.replace m.Mach.mf_blocks fresh nb;
                   let chop (blk : Mach.mblock) =
                     (* Remove the last k real instructions (and any Mdbg
                        interleaved after the cut keeps its place). *)

@@ -194,7 +194,7 @@ let snapshot_mach (m : Mach.mfn) =
   List.iter
     (fun (s : Mach.frame_slot) -> Option.iter add_var s.Mach.fs_var)
     m.Mach.mf_frame;
-  Hashtbl.iter
+  Ir.Label_store.iter
     (fun _ (b : Mach.mblock) ->
       add_line b.Mach.mterm_line;
       List.iter
@@ -237,13 +237,13 @@ let check_lines_valid ~pass (fn : Ir.fn) =
    experiments *measure*, not an invariant the pipeline guarantees. *)
 let check_dominance ~pass (fn : Ir.fn) =
   let t = Dom.compute fn in
-  let reach = Ir.reachable fn in
+  let reached = Ir.Dense_set.mem (Ir.reachable fn) in
   (* Definition sites: params before phis before instructions. *)
   let site = Hashtbl.create 64 in
   List.iter
     (fun (r, _) -> Hashtbl.replace site r (fn.Ir.entry, -2))
     fn.Ir.f_params;
-  Hashtbl.iter
+  Ir.Label_store.iter
     (fun l (b : Ir.block) ->
       List.iter
         (fun (p : Ir.phi) -> Hashtbl.replace site p.Ir.p_dst (l, -1))
@@ -265,14 +265,14 @@ let check_dominance ~pass (fn : Ir.fn) =
               "%s: r%d used at %s before its definition in the same block L%d"
               fn.Ir.f_name r ctx use_label
         end
-        else if Hashtbl.mem reach dl && not (Dom.dominates t dl use_label) then
+        else if reached dl && not (Dom.dominates t dl use_label) then
           fail ~pass Dominance
             "%s: use of r%d at %s (L%d) not dominated by its definition (L%d)"
             fn.Ir.f_name r ctx use_label dl
   in
-  Hashtbl.iter
+  Ir.Label_store.iter
     (fun l (b : Ir.block) ->
-      if Hashtbl.mem reach l then begin
+      if reached l then begin
         List.iter
           (fun (p : Ir.phi) ->
             List.iter
@@ -281,8 +281,7 @@ let check_dominance ~pass (fn : Ir.fn) =
                   (fun r ->
                     match Hashtbl.find_opt site r with
                     | Some (dl, _)
-                      when dl <> pl && Hashtbl.mem reach pl
-                           && Hashtbl.mem reach dl
+                      when dl <> pl && reached pl && reached dl
                            && not (Dom.dominates t dl pl) ->
                         fail ~pass Dominance
                           "%s: phi r%d arg r%d (edge L%d->L%d) not dominated \
@@ -357,15 +356,15 @@ let check_mach_structure ~pass (m : Mach.mfn) =
         fail ~pass Structural "%s: label %d appears twice in machine layout"
           m.Mach.mf_name l;
       Hashtbl.replace seen l ();
-      if not (Hashtbl.mem m.Mach.mf_blocks l) then
+      if not (Ir.Label_store.mem m.Mach.mf_blocks l) then
         fail ~pass Structural "%s: machine layout mentions missing block %d"
           m.Mach.mf_name l)
     m.Mach.mf_layout;
-  Hashtbl.iter
+  Ir.Label_store.iter
     (fun l (b : Mach.mblock) ->
       List.iter
         (fun s ->
-          if not (Hashtbl.mem m.Mach.mf_blocks s) then
+          if not (Ir.Label_store.mem m.Mach.mf_blocks s) then
             fail ~pass Structural
               "%s: machine block %d branches to missing block %d"
               m.Mach.mf_name l s)
@@ -411,7 +410,7 @@ let check_mach_locs ~pass (m : Mach.mfn) =
     | _ -> ()
   in
   List.iter (check_loc "parameter") m.Mach.mf_param_locs;
-  Hashtbl.iter
+  Ir.Label_store.iter
     (fun _ (b : Mach.mblock) -> List.iter check_instr b.Mach.mins)
     m.Mach.mf_blocks
 

@@ -6,25 +6,27 @@
     optimizations. *)
 
 type t = {
-  idom : (int, int) Hashtbl.t;  (** immediate dominator; entry maps to itself *)
+  idom : int array;
+      (** immediate dominator by label; entry maps to itself, [-1] marks
+          a label outside the tree (unreachable, or not a block) *)
   order : int list;  (** reverse postorder of reachable blocks *)
-  children : (int, int list) Hashtbl.t;  (** dominator-tree children *)
+  children : int list array;  (** dominator-tree children by label *)
 }
 
 let compute (fn : Ir.fn) =
   Ir.recompute_preds fn;
   let order = Ir.rpo fn in
-  let index = Hashtbl.create 16 in
-  List.iteri (fun i l -> Hashtbl.replace index l i) order;
-  let idom = Hashtbl.create 16 in
-  Hashtbl.replace idom fn.Ir.entry fn.Ir.entry;
+  let n = fn.Ir.next_label in
+  let index = Array.make n (-1) in
+  List.iteri (fun i l -> index.(l) <- i) order;
+  let idom = Array.make n (-1) in
+  idom.(fn.Ir.entry) <- fn.Ir.entry;
   let intersect a b =
     (* Walk both fingers up by RPO index until they meet. *)
     let rec go a b =
       if a = b then a
-      else
-        let ia = Hashtbl.find index a and ib = Hashtbl.find index b in
-        if ia > ib then go (Hashtbl.find idom a) b else go a (Hashtbl.find idom b)
+      else if index.(a) > index.(b) then go idom.(a) b
+      else go a idom.(b)
     in
     go a b
   in
@@ -34,39 +36,39 @@ let compute (fn : Ir.fn) =
     List.iter
       (fun l ->
         if l <> fn.Ir.entry then begin
-          let preds =
-            List.filter (fun p -> Hashtbl.mem index p) (Ir.block fn l).Ir.preds
+          let processed =
+            List.filter (fun p -> idom.(p) >= 0) (Ir.block fn l).Ir.preds
           in
-          let processed = List.filter (Hashtbl.mem idom) preds in
           match processed with
           | [] -> ()
           | first :: rest ->
               let new_idom = List.fold_left intersect first rest in
-              if Hashtbl.find_opt idom l <> Some new_idom then begin
-                Hashtbl.replace idom l new_idom;
+              if idom.(l) <> new_idom then begin
+                idom.(l) <- new_idom;
                 changed := true
               end
         end)
       order
   done;
-  let children = Hashtbl.create 16 in
+  let children = Array.make n [] in
+  (* Backwards over the order, so consing leaves each list in order. *)
   List.iter
     (fun l ->
-      if l <> fn.Ir.entry then
-        match Hashtbl.find_opt idom l with
-        | Some p ->
-            let existing = Option.value ~default:[] (Hashtbl.find_opt children p) in
-            Hashtbl.replace children p (existing @ [ l ])
-        | None -> ())
-    order;
+      if l <> fn.Ir.entry && idom.(l) >= 0 then
+        children.(idom.(l)) <- l :: children.(idom.(l)))
+    (List.rev order);
   { idom; order; children }
 
-let idom t l =
-  match Hashtbl.find_opt t.idom l with
-  | Some d when d <> l -> Some d
-  | _ -> None
+let in_range a l = l >= 0 && l < Array.length a
 
-let children t l = Option.value ~default:[] (Hashtbl.find_opt t.children l)
+(** Is [l] in the dominator tree, that is, a block reachable from the
+    entry? *)
+let reachable t l = in_range t.idom l && t.idom.(l) >= 0
+
+let idom t l =
+  if reachable t l && t.idom.(l) <> l then Some t.idom.(l) else None
+
+let children t l = if in_range t.children l then t.children.(l) else []
 
 (** [dominates t a b] — does [a] dominate [b] (reflexively)? *)
 let dominates t a b =
@@ -80,29 +82,25 @@ let frontiers (fn : Ir.fn) t =
   List.iter (fun l -> Hashtbl.replace df l []) t.order;
   List.iter
     (fun l ->
-      match Hashtbl.find_opt t.idom l with
-      | None -> ()
-      | Some id ->
-          let b = Ir.block fn l in
-          let preds = List.filter (fun p -> Hashtbl.mem t.idom p) b.Ir.preds in
-          if List.length preds >= 2 then
-            List.iter
-              (fun p ->
-                let runner = ref p in
-                let continue_walk = ref true in
-                while !continue_walk do
-                  if !runner = id then continue_walk := false
-                  else begin
-                    let cur =
-                      Option.value ~default:[] (Hashtbl.find_opt df !runner)
-                    in
-                    if not (List.mem l cur) then
-                      Hashtbl.replace df !runner (l :: cur);
-                    match Hashtbl.find_opt t.idom !runner with
-                    | Some up when up <> !runner -> runner := up
-                    | Some _ | None -> continue_walk := false
-                  end
-                done)
-              preds)
+      let preds = List.filter (reachable t) (Ir.block fn l).Ir.preds in
+      if reachable t l && List.length preds >= 2 then
+        List.iter
+          (fun p ->
+            let runner = ref p in
+            let continue_walk = ref true in
+            while !continue_walk do
+              if !runner = t.idom.(l) then continue_walk := false
+              else begin
+                let cur =
+                  Option.value ~default:[] (Hashtbl.find_opt df !runner)
+                in
+                if not (List.mem l cur) then
+                  Hashtbl.replace df !runner (l :: cur);
+                match idom t !runner with
+                | Some up -> runner := up
+                | None -> continue_walk := false
+              end
+            done)
+          preds)
     t.order;
   df

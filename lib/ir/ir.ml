@@ -19,6 +19,70 @@
 type reg = int
 type label = int
 
+(** Tables keyed by label. Labels (like registers) are small dense
+    non-negative ints handed out in sequence by [fn.next_label], so the
+    table is an array indexed by label: a lookup is one bounds check
+    and one load, and the array grows on demand for labels past its
+    capacity. Iteration visits labels in ascending order whatever the
+    insertion and removal history, so no caller can observe that
+    history. *)
+module Label_store = struct
+  type 'a t = { mutable slots : 'a option array; mutable count : int }
+
+  let create n = { slots = Array.make (max n 1) None; count = 0 }
+  let length t = t.count
+
+  let find_opt t l =
+    if l >= 0 && l < Array.length t.slots then Array.unsafe_get t.slots l
+    else None
+
+  let mem t l = Option.is_some (find_opt t l)
+
+  let replace t l v =
+    if l < 0 then invalid_arg "Ir.Label_store.replace: negative label";
+    let cap = Array.length t.slots in
+    if l >= cap then begin
+      let slots = Array.make (max (l + 1) (2 * cap)) None in
+      Array.blit t.slots 0 slots 0 cap;
+      t.slots <- slots
+    end;
+    if Option.is_none t.slots.(l) then t.count <- t.count + 1;
+    t.slots.(l) <- Some v
+
+  let remove t l =
+    if mem t l then begin
+      t.slots.(l) <- None;
+      t.count <- t.count - 1
+    end
+
+  (** [f] may remove any label, including the one it is given. *)
+  let iter f t =
+    for l = 0 to Array.length t.slots - 1 do
+      match t.slots.(l) with Some v -> f l v | None -> ()
+    done
+
+  let fold f t acc =
+    let acc = ref acc in
+    iter (fun l v -> acc := f l v !acc) t;
+    !acc
+
+  let map f t = { slots = Array.map (Option.map f) t.slots; count = t.count }
+end
+
+(** Scratch sets of the labels or registers of one function, below a
+    bound fixed at creation ([fn.next_label] or [fn.next_reg]). One byte
+    per candidate keeps a set over a large function small enough to die
+    young. [mem] answers [false] for anything past the bound. *)
+module Dense_set = struct
+  type t = Bytes.t
+
+  let create n : t = Bytes.make n '\000'
+  let add (s : t) i = Bytes.set s i '\001'
+
+  let mem (s : t) i =
+    i >= 0 && i < Bytes.length s && Bytes.unsafe_get s i <> '\000'
+end
+
 type operand = Reg of reg | Imm of int
 
 (** Non-short-circuit binary operators ([&&]/[||] are lowered to control
@@ -109,7 +173,7 @@ type fn = {
   f_line : int;
   f_params : (reg * var_id) list;  (** entry registers holding arguments *)
   mutable f_slots : slot list;
-  blocks : (label, block) Hashtbl.t;
+  blocks : block Label_store.t;
   mutable entry : label;
   mutable layout : label list;  (** emission order; entry first *)
   mutable next_reg : int;
@@ -137,8 +201,12 @@ let fresh_slot fn ~size ~var ~array =
   fn.f_slots <- fn.f_slots @ [ s ];
   s
 
+let find_block fn l = Label_store.find_opt fn.blocks l
+let mem_block fn l = Label_store.mem fn.blocks l
+let remove_block fn l = Label_store.remove fn.blocks l
+
 let block fn l =
-  match Hashtbl.find_opt fn.blocks l with
+  match find_block fn l with
   | Some b -> b
   | None -> invalid_arg (Printf.sprintf "Ir.block: no block %d in %s" l fn.f_name)
 
@@ -157,7 +225,7 @@ let new_block fn =
       prob = 0.5;
     }
   in
-  Hashtbl.replace fn.blocks l b;
+  Label_store.replace fn.blocks l b;
   fn.layout <- fn.layout @ [ l ];
   b
 
@@ -168,7 +236,7 @@ let create_fn ~name ~line ~params =
       f_line = line;
       f_params = [];
       f_slots = [];
-      blocks = Hashtbl.create 16;
+      blocks = Label_store.create 16;
       entry = 0;
       layout = [];
       next_reg = 0;
@@ -209,24 +277,28 @@ let succs = function
   | Br l -> [ l ]
   | Cbr (_, l1, l2) -> if l1 = l2 then [ l1 ] else [ l1; l2 ]
 
+(** Every block's predecessors, in layout order of the predecessor.
+    The layout lists each label once and [succs] lists each target once,
+    so every edge is added once; each list is built reversed by consing
+    and flipped once, linear in the number of edges. *)
 let recompute_preds fn =
-  Hashtbl.iter (fun _ b -> b.preds <- []) fn.blocks;
+  Label_store.iter (fun _ b -> b.preds <- []) fn.blocks;
   List.iter
     (fun l ->
-      let b = block fn l in
       List.iter
         (fun s ->
           let sb = block fn s in
-          if not (List.mem l sb.preds) then sb.preds <- sb.preds @ [ l ])
-        (succs b.term))
-    fn.layout
+          sb.preds <- l :: sb.preds)
+        (succs (block fn l).term))
+    fn.layout;
+  Label_store.iter (fun _ b -> b.preds <- List.rev b.preds) fn.blocks
 
 (** Labels reachable from entry, as a set. *)
 let reachable fn =
-  let seen = Hashtbl.create 16 in
+  let seen = Dense_set.create fn.next_label in
   let rec go l =
-    if not (Hashtbl.mem seen l) then begin
-      Hashtbl.replace seen l ();
+    if not (Dense_set.mem seen l) then begin
+      Dense_set.add seen l;
       List.iter go (succs (block fn l).term)
     end
   in
@@ -235,11 +307,11 @@ let reachable fn =
 
 (** Reverse postorder of reachable blocks, entry first. *)
 let rpo fn =
-  let seen = Hashtbl.create 16 in
+  let seen = Dense_set.create fn.next_label in
   let order = ref [] in
   let rec go l =
-    if not (Hashtbl.mem seen l) then begin
-      Hashtbl.replace seen l ();
+    if not (Dense_set.mem seen l) then begin
+      Dense_set.add seen l;
       List.iter go (succs (block fn l).term);
       order := l :: !order
     end
@@ -251,12 +323,12 @@ let rpo fn =
     phi arguments coming from removed predecessors. *)
 let prune_unreachable fn =
   let live = reachable fn in
-  fn.layout <- List.filter (Hashtbl.mem live) fn.layout;
-  Hashtbl.iter
-    (fun l _ -> if not (Hashtbl.mem live l) then Hashtbl.remove fn.blocks l)
-    (Hashtbl.copy fn.blocks);
+  fn.layout <- List.filter (Dense_set.mem live) fn.layout;
+  Label_store.iter
+    (fun l _ -> if not (Dense_set.mem live l) then remove_block fn l)
+    fn.blocks;
   recompute_preds fn;
-  Hashtbl.iter
+  Label_store.iter
     (fun _ b ->
       List.iter
         (fun p -> p.p_args <- List.filter (fun (l, _) -> List.mem l b.preds) p.p_args)
@@ -345,7 +417,7 @@ let subst_term map = function
 
 (** Apply a register substitution throughout a function (uses only). *)
 let apply_subst fn map =
-  Hashtbl.iter
+  Label_store.iter
     (fun _ b ->
       List.iter
         (fun p ->
@@ -537,10 +609,12 @@ let fn_to_string fn =
     - immutable lists ([f_slots], [f_params], [layout], [preds],
       [p_args], [prog_globals]) are shared — passes replace these
       fields, they never mutate list cells;
-    - the [funcs] and [blocks] hash tables are rebuilt with insertions
-      in sorted key order, so a restored program's table layout depends
-      only on content, never on the insertion history of the original
-      (bucket order is observable through [Hashtbl.iter]). *)
+    - the [funcs] hash table is rebuilt with insertions in sorted key
+      order, so a restored program's table layout depends only on
+      content, never on the insertion history of the original (bucket
+      order is observable through [Hashtbl.iter]); a [blocks] store
+      iterates in label order, so a plain copy already has that
+      property. *)
 module Snapshot = struct
   type t = {
     sn_funcs : (string * fn) list;  (** deep copies, sorted by name *)
@@ -569,21 +643,13 @@ module Snapshot = struct
       prob = b.prob;
     }
 
-  let sorted_labels (fn : fn) =
-    Hashtbl.fold (fun l _ acc -> l :: acc) fn.blocks []
-    |> List.sort Stdlib.compare
-
   let copy_fn (fn : fn) =
-    let blocks = Hashtbl.create (max 16 (Hashtbl.length fn.blocks)) in
-    List.iter
-      (fun l -> Hashtbl.replace blocks l (copy_block (Hashtbl.find fn.blocks l)))
-      (sorted_labels fn);
     {
       f_name = fn.f_name;
       f_line = fn.f_line;
       f_params = fn.f_params;
       f_slots = fn.f_slots;
-      blocks;
+      blocks = Label_store.map copy_block fn.blocks;
       entry = fn.entry;
       layout = fn.layout;
       next_reg = fn.next_reg;

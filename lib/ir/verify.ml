@@ -7,11 +7,11 @@ let failf fmt = Printf.ksprintf (fun m -> raise (Invalid m)) fmt
 
 let check_fn (fn : Ir.fn) =
   (* Validate terminator targets before anything walks successors. *)
-  Hashtbl.iter
+  Ir.Label_store.iter
     (fun l (b : Ir.block) ->
       List.iter
         (fun s ->
-          if not (Hashtbl.mem fn.Ir.blocks s) then
+          if not (Ir.mem_block fn s) then
             failf "%s: block %d branches to missing block %d" fn.Ir.f_name l s)
         (Ir.succs b.Ir.term))
     fn.Ir.blocks;
@@ -23,24 +23,24 @@ let check_fn (fn : Ir.fn) =
   | _ -> failf "%s: entry is not first in layout" fn.Ir.f_name);
   List.iter
     (fun l ->
-      if not (Hashtbl.mem fn.Ir.blocks l) then
+      if not (Ir.mem_block fn l) then
         failf "%s: layout mentions missing block %d" fn.Ir.f_name l)
     fn.Ir.layout;
-  if List.length fn.Ir.layout <> Hashtbl.length fn.Ir.blocks then
+  if List.length fn.Ir.layout <> Ir.Label_store.length fn.Ir.blocks then
     failf "%s: layout and block table disagree" fn.Ir.f_name;
   let seen_defs = Hashtbl.create 64 in
   List.iter (fun (r, _) -> Hashtbl.replace seen_defs r ()) fn.Ir.f_params;
-  Hashtbl.iter
+  Ir.Label_store.iter
     (fun l (b : Ir.block) ->
       (* Terminator targets exist. *)
       List.iter
         (fun s ->
-          if not (Hashtbl.mem fn.Ir.blocks s) then
+          if not (Ir.mem_block fn s) then
             failf "%s: block %d branches to missing block %d" fn.Ir.f_name l s)
         (Ir.succs b.Ir.term);
       (* Reachable blocks: each phi has exactly one argument per
          predecessor. *)
-      if Hashtbl.mem reachable l then
+      if Ir.Dense_set.mem reachable l then
         List.iter
           (fun (p : Ir.phi) ->
             let arg_labels = List.map fst p.Ir.p_args in
@@ -65,9 +65,9 @@ let check_fn (fn : Ir.fn) =
     fn.Ir.blocks;
   (* Every use has a def somewhere (dominance is not checked — too
      strict for pre-SSA code where merges go through slots). *)
-  Hashtbl.iter
+  Ir.Label_store.iter
     (fun l (b : Ir.block) ->
-      if Hashtbl.mem reachable l then begin
+      if Ir.Dense_set.mem reachable l then begin
         let check_use r =
           if not (Hashtbl.mem seen_defs r) then
             failf "%s: use of undefined register r%d in block %d" fn.Ir.f_name r l

@@ -126,7 +126,7 @@ let counts_of_mach (m : Mach.mfn) =
   List.iter
     (fun (s : Mach.frame_slot) -> Option.iter add_var s.Mach.fs_var)
     m.Mach.mf_frame;
-  Hashtbl.iter
+  Ir.Label_store.iter
     (fun _ (b : Mach.mblock) ->
       add_line b.Mach.mterm_line;
       List.iter

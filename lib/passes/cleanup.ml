@@ -41,24 +41,24 @@ let merge_pairs (fn : Ir.fn) =
     let labels = fn.Ir.layout in
     List.iter
       (fun l ->
-        match Hashtbl.find_opt fn.Ir.blocks l with
+        match Ir.find_block fn l with
         | None -> ()
         | Some b -> (
             match b.Ir.term with
             | Ir.Br s when s <> l -> (
-                match Hashtbl.find_opt fn.Ir.blocks s with
+                match Ir.find_block fn s with
                 | Some sb
                   when sb.Ir.preds = [ l ] && sb.Ir.phis = [] && s <> fn.Ir.entry
                   ->
                     b.Ir.instrs <- b.Ir.instrs @ sb.Ir.instrs;
                     b.Ir.term <- sb.Ir.term;
                     b.Ir.term_line <- sb.Ir.term_line;
-                    Hashtbl.remove fn.Ir.blocks s;
+                    Ir.remove_block fn s;
                     fn.Ir.layout <- List.filter (fun x -> x <> s) fn.Ir.layout;
                     (* Successors' phis referring to s now come from b. *)
                     List.iter
                       (fun succ ->
-                        match Hashtbl.find_opt fn.Ir.blocks succ with
+                        match Ir.find_block fn succ with
                         | Some tb ->
                             List.iter
                               (fun (p : Ir.phi) ->
@@ -86,7 +86,7 @@ let remove_forwarders (fn : Ir.fn) =
     changed := false;
     List.iter
       (fun l ->
-        match Hashtbl.find_opt fn.Ir.blocks l with
+        match Ir.find_block fn l with
         | None -> ()
         | Some b -> (
             let only_dbg =
@@ -141,7 +141,7 @@ let remove_forwarders (fn : Ir.fn) =
                             @ List.map (fun pred -> (pred, v)) b.Ir.preds
                       | None -> ())
                     tb.Ir.phis;
-                  Hashtbl.remove fn.Ir.blocks l;
+                  Ir.remove_block fn l;
                   fn.Ir.layout <- List.filter (fun x -> x <> l) fn.Ir.layout;
                   Ir.recompute_preds fn;
                   changed := true
@@ -158,7 +158,7 @@ let fold_branches (fn : Ir.fn) =
           let dead = if c <> 0 then l2 else l1 in
           let live = if c <> 0 then l1 else l2 in
           (* Remove the dead edge's phi entries. *)
-          (match Hashtbl.find_opt fn.Ir.blocks dead with
+          (match Ir.find_block fn dead with
           | Some db when dead <> live ->
               List.iter
                 (fun (p : Ir.phi) ->
@@ -178,7 +178,7 @@ let fold_branches (fn : Ir.fn) =
    (this loss belongs to whichever pass orphaned the phi). *)
 let dead_phis (fn : Ir.fn) =
   let changed = ref true in
-  let killed = Hashtbl.create 8 in
+  let killed = Ir.Dense_set.create fn.Ir.next_reg in
   while !changed do
     changed := false;
     let counts = Putil.use_counts fn in
@@ -186,15 +186,15 @@ let dead_phis (fn : Ir.fn) =
         b.Ir.phis <-
           List.filter
             (fun (p : Ir.phi) ->
-              if Hashtbl.mem counts p.Ir.p_dst then true
+              if Putil.use_count counts p.Ir.p_dst > 0 then true
               else begin
-                Hashtbl.replace killed p.Ir.p_dst ();
+                Ir.Dense_set.add killed p.Ir.p_dst;
                 changed := true;
                 false
               end)
             b.Ir.phis)
   done;
-  Putil.kill_bindings fn killed
+  Putil.kill_bindings fn (Ir.Dense_set.mem killed)
 
 (* Debug bindings whose register no longer has a definition anywhere in
    the function — its block was pruned as unreachable, or a pass deleted
@@ -203,17 +203,13 @@ let dead_phis (fn : Ir.fn) =
    undef. Real uses of such registers would be a pass bug (the verifier
    rejects them); debug uses are the supported, lossy case. *)
 let orphaned_dbg (fn : Ir.fn) =
-  let defined = Hashtbl.create 64 in
-  List.iter (fun (r, _) -> Hashtbl.replace defined r ()) fn.Ir.f_params;
+  let defined = Ir.Dense_set.create fn.Ir.next_reg in
+  let define = Ir.Dense_set.add defined in
+  List.iter (fun (r, _) -> define r) fn.Ir.f_params;
   Ir.iter_blocks fn (fun b ->
+      List.iter (fun (p : Ir.phi) -> define p.Ir.p_dst) b.Ir.phis;
       List.iter
-        (fun (p : Ir.phi) -> Hashtbl.replace defined p.Ir.p_dst ())
-        b.Ir.phis;
-      List.iter
-        (fun (i : Ir.instr) ->
-          List.iter
-            (fun d -> Hashtbl.replace defined d ())
-            (Ir.def_of_ikind i.Ir.ik))
+        (fun (i : Ir.instr) -> List.iter define (Ir.def_of_ikind i.Ir.ik))
         b.Ir.instrs);
   Ir.iter_blocks fn (fun b ->
       List.iter
@@ -221,7 +217,7 @@ let orphaned_dbg (fn : Ir.fn) =
           match i.Ir.ik with
           | Ir.Dbg (v, Some o)
             when List.exists
-                   (fun r -> not (Hashtbl.mem defined r))
+                   (fun r -> not (Ir.Dense_set.mem defined r))
                    (Ir.operand_uses o) ->
               i.Ir.ik <- Ir.Dbg (v, None)
           | _ -> ())

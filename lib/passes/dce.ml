@@ -12,7 +12,7 @@ let run ?(pure_calls = fun _ -> false) (fn : Ir.fn) =
   while !changed do
     changed := false;
     let counts = Putil.use_counts fn in
-    let used r = Hashtbl.mem counts r in
+    let used r = Putil.use_count counts r > 0 in
     Ir.iter_blocks fn (fun b ->
         b.Ir.phis <-
           List.filter
@@ -39,7 +39,7 @@ let run ?(pure_calls = fun _ -> false) (fn : Ir.fn) =
               else true)
             b.Ir.instrs)
   done;
-  Putil.kill_bindings fn dead_total;
+  Putil.kill_bindings fn (Hashtbl.mem dead_total);
   Hashtbl.length dead_total
 
 let run_program ?pure_calls (p : Ir.program) =

@@ -46,7 +46,7 @@ let run ?(max_arm = default_max_arm_instrs) (fn : Ir.fn) =
   let converted = ref 0 in
   List.iter
     (fun head_l ->
-      match Hashtbl.find_opt fn.Ir.blocks head_l with
+      match Ir.find_block fn head_l with
       | None -> ()
       | Some head -> (
           match head.Ir.term with
@@ -117,8 +117,8 @@ let run ?(max_arm = default_max_arm_instrs) (fn : Ir.fn) =
                     head.Ir.instrs <- head.Ir.instrs @ List.rev !selects;
                     join.Ir.phis <- [];
                     head.Ir.term <- Ir.Br join_l;
-                    Hashtbl.remove fn.Ir.blocks t_l;
-                    Hashtbl.remove fn.Ir.blocks f_l;
+                    Ir.remove_block fn t_l;
+                    Ir.remove_block fn f_l;
                     fn.Ir.layout <-
                       List.filter (fun x -> x <> t_l && x <> f_l) fn.Ir.layout;
                     Ir.recompute_preds fn;
@@ -155,7 +155,7 @@ let run ?(max_arm = default_max_arm_instrs) (fn : Ir.fn) =
                       join.Ir.phis;
                     join.Ir.phis <- [];
                     head.Ir.term <- Ir.Br f_l;
-                    Hashtbl.remove fn.Ir.blocks t_l;
+                    Ir.remove_block fn t_l;
                     fn.Ir.layout <- List.filter (fun x -> x <> t_l) fn.Ir.layout;
                     Ir.recompute_preds fn;
                     incr converted

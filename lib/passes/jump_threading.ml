@@ -107,7 +107,7 @@ let eval_cond_for_pred (fn : Ir.fn) dom (b : Ir.block) pred =
                     else None
                   in
                   let via_pred_branch =
-                    match Hashtbl.find_opt fn.Ir.blocks pred with
+                    match Ir.find_block fn pred with
                     | Some pb -> (
                         match (cond_cmp fn pb, pb.Ir.term) with
                         | Some (pop, px, pc), Ir.Cbr (_, pt, pf)
@@ -136,7 +136,7 @@ let threadable_block (b : Ir.block) counts =
       | Ir.Bin (_, d, _, _) when Putil.pure_ikind i.Ir.ik ->
           (match b.Ir.term with
           | Ir.Cbr (Ir.Reg c, _, _) when c = d ->
-              Hashtbl.find_opt counts d = Some 1
+              Putil.use_count counts d = 1
           | _ -> false)
       | _ -> false)
     b.Ir.instrs
@@ -189,7 +189,7 @@ let run (fn : Ir.fn) =
   let labels = fn.Ir.layout in
   List.iter
     (fun l ->
-      match Hashtbl.find_opt fn.Ir.blocks l with
+      match Ir.find_block fn l with
       | None -> ()
       | Some b -> (
           match b.Ir.term with
@@ -202,8 +202,8 @@ let run (fn : Ir.fn) =
                   let dom = Dom.compute fn in
                   match eval_cond_for_pred fn dom b pred with
                   | Some v
-                    when pred <> l && Hashtbl.mem fn.Ir.blocks pred
-                         && Hashtbl.mem fn.Ir.blocks l -> (
+                    when pred <> l && Ir.mem_block fn pred
+                         && Ir.mem_block fn l -> (
                       let target = if v <> 0 then t1 else t2 in
                       let resolve_through o =
                         match o with

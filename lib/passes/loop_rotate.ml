@@ -294,10 +294,8 @@ let run (fn : Ir.fn) =
         (* The loop record may be stale after an earlier rotation this
            round; guard against vanished blocks. *)
         if
-          Hashtbl.mem fn.Ir.blocks lp.Loops.header
-          && Loops.Label_set.for_all
-               (fun l -> Hashtbl.mem fn.Ir.blocks l)
-               lp.Loops.body
+          Ir.mem_block fn lp.Loops.header
+          && Loops.Label_set.for_all (Ir.mem_block fn) lp.Loops.body
           && (not !progress)
           && rotate_one fn lp
         then begin

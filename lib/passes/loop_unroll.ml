@@ -62,7 +62,7 @@ let unroll_block (fn : Ir.fn) (l : Ir.label) =
         in
         let escaping = List.filter used_outside_loop loop_defs in
         let exit_extra_preds =
-          Hashtbl.fold
+          Ir.Label_store.fold
             (fun pl (pb : Ir.block) acc ->
               if pl <> l && List.mem exit_l (Ir.succs pb.Ir.term) then
                 pl :: acc
@@ -74,7 +74,7 @@ let unroll_block (fn : Ir.fn) (l : Ir.label) =
         let rec mark x =
           if not (Hashtbl.mem reach_exit x) then begin
             Hashtbl.replace reach_exit x ();
-            match Hashtbl.find_opt fn.Ir.blocks x with
+            match Ir.find_block fn x with
             | Some xb -> List.iter mark (Ir.succs xb.Ir.term)
             | None -> ()
           end
@@ -223,7 +223,7 @@ let run (fn : Ir.fn) ~factor =
     let selfloops =
       List.filter
         (fun l ->
-          match Hashtbl.find_opt fn.Ir.blocks l with
+          match Ir.find_block fn l with
           | Some b -> List.mem l (Ir.succs b.Ir.term)
           | None -> false)
         fn.Ir.layout

@@ -1,12 +1,12 @@
 (** Shared helpers for the optimization passes. *)
 
-(** [kill_bindings fn dead] marks every debug binding that references one
-    of the [dead] registers as optimized-out — what a compiler does when
-    it deletes a value it cannot salvage. *)
-let kill_bindings (fn : Ir.fn) (dead : (Ir.reg, unit) Hashtbl.t) =
+(** [kill_bindings fn dead] marks every debug binding that references a
+    register [r] with [dead r] as optimized-out — what a compiler does
+    when it deletes a value it cannot salvage. *)
+let kill_bindings (fn : Ir.fn) (dead : Ir.reg -> bool) =
   Ir.iter_instrs fn (fun _ i ->
       match i.Ir.ik with
-      | Ir.Dbg (v, Some (Ir.Reg r)) when Hashtbl.mem dead r ->
+      | Ir.Dbg (v, Some (Ir.Reg r)) when dead r ->
           i.Ir.ik <- Ir.Dbg (v, None)
       | _ -> ())
 
@@ -29,12 +29,15 @@ let replace_uses (fn : Ir.fn) (map : (Ir.reg, Ir.operand) Hashtbl.t) =
         | None -> None)
   end
 
-(** Registers defined anywhere in the function, with their use counts
-    (debug bindings excluded). *)
+(** Use counts of the function's registers (debug bindings excluded),
+    one byte per register; read them through {!use_count}. A count
+    stops at 2: the passes only tell apart unused, used once and used
+    more than once. *)
 let use_counts (fn : Ir.fn) =
-  let counts = Hashtbl.create 64 in
+  let counts = Bytes.make fn.Ir.next_reg '\000' in
   let bump r =
-    Hashtbl.replace counts r (1 + Option.value ~default:0 (Hashtbl.find_opt counts r))
+    let c = Bytes.get counts r in
+    if c < '\002' then Bytes.set counts r (Char.chr (Char.code c + 1))
   in
   Ir.iter_blocks fn (fun b ->
       List.iter
@@ -46,6 +49,11 @@ let use_counts (fn : Ir.fn) =
         b.Ir.instrs;
       List.iter bump (Ir.term_uses b.Ir.term));
   counts
+
+(** [use_count counts r] — 0, 1 or 2 (for two or more): the real uses
+    [r] had when [counts] was taken (0 for a register created since). *)
+let use_count counts r =
+  if r < Bytes.length counts then Char.code (Bytes.get counts r) else 0
 
 (** Is the instruction free of side effects (deletable when its results
     are unused)? [pure_calls] lists functions proven pure. *)

@@ -15,7 +15,7 @@ let hoist_common (fn : Ir.fn) =
   Ir.iter_blocks fn (fun head ->
       match head.Ir.term with
       | Ir.Cbr (_, t_l, f_l) when t_l <> f_l -> (
-          match (Hashtbl.find_opt fn.Ir.blocks t_l, Hashtbl.find_opt fn.Ir.blocks f_l) with
+          match (Ir.find_block fn t_l, Ir.find_block fn f_l) with
           | Some t, Some f
             when t.Ir.preds = [ head.Ir.b_label ]
                  && f.Ir.preds = [ head.Ir.b_label ]

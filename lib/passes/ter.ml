@@ -36,7 +36,7 @@ let run (fn : Ir.fn) =
         | [ d ], ik when Putil.pure_ikind ik -> (
             match Hashtbl.find_opt pos_of_use d with
             | Some u
-              when u > k && Hashtbl.find_opt counts d = Some 1 ->
+              when u > k && Putil.use_count counts d = 1 ->
                 let safe = ref true in
                 (match ik with
                 | Ir.Load _ ->

@@ -36,4 +36,5 @@ let () =
       ("api", Test_api.tests);
       ("shard", Test_shard.tests);
       ("search", Test_search.tests);
+      ("golden", Test_golden.tests);
     ]

@@ -154,7 +154,7 @@ let test_rejects_loc_bounds () =
   let p = lowered () in
   let m = Isel.translate_fn (fn_of p) Mach.opts_o0 in
   let corrupted = ref false in
-  Hashtbl.iter
+  Ir.Label_store.iter
     (fun _ (b : Mach.mblock) ->
       List.iter
         (fun (i : Mach.minstr) ->

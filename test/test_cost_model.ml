@@ -13,8 +13,10 @@ let mk_block label mins mterm =
   }
 
 let mk_fn ?(frame = []) ?(spill = 0) ?(params = []) name blocks layout =
-  let tbl = Hashtbl.create 8 in
-  List.iter (fun (b : Mach.mblock) -> Hashtbl.replace tbl b.Mach.mb_label b) blocks;
+  let tbl = Ir.Label_store.create 8 in
+  List.iter
+    (fun (b : Mach.mblock) -> Ir.Label_store.replace tbl b.Mach.mb_label b)
+    blocks;
   {
     Mach.mf_name = name;
     mf_line = 1;

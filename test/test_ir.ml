@@ -250,6 +250,94 @@ let qcheck_mem2reg_semantics =
       base = promoted)
 
 (* ------------------------------------------------------------------ *)
+(* Label store against a Hashtbl model                                 *)
+
+(* Each operation acts on the original store or on its copy; [Copy]
+   replaces the copy with a fresh one of the original, made through
+   [map] as [Ir.Snapshot] makes its copies, after which the two are
+   mutated independently. *)
+type store_op =
+  | Replace of bool * int * int  (** an add when the label is absent *)
+  | Remove of bool * int
+  | Find of bool * int
+  | Mem of bool * int
+  | Length of bool
+  | Copy
+
+let store_op_to_string op =
+  let side c = if c then "copy" else "orig" in
+  match op with
+  | Replace (c, l, v) -> Printf.sprintf "replace %s L%d %d" (side c) l v
+  | Remove (c, l) -> Printf.sprintf "remove %s L%d" (side c) l
+  | Find (c, l) -> Printf.sprintf "find %s L%d" (side c) l
+  | Mem (c, l) -> Printf.sprintf "mem %s L%d" (side c) l
+  | Length c -> Printf.sprintf "length %s" (side c)
+  | Copy -> "copy"
+
+let arb_store_ops =
+  let open QCheck.Gen in
+  (* labels run far past the store's initial capacity of 2 *)
+  let side = bool and label = int_range 0 40 in
+  let op =
+    frequency
+      [
+        (6, map3 (fun c l v -> Replace (c, l, v)) side label small_nat);
+        (3, map2 (fun c l -> Remove (c, l)) side label);
+        (3, map2 (fun c l -> Find (c, l)) side label);
+        (2, map2 (fun c l -> Mem (c, l)) side label);
+        (1, map (fun c -> Length c) side);
+        (1, return Copy);
+      ]
+  in
+  QCheck.make
+    ~print:(QCheck.Print.list store_op_to_string)
+    (list_size (int_range 0 120) op)
+
+let qcheck_label_store_model =
+  QCheck.Test.make ~name:"label store matches a Hashtbl model" ~count:300
+    arb_store_ops (fun ops ->
+      let module S = Ir.Label_store in
+      let fresh () = (S.create 2, Hashtbl.create 2) in
+      let orig = fresh () and copy = ref (fresh ()) in
+      (* iteration must list exactly the model's bindings, by label *)
+      let agrees (s, m) =
+        S.length s = Hashtbl.length m
+        && List.rev (S.fold (fun l v acc -> (l, v) :: acc) s [])
+           = List.sort compare (Hashtbl.fold (fun l v acc -> (l, v) :: acc) m [])
+      in
+      List.for_all
+        (fun op ->
+          let pick c = if c then !copy else orig in
+          let step_ok =
+            match op with
+            | Replace (c, l, v) ->
+                let s, m = pick c in
+                S.replace s l v;
+                Hashtbl.replace m l v;
+                true
+            | Remove (c, l) ->
+                let s, m = pick c in
+                S.remove s l;
+                Hashtbl.remove m l;
+                true
+            | Find (c, l) ->
+                let s, m = pick c in
+                S.find_opt s l = Hashtbl.find_opt m l
+            | Mem (c, l) ->
+                let s, m = pick c in
+                S.mem s l = Hashtbl.mem m l
+            | Length c ->
+                let s, m = pick c in
+                S.length s = Hashtbl.length m
+            | Copy ->
+                let s, m = orig in
+                copy := (S.map Fun.id s, Hashtbl.copy m);
+                true
+          in
+          step_ok && agrees orig && agrees !copy)
+        ops)
+
+(* ------------------------------------------------------------------ *)
 (* Verifier                                                            *)
 
 let test_verifier_catches_breakage () =
@@ -294,4 +382,5 @@ let tests =
     Alcotest.test_case "verifier double def" `Quick test_verifier_catches_double_def;
     QCheck_alcotest.to_alcotest qcheck_shift_total;
     QCheck_alcotest.to_alcotest qcheck_mem2reg_semantics;
+    QCheck_alcotest.to_alcotest qcheck_label_store_model;
   ]

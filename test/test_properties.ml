@@ -138,7 +138,7 @@ let qcheck_dominance_frontier =
                      let fb = Ir.block fn f in
                      List.exists
                        (fun p ->
-                         Hashtbl.mem t.Dom.idom p && Dom.dominates t b p)
+                         Dom.reachable t p && Dom.dominates t b p)
                        fb.Ir.preds
                      && (b = f || not (Dom.dominates t b f)))
                    frontier)
