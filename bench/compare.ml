@@ -88,11 +88,14 @@ let scan_float text key =
   | exception Not_found -> None
   | i -> number_after text (i + String.length needle)
 
-(** Every [{"name": "<name>", "value": <int>}] row of the stats table. *)
+(** Every [{"name": "<name>", "value": <int>}] row of the stats table.
+    The scan starts at the ["stats"] key: the timing rows before it
+    share the [{"name": ] prefix. *)
 let counter_rows text =
   let rows = ref [] in
   let pos = ref 0 in
   (try
+     pos := find_sub text "\"stats\":" 0;
      while true do
        let i = find_sub text "{\"name\": \"" !pos in
        let name_start = i + String.length "{\"name\": \"" in

@@ -6,9 +6,9 @@
     program, a {!Config.t}, and per-kind options. {!execute} turns a
     request into a {!Response.t}: a status, the canonical rendered
     report (the bytes the CLI prints), an optional secondary artifact
-    (a trace JSON, an AutoFDO profile), and the per-request counter
-    delta of {!Measure_engine.stats_table}. The CLI is one transport
-    over this module (parse flags, execute, print); the
+    (a trace JSON, an AutoFDO profile), and the request's own counter
+    rows (named as in {!Measure_engine.stats_table}). The CLI is one
+    transport over this module (parse flags, execute, print); the
     [debugtuner serve] daemon ([Api_server]) is a second one
     (length-prefixed JSON over a Unix socket, see [Framing]) — both
     produce byte-identical output for the same request, asserted in
@@ -232,10 +232,11 @@ module Response = struct
             transport decides where it goes ([-o FILE], stdout, ...) *)
     data : data;
     stats : (string * int) list;
-        (** this request's own counter delta of
-            {!Measure_engine.stats_table} — snapshot before, snapshot
-            after, subtract — so overlapping sessions never
-            double-count *)
+        (** this request's own counter rows, named as in
+            {!Measure_engine.stats_table}: every count its work made
+            (pool workers included) lands in the request's sink (see
+            {!Util.Counters}), so requests running alongside it never
+            leak in *)
     exit_code : int;
   }
 
@@ -958,9 +959,9 @@ let partial_of_json text = decode Codec.partial_of_json text
     {!execute} is safe to call from many threads (or executor domains)
     at once on a shared context: the engine's memo tables and the disk
     store are domain-safe by construction, per-request counters come
-    from scoped sinks (see {!Measure_engine.with_request_sink}) rather
-    than global snapshots, and the two remaining serialization points
-    are narrow — [prepared_mu] guards the prepared-subject cache, and a
+    from request-scoped sinks (see {!Measure_engine.with_request_sink})
+    whose bump path takes no lock, and the two remaining serialization
+    points are narrow — [prepared_mu] guards the prepared-subject cache, and a
     global mutex serializes [profile] requests (the [Obs] session is
     process-wide). *)
 type ctx = {
@@ -1428,71 +1429,66 @@ let run_search ctx ~config ~strategy ~budget ~seed ~debug_weight ~speed_weight =
 
 (* -- check -- *)
 
-(** This request's own sanitizer work, as [(pass, checks, failures)]
-    triples sorted by pass. [Sanitize.counters] is process-cumulative
-    and under concurrent execution a snapshot/subtract would bracket
-    other requests' boundary checks; the request sink's
-    [sanitize/<pass>/checked|failures] rows are scoped to exactly this
-    request (including its engine-pool workers), so in a daemon,
-    response N's text cannot depend on requests running alongside it. *)
-let sanitize_rows_delta before after =
-  let look rows name = Option.value ~default:0 (List.assoc_opt name rows) in
-  let passes =
-    List.sort_uniq compare
-      (List.filter_map
-         (fun (name, _) ->
-           match String.split_on_char '/' name with
-           | [ "sanitize"; pass; ("checked" | "failures") ] -> Some pass
-           | _ -> None)
-         after)
-  in
+(** [(pass, checked, failures)] from [sanitize/<pass>/...] rows, sorted
+    by pass. *)
+let sanitize_passes rows =
   List.filter_map
-    (fun pass ->
-      let row field = Printf.sprintf "sanitize/%s/%s" pass field in
-      let dc = look after (row "checked") - look before (row "checked") in
-      let df = look after (row "failures") - look before (row "failures") in
-      if dc = 0 && df = 0 then None else Some (pass, dc, df))
-    passes
+    (fun (name, checked) ->
+      match String.split_on_char '/' name with
+      | [ "sanitize"; pass; "checked" ] ->
+          let failures = "sanitize/" ^ pass ^ "/failures" in
+          Some
+            ( pass,
+              checked,
+              Option.value ~default:0 (List.assoc_opt failures rows) )
+      | _ -> None)
+    rows
+  |> List.sort compare
 
 let run_check ctx ~subject ~fuzz ~seed ~suite =
   let b = Buffer.create 1024 in
-  let san_before = Measure_engine.current_request_sink_rows () in
   let reports = ref [] in
-  (match subject with
-  | Some s ->
-      let p = subject_program s in
-      bpf b "checking %s across O0-O3 x {gcc, clang}...\n" p.Suite_types.p_name;
-      let failures, (runs, skipped) =
-        Diff_oracle.check_program ?store:ctx.store p
-      in
+  (* This request's own boundary checks (pool workers included), never
+     those of requests running alongside it. *)
+  let (), rows =
+    Util.Counters.scoped @@ fun () ->
+    (match subject with
+    | Some s ->
+        let p = subject_program s in
+        bpf b "checking %s across O0-O3 x {gcc, clang}...\n"
+          p.Suite_types.p_name;
+        let failures, (runs, skipped) =
+          Diff_oracle.check_program ?store:ctx.store p
+        in
+        reports :=
+          [
+            {
+              Diff_oracle.r_programs = 1;
+              r_configs = List.length (Diff_oracle.configs ());
+              r_runs = runs;
+              r_skipped = skipped;
+              r_failures = failures;
+            };
+          ]
+    | None ->
+        if suite then begin
+          bpf b
+            "checking the suite across O0-O3 x {gcc, clang} (sanitizer \
+             on)...\n";
+          reports := [ Diff_oracle.check_suite ?store:ctx.store () ]
+        end);
+    if fuzz > 0 then begin
+      bpf b "fuzzing %d synthetic program(s) from seed %d...\n" fuzz seed;
       reports :=
-        [
-          {
-            Diff_oracle.r_programs = 1;
-            r_configs = List.length (Diff_oracle.configs ());
-            r_runs = runs;
-            r_skipped = skipped;
-            r_failures = failures;
-          };
-        ]
-  | None ->
-      if suite then begin
-        bpf b "checking the suite across O0-O3 x {gcc, clang} (sanitizer on)...\n";
-        reports := [ Diff_oracle.check_suite ?store:ctx.store () ]
-      end);
-  if fuzz > 0 then begin
-    bpf b "fuzzing %d synthetic program(s) from seed %d...\n" fuzz seed;
-    reports :=
-      !reports @ [ Diff_oracle.fuzz ?store:ctx.store ~count:fuzz ~seed () ]
-  end;
+        !reports @ [ Diff_oracle.fuzz ?store:ctx.store ~count:fuzz ~seed () ]
+    end
+  in
   List.iter
     (fun r ->
       Buffer.add_string b (Diff_oracle.report_to_string r);
       Buffer.add_char b '\n')
     !reports;
-  (match
-     sanitize_rows_delta san_before (Measure_engine.current_request_sink_rows ())
-   with
+  (match sanitize_passes rows with
   | [] -> ()
   | cs ->
       bpf b "sanitizer boundaries validated:\n";

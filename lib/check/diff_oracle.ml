@@ -111,22 +111,11 @@ let run_one ast ~roots ~entry ~input (cfg : C.t) ~expected =
 (* Persistent verdict cache                                            *)
 
 (* With a store, each program's whole differential verdict — failures,
-   run counts and the sanitizer-counter delta its compiles produced — is
-   cached on a content address of everything the verdict depends on.
-   Warm hits replay the sanitizer delta ({!Sanitize.record}) so a warm
-   [check] prints byte-identical output, counters included. *)
-
-let counters_delta before after =
-  let find pass l =
-    match List.find_opt (fun (q, _, _) -> q = pass) l with
-    | Some (_, c, f) -> (c, f)
-    | None -> (0, 0)
-  in
-  List.filter_map
-    (fun (pass, c, f) ->
-      let bc, bf = find pass before in
-      if c = bc && f = bf then None else Some (pass, c - bc, f - bf))
-    after
+   run counts and the sanitizer rows its own compiles produced (read
+   from a {!Util.Counters.scoped} scope, so work running alongside it in
+   the process never leaks in) — is cached on a content address of
+   everything the verdict depends on. Warm hits replay those rows, so a
+   warm [check] prints byte-identical output, counters included. *)
 
 let verdict_key tag payload =
   Digest.to_hex
@@ -141,7 +130,7 @@ let verdict_key tag payload =
                computed by one core could otherwise mask a divergence in
                the other. *)
             Vm.active_core (),
-            "oracle-v2" )
+            "oracle-v3" )
           []))
 
 let cached store ~key (f : unit -> 'a) : 'a =
@@ -149,9 +138,12 @@ let cached store ~key (f : unit -> 'a) : 'a =
   | None -> f ()
   | Some s -> (
       let fresh () =
-        let before = Sanitize.counters () in
-        let v = f () in
-        let delta = counters_delta before (Sanitize.counters ()) in
+        let v, rows = Util.Counters.scoped f in
+        let delta =
+          List.filter
+            (fun (name, _) -> String.starts_with ~prefix:"sanitize/" name)
+            rows
+        in
         (try
            Engine.Disk_store.put s ~cache:"oracle" ~key
              (Marshal.to_string (v, delta) [])
@@ -161,11 +153,9 @@ let cached store ~key (f : unit -> 'a) : 'a =
       match Engine.Disk_store.get s ~cache:"oracle" ~key with
       | None -> fresh ()
       | Some payload -> (
-          match
-            (Marshal.from_string payload 0 : 'a * (string * int * int) list)
-          with
+          match (Marshal.from_string payload 0 : 'a * (string * int) list) with
           | v, delta ->
-              Sanitize.record delta;
+              List.iter (fun (name, n) -> Util.Counters.bump ~n name) delta;
               v
           | exception _ ->
               Engine.Disk_store.invalidate s ~cache:"oracle" ~key;

@@ -35,9 +35,10 @@
     nested — a partially-overlapping pair means the location list was
     corrupted rather than merely narrowed.
 
-    Every boundary validated and every failure is counted per pass name;
-    {!counters} feeds [Measure_engine.sanitizer_stats] and
-    [bench --stats]. *)
+    Every boundary validated and every failure is counted per pass name
+    in the process counter table ([sanitize/<pass>/checked|failures],
+    see {!Util.Counters}), which feeds [bench --stats] and each
+    request's own counter rows. *)
 
 type invariant =
   | Structural  (** {!Verify} (IR) or machine CFG/layout breakage *)
@@ -84,74 +85,8 @@ let fail ~pass invariant fmt =
     every engine-driven compile without threading a flag everywhere. *)
 let enabled = ref false
 
-(* ------------------------------------------------------------------ *)
-(* Per-pass counters (domain-safe: the engine pool compiles from
-   multiple domains)                                                    *)
-
-type counter = { mutable checks : int; mutable failures : int }
-
-let counters_tbl : (string, counter) Hashtbl.t = Hashtbl.create 32
-let counters_mu = Mutex.create ()
-
-let counter_for pass =
-  match Hashtbl.find_opt counters_tbl pass with
-  | Some c -> c
-  | None ->
-      let c = { checks = 0; failures = 0 } in
-      Hashtbl.replace counters_tbl pass c;
-      c
-
-(* Observability seam: the instantiation (Measure_engine) mirrors every
-   bump into a per-request counter sink. Called as
-   [(pass, checks, failures)], outside the counter lock. *)
-let observer : (string -> int -> int -> unit) option ref = ref None
-let set_observer f = observer := f
-
-let observe pass checks failures =
-  match !observer with None -> () | Some f -> f pass checks failures
-
-let bump_checks pass =
-  Mutex.lock counters_mu;
-  (counter_for pass).checks <- (counter_for pass).checks + 1;
-  Mutex.unlock counters_mu;
-  observe pass 1 0
-
-let bump_failures pass =
-  Mutex.lock counters_mu;
-  (counter_for pass).failures <- (counter_for pass).failures + 1;
-  Mutex.unlock counters_mu;
-  observe pass 0 1
-
-(** [(pass, boundaries validated, failures)], sorted by pass name. *)
-let counters () =
-  Mutex.lock counters_mu;
-  let out =
-    Hashtbl.fold
-      (fun pass c acc -> (pass, c.checks, c.failures) :: acc)
-      counters_tbl []
-  in
-  Mutex.unlock counters_mu;
-  List.sort compare out
-
-let reset_counters () =
-  Mutex.lock counters_mu;
-  Hashtbl.reset counters_tbl;
-  Mutex.unlock counters_mu
-
-(** [record deltas] credits [(pass, checks, failures)] triples wholesale
-    — for callers replaying sanitizer activity captured on an earlier
-    run (e.g. a persistent-cache hit serving a compile that originally
-    ran with the sanitizer on), so warm output matches cold output. *)
-let record deltas =
-  Mutex.lock counters_mu;
-  List.iter
-    (fun (pass, checks, failures) ->
-      let c = counter_for pass in
-      c.checks <- c.checks + checks;
-      c.failures <- c.failures + failures)
-    deltas;
-  Mutex.unlock counters_mu;
-  List.iter (fun (pass, checks, failures) -> observe pass checks failures) deltas
+let bump_checks pass = Util.Counters.bump ("sanitize/" ^ pass ^ "/checked")
+let bump_failures pass = Util.Counters.bump ("sanitize/" ^ pass ^ "/failures")
 
 (* ------------------------------------------------------------------ *)
 (* Debug-info snapshots: what a pass may shrink but never grow          *)

@@ -51,9 +51,6 @@ let create ?(synth_count = 40) ?workers ?store () =
 
 let suite ctx = ctx.suite
 let engine ctx = ctx.engine
-let engine_stats ctx =
-  Engine.Stats.snapshot (Measure_engine.stats ctx.engine)
-  @ Measure_engine.sanitizer_stats ()
 
 let synth_programs ctx =
   (* Double-checked under the lock: the corpus is deterministic in
@@ -998,22 +995,14 @@ let corpus_families spec =
   let synth, fuzz, selfcomp = Corpus.counts ~n:spec.cs_n in
   [ ("synth", synth); ("fuzz", fuzz); ("selfcomp", selfcomp) ]
 
-let prepare_misses engine =
-  match
-    List.assoc_opt "prepare"
-      (Engine.Stats.snapshot (Measure_engine.stats engine))
-  with
-  | Some c -> c.Engine.Stats.misses
-  | None -> 0
-
 let corpus_rows ~engine ?shard spec configs : corpus_row list =
   let entries = Corpus.generate ~seed:spec.cs_seed ~n:spec.cs_n in
   let mine =
     match shard with None -> entries | Some s -> shard_slice s entries
   in
   let prepares = Measure_engine.memo engine ~name:"prepare" () in
-  let computed_before = prepare_misses engine in
-  let per_entry =
+  let per_entry, rows =
+    Util.Counters.scoped @@ fun () ->
     Measure_engine.map engine
       (fun (e : Corpus.entry) ->
         let prepared =
@@ -1037,11 +1026,12 @@ let corpus_rows ~engine ?shard spec configs : corpus_row list =
       mine
   in
   let programs = List.length mine in
-  let computed = prepare_misses engine - computed_before in
-  Measure_engine.bump_shard_counter "programs" programs;
-  Measure_engine.bump_shard_counter "rows" (programs * List.length configs);
-  Measure_engine.bump_shard_counter "resumed_programs"
-    (max 0 (programs - computed));
+  let computed =
+    Option.value ~default:0 (List.assoc_opt "engine/prepare/misses" rows)
+  in
+  Util.Counters.bump ~n:programs "shard/programs";
+  Util.Counters.bump ~n:(programs * List.length configs) "shard/rows";
+  Util.Counters.bump ~n:(max 0 (programs - computed)) "shard/resumed_programs";
   List.concat per_entry
 
 (* Rendering is a pure function of the row *set*: rows are re-sorted by
@@ -1181,10 +1171,11 @@ let search_dominance ctx (r : Tuning.search_result) =
 let search_front_table ctx =
   let r = run_search ctx in
   let dom = search_dominance ctx r in
-  Measure_engine.bump_search_counter "greedy_total" (List.length dom.dom_greedy);
-  Measure_engine.bump_search_counter "greedy_dominated" dom.dom_covered;
-  Measure_engine.bump_search_counter "margin_ppm"
-    (int_of_float (Float.round (dom.dom_margin *. 1e6)));
+  Util.Counters.bump ~n:(List.length dom.dom_greedy) "search/greedy_total";
+  Util.Counters.bump ~n:dom.dom_covered "search/greedy_dominated";
+  Util.Counters.bump
+    ~n:(int_of_float (Float.round (dom.dom_margin *. 1e6)))
+    "search/margin_ppm";
   let front_rows =
     List.map
       (fun (f : Tuning.frontier_point) ->

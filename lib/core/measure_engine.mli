@@ -90,43 +90,34 @@ val bench_cost : t -> Suite_types.sprogram -> Config.t -> int
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Deterministic ordered parallel map on the engine's pool; [f] may
-    issue engine jobs (the caches are domain-safe). Pool workers inherit
-    the calling (domain, thread)'s request sink, so parallel work inside
-    a request is attributed to that request. *)
+    issue engine jobs (the caches are domain-safe). Pool workers run in
+    the caller's counter scope, so parallel work inside a request is
+    attributed to that request. *)
 
 (** {1 Per-request counter attribution}
 
-    Every counter in the repository is process-cumulative; a service
-    request must report only its own work. Under serialized execution a
-    snapshot/subtract over {!stats_table} was enough; under concurrent
-    execution it is unsound — the two snapshots bracket other requests'
-    activity. Instead, each request registers a private sink for its
-    (domain, thread) scope: every counter choke point (engine caches,
-    disk store, sanitizer, obs counters, prefix planner, shard / search
-    / vm tables) mirrors its bump into the current sink, using the exact
-    row names {!stats_table} renders, so a request's rows equal what a
-    serialized {!stats_delta} would have reported. *)
+    Every count in the repository goes through one
+    {!Util.Counters.bump}, which adds to a table (this engine's, its
+    store's, or the process table) and to every sink the calling
+    request has open. A request's rows therefore hold exactly its own
+    work, pool workers included, with the row names {!stats_table}
+    renders — however many requests run alongside it. No snapshot is
+    ever subtracted. *)
 
-type request_sink
+type request_sink = Util.Counters.sink
 
 val create_request_sink : unit -> request_sink
 (** A fresh, empty sink. *)
 
 val with_request_sink : request_sink -> (unit -> 'a) -> 'a
-(** [with_request_sink s f] runs [f] with [s] registered as the current
-    (domain, thread)'s sink, restoring any previously-registered sink on
-    exit (nested scopes compose). Concurrent callers on distinct threads
-    or domains do not interfere. *)
+(** [with_request_sink s f] runs [f] with [s] open for the calling
+    thread ({!Util.Counters.with_sink}): [f]'s counts land in [s] and in
+    any sink already open around it. Concurrent callers on distinct
+    threads or domains do not interfere. *)
 
 val request_sink_rows : request_sink -> (string * int) list
-(** The sink's accumulated rows, sorted, zero rows dropped — the same
-    shape (and names) as {!stats_delta} over {!stats_table}. *)
-
-val current_request_sink_rows : unit -> (string * int) list
-(** The rows of the sink registered for the calling (domain, thread)
-    scope, [[]] when none — lets request code observe its own
-    accumulated counters mid-flight (e.g. the checker report extracts
-    its per-pass sanitize rows). *)
+(** The sink's accumulated rows, sorted, zero rows dropped — the shape
+    and names of {!stats_table}. *)
 
 (** {1 Pass-prefix incremental compilation}
 
@@ -155,13 +146,9 @@ val compile_sweep : t -> Evaluation.prepared -> Config.t list -> unit
 (** Prewarm tier 1 for a sweep over one prepared program: compile every
     not-yet-cached configuration, sharing pipeline prefixes. After the
     call, {!compile}/{!trace}/{!measure} of any swept configuration is
-    a tier-1 hit. Duplicate fingerprints are planned once. *)
+    a tier-1 hit. Duplicate fingerprints are planned once.
 
-val bench_compile_sweep : t -> Suite_types.sprogram -> Config.t list -> unit
-(** {!compile_sweep} for the benchmark tier ({!bench_cost}). *)
-
-val prefix_counters : unit -> (string * int) list
-(** Process-wide planner activity as flat rows:
+    Planner activity goes to the process counter table:
     [prefix/hits] (sweep compiles that skipped a shared prefix),
     [prefix/misses] (sweep compiles with nothing to share),
     [prefix/snapshot_bytes], [prefix/passes_skipped] (total pipeline
@@ -170,79 +157,37 @@ val prefix_counters : unit -> (string * int) list
     them was a no-op). [hits]/[misses]/[passes_skipped] report the
     structural divergence trie — [passes_skipped] is exactly the sum of
     shared-prefix lengths, independent of how much better no-op merging
-    did. Also merged into {!stats_table}. *)
+    did. *)
 
-val reset_prefix_counters : unit -> unit
-(** Zero the planner counters (tests, bench scenario isolation). *)
-
-val shard_counters : unit -> (string * int) list
-(** Shard progress/resume counters bumped by the sharded experiment
-    runner ([programs], [rows], [resumed_programs], ...), raw (no
-    prefix). Merged into {!stats_table} as [shard/<name>] rows, so a
-    shard's partial JSON and [--stats] output report how far the slice
-    got and how much of a rerun was served warm. *)
-
-val bump_shard_counter : string -> int -> unit
-(** Add to a named shard counter (process-global, thread-safe). *)
-
-val reset_shard_counters : unit -> unit
-(** Zero the shard counters (tests, bench scenario isolation). *)
-
-val search_counters : unit -> (string * int) list
-(** Tuning-search counters bumped by {!Tuning.search} ([candidates],
-    [suffix_shared], [frontier], [dominated], [resumed], [rounds]),
-    raw (no prefix). Merged into {!stats_table} as [search/<name>]
-    rows — the bench dominance gate and the resume regression test
-    read them from there. *)
-
-val bump_search_counter : string -> int -> unit
-(** Add to a named search counter (process-global, thread-safe). *)
-
-val reset_search_counters : unit -> unit
-(** Zero the search counters (tests, bench scenario isolation). *)
-
-val vm_counters : unit -> (string * int) list
-(** VM-layer counters, raw (no prefix): [decode_hits] (decoded programs
-    served from the persistent store) and [decode_misses] (fresh
-    decodes), bumped only when an engine with a store has been created.
-    Merged into {!stats_table} as [vm/<name>] rows. *)
-
-val reset_vm_counters : unit -> unit
-(** Zero the vm counters (tests, bench scenario isolation). *)
+val bench_compile_sweep : t -> Suite_types.sprogram -> Config.t list -> unit
+(** {!compile_sweep} for the benchmark tier ({!bench_cost}). *)
 
 val workers : t -> int
-val stats : t -> Engine.Stats.t
+
+val stats : t -> Util.Counters.table
+(** This engine's cache counters ({!Engine.Make.stats}). *)
 
 val store : t -> Engine.Disk_store.t option
 (** The persistent store this engine was created with, if any. *)
 
-val sanitizer_stats : unit -> (string * Engine.Stats.counter) list
-(** Per-pass sanitizer counters ({!Sanitize.counters}) in the engine's
-    counter shape — [hits] = boundaries validated, [misses] = invariant
-    failures — named ["sanitize:<pass>"] so they interleave with the
-    cache counters in [bench --stats] output. Empty unless compiles ran
-    with the sanitizer on ([--sanitize] / [~sanitize:true]). *)
-
 val stats_table : t -> (string * int) list
-(** One flat, sorted [(name, value)] table merging every counter
-    source: engine cache activity ([engine/<cache>/hits|misses|dedups],
-    zero rows dropped), sanitizer boundaries
-    ([sanitize/<pass>/checked|failures]), disk-store activity
-    ([store/<cache>/hits|misses|writes|corrupt|stale|evicted], zero rows
-    dropped, present only when the engine has a store), live [Obs]
-    counters ([obs/<name>]), shard progress counters
-    ([shard/<name>]), tuning-search counters ([search/<name>]) and
-    vm-layer counters ([vm/<name>], zero rows dropped).
-    The single stats path behind
-    [bench --stats] and the CLI, in both text and JSON renderings. *)
+(** One flat [(name, value)] table merging every counter source, sorted
+    by name, zero rows dropped:
+    - this engine's caches ([engine/<cache>/hits|misses|dedups]);
+    - its disk store, if any
+      ([store/<cache>/hits|misses|writes|corrupt|stale|evicted|evicted_ext]);
+    - the process table: sanitizer boundaries
+      ([sanitize/<pass>/checked|failures]), the pass-prefix planner
+      ([prefix/hits|misses|snapshot_bytes|passes_skipped|merged], see
+      {!compile_sweep}), the sharded experiment runner
+      ([shard/programs|rows|resumed_programs]), tuning search
+      ([search/<name>], see {!Tuning.search}) and the VM decode cache
+      ([vm/decode_hits|misses], bumped only once an engine with a store
+      exists);
+    - the live [Obs] session's counters ([obs/<name>]).
 
-val stats_delta :
-  before:(string * int) list -> (string * int) list -> (string * int) list
-(** [stats_delta ~before after] subtracts two {!stats_table} snapshots
-    row-wise (rows absent from [before] count from zero, zero-delta
-    rows dropped), preserving [after]'s order. The per-request
-    accounting primitive behind [Api.Response.stats]: counters are
-    process-cumulative, deltas are per-request. *)
+    The single stats path behind [bench --stats] and the CLI, in both
+    text and JSON renderings. *)
 
 val memo : t -> name:string -> (unit -> 'a Engine.Memo.t)
 (** A fresh memo table wired to this engine's counters, for derived

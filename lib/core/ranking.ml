@@ -58,7 +58,8 @@ let per_program_increments ?engine ?(metric = hybrid_product)
         let m =
           if String.equal bin.Emit.text_digest baseline_bin.Emit.text_digest
           then begin
-            Engine.Stats.bump (Measure_engine.stats eng) "rank-discard" `Dedup;
+            Util.Counters.bump ~table:(Measure_engine.stats eng)
+              "engine/rank-discard/dedups";
             baseline_m
           end
           else fst (Measure_engine.measure eng prepared cfg)

@@ -235,28 +235,25 @@ let eval_batch st (batch : Config.t list) =
         keyed
     in
     st.st_resumed <- st.st_resumed + List.length resumed;
-    Measure_engine.bump_search_counter "resumed" (List.length resumed);
+    Util.Counters.bump ~n:(List.length resumed) "search/resumed";
     let computed =
       if to_compute = [] then []
       else begin
-        let prefix_before = Measure_engine.prefix_counters () in
         let configs = List.map fst to_compute in
-        List.iter
-          (fun p -> Measure_engine.compile_sweep st.st_engine p configs)
-          st.st_suite;
-        List.iter
-          (fun b -> Measure_engine.bench_compile_sweep st.st_engine b configs)
-          st.st_benches;
-        let shared =
-          let get rows n =
-            match List.assoc_opt n rows with Some v -> v | None -> 0
-          in
-          let after = Measure_engine.prefix_counters () in
-          get after "prefix/hits" + get after "prefix/merged"
-          - get prefix_before "prefix/hits"
-          - get prefix_before "prefix/merged"
+        let (), sweep_rows =
+          Util.Counters.scoped (fun () ->
+              List.iter
+                (fun p -> Measure_engine.compile_sweep st.st_engine p configs)
+                st.st_suite;
+              List.iter
+                (fun b ->
+                  Measure_engine.bench_compile_sweep st.st_engine b configs)
+                st.st_benches)
         in
-        Measure_engine.bump_search_counter "suffix_shared" (max 0 shared);
+        let row n = Option.value ~default:0 (List.assoc_opt n sweep_rows) in
+        Util.Counters.bump
+          ~n:(row "prefix/hits" + row "prefix/merged")
+          "search/suffix_shared";
         let points =
           Measure_engine.map st.st_engine
             (fun c ->
@@ -287,8 +284,8 @@ let eval_batch st (batch : Config.t list) =
         st.st_order <- (c, d, s) :: st.st_order;
         st.st_count <- st.st_count + 1)
       fresh;
-    Measure_engine.bump_search_counter "candidates" (List.length fresh);
-    Measure_engine.bump_search_counter "rounds" 1
+    Util.Counters.bump ~n:(List.length fresh) "search/candidates";
+    Util.Counters.bump "search/rounds"
   end;
   List.filter_map
     (fun c ->
@@ -562,8 +559,8 @@ let search ?engine (prepared_suite : Evaluation.prepared list)
   let points = List.rev st.st_order in
   let frontier = front_of points in
   let dominated = st.st_count - List.length frontier in
-  Measure_engine.bump_search_counter "frontier" (List.length frontier);
-  Measure_engine.bump_search_counter "dominated" dominated;
+  Util.Counters.bump ~n:(List.length frontier) "search/frontier";
+  Util.Counters.bump ~n:dominated "search/dominated";
   {
     sr_base = base;
     sr_strategy = opts.so_strategy;

@@ -126,8 +126,8 @@ val search :
   base:Config.t ->
   opts:search_opts ->
   search_result
-(** Run one search. Bumps the [search/*] counters
-    ({!Measure_engine.search_counters}): [candidates], [rounds],
+(** Run one search. Bumps the [search/*] counters of the process
+    table ({!Util.Counters}): [candidates], [rounds],
     [suffix_shared] (sweep compiles that reused a pipeline prefix),
     [resumed], [frontier], [dominated]. *)
 

@@ -2,69 +2,7 @@
    observable counters, a deterministic Domain worker pool, and the
    two-tier cached job API (see engine.mli for the contract). *)
 
-module Stats = struct
-  type counter = { hits : int; misses : int; dedups : int }
-
-  type cell = {
-    mutable c_hits : int;
-    mutable c_misses : int;
-    mutable c_dedups : int;
-  }
-
-  type event = [ `Hit | `Miss | `Dedup ]
-
-  type t = { mutex : Mutex.t; cells : (string, cell) Hashtbl.t }
-
-  let create () = { mutex = Mutex.create (); cells = Hashtbl.create 8 }
-
-  let locked t f =
-    Mutex.lock t.mutex;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
-  let cell t name =
-    match Hashtbl.find_opt t.cells name with
-    | Some c -> c
-    | None ->
-        let c = { c_hits = 0; c_misses = 0; c_dedups = 0 } in
-        Hashtbl.replace t.cells name c;
-        c
-
-  (* Observability seam: the instantiation (Measure_engine) mirrors
-     every bump into a per-request counter sink without this library
-     depending on it. Called outside the table lock, after the
-     cumulative counter has been updated. *)
-  let observer : (string -> event -> unit) option ref = ref None
-  let set_observer f = observer := f
-
-  let bump t name (event : event) =
-    locked t (fun () ->
-        let c = cell t name in
-        match event with
-        | `Hit -> c.c_hits <- c.c_hits + 1
-        | `Miss -> c.c_misses <- c.c_misses + 1
-        | `Dedup -> c.c_dedups <- c.c_dedups + 1);
-    match !observer with None -> () | Some f -> f name event
-
-  let snapshot t =
-    locked t (fun () ->
-        Hashtbl.fold
-          (fun name c acc ->
-            (name, { hits = c.c_hits; misses = c.c_misses; dedups = c.c_dedups })
-            :: acc)
-          t.cells []
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b))
-
-  let total t =
-    List.fold_left
-      (fun acc (_, c) ->
-        {
-          hits = acc.hits + c.hits;
-          misses = acc.misses + c.misses;
-          dedups = acc.dedups + c.dedups;
-        })
-      { hits = 0; misses = 0; dedups = 0 }
-      (snapshot t)
-end
+module Counters = Util.Counters
 
 (* Persistent content-addressed artifact store: a cache directory of
    write-once entries published by atomic write-then-rename, each
@@ -92,36 +30,19 @@ module Disk_store = struct
   let wrapped name args f =
     match !io_wrap with None -> f () | Some w -> w.wrap name args f
 
-  (* Second seam, same shape as {!Stats.observer}: every counter
-     mutation is mirrored as [(cache, field, amount)] so the
-     instantiation can attribute store activity to the request that
-     caused it. May fire with the store lock held, so the observer must
-     never re-enter this module. *)
-  let note_observer : (string -> string -> int -> unit) option ref = ref None
-  let set_note_observer f = note_observer := f
-
-  let note cache field n =
-    match !note_observer with None -> () | Some f -> f cache field n
-
-  type cell = {
-    mutable s_hits : int;
-    mutable s_misses : int;
-    mutable s_writes : int;
-    mutable s_corrupt : int;  (** truncated / bit-flipped / undecodable *)
-    mutable s_stale : int;  (** format-version or schema mismatch *)
-    mutable s_evicted : int;  (** removed by the size bound (LRU) *)
-    mutable s_evicted_ext : int;
-        (** entries this handle published that later vanished from disk —
-            evicted by another process sharing the directory *)
-  }
-
   type t = {
     root : string;
     schema : string;
     max_bytes : int;
     mutex : Mutex.t;
     mutable size : int;  (** approximate: concurrent processes drift it *)
-    cells : (string, cell) Hashtbl.t;
+    counters : Counters.table;
+        (** [store/<cache>/<field>]: hits, misses, writes, corrupt
+            (truncated / bit-flipped / undecodable), stale (version or
+            schema mismatch), evicted (this handle's LRU / gc removals)
+            and evicted_ext (entries this handle published that later
+            vanished from disk — evicted by another process sharing the
+            directory) *)
     written : (string, unit) Hashtbl.t;
         (** entry paths this handle published (and has not itself
             removed): a later disk miss on one of them means another
@@ -134,26 +55,9 @@ module Disk_store = struct
     Mutex.lock t.mutex;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-  (* Assumes the lock is held. *)
-  let cell t name =
-    match Hashtbl.find_opt t.cells name with
-    | Some c -> c
-    | None ->
-        let c =
-          {
-            s_hits = 0;
-            s_misses = 0;
-            s_writes = 0;
-            s_corrupt = 0;
-            s_stale = 0;
-            s_evicted = 0;
-            s_evicted_ext = 0;
-          }
-        in
-        Hashtbl.replace t.cells name c;
-        c
+  let note t cache field =
+    Counters.bump ~table:t.counters ("store/" ^ cache ^ "/" ^ field)
 
-  let bump t name f = locked t (fun () -> f (cell t name))
   let objects_dir t = Filename.concat t.root "objects"
   let tmp_dir t = Filename.concat t.root "tmp"
 
@@ -208,7 +112,7 @@ module Disk_store = struct
         max_bytes = max 1 max_bytes;
         mutex = Mutex.create ();
         size = 0;
-        cells = Hashtbl.create 8;
+        counters = Counters.create ();
         written = Hashtbl.create 64;
       }
     in
@@ -326,8 +230,7 @@ module Disk_store = struct
               | () ->
                   t.size <- max 0 (t.size - bytes);
                   Hashtbl.remove t.written path;
-                  (cell t cache).s_evicted <- (cell t cache).s_evicted + 1;
-                  note cache "evicted" 1
+                  note t cache "evicted"
               | exception Sys_error _ -> ())
         (List.sort compare entries)
     end
@@ -366,9 +269,8 @@ module Disk_store = struct
       in
       let replaced = file_size path in
       Sys.rename tmp path;
+      note t cache "writes";
       locked t (fun () ->
-          (cell t cache).s_writes <- (cell t cache).s_writes + 1;
-          note cache "writes" 1;
           Hashtbl.replace t.written path ();
           t.size <- max 0 (t.size + bytes - replaced);
           if t.size > t.max_bytes then evict_locked t)
@@ -381,52 +283,43 @@ module Disk_store = struct
       (* A miss on an entry we ourselves published (and did not remove)
          means another process's eviction took it: the cross-process
          eviction signal, counted separately from our own LRU work. *)
+      note t cache "misses";
       locked t (fun () ->
-          let c = cell t cache in
-          c.s_misses <- c.s_misses + 1;
-          note cache "misses" 1;
           if Hashtbl.mem t.written path then begin
             Hashtbl.remove t.written path;
-            c.s_evicted_ext <- c.s_evicted_ext + 1;
-            note cache "evicted_ext" 1
+            note t cache "evicted_ext"
           end);
       None
     end
     else
       match read_entry t ~expect_key:key path with
       | payload ->
-          bump t cache (fun c -> c.s_hits <- c.s_hits + 1);
-          note cache "hits" 1;
+          note t cache "hits";
           (* LRU clock: a hit refreshes the entry's mtime. *)
           (try Unix.utimes path 0.0 0.0 with _ -> ());
           Some payload
       | exception Bad Other_key ->
           (* An md5 collision between distinct keys: not our entry, so
              leave it alone and recompute. *)
-          bump t cache (fun c -> c.s_misses <- c.s_misses + 1);
-          note cache "misses" 1;
+          note t cache "misses";
           None
       | exception Bad Stale ->
           remove_entry t path;
-          bump t cache (fun c -> c.s_stale <- c.s_stale + 1);
-          note cache "stale" 1;
+          note t cache "stale";
           None
       | exception Bad Corrupt ->
           remove_entry t path;
-          bump t cache (fun c -> c.s_corrupt <- c.s_corrupt + 1);
-          note cache "corrupt" 1;
+          note t cache "corrupt";
           None
       | exception _ ->
-          bump t cache (fun c -> c.s_misses <- c.s_misses + 1);
-          note cache "misses" 1;
+          note t cache "misses";
           None
 
   (* The caller decoded a checksummed payload and failed — a schema
      drift the version stamp did not capture. Evict and count. *)
   let invalidate t ~cache ~key =
     remove_entry t (entry_path t ~cache ~key);
-    bump t cache (fun c -> c.s_corrupt <- c.s_corrupt + 1);
-    note cache "corrupt" 1
+    note t cache "corrupt"
 
   let remove_tmp t ~max_age =
     let now = Unix.time () in
@@ -480,9 +373,7 @@ module Disk_store = struct
                 incr removed;
                 t.size <- max 0 (t.size - bytes);
                 Hashtbl.remove t.written path;
-                let c = cell t cache in
-                c.s_evicted <- c.s_evicted + 1;
-                note cache "evicted" 1
+                note t cache "evicted"
             | exception Sys_error _ -> ())
         | exception Bad Other_key -> assert false)
       ();
@@ -507,42 +398,37 @@ module Disk_store = struct
     Hashtbl.fold (fun cache (n, b) acc -> (cache, n, b) :: acc) tbl []
     |> List.sort compare
 
-  (** Flat [(counter-name, value)] rows ([<cache>/hits] etc.), zero rows
-      included (the renderer filters), sorted. *)
-  let counters t =
-    locked t @@ fun () ->
-    Hashtbl.fold
-      (fun name c acc ->
-        (name ^ "/hits", c.s_hits)
-        :: (name ^ "/misses", c.s_misses)
-        :: (name ^ "/writes", c.s_writes)
-        :: (name ^ "/corrupt", c.s_corrupt)
-        :: (name ^ "/stale", c.s_stale)
-        :: (name ^ "/evicted", c.s_evicted)
-        :: (name ^ "/evicted_ext", c.s_evicted_ext)
-        :: acc)
-      t.cells []
-    |> List.sort compare
+  let counters t = Counters.rows t.counters
 end
 
 module Memo = struct
   type 'a t = {
     mutex : Mutex.t;
     table : (string, 'a) Hashtbl.t;
-    stats : Stats.t option;
+    counters : Counters.table option;
     name : string;
     store : Disk_store.t option;
   }
 
-  let create ?stats ?store ~name () =
-    { mutex = Mutex.create (); table = Hashtbl.create 64; stats; name; store }
+  let create ?counters ?store ~name () =
+    {
+      mutex = Mutex.create ();
+      table = Hashtbl.create 64;
+      counters;
+      name;
+      store;
+    }
 
   let locked t f =
     Mutex.lock t.mutex;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-  let bump t event =
-    match t.stats with None -> () | Some s -> Stats.bump s t.name event
+  (* [field] is hits, misses or dedups (a tier-2 content collision: a
+     fresh compile whose binary digest was already measured). *)
+  let bump t field =
+    match t.counters with
+    | None -> ()
+    | Some table -> Counters.bump ~table ("engine/" ^ t.name ^ "/" ^ field)
 
   let mem_add t key v =
     locked t (fun () ->
@@ -595,10 +481,10 @@ module Memo = struct
   let find_or_add t key produce =
     match find_opt t key with
     | Some v ->
-        bump t `Hit;
+        bump t "hits";
         v
     | None ->
-        bump t `Miss;
+        bump t "misses";
         let v = produce () in
         add t key v;
         v
@@ -628,6 +514,8 @@ module Pool = struct
          its index) and read only after every join — no data race. *)
       let results = Array.make n None in
       let next = Atomic.make 0 in
+      (* Workers count for the request that spawned them. *)
+      let scope = Counters.current_scope () in
       let worker () =
         let rec loop () =
           let i = Atomic.fetch_and_add next 1 in
@@ -637,7 +525,7 @@ module Pool = struct
             loop ()
           end
         in
-        loop ()
+        Counters.within scope loop
       in
       let domains =
         List.init (min t.workers n) (fun _ -> Domain.spawn worker)
@@ -679,7 +567,7 @@ end
 module Make (D : DOMAIN) = struct
   type t = {
     pool : Pool.t;
-    stats : Stats.t;
+    counters : Counters.table;  (** [engine/<cache>/hits|misses|dedups] *)
     store : Disk_store.t option;
         (** persistent second level behind every memo table *)
     binaries : D.binary Memo.t;  (** tier 1: (AST digest, fingerprint) *)
@@ -702,16 +590,16 @@ module Make (D : DOMAIN) = struct
     | Cost of int
 
   let create ?workers ?store () =
-    let stats = Stats.create () in
+    let counters = Counters.create () in
     {
       pool = Pool.create ?workers ();
-      stats;
+      counters;
       store;
-      binaries = Memo.create ~stats ?store ~name:"compile" ();
-      bench_binaries = Memo.create ~stats ?store ~name:"bench-compile" ();
-      traces = Memo.create ~stats ?store ~name:"trace" ();
-      measures = Memo.create ~stats ?store ~name:"measure" ();
-      costs = Memo.create ~stats ?store ~name:"bench-cost" ();
+      binaries = Memo.create ~counters ?store ~name:"compile" ();
+      bench_binaries = Memo.create ~counters ?store ~name:"bench-compile" ();
+      traces = Memo.create ~counters ?store ~name:"trace" ();
+      measures = Memo.create ~counters ?store ~name:"measure" ();
+      costs = Memo.create ~counters ?store ~name:"bench-cost" ();
     }
 
   let tier1_key ast_key config = ast_key ^ "/" ^ D.config_key config
@@ -760,14 +648,14 @@ module Make (D : DOMAIN) = struct
   (* Tier-2 generic lookup with hit/dedup classification. [bin_key]
      picks which binary digest keys the tier (full for debug-quality
      results, code-only for execution cost). *)
-  let tier2 t (memo : _ Memo.t) ~subject_key ~bin_key ~bin ~fresh produce =
+  let tier2 (memo : _ Memo.t) ~subject_key ~bin_key ~bin ~fresh produce =
     let key = subject_key ^ "@" ^ bin_key bin in
     match Memo.find_opt memo key with
     | Some v ->
-        Stats.bump t.stats memo.Memo.name (if fresh then `Dedup else `Hit);
+        Memo.bump memo (if fresh then "dedups" else "hits");
         v
     | None ->
-        Stats.bump t.stats memo.Memo.name `Miss;
+        Memo.bump memo "misses";
         let v = produce () in
         Memo.add memo key v;
         v
@@ -775,7 +663,7 @@ module Make (D : DOMAIN) = struct
   let trace t subject config =
     let bin, fresh = compile_tracked t subject config in
     let tr =
-      tier2 t t.traces ~subject_key:(D.subject_key subject)
+      tier2 t.traces ~subject_key:(D.subject_key subject)
         ~bin_key:D.binary_key ~bin ~fresh (fun () -> D.trace subject bin)
     in
     (tr, bin)
@@ -783,7 +671,7 @@ module Make (D : DOMAIN) = struct
   let measure t subject config =
     let bin, fresh = compile_tracked t subject config in
     let m =
-      tier2 t t.measures ~subject_key:(D.subject_key subject)
+      tier2 t.measures ~subject_key:(D.subject_key subject)
         ~bin_key:D.binary_key ~bin ~fresh (fun () ->
           (* The trace is transient: only its metrics are retained, so a
              full-evaluation run holds one metrics record per distinct
@@ -810,7 +698,7 @@ module Make (D : DOMAIN) = struct
           fresh := true;
           D.bench_compile bench config)
     in
-    tier2 t t.costs ~subject_key:(D.bench_subject_key bench)
+    tier2 t.costs ~subject_key:(D.bench_subject_key bench)
       ~bin_key:D.binary_cost_key ~bin ~fresh:!fresh (fun () ->
         D.bench_run bench bin)
 
@@ -826,7 +714,7 @@ module Make (D : DOMAIN) = struct
 
   let map t f xs = Pool.map t.pool f xs
   let workers t = Pool.workers t.pool
-  let stats t = t.stats
+  let stats t = t.counters
   let store t = t.store
-  let memo t ~name () = Memo.create ~stats:t.stats ?store:t.store ~name ()
+  let memo t ~name () = Memo.create ~counters:t.counters ?store:t.store ~name ()
 end

@@ -7,10 +7,10 @@
     jobs thousands of times. This library is the shared substrate those
     drivers run on:
 
-    - {!Stats}: named hit / miss / dedup counters, so the caching is
-      observable (surfaced by [bench/main.exe --stats]);
     - {!Memo}: a mutex-protected content-addressed memo table (string
-      key -> value) with per-table counters;
+      key -> value) whose hits, misses and dedups are counted in a
+      {!Util.Counters} table, so the caching is observable (surfaced by
+      [bench/main.exe --stats]);
     - {!Pool}: an optional [Domain]-based worker pool with a
       deterministic ordered reduction — results come back in input
       order, so parallel runs print byte-identical tables;
@@ -33,44 +33,11 @@
       are resumable.
 
     The library is deliberately ignorant of the compiler model: it
-    depends on nothing but the standard library (plus [Unix], for the
-    disk store's atomic-rename publication and LRU clock); the concrete
-    instantiation lives in [Debugtuner.Measure_engine]. *)
-
-(** {1 Cache statistics} *)
-
-module Stats : sig
-  type t
-
-  type counter = {
-    hits : int;  (** result served from a cache tier *)
-    misses : int;  (** job actually executed *)
-    dedups : int;
-        (** tier-2 content collisions: a fresh compile whose binary
-            digest was already measured, served without re-tracing /
-            re-running *)
-  }
-
-  type event = [ `Hit | `Miss | `Dedup ]
-
-  val create : unit -> t
-
-  val bump : t -> string -> event -> unit
-  (** [bump t cache event] increments [event]'s counter of the named
-      cache. Domain-safe. *)
-
-  val snapshot : t -> (string * counter) list
-  (** Per-cache counters, sorted by cache name. *)
-
-  val total : t -> counter
-  (** Sum over every cache. *)
-
-  val set_observer : (string -> event -> unit) option -> unit
-  (** Install a process-wide mirror called after every {!bump} with the
-      cache name and event, outside the table lock — the instantiation
-      points this at its per-request counter sink so concurrent
-      requests can each report only their own activity. *)
-end
+    depends on the standard library, [Unix] (for the disk store's
+    atomic-rename publication and LRU clock) and [util] (for
+    {!Util.Counters}, which also carries every count to the calling
+    request's sink); the concrete instantiation lives in
+    [Debugtuner.Measure_engine]. *)
 
 (** {1 Persistent content-addressed artifact store} *)
 
@@ -130,12 +97,12 @@ module Disk_store : sig
   (** Per-cache [(name, entries, bytes)], sorted. *)
 
   val counters : t -> (string * int) list
-  (** This handle's activity as flat rows —
-      [<cache>/hits|misses|writes|corrupt|stale|evicted|evicted_ext] —
-      sorted; zero rows included (renderers filter). [evicted] counts
-      this handle's own LRU/gc removals; [evicted_ext] counts entries
-      this handle published that later vanished from disk, i.e.
-      evictions performed by another process sharing the directory. *)
+  (** This handle's activity as {!Util.Counters.rows} —
+      [store/<cache>/hits|misses|writes|corrupt|stale|evicted|evicted_ext].
+      [evicted] counts this handle's own LRU/gc removals; [evicted_ext]
+      counts entries this handle published that later vanished from
+      disk, i.e. evictions performed by another process sharing the
+      directory. *)
 
   (** {2 Observability seam} *)
 
@@ -147,13 +114,6 @@ module Disk_store : sig
   (** Install a wrapper bracketing every store I/O ([store:get],
       [store:put], [store:gc]) — the instantiation points this at [Obs]
       spans/counters without this library depending on lib/obs. *)
-
-  val set_note_observer : (string -> string -> int -> unit) option -> unit
-  (** Install a process-wide mirror called as [(cache, field, amount)]
-      on every counter mutation ([hits], [misses], [writes], [corrupt],
-      [stale], [evicted], [evicted_ext]) — the per-request attribution
-      seam. May fire with internal store locks held: the observer must
-      not call back into the store. *)
 end
 
 (** {1 Content-addressed memo tables} *)
@@ -162,10 +122,15 @@ module Memo : sig
   type 'a t
 
   val create :
-    ?stats:Stats.t -> ?store:Disk_store.t -> name:string -> unit -> 'a t
-  (** A fresh table. When [stats] is given, lookups bump the counters
-      under [name]. When [store] is given, the table is read-through /
-      write-through persistent: misses consult the disk store (under
+    ?counters:Util.Counters.table ->
+    ?store:Disk_store.t ->
+    name:string ->
+    unit ->
+    'a t
+  (** A fresh table. When [counters] is given, lookups bump
+      [engine/<name>/hits|misses] there (and tier-2 lookups of the
+      {!Make} engine [engine/<name>/dedups]). When [store] is given,
+      the table is read-through / write-through persistent: misses consult the disk store (under
       the cache named [name], values [Marshal]ed) and computed values
       are published back. A disk payload that fails to decode is
       evicted and recomputed. *)
@@ -200,7 +165,9 @@ module Pool : sig
   (** Ordered parallel map: the result list matches the input order
       element-for-element regardless of worker count or scheduling, so
       any reduction over it is deterministic. Exceptions raised by [f]
-      are re-raised (the one attached to the earliest input wins). *)
+      are re-raised (the one attached to the earliest input wins).
+      Workers run {!Util.Counters.within} the caller's scope, so their
+      counts land in the caller's request sinks. *)
 end
 
 (** {1 The typed job API} *)
@@ -320,7 +287,12 @@ module Make (D : DOMAIN) : sig
       [f] may issue engine jobs. *)
 
   val workers : t -> int
-  val stats : t -> Stats.t
+
+  val stats : t -> Util.Counters.table
+  (** This engine's cache counters: [engine/<cache>/hits|misses|dedups]
+      for every memo table it owns or hands out ({!memo}). A dedup is a
+      tier-2 content collision — a fresh compile whose binary digest was
+      already measured, served without re-tracing / re-running. *)
 
   val store : t -> Disk_store.t option
   (** The persistent store this engine was created with, if any. *)

@@ -56,7 +56,7 @@ type pass_profile = {
 type session = {
   mu : Mutex.t;
   mutable evs : event list;  (** newest first *)
-  ctrs : (string, int ref) Hashtbl.t;
+  ctrs : Util.Counters.table;  (** [obs/<name>] *)
   profs : (string, pcell) Hashtbl.t;
   mutable prof_order : string list;  (** first-seen pass names, newest first *)
   s_t0 : int64;
@@ -76,7 +76,7 @@ let start () =
           {
             mu = Mutex.create ();
             evs = [];
-            ctrs = Hashtbl.create 32;
+            ctrs = Util.Counters.create ();
             profs = Hashtbl.create 32;
             prof_order = [];
             s_t0 = Clock.now_ns ();
@@ -152,25 +152,13 @@ module Span = struct
           }
 end
 
-(* Observability-of-observability seam: Measure_engine mirrors every
-   recorded [count] into its per-request counter sink so a request's
-   stats rows report only that request's activity. Fires only while a
-   session is active — matching [stats_table], whose obs/* rows read
-   the active session — which keeps the disabled path allocation-free. *)
-let count_observer : (string -> int -> unit) option ref = ref None
-let set_count_observer f = count_observer := f
-
-(** [count name ~n] bumps a named counter (created on first use). *)
-let count ?(n = 1) name =
+(** [count name ~n] bumps the session's [obs/<name>] counter (and with
+    it the calling request's sinks). Only while a session is active,
+    which keeps the disabled path allocation-free. *)
+let count ?n name =
   match !current with
   | None -> ()
-  | Some s ->
-      Mutex.lock s.mu;
-      (match Hashtbl.find_opt s.ctrs name with
-      | Some r -> r := !r + n
-      | None -> Hashtbl.replace s.ctrs name (ref n));
-      Mutex.unlock s.mu;
-      (match !count_observer with None -> () | Some f -> f name n)
+  | Some s -> Util.Counters.bump ~table:s.ctrs ?n ("obs/" ^ name)
 
 (* ------------------------------------------------------------------ *)
 (* Session accessors                                                   *)
@@ -179,11 +167,11 @@ let count ?(n = 1) name =
     are appended when they close). *)
 let events (s : session) = List.rev s.evs
 
+(* The table holds [obs/<name>] rows, the names request sinks see. *)
 let counters (s : session) =
-  Mutex.lock s.mu;
-  let out = Hashtbl.fold (fun name r acc -> (name, !r) :: acc) s.ctrs [] in
-  Mutex.unlock s.mu;
-  List.sort compare out
+  List.map
+    (fun (name, v) -> (String.sub name 4 (String.length name - 4), v))
+    (Util.Counters.rows s.ctrs)
 
 (** Counters of the active session ([[]] when disabled) — feeds the
     unified stats table. *)

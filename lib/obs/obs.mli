@@ -51,14 +51,9 @@ module Span : sig
 end
 
 val count : ?n:int -> string -> unit
-(** Bump a named session counter (created on first use; default 1). *)
-
-val set_count_observer : (string -> int -> unit) option -> unit
-(** Install a process-wide mirror called on every recorded {!count}
-    (i.e. only while a session is active, keeping the disabled path
-    allocation-free) with the counter name and amount — the per-request
-    attribution seam (Measure_engine points this at its request
-    sink). *)
+(** Bump the active session's [obs/<name>] counter (default 1) through
+    {!Util.Counters.bump}, so the calling request's sinks see it too.
+    No-op when disabled. *)
 
 val pipeline_instrument : unit -> Instrument.t option
 (** The tracer's view of one compilation — [Some] only while a session
@@ -75,7 +70,7 @@ val events : session -> event list
 (** Events in emission order. *)
 
 val counters : session -> (string * int) list
-(** Session counters, sorted by name. *)
+(** Session counters (without the [obs/] prefix), sorted by name. *)
 
 val current_counters : unit -> (string * int) list
 (** Counters of the active session; [[]] when disabled. *)

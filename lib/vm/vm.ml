@@ -889,13 +889,12 @@ module Decode = struct
      results into its [Disk_store] without this library depending on
      lib/engine. [ps_get]/[ps_put] see the full versioned key; a [None]
      payload records "decode unsupported", which is as expensive to
-     rediscover as a successful decode. [ps_note true] is a persisted
-     hit, [ps_note false] a fresh decode — the vm/decode_hits|misses
-     counters. *)
+     rediscover as a successful decode. While a store is installed, a
+     persisted hit counts as vm/decode_hits and a fresh decode as
+     vm/decode_misses. *)
   type persist = {
     ps_get : string -> program option option;
     ps_put : string -> program option -> unit;
-    ps_note : bool -> unit;
   }
 
   let persist : persist option ref = ref None
@@ -916,11 +915,11 @@ module Decode = struct
           | Some ps -> (
               match ps.ps_get (persist_key bin.Emit.full_digest) with
               | Some p ->
-                  ps.ps_note true;
+                  Util.Counters.bump "vm/decode_hits";
                   p
               | None ->
                   let p = try Some (decode bin) with Unsupported -> None in
-                  ps.ps_note false;
+                  Util.Counters.bump "vm/decode_misses";
                   ps.ps_put (persist_key bin.Emit.full_digest) p;
                   p)
         in

@@ -37,4 +37,5 @@ let () =
       ("shard", Test_shard.tests);
       ("search", Test_search.tests);
       ("golden", Test_golden.tests);
+      ("counters", Test_counters.tests);
     ]

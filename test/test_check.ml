@@ -216,20 +216,24 @@ let test_rejects_range_nesting () =
       Sanitize.check_binary ~pass:"fixture" bin)
 
 let test_counters_track_failures () =
-  Sanitize.reset_counters ();
-  let p = ssa () in
-  ignore (Sanitize.check_ir ~pass:"ctr-ok" p);
-  let fn = fn_of p in
-  (Ir.block fn fn.Ir.entry).Ir.term <- Ir.Br 999;
-  (try ignore (Sanitize.check_ir ~pass:"ctr-bad" p)
-   with Sanitize.Check_failed _ -> ());
-  let find pass = List.find (fun (p', _, _) -> p' = pass) (Sanitize.counters ()) in
-  let _, ok_checks, ok_fails = find "ctr-ok" in
-  let _, bad_checks, bad_fails = find "ctr-bad" in
-  Alcotest.(check (pair int int)) "clean boundary" (1, 0) (ok_checks, ok_fails);
-  Alcotest.(check (pair int int)) "failing boundary" (1, 1)
-    (bad_checks, bad_fails);
-  Sanitize.reset_counters ()
+  let (), rows =
+    Util.Counters.scoped @@ fun () ->
+    let p = ssa () in
+    ignore (Sanitize.check_ir ~pass:"ctr-ok" p);
+    let fn = fn_of p in
+    (Ir.block fn fn.Ir.entry).Ir.term <- Ir.Br 999;
+    try ignore (Sanitize.check_ir ~pass:"ctr-bad" p)
+    with Sanitize.Check_failed _ -> ()
+  in
+  let find pass =
+    let row field =
+      Option.value ~default:0
+        (List.assoc_opt ("sanitize/" ^ pass ^ "/" ^ field) rows)
+    in
+    (row "checked", row "failures")
+  in
+  Alcotest.(check (pair int int)) "clean boundary" (1, 0) (find "ctr-ok");
+  Alcotest.(check (pair int int)) "failing boundary" (1, 1) (find "ctr-bad")
 
 let tests =
   [

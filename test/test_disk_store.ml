@@ -62,7 +62,9 @@ let write_file path s =
   close_out oc
 
 let counter store name =
-  match List.assoc_opt name (DS.counters store) with Some v -> v | None -> 0
+  match List.assoc_opt ("store/" ^ name) (DS.counters store) with
+  | Some v -> v
+  | None -> 0
 
 (* ------------------------------------------------------------------ *)
 
@@ -338,10 +340,12 @@ let small_subject =
 let engine_configs = [ C.make C.Gcc C.O1; C.make C.Gcc C.O2 ]
 
 let total_counter stats field =
-  let t = Engine.Stats.total stats in
-  match field with
-  | `Hits -> t.Engine.Stats.hits
-  | `Misses -> t.Engine.Stats.misses
+  let suffix = match field with `Hits -> "/hits" | `Misses -> "/misses" in
+  List.fold_left
+    (fun acc (name, v) ->
+      if String.ends_with ~suffix name then acc + v else acc)
+    0
+    (Util.Counters.rows stats)
 
 let test_engine_warm_run () =
   with_dir @@ fun d ->
@@ -410,14 +414,21 @@ let test_corruption_never_changes_results () =
 let test_oracle_warm_byte_identical () =
   with_dir @@ fun d ->
   let module DO = Diff_oracle in
-  Sanitize.reset_counters ();
+  let sanitize_rows =
+    List.filter (fun (n, _) -> String.starts_with ~prefix:"sanitize/" n)
+  in
   let cold_store = ME.open_store ~dir:d () in
-  let cold = DO.fuzz ~store:cold_store ~count:3 ~seed:11 () in
-  let cold_counters = Sanitize.counters () in
-  Sanitize.reset_counters ();
+  let cold, cold_rows =
+    Util.Counters.scoped (fun () ->
+        DO.fuzz ~store:cold_store ~count:3 ~seed:11 ())
+  in
+  let cold_counters = sanitize_rows cold_rows in
   let warm_store = ME.open_store ~dir:d () in
-  let warm = DO.fuzz ~store:warm_store ~count:3 ~seed:11 () in
-  let warm_counters = Sanitize.counters () in
+  let warm, warm_rows =
+    Util.Counters.scoped (fun () ->
+        DO.fuzz ~store:warm_store ~count:3 ~seed:11 ())
+  in
+  let warm_counters = sanitize_rows warm_rows in
   Alcotest.(check string)
     "identical report"
     (DO.report_to_string cold)

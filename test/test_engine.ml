@@ -65,11 +65,11 @@ let test_dedup_returns_baseline_object () =
   let m_alias, _ = ME.measure eng p alias in
   Alcotest.(check bool) "dedup shares the baseline object" true
     (m_base == m_alias);
-  let measure_counter =
-    List.assoc "measure" (Engine.Stats.snapshot (ME.stats eng))
+  let dedups =
+    List.assoc_opt "engine/measure/dedups" (Util.Counters.rows (ME.stats eng))
   in
   Alcotest.(check bool) "stats record the dedup" true
-    (measure_counter.Engine.Stats.dedups >= 1)
+    (Option.value ~default:0 dedups >= 1)
 
 (* The pool's ordered reduction: a parallel map returns results in
    input order for any worker count. *)

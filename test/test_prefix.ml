@@ -28,10 +28,16 @@ let sp =
 let straight config =
   T.compile (Suite_types.ast sp) ~config ~roots:(Suite_types.roots sp)
 
-let counter name =
-  match List.assoc_opt name (ME.prefix_counters ()) with
-  | Some v -> v
-  | None -> Alcotest.fail ("missing counter " ^ name)
+(* The prefix/* rows of the last sweep run ([run_sweep] and
+   [scoped_sweep] capture them); zero rows are dropped. *)
+let sweep_rows = ref []
+
+let scoped_sweep f =
+  let (), rows = Util.Counters.scoped f in
+  sweep_rows :=
+    List.filter (fun (n, _) -> String.starts_with ~prefix:"prefix/" n) rows
+
+let counter name = Option.value ~default:0 (List.assoc_opt name !sweep_rows)
 
 (* ------------------------------------------------------------------ *)
 (* Reference model                                                     *)
@@ -124,8 +130,7 @@ let derive_configs rand_seed count =
 
 let run_sweep configs =
   let eng = ME.create () in
-  ME.reset_prefix_counters ();
-  ME.bench_compile_sweep eng sp configs;
+  scoped_sweep (fun () -> ME.bench_compile_sweep eng sp configs);
   eng
 
 let check_byte_identity eng configs =
@@ -232,9 +237,8 @@ let test_cache_disabled () =
   @@ fun () ->
   let eng = run_sweep configs in
   check_byte_identity eng configs;
-  List.iter
-    (fun (name, v) -> Alcotest.(check int) name 0 v)
-    (ME.prefix_counters ())
+  Alcotest.(check (list (pair string int))) "no planner activity" []
+    !sweep_rows
 
 (* compile_sweep (the prepared-subject tier): seeded binaries are what
    Evaluation.compile produces, and later engine compiles are tier-1
@@ -251,8 +255,7 @@ let test_prepared_sweep () =
     ]
   in
   let eng = ME.create () in
-  ME.reset_prefix_counters ();
-  ME.compile_sweep eng p configs;
+  scoped_sweep (fun () -> ME.compile_sweep eng p configs);
   Alcotest.(check bool) "prefix engaged" true (counter "prefix/hits" > 0);
   List.iter
     (fun config ->
@@ -268,10 +271,8 @@ let test_prepared_sweep () =
             (ME.compile eng p config == bin))
     configs;
   (* Re-sweeping is a no-op: everything peeks as cached. *)
-  let before = ME.prefix_counters () in
-  ME.compile_sweep eng p configs;
-  Alcotest.(check (list (pair string int)))
-    "idempotent" before (ME.prefix_counters ())
+  scoped_sweep (fun () -> ME.compile_sweep eng p configs);
+  Alcotest.(check (list (pair string int))) "idempotent" [] !sweep_rows
 
 let tests =
   [

@@ -191,9 +191,6 @@ let with_dir f =
   let d = temp_dir () in
   Fun.protect ~finally:(fun () -> try rm_rf d with _ -> ()) (fun () -> f d)
 
-let search_counter name =
-  Option.value ~default:0 (List.assoc_opt name (ME.search_counters ()))
-
 let test_resume_after_kill () =
   with_dir @@ fun d ->
   (* Reference: the full search, no store anywhere near it. *)
@@ -207,11 +204,14 @@ let test_resume_after_kill () =
        (opts ~budget:3 ()));
   (* The restart: a fresh engine (fresh process, same directory) runs
      the full search — the first half must come back from the store. *)
-  ME.reset_search_counters ();
-  let resumed =
-    run_search
-      ~engine:(ME.create ~store:(ME.open_store ~dir:d ()) ())
-      (opts ~budget:6 ())
+  let resumed, rows =
+    Util.Counters.scoped (fun () ->
+        run_search
+          ~engine:(ME.create ~store:(ME.open_store ~dir:d ()) ())
+          (opts ~budget:6 ()))
+  in
+  let search_counter name =
+    Option.value ~default:0 (List.assoc_opt ("search/" ^ name) rows)
   in
   check Alcotest.string "resumed frontier identical to cold one"
     (frontier_repr reference) (frontier_repr resumed);
