@@ -50,25 +50,33 @@ DEBUGTUNER_VM=reference dune exec bin/debugtuner_cli.exe -- \
 ci_diff "$scratch/check-fast.out" "$scratch/check-reference.out" \
   "DEBUGTUNER_VM=reference dune exec bin/debugtuner_cli.exe -- check --fuzz 100 --seed 1"
 
-echo "== benchmark output checks (perfbench corpus-cold, seed 1) =="
 # The repository benchmark checks its own outputs: sampled (program,
 # config) pairs through Diff_oracle against the Minic.Interp reference,
-# and byte identity across repetitions of the same inputs. Its last
-# stdout line is the result; it must report the run correct with no
-# failed operation.
-if ! python3 perfbench/run.py --workload corpus-cold --seed 1 --seconds 1 \
-  > "$scratch/perfbench.out" 2> "$scratch/perfbench.err"; then
-  tail -5 "$scratch/perfbench.err" >&2
-  echo "perfbench smoke: run failed: $(tail -n 1 "$scratch/perfbench.out")" >&2
-  exit 1
-fi
-case "$(tail -n 1 "$scratch/perfbench.out")" in
-  *'"correct": true,'*'"failed": 0,'*) grep '^digest ' "$scratch/perfbench.out" ;;
-  *)
-    echo "perfbench smoke: $(tail -n 1 "$scratch/perfbench.out")" >&2
+# byte identity across repetitions of the same inputs and, for search,
+# no hit on a store entry it must not see. Its last stdout line is the
+# result; it must report the run correct with no failed operation.
+perfbench_smoke() {
+  workload=$1
+  echo "== benchmark output checks (perfbench $workload, seed 1) =="
+  if ! python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+    > "$scratch/perfbench-$workload.out" 2> "$scratch/perfbench-$workload.err"; then
+    tail -5 "$scratch/perfbench-$workload.err" >&2
+    echo "perfbench $workload smoke: run failed: $(tail -n 1 "$scratch/perfbench-$workload.out")" >&2
     exit 1
-    ;;
-esac
+  fi
+  case "$(tail -n 1 "$scratch/perfbench-$workload.out")" in
+    *'"correct": true,'*'"failed": 0,'*) grep '^digest ' "$scratch/perfbench-$workload.out" ;;
+    *)
+      echo "perfbench $workload smoke: $(tail -n 1 "$scratch/perfbench-$workload.out")" >&2
+      exit 1
+      ;;
+  esac
+}
+perfbench_smoke corpus-cold
+# search is the only benchmarked path through the prefix planner's
+# restore-and-resume, which runs the inter-pass cleanup on restored
+# snapshots; its digest is fe167bfdcab2ba2aa6dfe54deea018fe at seed 1.
+perfbench_smoke search
 
 echo "== observability smoke (profile zlib at O2, validate trace) =="
 # `profile --trace` self-validates the written document (balanced B/E

@@ -92,20 +92,41 @@ let canonical_text (m : Mach.mfn) =
 (* ------------------------------------------------------------------ *)
 (* Location-list construction                                          *)
 
+(* Keyed by variable in the order polymorphic [compare] gives the
+   record — origin, then name — which decides when ranges close and so
+   the order of [vars] and of each variable's ranges. *)
 module Var_map = Map.Make (struct
   type t = Ir.var_id
 
-  let compare = compare
+  let compare (a : t) (b : t) =
+    match String.compare a.Ir.origin b.Ir.origin with
+    | 0 -> String.compare a.Ir.name b.Ir.name
+    | c -> c
 end)
 
 type binding = Mach.dloc  (* where the variable's value is *)
 
 type event = Bind of Ir.var_id * binding option | Write of Mach.mloc
 
+let mloc_equal (a : Mach.mloc) (b : Mach.mloc) =
+  match (a, b) with
+  | Mach.Preg x, Mach.Preg y | Mach.Pslot x, Mach.Pslot y -> x = y
+  | _ -> false
+
+let binding_equal (a : binding) (b : binding) =
+  match (a, b) with
+  | Mach.Dloc x, Mach.Dloc y -> mloc_equal x y
+  | Mach.Dconst x, Mach.Dconst y -> x = y
+  | _ -> false
+
+(* Does the binding live in location [w] (so a write to [w] kills it)? *)
+let held_in w = function Mach.Dloc l -> mloc_equal l w | Mach.Dconst _ -> false
+
 (* The meet of two binding environments keeps only agreeing bindings. *)
 let meet_env a b =
   Var_map.merge
-    (fun _ x y -> match (x, y) with Some x, Some y when x = y -> Some x | _ -> None)
+    (fun _ x y ->
+      match (x, y) with Some x, Some y when binding_equal x y -> Some x | _ -> None)
     a b
 
 (* ------------------------------------------------------------------ *)
@@ -145,6 +166,10 @@ let emit ?(icf = false) ?(entry_values = false) (prog : Mach.mprogram) : binary 
     incr next_addr
   in
   let debug = Dwarfish.empty () in
+  (* Location-list ranges of every function, merged per variable across
+     functions (inlined copies share a variable) and turned into
+     [debug.vars] once, after the last function. *)
+  let vars = Dwarfish.Vars.create () in
   let funcs = ref [] in
   let fn_by_name = Hashtbl.create 16 in
   (* ICF: functions whose canonical text matches an earlier function
@@ -192,17 +217,16 @@ let emit ?(icf = false) ?(entry_values = false) (prog : Mach.mprogram) : binary 
           in
           assign layout;
           let fn_end = !addr in
+          (* The per-block tables below are arrays indexed by label. *)
+          let n_labels = List.fold_left (fun n l -> max n (l + 1)) 0 layout in
           (* Second pass: emit code, collect line entries and debug
-             events per block. *)
-          let events : (int, (int * event) list ref) Hashtbl.t =
-            Hashtbl.create 16
-          in
+             events per block (each block's in address order). *)
+          let events : (int * event) list array = Array.make n_labels [] in
           let rec emit_blocks = function
             | [] -> ()
             | l :: rest ->
                 let b = Mach.mblock m l in
                 let evs = ref [] in
-                Hashtbl.replace events l evs;
                 List.iter
                   (fun (i : Mach.minstr) ->
                     match i.Mach.mk with
@@ -218,6 +242,7 @@ let emit ?(icf = false) ?(entry_values = false) (prog : Mach.mprogram) : binary 
                         | None -> ());
                         push fi_index (Eins mk) i.Mach.mline)
                   b.Mach.mins;
+                events.(l) <- List.rev !evs;
                 let target t = Hashtbl.find block_addr t in
                 (match (b.Mach.mterm, rest) with
                 | Mach.Mjmp t, next :: _ when t = next -> ()
@@ -240,34 +265,31 @@ let emit ?(icf = false) ?(entry_values = false) (prog : Mach.mprogram) : binary 
           in
           emit_blocks layout;
           (* Location lists: dataflow over blocks, then per-block range
-             emission. *)
-          let preds = Hashtbl.create 16 in
-          List.iter (fun l -> Hashtbl.replace preds l []) layout;
+             emission. Predecessors are listed latest in layout first;
+             only the lists of layout blocks are read. *)
+          let preds = Array.make n_labels [] in
           let rec succs_of = function
             | [] -> ()
             | l :: rest ->
                 let b = Mach.mblock m l in
-                let add s =
-                  match Hashtbl.find_opt preds s with
-                  | Some ps -> Hashtbl.replace preds s (l :: ps)
-                  | None -> ()
-                in
+                let add s = if s < n_labels then preds.(s) <- l :: preds.(s) in
                 List.iter add (Mach.msuccs b.Mach.mterm);
                 succs_of rest
           in
           succs_of layout;
-          let block_out : (int, binding Var_map.t) Hashtbl.t = Hashtbl.create 16 in
-          let block_in : (int, binding Var_map.t) Hashtbl.t = Hashtbl.create 16 in
+          let block_out : binding Var_map.t option array = Array.make n_labels None in
+          let block_in : binding Var_map.t option array = Array.make n_labels None in
           let transfer l env0 =
-            let evs = List.rev !(Hashtbl.find events l) in
             List.fold_left
               (fun env (_, ev) ->
                 match ev with
                 | Bind (v, Some d) -> Var_map.add v d env
                 | Bind (v, None) -> Var_map.remove v env
                 | Write w ->
-                    Var_map.filter (fun _ d -> d <> Mach.Dloc w) env)
-              env0 evs
+                    if Var_map.exists (fun _ d -> held_in w d) env then
+                      Var_map.filter (fun _ d -> not (held_in w d)) env
+                    else env)
+              env0 events.(l)
           in
           (* Optimistic (top-initialized) fixpoint: a block whose
              predecessors are all still unvisited is skipped — its input
@@ -280,10 +302,7 @@ let emit ?(icf = false) ?(entry_values = false) (prog : Mach.mprogram) : binary 
             changed := false;
             List.iter
               (fun l ->
-                let pred_outs =
-                  List.filter_map (Hashtbl.find_opt block_out)
-                    (Hashtbl.find preds l)
-                in
+                let pred_outs = List.filter_map (Array.get block_out) preds.(l) in
                 let inn_opt =
                   if l = m.Mach.mf_entry then Some Var_map.empty
                   else
@@ -296,13 +315,13 @@ let emit ?(icf = false) ?(entry_values = false) (prog : Mach.mprogram) : binary 
                 | Some inn ->
                     let out = transfer l inn in
                     let same map tbl =
-                      match Hashtbl.find_opt tbl l with
-                      | Some old -> Var_map.equal ( = ) old map
+                      match tbl.(l) with
+                      | Some old -> old == map || Var_map.equal binding_equal old map
                       | None -> false
                     in
                     if not (same inn block_in && same out block_out) then begin
-                      Hashtbl.replace block_in l inn;
-                      Hashtbl.replace block_out l out;
+                      block_in.(l) <- Some inn;
+                      block_out.(l) <- Some out;
                       changed := true
                     end)
               layout
@@ -319,9 +338,7 @@ let emit ?(icf = false) ?(entry_values = false) (prog : Mach.mprogram) : binary 
               in
               let open_ranges = ref Var_map.empty in
               let ghost_ranges = ref Var_map.empty in
-              let start_env =
-                Option.value ~default:Var_map.empty (Hashtbl.find_opt block_in l)
-              in
+              let start_env = Option.value ~default:Var_map.empty block_in.(l) in
               Var_map.iter
                 (fun v d -> open_ranges := Var_map.add v (bstart, d) !open_ranges)
                 start_env;
@@ -329,15 +346,13 @@ let emit ?(icf = false) ?(entry_values = false) (prog : Mach.mprogram) : binary 
                 match Var_map.find_opt v !open_ranges with
                 | Some (lo, d) ->
                     if addr > lo then
-                      Dwarfish.add_var debug ~var:v ~is_array:false
-                        [
-                          {
-                            Dwarfish.lo;
-                            hi = addr;
-                            where = dloc_to_location ~data_words d;
-                            usable = true;
-                          };
-                        ];
+                      Dwarfish.Vars.add vars ~var:v ~is_array:false
+                        {
+                          Dwarfish.lo;
+                          hi = addr;
+                          where = dloc_to_location ~data_words d;
+                          usable = true;
+                        };
                     open_ranges := Var_map.remove v !open_ranges;
                     (* gcc-style variable tracking: the value still has a
                        recoverable expression, emitted as an entry-value
@@ -350,15 +365,13 @@ let emit ?(icf = false) ?(entry_values = false) (prog : Mach.mprogram) : binary 
                 match Var_map.find_opt v !ghost_ranges with
                 | Some (lo, d) ->
                     if addr > lo then
-                      Dwarfish.add_var debug ~var:v ~is_array:false
-                        [
-                          {
-                            Dwarfish.lo;
-                            hi = addr;
-                            where = dloc_to_location ~data_words d;
-                            usable = false;
-                          };
-                        ];
+                      Dwarfish.Vars.add vars ~var:v ~is_array:false
+                        {
+                          Dwarfish.lo;
+                          hi = addr;
+                          where = dloc_to_location ~data_words d;
+                          usable = false;
+                        };
                     ghost_ranges := Var_map.remove v !ghost_ranges
                 | None -> ()
               in
@@ -372,11 +385,12 @@ let emit ?(icf = false) ?(entry_values = false) (prog : Mach.mprogram) : binary 
                       | Some d -> open_ranges := Var_map.add v (addr, d) !open_ranges
                       | None -> ())
                   | Write w ->
-                      let victims =
-                        Var_map.filter (fun _ (_, d) -> d = Mach.Dloc w) !open_ranges
-                      in
-                      Var_map.iter (fun v _ -> close ~killed:true v addr) victims)
-                (List.rev !(Hashtbl.find events l));
+                      let holds _ (_, d) = held_in w d in
+                      if Var_map.exists holds !open_ranges then
+                        Var_map.iter
+                          (fun v _ -> close ~killed:true v addr)
+                          (Var_map.filter holds !open_ranges))
+                events.(l);
               Var_map.iter (fun v _ -> close v bend) !open_ranges;
               Var_map.iter (fun v _ -> close_ghost v bend) !ghost_ranges)
             layout_arr;
@@ -418,15 +432,13 @@ let emit ?(icf = false) ?(entry_values = false) (prog : Mach.mprogram) : binary 
                   in
                   (match offset with
                   | Some o ->
-                      Dwarfish.add_var debug ~var:v ~is_array:fs.Mach.fs_array
-                        [
-                          {
-                            Dwarfish.lo = static_start;
-                            hi = fn_end;
-                            where = Dwarfish.In_slot o;
-                            usable = true;
-                          };
-                        ]
+                      Dwarfish.Vars.add vars ~var:v ~is_array:fs.Mach.fs_array
+                        {
+                          Dwarfish.lo = static_start;
+                          hi = fn_end;
+                          where = Dwarfish.In_slot o;
+                          usable = true;
+                        }
                   | None -> ())
               | None -> ())
             m.Mach.mf_frame;
@@ -444,6 +456,7 @@ let emit ?(icf = false) ?(entry_values = false) (prog : Mach.mprogram) : binary 
             }
             :: !funcs)
     prog.Mach.mfuncs;
+  debug.Dwarfish.vars <- Dwarfish.Vars.to_list vars;
   Dwarfish.finalize debug;
   let code = Array.of_list (List.rev !code) in
   let line_of = Array.of_list (List.rev !line_of) in

@@ -385,6 +385,10 @@ let compose_instruments ~sanitize instrument =
 let sanitize_of (options : Options.t) =
   Option.value ~default:!Sanitize.enabled options.Options.sanitize
 
+(* The inter-pass cleanup, in a span of its own: a trace shows it as
+   its own row instead of inside the pass before it. *)
+let cleanup prog = Obs.Span.wrap "cleanup" (fun () -> Cleanup.run_program prog)
+
 (* Run a slice of pipeline entries against the state, firing [notify]
    once per entry (executed or skipped). *)
 let run_entries (state : ir_state) (config : Config.t)
@@ -394,7 +398,7 @@ let run_entries (state : ir_state) (config : Config.t)
       match e with
       | Ir_pass (name, f) when Config.enabled config name ->
           f state.st_env;
-          Cleanup.run_program state.st_env.prog;
+          cleanup state.st_env.prog;
           notify state.st_env.prog (Ran_pass name)
       | Backend_flag (name, f) when Config.enabled config name ->
           state.st_mach <- f state.st_mach;
@@ -423,7 +427,7 @@ let ir_prelude (options : Options.t) src ~(config : Config.t) ~roots ~notify =
     (* into-ssa: neither compiler lets you opt out of SSA
        construction. *)
     Hashtbl.iter (fun _ fn -> Mem2reg.run fn) prog.Ir.funcs;
-    Cleanup.run_program prog;
+    cleanup prog;
     notify prog (Ran_pass "mem2reg");
     (* clang's register allocator always coalesces and shares stack
        slots and shrink-wraps; gcc exposes these as flags. *)

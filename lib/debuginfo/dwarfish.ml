@@ -72,10 +72,6 @@ let breakpoint_addrs t =
   Hashtbl.fold (fun line addr acc -> (line, addr) :: acc) best []
   |> List.sort compare
 
-(** [line_of_addr t addr] — the source line attributed to [addr]. *)
-let line_of_addr t addr =
-  List.find_map (fun e -> if e.addr = addr then Some e.line else None) t.line_table
-
 (** [available_at t addr] — variables whose location list covers [addr]
     with a location the debugger can actually evaluate: "visible with a
     value" in the paper's sense. *)
@@ -107,11 +103,45 @@ let add_var t ~var ~is_array ranges =
   | Some vi -> vi.vi_ranges <- vi.vi_ranges @ ranges
   | None -> t.vars <- t.vars @ [ { vi_var = var; vi_is_array = is_array; vi_ranges = ranges } ]
 
-(** Total number of addresses covered by location lists, a volume
-    statistic used in diagnostics. *)
-let coverage_volume t =
-  List.fold_left
-    (fun acc vi ->
-      acc
-      + List.fold_left (fun a r -> a + max 0 (r.hi - r.lo)) 0 vi.vi_ranges)
-    0 t.vars
+(* Variables compare by content, like the [=] of [add_var]. *)
+module Var_tbl = Hashtbl.Make (struct
+  type t = Ir.var_id
+
+  let equal (a : t) (b : t) =
+    String.equal a.Ir.origin b.Ir.origin && String.equal a.Ir.name b.Ir.name
+
+  let hash = Hashtbl.hash
+end)
+
+module Vars = struct
+  type entry = {
+    e_var : Ir.var_id;
+    e_is_array : bool;
+    mutable e_ranges : range list;  (** newest first *)
+  }
+
+  type t = {
+    by_var : entry Var_tbl.t;
+    mutable order : entry list;  (** newest first *)
+  }
+
+  let create () = { by_var = Var_tbl.create 64; order = [] }
+
+  let add t ~var ~is_array r =
+    match Var_tbl.find_opt t.by_var var with
+    | Some e -> e.e_ranges <- r :: e.e_ranges
+    | None ->
+        let e = { e_var = var; e_is_array = is_array; e_ranges = [ r ] } in
+        Var_tbl.add t.by_var var e;
+        t.order <- e :: t.order
+
+  let to_list t =
+    List.rev_map
+      (fun e ->
+        {
+          vi_var = e.e_var;
+          vi_is_array = e.e_is_array;
+          vi_ranges = List.rev e.e_ranges;
+        })
+      t.order
+end

@@ -41,8 +41,6 @@ val steppable_lines : t -> int list
 val breakpoint_addrs : t -> (int * int) list
 (** [(line, addr)] pairs: the lowest address of each steppable line. *)
 
-val line_of_addr : t -> int -> int option
-
 val available_at : t -> int -> (Ir.var_id * location) list
 (** Variables "visible with a value" at an address: covered by a usable
     location-list entry. *)
@@ -56,6 +54,20 @@ val finalize : t -> unit
 (** Sort the line table by address; call once after emission. *)
 
 val add_var : t -> var:Ir.var_id -> is_array:bool -> range list -> unit
+(** Append ranges to a variable's location list, adding the variable
+    (with [is_array]) after the others when it has none yet. Linear in
+    the number of variables: use {!Vars} to build a whole binary's. *)
 
-val coverage_volume : t -> int
-(** Total addresses covered by location lists (a volume statistic). *)
+(** Location lists gathered range by range and turned into [vars] once.
+    [to_list] returns exactly the [vars] that calling {!add_var} with
+    each range, in the same order, on an empty [t] would leave —
+    variables in first-add order with the first add's [var] and
+    [is_array], each one's ranges in add order — in time linear in the
+    number of ranges. *)
+module Vars : sig
+  type t
+
+  val create : unit -> t
+  val add : t -> var:Ir.var_id -> is_array:bool -> range -> unit
+  val to_list : t -> var_info list
+end

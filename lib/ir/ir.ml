@@ -257,6 +257,13 @@ let create_fn ~name ~line ~params =
 (* ------------------------------------------------------------------ *)
 (* Structure queries                                                   *)
 
+(* Source order: [compare (a.f_line, a.f_name) (b.f_line, b.f_name)]
+   without building the tuples. *)
+let source_order a b =
+  match Int.compare a.f_line b.f_line with
+  | 0 -> String.compare a.f_name b.f_name
+  | c -> c
+
 (** All functions of [p] in source order ((f_line, f_name), the same key
     [Inline] sorts callers by) — never [Hashtbl] iteration order.
     [p.funcs] is populated in source order by the parser but in
@@ -266,9 +273,7 @@ let create_fn ~name ~line ~params =
     differently from a straight one. Per-function passes iterate
     through here so the question cannot arise. *)
 let sorted_funcs (p : program) =
-  List.sort
-    (fun a b -> compare (a.f_line, a.f_name) (b.f_line, b.f_name))
-    (Hashtbl.fold (fun _ fn acc -> fn :: acc) p.funcs [])
+  List.sort source_order (Hashtbl.fold (fun _ fn acc -> fn :: acc) p.funcs [])
 
 let iter_funcs f (p : program) = List.iter f (sorted_funcs p)
 
@@ -277,21 +282,37 @@ let succs = function
   | Br l -> [ l ]
   | Cbr (_, l1, l2) -> if l1 = l2 then [ l1 ] else [ l1; l2 ]
 
+(** [iter_succs f t] applies [f] to the targets [succs t] lists, in the
+    same order, without building the list. *)
+let iter_succs f = function
+  | Ret _ -> ()
+  | Br l -> f l
+  | Cbr (_, l1, l2) ->
+      f l1;
+      if l1 <> l2 then f l2
+
 (** Every block's predecessors, in layout order of the predecessor.
     The layout lists each label once and [succs] lists each target once,
-    so every edge is added once; each list is built reversed by consing
-    and flipped once, linear in the number of edges. *)
+    so every edge is added once. The layout is walked back to front so
+    that consing leaves each list in order: one cell per edge. *)
 let recompute_preds fn =
   Label_store.iter (fun _ b -> b.preds <- []) fn.blocks;
-  List.iter
-    (fun l ->
-      List.iter
-        (fun s ->
-          let sb = block fn s in
-          sb.preds <- l :: sb.preds)
-        (succs (block fn l).term))
-    fn.layout;
-  Label_store.iter (fun _ b -> b.preds <- List.rev b.preds) fn.blocks
+  let add l s =
+    let sb = block fn s in
+    sb.preds <- l :: sb.preds
+  in
+  let rec add_from = function
+    | [] -> ()
+    | l :: rest -> (
+        add_from rest;
+        match (block fn l).term with
+        | Ret _ -> ()
+        | Br s -> add l s
+        | Cbr (_, s1, s2) ->
+            add l s1;
+            if s1 <> s2 then add l s2)
+  in
+  add_from fn.layout
 
 (** Labels reachable from entry, as a set. *)
 let reachable fn =
@@ -299,7 +320,7 @@ let reachable fn =
   let rec go l =
     if not (Dense_set.mem seen l) then begin
       Dense_set.add seen l;
-      List.iter go (succs (block fn l).term)
+      iter_succs go (block fn l).term
     end
   in
   go fn.entry;
@@ -319,20 +340,32 @@ let rpo fn =
   go fn.entry;
   !order
 
-(** Remove unreachable blocks from the table and the layout, and prune
-    phi arguments coming from removed predecessors. *)
+(** Remove unreachable blocks from the table and the layout, recompute
+    predecessors, and prune phi arguments coming from blocks that are no
+    longer predecessors. The layout and each phi's argument list are
+    rebuilt only when they hold something to drop: with every block
+    reachable and every phi edge current, only the predecessor lists
+    are new. *)
 let prune_unreachable fn =
   let live = reachable fn in
-  fn.layout <- List.filter (Dense_set.mem live) fn.layout;
+  let is_live = Dense_set.mem live in
+  if not (List.for_all is_live fn.layout) then
+    fn.layout <- List.filter is_live fn.layout;
   Label_store.iter
-    (fun l _ -> if not (Dense_set.mem live l) then remove_block fn l)
+    (fun l _ -> if not (is_live l) then remove_block fn l)
     fn.blocks;
   recompute_preds fn;
   Label_store.iter
     (fun _ b ->
-      List.iter
-        (fun p -> p.p_args <- List.filter (fun (l, _) -> List.mem l b.preds) p.p_args)
-        b.phis)
+      match b.phis with
+      | [] -> ()
+      | phis ->
+          let from_pred (l, _) = List.mem l b.preds in
+          List.iter
+            (fun p ->
+              if not (List.for_all from_pred p.p_args) then
+                p.p_args <- List.filter from_pred p.p_args)
+            phis)
     fn.blocks
 
 (* ------------------------------------------------------------------ *)
@@ -375,6 +408,62 @@ let term_uses = function
   | Ret (Some o) -> operand_uses o
   | Ret None | Br _ -> []
   | Cbr (c, _, _) -> operand_uses c
+
+(* The [iter_*] forms below visit exactly the registers the list forms
+   above return, in the same order, without building a list: the hot
+   scans (use counts, definition sets) run once per pass boundary on
+   every function. *)
+
+let iter_operand f = function Reg r -> f r | Imm _ -> ()
+
+let rec iter_operands f = function
+  | [] -> ()
+  | o :: rest ->
+      iter_operand f o;
+      iter_operands f rest
+
+(** [iter_defs f ik] applies [f] to each register of [def_of_ikind ik]. *)
+let iter_defs f = function
+  | Bin (_, d, _, _) | Un (_, d, _) | Mov (d, _) | Load (d, _) | Input d
+  | Eof d
+  | Select (d, _, _, _)
+  | Call (Some d, _, _) ->
+      f d
+  | Call (None, _, _) | Store _ | Output _ | Dbg _ -> ()
+  | Vec (_, lanes) ->
+      for i = 0 to Array.length lanes - 1 do
+        let d, _, _ = lanes.(i) in
+        f d
+      done
+
+(** [iter_real_uses f ik] applies [f] to each register of
+    [real_uses_of_ikind ik]. *)
+let iter_real_uses f = function
+  | Bin (_, _, a, b) ->
+      iter_operand f a;
+      iter_operand f b
+  | Un (_, _, a) | Mov (_, a) | Output a -> iter_operand f a
+  | Load (_, a) -> iter_operand f a.index
+  | Store (a, v) ->
+      iter_operand f a.index;
+      iter_operand f v
+  | Call (_, _, args) -> iter_operands f args
+  | Input _ | Eof _ | Dbg _ -> ()
+  | Select (_, c, a, b) ->
+      iter_operand f c;
+      iter_operand f a;
+      iter_operand f b
+  | Vec (_, lanes) ->
+      for i = 0 to Array.length lanes - 1 do
+        let _, a, b = lanes.(i) in
+        iter_operand f a;
+        iter_operand f b
+      done
+
+(** [iter_term_uses f t] applies [f] to each register of [term_uses t]. *)
+let iter_term_uses f = function
+  | Ret (Some o) | Cbr (o, _, _) -> iter_operand f o
+  | Ret None | Br _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Rewriting                                                           *)

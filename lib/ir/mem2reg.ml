@@ -11,7 +11,13 @@
 
     Classic algorithm: phi insertion at iterated dominance frontiers of
     the store blocks, then a dominator-tree renaming walk. Uninitialized
-    slots read as 0, matching the VM's zeroed frames. *)
+    slots read as 0, matching the VM's zeroed frames.
+
+    The walk visits every instruction of every block, so its tables are
+    direct-indexed: per-slot arrays (promoted?, variable, current value)
+    sized by [fn.next_slot], and per label the phis placed there as
+    (slot, phi, variable) in the order of the promoted slots — the order
+    the phis sit in the block and receive their edge arguments. *)
 
 module Label_set = Set.Make (Int)
 
@@ -26,28 +32,33 @@ let run ?only (fn : Ir.fn) =
   Ir.prune_unreachable fn;
   let slots = List.filter (fun s -> promotable s ~only) fn.Ir.f_slots in
   if slots <> [] then begin
-    let slot_ids = List.map (fun s -> s.Ir.s_id) slots in
-    let is_promoted id = List.mem id slot_ids in
+    let promoted = Ir.Dense_set.create fn.Ir.next_slot in
+    let var_of = Array.make fn.Ir.next_slot None in
+    List.iter
+      (fun (s : Ir.slot) ->
+        Ir.Dense_set.add promoted s.Ir.s_id;
+        var_of.(s.Ir.s_id) <- s.Ir.s_var)
+      slots;
+    let is_promoted = Ir.Dense_set.mem promoted in
     let dom = Dom.compute fn in
     let df = Dom.frontiers fn dom in
     (* Blocks storing to each slot. *)
-    let def_blocks = Hashtbl.create 16 in
+    let def_blocks = Array.make fn.Ir.next_slot [] in
     Ir.iter_instrs fn (fun b i ->
         match i.Ir.ik with
         | Ir.Store ({ base = Ir.Slot id; _ }, _) when is_promoted id ->
-            let cur = Option.value ~default:[] (Hashtbl.find_opt def_blocks id) in
+            let cur = def_blocks.(id) in
             if not (List.mem b.Ir.b_label cur) then
-              Hashtbl.replace def_blocks id (b.Ir.b_label :: cur)
+              def_blocks.(id) <- b.Ir.b_label :: cur
         | _ -> ());
     (* Iterated dominance frontier phi insertion; remember which slot a
-       phi stands for so renaming can treat it as a definition. *)
-    let phi_slot : (int * int, Ir.phi * Ir.var_id option) Hashtbl.t =
-      Hashtbl.create 32 (* (block, slot) -> phi *)
-    in
+       phi stands for so renaming can treat it as a definition. Each
+       label's list is built newest first, then put in slot order. *)
+    let phis_at = Array.make fn.Ir.next_label [] in
     List.iter
       (fun (s : Ir.slot) ->
         let id = s.Ir.s_id in
-        let work = ref (Option.value ~default:[] (Hashtbl.find_opt def_blocks id)) in
+        let work = ref def_blocks.(id) in
         let placed = ref Label_set.empty in
         while !work <> [] do
           match !work with
@@ -60,15 +71,17 @@ let run ?only (fn : Ir.fn) =
                     placed := Label_set.add d !placed;
                     let phi = { Ir.p_dst = Ir.fresh_reg fn; p_args = [] } in
                     (Ir.block fn d).Ir.phis <- (Ir.block fn d).Ir.phis @ [ phi ];
-                    Hashtbl.replace phi_slot (d, id) (phi, s.Ir.s_var);
+                    phis_at.(d) <- (id, phi, s.Ir.s_var) :: phis_at.(d);
                     work := d :: !work
                   end)
                 (Option.value ~default:[] (Hashtbl.find_opt df b))
         done)
       slots;
+    Array.iteri (fun l placed -> phis_at.(l) <- List.rev placed) phis_at;
     (* Renaming walk over the dominator tree. *)
-    let current : (int, Ir.operand) Hashtbl.t = Hashtbl.create 16 in
+    let current = Array.make fn.Ir.next_slot None in
     let subst : (Ir.reg, Ir.operand) Hashtbl.t = Hashtbl.create 64 in
+    let substituted r = Hashtbl.find_opt subst r in
     let resolve o =
       (* Chase load-substitutions so stacks always hold final operands. *)
       let rec go o depth =
@@ -85,40 +98,31 @@ let run ?only (fn : Ir.fn) =
       let b = Ir.block fn label in
       let saved = ref saved in
       let set_current id v =
-        saved := (id, Hashtbl.find_opt current id) :: !saved;
-        Hashtbl.replace current id v
+        saved := (id, current.(id)) :: !saved;
+        current.(id) <- Some v
       in
       (* Phis inserted for slots define their slot; announce the binding
          for the debugger. *)
       let dbg_for_phis =
         List.filter_map
-          (fun (s : Ir.slot) ->
-            match Hashtbl.find_opt phi_slot (label, s.Ir.s_id) with
-            | Some (phi, var) ->
-                set_current s.Ir.s_id (Ir.Reg phi.Ir.p_dst);
-                Option.map
-                  (fun v ->
-                    { Ir.ik = Ir.Dbg (v, Some (Ir.Reg phi.Ir.p_dst)); line = None })
-                  var
-            | None -> None)
-          slots
+          (fun (id, (phi : Ir.phi), var) ->
+            set_current id (Ir.Reg phi.Ir.p_dst);
+            Option.map
+              (fun v ->
+                { Ir.ik = Ir.Dbg (v, Some (Ir.Reg phi.Ir.p_dst)); line = None })
+              var)
+          phis_at.(label)
       in
       let new_instrs =
         List.filter_map
           (fun (i : Ir.instr) ->
-            let ik = Ir.subst_uses (fun r -> Hashtbl.find_opt subst r) i.Ir.ik in
+            let ik = Ir.subst_uses substituted i.Ir.ik in
             i.Ir.ik <- ik;
             match ik with
-            | Ir.Store ({ base = Ir.Slot id; _ }, v) when is_promoted id ->
+            | Ir.Store ({ base = Ir.Slot id; _ }, v) when is_promoted id -> (
                 let v = resolve v in
                 set_current id v;
-                let var =
-                  List.find_map
-                    (fun (s : Ir.slot) ->
-                      if s.Ir.s_id = id then s.Ir.s_var else None)
-                    slots
-                in
-                (match var with
+                match var_of.(id) with
                 | Some vid ->
                     (* The store becomes a debug binding on the same line. *)
                     i.Ir.ik <- Ir.Dbg (vid, Some v);
@@ -126,7 +130,7 @@ let run ?only (fn : Ir.fn) =
                 | None -> None)
             | Ir.Load (r, { base = Ir.Slot id; _ }) when is_promoted id ->
                 let v =
-                  Option.value ~default:(Ir.Imm 0) (Hashtbl.find_opt current id)
+                  match current.(id) with Some v -> v | None -> Ir.Imm 0
                 in
                 Hashtbl.replace subst r v;
                 None
@@ -134,36 +138,25 @@ let run ?only (fn : Ir.fn) =
           b.Ir.instrs
       in
       b.Ir.instrs <- dbg_for_phis @ new_instrs;
-      b.Ir.term <- Ir.subst_term (fun r -> Hashtbl.find_opt subst r) b.Ir.term;
+      b.Ir.term <- Ir.subst_term substituted b.Ir.term;
       (* Feed successor phis along each edge. *)
-      List.iter
+      Ir.iter_succs
         (fun succ ->
           List.iter
-            (fun (s : Ir.slot) ->
-              match Hashtbl.find_opt phi_slot (succ, s.Ir.s_id) with
-              | Some (phi, _) ->
-                  let v =
-                    Option.value ~default:(Ir.Imm 0)
-                      (Hashtbl.find_opt current s.Ir.s_id)
-                  in
-                  phi.Ir.p_args <- phi.Ir.p_args @ [ (label, v) ]
-              | None -> ())
-            slots)
-        (Ir.succs b.Ir.term);
+            (fun (id, (phi : Ir.phi), _) ->
+              let v = match current.(id) with Some v -> v | None -> Ir.Imm 0 in
+              phi.Ir.p_args <- phi.Ir.p_args @ [ (label, v) ])
+            phis_at.(succ))
+        b.Ir.term;
       List.iter (fun c -> walk c []) (Dom.children dom label);
       (* Restore the slot environment on the way out. *)
-      List.iter
-        (fun (id, old) ->
-          match old with
-          | Some v -> Hashtbl.replace current id v
-          | None -> Hashtbl.remove current id)
-        !saved
+      List.iter (fun (id, old) -> current.(id) <- old) !saved
     in
     walk fn.Ir.entry [];
     (* A second full substitution pass: uses in blocks visited before
        their defining loads (impossible under dominance, but phi argument
        rewriting above may have captured pre-substitution registers). *)
-    Ir.apply_subst fn (fun r -> Hashtbl.find_opt subst r);
+    Ir.apply_subst fn substituted;
     fn.Ir.f_slots <-
       List.filter (fun (s : Ir.slot) -> not (is_promoted s.Ir.s_id)) fn.Ir.f_slots
   end

@@ -108,7 +108,34 @@ let static_range defranges (r : Minic.Defranges.var_range) =
         (fun l -> l >= d && l <= r.Minic.Defranges.scope_end)
         stmts
 
-let static_with ~restrict (m : inputs) =
+(* The optimized binary's debug info indexed once for the per-variable
+   queries below: the line-table addresses of each line, and each
+   variable's ranges (all of its location-list entries). *)
+type debug_index = {
+  addrs_of_line : (int, int list) Hashtbl.t;
+  ranges_of_var : (Ir.var_id, Dwarfish.range list) Hashtbl.t;
+}
+
+let index_debug (d : Dwarfish.t) =
+  let addrs_of_line = Hashtbl.create 256 in
+  List.iter
+    (fun (e : Dwarfish.line_entry) ->
+      let prev =
+        Option.value ~default:[] (Hashtbl.find_opt addrs_of_line e.Dwarfish.line)
+      in
+      Hashtbl.replace addrs_of_line e.Dwarfish.line (e.Dwarfish.addr :: prev))
+    d.Dwarfish.line_table;
+  let ranges_of_var = Hashtbl.create 64 in
+  List.iter
+    (fun (vi : Dwarfish.var_info) ->
+      let prev =
+        Option.value ~default:[] (Hashtbl.find_opt ranges_of_var vi.Dwarfish.vi_var)
+      in
+      Hashtbl.replace ranges_of_var vi.Dwarfish.vi_var (prev @ vi.Dwarfish.vi_ranges))
+    d.Dwarfish.vars;
+  { addrs_of_line; ranges_of_var }
+
+let static_with ~index ~restrict (m : inputs) =
   let limit set =
     match restrict with
     | None -> set
@@ -119,7 +146,6 @@ let static_with ~restrict (m : inputs) =
      definition range. Code the optimizer deleted has no addresses and
      silently leaves the denominator, and unusable (entry-value) entries
      count as coverage — the two channels of static overestimation. *)
-  let line_table = m.opt_bin.Emit.debug.Dwarfish.line_table in
   let ratios =
     List.filter_map
       (fun (r : Minic.Defranges.var_range) ->
@@ -127,21 +153,24 @@ let static_with ~restrict (m : inputs) =
         let want_lines = limit (static_range m.defranges r) in
         if Int_set.is_empty want_lines then None
         else begin
-          let ranges = Dwarfish.var_ranges m.opt_bin.Emit.debug v in
+          let ranges =
+            Option.value ~default:[] (Hashtbl.find_opt index.ranges_of_var v)
+          in
+          let covers addr =
+            List.exists
+              (fun (rg : Dwarfish.range) ->
+                addr >= rg.Dwarfish.lo && addr < rg.Dwarfish.hi)
+              ranges
+          in
           let total = ref 0 and covered = ref 0 in
-          List.iter
-            (fun (e : Dwarfish.line_entry) ->
-              if Int_set.mem e.Dwarfish.line want_lines then begin
-                incr total;
-                if
-                  List.exists
-                    (fun (rg : Dwarfish.range) ->
-                      e.Dwarfish.addr >= rg.Dwarfish.lo
-                      && e.Dwarfish.addr < rg.Dwarfish.hi)
-                    ranges
-                then incr covered
-              end)
-            line_table;
+          Int_set.iter
+            (fun line ->
+              List.iter
+                (fun addr ->
+                  incr total;
+                  if covers addr then incr covered)
+                (Option.value ~default:[] (Hashtbl.find_opt index.addrs_of_line line)))
+            want_lines;
           if !total = 0 then None
           else Some (float_of_int !covered /. float_of_int !total)
         end)
@@ -165,11 +194,16 @@ let static_with ~restrict (m : inputs) =
   in
   make_score availability line_coverage
 
-let static (m : inputs) = static_with ~restrict:None m
+let static_of ~index (m : inputs) = static_with ~index ~restrict:None m
+
+let static_dbg_of ~index (m : inputs) =
+  let stepped = Int_set.of_list (Debugger.stepped_lines m.unopt_trace) in
+  static_with ~index ~restrict:(Some stepped) m
+
+let static (m : inputs) = static_of ~index:(index_debug m.opt_bin.Emit.debug) m
 
 let static_dbg (m : inputs) =
-  let stepped = Int_set.of_list (Debugger.stepped_lines m.unopt_trace) in
-  static_with ~restrict:(Some stepped) m
+  static_dbg_of ~index:(index_debug m.opt_bin.Emit.debug) m
 
 (* ------------------------------------------------------------------ *)
 
@@ -181,9 +215,10 @@ type all_methods = {
 }
 
 let all (m : inputs) =
+  let index = index_debug m.opt_bin.Emit.debug in
   {
-    m_static = static m;
-    m_static_dbg = static_dbg m;
+    m_static = static_of ~index m;
+    m_static_dbg = static_dbg_of ~index m;
     m_dynamic = dynamic m;
     m_hybrid = hybrid m;
   }

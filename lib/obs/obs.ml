@@ -99,6 +99,38 @@ let emit s ev =
 
 let rel s t = Int64.sub t s.s_t0
 
+let newest s =
+  Mutex.lock s.mu;
+  let evs = s.evs in
+  Mutex.unlock s.mu;
+  evs
+
+(* The complete spans lane [tid] recorded after the events [since]
+   (an earlier value of [s.evs]), leaving out any span nested in
+   another of them: [(name, duration)], oldest first. A span completes
+   after the spans nested in it, so only later ones can enclose it. *)
+let outermost_since s ~tid ~since =
+  let rec collect acc = function
+    | l when l == since -> acc
+    | [] -> acc
+    | e :: rest -> (
+        match e.ev_kind with
+        | Complete d when e.ev_tid = tid ->
+            collect ((e.ev_ts, d, e.ev_name) :: acc) rest
+        | _ -> collect acc rest)
+  in
+  let rec outermost = function
+    | [] -> []
+    | (t0, d, name) :: later ->
+        let encloses (u0, e, _) =
+          Int64.compare u0 t0 <= 0
+          && Int64.compare (Int64.add t0 d) (Int64.add u0 e) <= 0
+        in
+        if List.exists encloses later then outermost later
+        else (name, d) :: outermost later
+  in
+  outermost (collect [] (newest s))
+
 (* ------------------------------------------------------------------ *)
 (* The recording API                                                   *)
 
@@ -212,13 +244,21 @@ let profiles (s : session) : pass_profile list =
 
     When the sanitizer is attached to the same compile it runs before
     the tracer, so a pass span includes that pass's boundary validation
-    — the cost of checking is attributed to the pass that incurred it. *)
+    — the cost of checking is attributed to the pass that incurred it.
+
+    Work [Toolchain] wraps in its own span between two boundaries (the
+    inter-pass cleanup) nests inside the pass span: the self-time report
+    takes it out of the pass by nesting, and the profiles do the same.
+    Each such span (outermost ones only) becomes a profile row of its
+    own, with zero deltas, which stay with the pass, and its time leaves
+    the pass's row. *)
 let pipeline_instrument () =
   match !current with
   | None -> None
   | Some s ->
       let my_tid = tid () in
       let last = ref (Clock.now_ns ()) in
+      let seen = ref (newest s) in
       let last_ir = ref None in
       let last_mach = ref None in
       let bump_profile name dur d =
@@ -245,7 +285,10 @@ let pipeline_instrument () =
           };
         Mutex.unlock s.mu
       in
-      let mark () = last := Clock.now_ns () in
+      let mark () =
+        last := Clock.now_ns ();
+        seen := newest s
+      in
       Some
         {
           Instrument.on_phase_start =
@@ -272,6 +315,7 @@ let pipeline_instrument () =
           on_pass =
             (fun name scope ->
               let now = Clock.now_ns () in
+              let nested = outermost_since s ~tid:my_tid ~since:!seen in
               let dur =
                 let d = Int64.sub now !last in
                 if Int64.compare d 0L < 0 then 0L else d
@@ -314,7 +358,15 @@ let pipeline_instrument () =
                       ("d_vars", string_of_int delta.Instrument.c_vars);
                     ];
                 };
-              bump_profile name dur delta;
+              let self =
+                List.fold_left (fun acc (_, d) -> Int64.sub acc d) dur nested
+              in
+              bump_profile name
+                (if Int64.compare self 0L < 0 then 0L else self)
+                delta;
+              List.iter
+                (fun (n, d) -> bump_profile n d Instrument.zero_counts)
+                nested;
               (* Re-mark after the (unattributed) counting work above. *)
               mark ());
         }

@@ -60,9 +60,11 @@ val pipeline_instrument : unit -> Instrument.t option
     is active. Phases become [B]/[E] events named ["phase:<name>"]; each
     pass becomes a complete span (self time by construction: the span
     runs from the previous boundary to this one) and accumulates into
-    the session's per-pass profiles with IR/debug-info deltas. Create
-    one per compile: the closure carries that compile's boundary
-    state. *)
+    the session's per-pass profiles with IR/debug-info deltas. A span
+    the compiling domain completes between two boundaries ([Toolchain]'s
+    ["cleanup"]) becomes a profile row of its own, with zero deltas, and
+    its time leaves the pass's row. Create one per compile: the closure
+    carries that compile's boundary state. *)
 
 (** {1 Session contents} *)
 

@@ -39,15 +39,13 @@ let use_counts (fn : Ir.fn) =
     let c = Bytes.get counts r in
     if c < '\002' then Bytes.set counts r (Char.chr (Char.code c + 1))
   in
+  let bump_arg (_, o) = Ir.iter_operand bump o in
+  let bump_phi (p : Ir.phi) = List.iter bump_arg p.Ir.p_args in
+  let bump_instr (i : Ir.instr) = Ir.iter_real_uses bump i.Ir.ik in
   Ir.iter_blocks fn (fun b ->
-      List.iter
-        (fun (p : Ir.phi) ->
-          List.iter (fun (_, o) -> List.iter bump (Ir.operand_uses o)) p.Ir.p_args)
-        b.Ir.phis;
-      List.iter
-        (fun (i : Ir.instr) -> List.iter bump (Ir.real_uses_of_ikind i.Ir.ik))
-        b.Ir.instrs;
-      List.iter bump (Ir.term_uses b.Ir.term));
+      List.iter bump_phi b.Ir.phis;
+      List.iter bump_instr b.Ir.instrs;
+      Ir.iter_term_uses bump b.Ir.term);
   counts
 
 (** [use_count counts r] — 0, 1 or 2 (for two or more): the real uses

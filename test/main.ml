@@ -27,6 +27,7 @@ let () =
       ("debug-verify", Test_debug_verify.tests);
       ("session", Test_session.tests);
       ("properties", Test_properties.tests);
+      ("reference", Test_reference.tests);
       ("dwarf-encode", Test_dwarf_encode.tests);
       ("value-oracle", Test_value_oracle.tests);
       ("sanitizer", Test_check.tests);

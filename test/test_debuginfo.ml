@@ -141,6 +141,45 @@ let test_available_at_respects_usability () =
         (Dwarfish.available_at bin.Emit.debug addr))
     bin.Emit.code
 
+(* [Dwarfish.Vars] leaves the [vars] that one [add_var] per range, in
+   the same order, would leave — down to which [var_id] value (the
+   first one added) each variable keeps and which range values its
+   list holds, since [Emit.full_digest] marshals them with sharing. *)
+let qcheck_vars_to_list =
+  QCheck.Test.make ~name:"Vars.to_list = one add_var per range" ~count:200
+    QCheck.(
+      list (triple (int_range 0 7) bool (pair (int_range 0 50) (int_range 1 10))))
+    (fun adds ->
+      (* A fresh [var_id] value per add: equal by content, never shared. *)
+      let var i =
+        {
+          Ir.origin = (if i mod 2 = 0 then "f" else "g");
+          name = "v" ^ string_of_int (i / 2);
+        }
+      in
+      let range (lo, len) =
+        {
+          Dwarfish.lo;
+          hi = lo + len;
+          where = Dwarfish.In_reg (lo mod 8);
+          usable = lo mod 3 <> 0;
+        }
+      in
+      let one_by_one = Dwarfish.empty () and gathered = Dwarfish.Vars.create () in
+      List.iter
+        (fun (i, is_array, r) ->
+          let v = var i and r = range r in
+          Dwarfish.add_var one_by_one ~var:v ~is_array [ r ];
+          Dwarfish.Vars.add gathered ~var:v ~is_array r)
+        adds;
+      let built = Dwarfish.Vars.to_list gathered in
+      built = one_by_one.Dwarfish.vars
+      && List.for_all2
+           (fun (a : Dwarfish.var_info) (b : Dwarfish.var_info) ->
+             a.Dwarfish.vi_var == b.Dwarfish.vi_var
+             && List.for_all2 ( == ) a.Dwarfish.vi_ranges b.Dwarfish.vi_ranges)
+           built one_by_one.Dwarfish.vars)
+
 let tests =
   [
     QCheck_alcotest.to_alcotest qcheck_invariants;
@@ -152,4 +191,5 @@ let tests =
       test_optimization_shrinks_debug_monotonically;
     Alcotest.test_case "available_at usability" `Quick
       test_available_at_respects_usability;
+    QCheck_alcotest.to_alcotest qcheck_vars_to_list;
   ]

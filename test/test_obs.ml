@@ -237,6 +237,54 @@ let test_vm_counters () =
   Alcotest.(check bool) "vm span recorded" true
     (List.exists (fun e -> e.Obs.ev_name = "vm:run") (Obs.events s))
 
+(* ------------------------------------------------------------------ *)
+(* The inter-pass cleanup is a row of its own                          *)
+
+let test_cleanup_row () =
+  let p = Programs.find "zlib" in
+  let ast = Suite_types.ast p in
+  let roots = Suite_types.roots p in
+  let cfg = C.make C.Gcc C.O2 in
+  ignore (Obs.stop ());
+  let plain = T.compile ast ~config:cfg ~roots in
+  Obs.start ();
+  let traced = T.compile ast ~config:cfg ~roots in
+  let s = stop_exn () in
+  Alcotest.(check string) "traced binary byte-identical" plain.Emit.full_digest
+    traced.Emit.full_digest;
+  (* One cleanup after mem2reg, one after every executed IR pass. *)
+  let ir_passes =
+    List.filter
+      (fun (name, _) ->
+        name <> "lower" && name <> "mem2reg"
+        && not (Filename.check_suffix name " (backend)"))
+      (T.pipeline_trace ast ~config:cfg ~roots)
+  in
+  let expected = List.length ir_passes + 1 in
+  (match List.find_opt (fun r -> r.Obs.sr_name = "cleanup") (Obs.self_times s) with
+  | Some r -> Alcotest.(check int) "self-time row calls" expected r.Obs.sr_calls
+  | None -> Alcotest.fail "no cleanup row in the self-time report");
+  let profs = Obs.profiles s in
+  let cleanup =
+    match List.find_opt (fun pr -> pr.Obs.pr_pass = "cleanup") profs with
+    | Some pr -> pr
+    | None -> Alcotest.fail "no cleanup row in the per-pass profiles"
+  in
+  Alcotest.(check int) "profile row calls" expected cleanup.Obs.pr_calls;
+  (* Cleanup's time left the passes it ran after: the pass spans cover
+     exactly the pass rows plus the cleanup row. *)
+  let span_ns =
+    List.fold_left
+      (fun acc e ->
+        match e.Obs.ev_kind with
+        | Obs.Complete d when e.Obs.ev_name <> "cleanup" -> Int64.add acc d
+        | _ -> acc)
+      0L (Obs.events s)
+  in
+  let profile_ns = List.fold_left (fun acc pr -> Int64.add acc pr.Obs.pr_ns) 0L profs in
+  Alcotest.(check int64) "pass spans = pass rows + cleanup row" span_ns profile_ns;
+  Alcotest.(check bool) "cleanup took time" true (cleanup.Obs.pr_ns > 0L)
+
 let tests =
   [
     Alcotest.test_case "span nesting and self time" `Quick test_span_nesting;
@@ -253,4 +301,5 @@ let tests =
     Alcotest.test_case "per-pass deltas telescope" `Quick
       test_deltas_telescope;
     Alcotest.test_case "vm counters" `Quick test_vm_counters;
+    Alcotest.test_case "cleanup is its own row" `Quick test_cleanup_row;
   ]
