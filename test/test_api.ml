@@ -419,6 +419,442 @@ let test_partial_invalid_shard () =
   | Ok _ -> Alcotest.fail "out-of-range shard index accepted"
 
 (* ------------------------------------------------------------------ *)
+(* Golden wire bytes                                                   *)
+
+(* The round-trips above decode what they encode, so they cannot see a
+   reordered field or a changed number format. These literal values
+   cover every request kind, view, bench action, data kind, status,
+   compiler, level, search strategy, cache op and stats selector, and
+   pin the exact bytes each one encodes to. A deliberate wire change
+   updates these bytes and bumps [Api.version]. *)
+
+let gcc level = Config.make Config.Gcc level
+
+let compile ?(subject = R.Named "zlib") ?(config = gcc Config.O2) ?profile
+    ?(sanitize = false) view =
+  R.Compile
+    {
+      c_subject = subject;
+      c_config = config;
+      c_profile = profile;
+      c_sanitize = sanitize;
+      c_view = view;
+    }
+
+let search strategy budget seed debug speed =
+  R.Search
+    {
+      se_config = gcc Config.O2;
+      se_strategy = strategy;
+      se_budget = budget;
+      se_seed = seed;
+      se_debug_weight = debug;
+      se_speed_weight = speed;
+    }
+
+let golden_row index family config avail cov product =
+  {
+    Debugtuner.Experiments.cr_index = index;
+    cr_program = Printf.sprintf "%s-%04d" family index;
+    cr_family = family;
+    cr_config = config;
+    cr_avail = avail;
+    cr_cov = cov;
+    cr_product = product;
+  }
+
+let golden_partial =
+  {
+    Api.Partial.pt_shard = 2;
+    pt_shards = 3;
+    pt_seed = 1013;
+    pt_corpus = 24;
+    pt_digest = "5f3c9a";
+    pt_configs = [ "gcc-O2"; "clang-Og" ];
+    pt_programs = 8;
+    pt_rows =
+      [
+        golden_row 9 "synth" "gcc-O2" 0.1 (2.0 /. 3.0) 1.0;
+        golden_row 12 "fuzz" "clang-Og" 1e-7 0.875 123.456;
+      ];
+  }
+
+let golden_requests =
+  [
+    ( compile ~config:(gcc Config.O0) R.Summary,
+      {|{"v":1,"kind":"compile","subject":{"name":"zlib"},|}
+      ^ {|"config":{"compiler":"gcc","level":"O0","disabled":[]},"profile":null,|}
+      ^ {|"sanitize":false,"view":{"kind":"summary"}}|} );
+    ( compile
+        ~subject:
+          (R.Inline
+             {
+               in_name = "f.c";
+               in_source = "int main() {\n\treturn \"\xc3\xa9\";\n}";
+             })
+        ~config:(Config.make ~disabled:[ "inline"; "dce" ] Config.Clang Config.Og)
+        ~profile:"main 1 2\n" ~sanitize:true R.Measure,
+      {|{"v":1,"kind":"compile","subject":{"name":"f.c",|}
+      ^ {|"source":"int main() {\n\treturn \"é\";\n}"},"config":{"compiler":"clang",|}
+      ^ {|"level":"Og","disabled":["dce","inline"]},"profile":"main 1 2\n",|}
+      ^ {|"sanitize":true,"view":{"kind":"measure"}}|} );
+    ( compile ~config:(gcc Config.O1) (R.Dump [ "lines"; "locs" ]),
+      {|{"v":1,"kind":"compile","subject":{"name":"zlib"},|}
+      ^ {|"config":{"compiler":"gcc","level":"O1","disabled":[]},"profile":null,|}
+      ^ {|"sanitize":false,"view":{"kind":"dump","sections":["lines","locs"]}}|} );
+    ( compile ~config:(gcc Config.O3) R.Verify,
+      {|{"v":1,"kind":"compile","subject":{"name":"zlib"},|}
+      ^ {|"config":{"compiler":"gcc","level":"O3","disabled":[]},"profile":null,|}
+      ^ {|"sanitize":false,"view":{"kind":"verify"}}|} );
+    ( compile (R.Disasm (Some "main")),
+      {|{"v":1,"kind":"compile","subject":{"name":"zlib"},|}
+      ^ {|"config":{"compiler":"gcc","level":"O2","disabled":[]},"profile":null,|}
+      ^ {|"sanitize":false,"view":{"kind":"disasm","func":"main"}}|} );
+    ( compile (R.Disasm None),
+      {|{"v":1,"kind":"compile","subject":{"name":"zlib"},|}
+      ^ {|"config":{"compiler":"gcc","level":"O2","disabled":[]},"profile":null,|}
+      ^ {|"sanitize":false,"view":{"kind":"disasm","func":null}}|} );
+    ( compile R.Dwarf_size,
+      {|{"v":1,"kind":"compile","subject":{"name":"zlib"},|}
+      ^ {|"config":{"compiler":"gcc","level":"O2","disabled":[]},"profile":null,|}
+      ^ {|"sanitize":false,"view":{"kind":"dwarf-size"}}|} );
+    ( compile R.Passes,
+      {|{"v":1,"kind":"compile","subject":{"name":"zlib"},|}
+      ^ {|"config":{"compiler":"gcc","level":"O2","disabled":[]},"profile":null,|}
+      ^ {|"sanitize":false,"view":{"kind":"passes"}}|} );
+    ( compile R.Pass_trace,
+      {|{"v":1,"kind":"compile","subject":{"name":"zlib"},|}
+      ^ {|"config":{"compiler":"gcc","level":"O2","disabled":[]},"profile":null,|}
+      ^ {|"sanitize":false,"view":{"kind":"pass-trace"}}|} );
+    ( compile (R.Trace { t_entry = Some "fuzz_deflate"; t_input = [ 1; -2; 3 ] }),
+      {|{"v":1,"kind":"compile","subject":{"name":"zlib"},|}
+      ^ {|"config":{"compiler":"gcc","level":"O2","disabled":[]},"profile":null,|}
+      ^ {|"sanitize":false,"view":{"kind":"trace","entry":"fuzz_deflate","input":[1,|}
+      ^ {|-2,3]}}|} );
+    ( compile (R.Debug { d_entry = None; d_commands = [ "break 12"; "run" ] }),
+      {|{"v":1,"kind":"compile","subject":{"name":"zlib"},|}
+      ^ {|"config":{"compiler":"gcc","level":"O2","disabled":[]},"profile":null,|}
+      ^ {|"sanitize":false,"view":{"kind":"debug","entry":null,|}
+      ^ {|"commands":["break 12","run"]}}|} );
+    ( compile (R.Sample { s_entry = Some "main"; s_period = 97 }),
+      {|{"v":1,"kind":"compile","subject":{"name":"zlib"},|}
+      ^ {|"config":{"compiler":"gcc","level":"O2","disabled":[]},"profile":null,|}
+      ^ {|"sanitize":false,"view":{"kind":"sample","entry":"main","period":97}}|} );
+    ( compile (R.Value_check { v_entry = None; v_input = [] }),
+      {|{"v":1,"kind":"compile","subject":{"name":"zlib"},|}
+      ^ {|"config":{"compiler":"gcc","level":"O2","disabled":[]},"profile":null,|}
+      ^ {|"sanitize":false,"view":{"kind":"value-check","entry":null,"input":[]}}|} );
+    ( R.Rank { r_config = gcc Config.O2; r_k = 5 },
+      {|{"v":1,"kind":"rank","config":{"compiler":"gcc","level":"O2",|}
+      ^ {|"disabled":[]},"k":5}|} );
+    ( R.Tune { t_config = Config.make Config.Clang Config.O1; t_y = 3 },
+      {|{"v":1,"kind":"tune","config":{"compiler":"clang","level":"O1",|}
+      ^ {|"disabled":[]},"y":3}|} );
+    ( search Api.Tuning.Random_sampling 48 7 1.0 0.5,
+      {|{"v":1,"kind":"search","config":{"compiler":"gcc","level":"O2",|}
+      ^ {|"disabled":[]},"strategy":"random","budget":48,"seed":7,"debug_weight":1,|}
+      ^ {|"speed_weight":0.5}|} );
+    ( search Api.Tuning.Hill_climb 12 1 0.25 1.1,
+      {|{"v":1,"kind":"search","config":{"compiler":"gcc","level":"O2",|}
+      ^ {|"disabled":[]},"strategy":"hill-climb","budget":12,"seed":1,|}
+      ^ {|"debug_weight":0.25,"speed_weight":1.1000000000000001}|} );
+    ( search Api.Tuning.Bandit 20 3 (1.0 /. 3.0) 2.0,
+      {|{"v":1,"kind":"search","config":{"compiler":"gcc","level":"O2",|}
+      ^ {|"disabled":[]},"strategy":"bandit","budget":20,"seed":3,|}
+      ^ {|"debug_weight":0.33333333333333331,"speed_weight":2}|} );
+    ( R.Check { k_subject = None; k_fuzz = 10; k_seed = 1; k_suite = true },
+      {|{"v":1,"kind":"check","subject":null,"fuzz":10,"seed":1,"suite":true}|} );
+    ( R.Check
+        { k_subject = Some (R.Named "zlib"); k_fuzz = 0; k_seed = 42; k_suite = false },
+      {|{"v":1,"kind":"check","subject":{"name":"zlib"},"fuzz":0,"seed":42,|}
+      ^ {|"suite":false}|} );
+    ( R.Profile
+        {
+          p_subject = R.Named "bzip2";
+          p_config = gcc Config.O2;
+          p_sanitize = false;
+          p_stats = true;
+          p_trace = true;
+        },
+      {|{"v":1,"kind":"profile","subject":{"name":"bzip2"},|}
+      ^ {|"config":{"compiler":"gcc","level":"O2","disabled":[]},"sanitize":false,|}
+      ^ {|"stats":true,"trace":true}|} );
+    ( R.Bench { b_subject = R.Named "zlib"; b_config = gcc Config.O2; b_action = R.Cost },
+      {|{"v":1,"kind":"bench","subject":{"name":"zlib"},"config":{"compiler":"gcc",|}
+      ^ {|"level":"O2","disabled":[]},"action":{"kind":"cost"}}|} );
+    ( R.Bench
+        {
+          b_subject = R.Named "zlib";
+          b_config = gcc Config.Og;
+          b_action = R.Exec { x_entry = "fuzz_deflate"; x_input = [ 1; 2; 3 ] };
+        },
+      {|{"v":1,"kind":"bench","subject":{"name":"zlib"},"config":{"compiler":"gcc",|}
+      ^ {|"level":"Og","disabled":[]},"action":{"kind":"exec","entry":"fuzz_deflate",|}
+      ^ {|"input":[1,2,3]}}|} );
+    ( R.Cache_op { o_action = R.Op_stats; o_dir = None },
+      {|{"v":1,"kind":"cache","op":"stats","dir":null}|} );
+    ( R.Cache_op { o_action = R.Op_clear; o_dir = Some "/tmp/store" },
+      {|{"v":1,"kind":"cache","op":"clear","dir":"/tmp/store"}|} );
+    ( R.Cache_op { o_action = R.Op_gc; o_dir = None },
+      {|{"v":1,"kind":"cache","op":"gc","dir":null}|} );
+    ( R.Stats { s_what = R.Counters },
+      {|{"v":1,"kind":"stats","what":"counters"}|} );
+    ( R.Stats { s_what = R.Suite },
+      {|{"v":1,"kind":"stats","what":"suite"}|} );
+    ( R.Stats { s_what = R.Server },
+      {|{"v":1,"kind":"stats","what":"server"}|} );
+    ( R.Experiments { e_job = Api.Job.make ~seed:1 ~corpus:24 () },
+      {|{"v":1,"kind":"experiments","job":{"tables":[],"seed":1,"corpus":24,|}
+      ^ {|"configs":[],"shard":null}}|} );
+    ( R.Experiments
+        {
+          e_job =
+            Api.Job.make ~tables:[ "summary" ]
+              ~configs:
+                [
+                  gcc Config.O2;
+                  Config.make ~disabled:[ "sra" ] Config.Clang Config.Og;
+                ]
+              ~shard:(2, 3) ~seed:1013 ~corpus:24 ();
+        },
+      {|{"v":1,"kind":"experiments","job":{"tables":["summary"],"seed":1013,|}
+      ^ {|"corpus":24,"configs":[{"compiler":"gcc","level":"O2","disabled":[]},|}
+      ^ {|{"compiler":"clang","level":"Og","disabled":["sra"]}],"shard":{"index":2,|}
+      ^ {|"count":3}}}|} );
+    ( R.Merge { m_partials = [ golden_partial ] },
+      {|{"v":1,"kind":"merge","partials":[{"v":1,"shard":2,"shards":3,"seed":1013,|}
+      ^ {|"corpus":24,"digest":"5f3c9a","configs":["gcc-O2","clang-Og"],"programs":8,|}
+      ^ {|"rows":[{"index":9,"program":"synth-0009","family":"synth",|}
+      ^ {|"config":"gcc-O2","avail":0.10000000000000001,"cov":0.66666666666666663,|}
+      ^ {|"product":1},{"index":12,"program":"fuzz-0012","family":"fuzz",|}
+      ^ {|"config":"clang-Og","avail":9.9999999999999995e-08,"cov":0.875,|}
+      ^ {|"product":123.456}]}]}|} );
+  ]
+
+let response ?(status = Resp.Ok) ?(text = "") ?artifact ?(stats = [])
+    ?(exit_code = 0) data =
+  { Resp.status; text; artifact; data; stats; exit_code }
+
+let golden_responses =
+  [
+    ( response Resp.D_none,
+      {|{"v":1,"status":"ok","exit":0,"text":"","artifact":null,|}
+      ^ {|"data":{"kind":"none"},"stats":[]}|} );
+    ( response ~status:(Resp.Error "unknown program \"nope\"") ~exit_code:2
+        Resp.D_none,
+      {|{"v":1,"status":{"error":"unknown program \"nope\""},"exit":2,"text":"",|}
+      ^ {|"artifact":null,"data":{"kind":"none"},"stats":[]}|} );
+    ( response ~status:Resp.Overloaded ~exit_code:3 Resp.D_none,
+      {|{"v":1,"status":"overloaded","exit":3,"text":"","artifact":null,|}
+      ^ {|"data":{"kind":"none"},"stats":[]}|} );
+    ( response ~text:"zlib gcc-O2\n\tok\n"
+        ~stats:[ ("engine/compile/misses", 1); ("store/compile/hits", 0) ]
+        (Resp.D_compiled
+           {
+             dc_program = "zlib";
+             dc_config = "gcc-O2";
+             dc_instrs = 1234;
+             dc_funcs = 17;
+             dc_text_digest = "9e107d9d372bb6826bd81d3542a419d6";
+           }),
+      {|{"v":1,"status":"ok","exit":0,"text":"zlib gcc-O2\n\tok\n","artifact":null,|}
+      ^ {|"data":{"kind":"compiled","program":"zlib","config":"gcc-O2","instrs":1234,|}
+      ^ {|"funcs":17,"text_digest":"9e107d9d372bb6826bd81d3542a419d6"},|}
+      ^ {|"stats":[{"name":"engine/compile/misses","value":1},|}
+      ^ {|{"name":"store/compile/hits","value":0}]}|} );
+    ( response
+        (Resp.D_ranked
+           {
+             dr_config = "gcc-O1";
+             dr_top = [ ("dce", 12.5, 1.0 /. 3.0); ("licm", -0.25, 2.0) ];
+           }),
+      {|{"v":1,"status":"ok","exit":0,"text":"","artifact":null,|}
+      ^ {|"data":{"kind":"ranked","config":"gcc-O1","top":[{"pass":"dce","pct":12.5,|}
+      ^ {|"rank":0.33333333333333331},{"pass":"licm","pct":-0.25,"rank":2}]},|}
+      ^ {|"stats":[]}|} );
+    ( response
+        (Resp.D_tuned
+           {
+             dt_config = "gcc-O2-d2";
+             dt_disabled = [ "dce"; "sra" ];
+             dt_debug = 0.734;
+             dt_speedup = 1.0625;
+           }),
+      {|{"v":1,"status":"ok","exit":0,"text":"","artifact":null,|}
+      ^ {|"data":{"kind":"tuned","config":"gcc-O2-d2","disabled":["dce","sra"],|}
+      ^ {|"debug":0.73399999999999999,"speedup":1.0625},"stats":[]}|} );
+    ( response
+        (Resp.D_frontier
+           {
+             df_config = "gcc-O2";
+             df_strategy = "hill-climb";
+             df_seed = 1;
+             df_budget = 12;
+             df_evaluated = 11;
+             df_dominated = 4;
+             df_front = [ ("gcc-O2", 0.5, 1.0); ("gcc-O2-d2", 0.6125, 0.9) ];
+           }),
+      {|{"v":1,"status":"ok","exit":0,"text":"","artifact":null,|}
+      ^ {|"data":{"kind":"frontier","config":"gcc-O2","strategy":"hill-climb",|}
+      ^ {|"seed":1,"budget":12,"evaluated":11,"dominated":4,|}
+      ^ {|"front":[{"name":"gcc-O2","debug":0.5,"speedup":1},{"name":"gcc-O2-d2",|}
+      ^ {|"debug":0.61250000000000004,"speedup":0.90000000000000002}]},"stats":[]}|} );
+    ( response ~exit_code:1
+        (Resp.D_checked
+           {
+             dk_programs = 13;
+             dk_configs = 8;
+             dk_runs = 104;
+             dk_skipped = 2;
+             dk_failures = 1;
+           }),
+      {|{"v":1,"status":"ok","exit":1,"text":"","artifact":null,|}
+      ^ {|"data":{"kind":"checked","programs":13,"configs":8,"runs":104,"skipped":2,|}
+      ^ {|"failures":1},"stats":[]}|} );
+    ( response (Resp.D_cost 98765),
+      {|{"v":1,"status":"ok","exit":0,"text":"","artifact":null,|}
+      ^ {|"data":{"kind":"cost","cost":98765},"stats":[]}|} );
+    ( response (Resp.D_counters [ ("vm/runs", 3); ("vm/instrs", 4096) ]),
+      {|{"v":1,"status":"ok","exit":0,"text":"","artifact":null,|}
+      ^ {|"data":{"kind":"counters","rows":[{"name":"vm/runs","value":3},|}
+      ^ {|{"name":"vm/instrs","value":4096}]},"stats":[]}|} );
+    ( response ~artifact:"{\"traceEvents\":[]}\n" (Resp.D_partial golden_partial),
+      {|{"v":1,"status":"ok","exit":0,"text":"",|}
+      ^ {|"artifact":"{\"traceEvents\":[]}\n","data":{"kind":"partial",|}
+      ^ {|"partial":{"v":1,"shard":2,"shards":3,"seed":1013,"corpus":24,|}
+      ^ {|"digest":"5f3c9a","configs":["gcc-O2","clang-Og"],"programs":8,|}
+      ^ {|"rows":[{"index":9,"program":"synth-0009","family":"synth",|}
+      ^ {|"config":"gcc-O2","avail":0.10000000000000001,"cov":0.66666666666666663,|}
+      ^ {|"product":1},{"index":12,"program":"fuzz-0012","family":"fuzz",|}
+      ^ {|"config":"clang-Og","avail":9.9999999999999995e-08,"cov":0.875,|}
+      ^ {|"product":123.456}]}},"stats":[]}|} );
+  ]
+
+let golden_partials =
+  [
+    ( golden_partial,
+      {|{"v":1,"shard":2,"shards":3,"seed":1013,"corpus":24,"digest":"5f3c9a",|}
+      ^ {|"configs":["gcc-O2","clang-Og"],"programs":8,"rows":[{"index":9,|}
+      ^ {|"program":"synth-0009","family":"synth","config":"gcc-O2",|}
+      ^ {|"avail":0.10000000000000001,"cov":0.66666666666666663,"product":1},|}
+      ^ {|{"index":12,"program":"fuzz-0012","family":"fuzz","config":"clang-Og",|}
+      ^ {|"avail":9.9999999999999995e-08,"cov":0.875,"product":123.456}]}|} );
+    ( { golden_partial with pt_shard = 1; pt_shards = 1; pt_programs = 0; pt_rows = [] },
+      {|{"v":1,"shard":1,"shards":1,"seed":1013,"corpus":24,"digest":"5f3c9a",|}
+      ^ {|"configs":["gcc-O2","clang-Og"],"programs":0,"rows":[]}|} );
+  ]
+
+let test_golden_wire () =
+  let pin name to_json of_json golden =
+    List.iteri
+      (fun i (v, bytes) ->
+        let what = Printf.sprintf "%s %d" name i in
+        check Alcotest.string (what ^ " encodes to its pinned bytes") bytes
+          (to_json v);
+        checkb (what ^ " decodes back") true (of_json bytes = Ok v))
+      golden
+  in
+  pin "request" Api.request_to_json Api.request_of_json golden_requests;
+  pin "response" Api.response_to_json Api.response_of_json golden_responses;
+  pin "partial" Api.partial_to_json Api.partial_of_json golden_partials
+
+(* One defect per document, and the one-line message it earns. *)
+let decode_errors =
+  let req s = Result.map ignore (Api.request_of_json s)
+  and resp s = Result.map ignore (Api.response_of_json s)
+  and part s = Result.map ignore (Api.partial_of_json s) in
+  let cfg = {|"config":{"compiler":"gcc","level":"O2","disabled":[]}|} in
+  let rank fields = Printf.sprintf {|{"v":1,"kind":"rank",%s}|} fields in
+  let compile fields =
+    Printf.sprintf {|{"v":1,"kind":"compile","subject":{"name":"zlib"},%s,%s}|}
+      cfg fields
+  in
+  let summary = {|"profile":null,"sanitize":false,"view":{"kind":"summary"}|} in
+  let row = {|{"index":1,"program":"p","family":"f","config":"c","avail":1,|} in
+  let partial ?(shard = 1) ?(rows = "[]") () =
+    Printf.sprintf
+      {|{"v":1,"shard":%d,"shards":2,"seed":1,"corpus":4,"digest":"d",|}
+    shard
+    ^ Printf.sprintf {|"configs":["gcc-O2"],"programs":0,"rows":%s}|} rows
+  in
+  let response ?(status = {|"ok"|}) ?(data = {|{"kind":"none"}|})
+      ?(stats = "[]") () =
+    Printf.sprintf {|{"v":1,"status":%s,"exit":0,"text":"","artifact":null,|} status
+    ^ Printf.sprintf {|"data":%s,"stats":%s}|} data stats
+  in
+  let config fields = rank (Printf.sprintf {|"config":{%s},"k":3|} fields) in
+  let partial_shard = {|invalid partial shard 3/2 (need 1 <= shard <= shards)|} in
+  [
+    (req, "", {|malformed JSON: unexpected end of input at offset 0|});
+    (req, {|{"v":1} trailing|}, {|malformed JSON: trailing garbage at offset 8|});
+    (req, {|{"kind":"stats","what":"suite"}|}, {|missing version stamp "v"|});
+    (req, {|{"v":"1","kind":"stats","what":"suite"}|}, {|missing version stamp "v"|});
+    ( req,
+      {|{"v":2,"kind":"stats","what":"suite"}|},
+      {|unsupported api version 2 (this build speaks 1)|} );
+    (req, {|{"v":1}|}, {|missing field "kind"|});
+    (req, {|{"v":1,"kind":"wat"}|}, {|unknown request kind "wat"|});
+    (req, rank cfg, {|missing field "k"|});
+    (req, rank (cfg ^ {|,"k":"5"|}), {|missing field "k"|});
+    (req, rank {|"k":3|}, {|missing field "config"|});
+    ( req,
+      config {|"compiler":"icc","level":"O2","disabled":[]|},
+      {|unknown compiler "icc"|} );
+    (req, config {|"compiler":"gcc","level":"O4","disabled":[]|}, {|unknown level "O4"|});
+    ( req,
+      config {|"compiler":"gcc","level":"O2","disabled":[1]|},
+      {|missing field "disabled"|} );
+    (req, config {|"compiler":"gcc","disabled":[]|}, {|missing field "level"|});
+    ( req,
+      compile {|"profile":null,"sanitize":false,"view":{"kind":"x"}|},
+      {|unknown view kind "x"|} );
+    ( req,
+      compile {|"profile":7,"sanitize":false,"view":{"kind":"summary"}|},
+      {|missing field "profile"|} );
+    ( req,
+      compile {|"profile":null,"sanitize":0,"view":{"kind":"summary"}|},
+      {|missing field "sanitize"|} );
+    ( req,
+      {|{"v":1,"kind":"compile","subject":{"name":"f","source":5},|} ^ cfg ^ ","
+      ^ summary ^ "}",
+      {|missing field "source"|} );
+    ( req,
+      {|{"v":1,"kind":"search",|} ^ cfg
+      ^ {|,"strategy":"greedy","budget":1,"seed":1,"debug_weight":1,|}
+      ^ {|"speed_weight":1}|},
+      {|unknown search strategy "greedy"|} );
+    ( req,
+      {|{"v":1,"kind":"bench","subject":{"name":"zlib"},|} ^ cfg
+      ^ {|,"action":{"kind":"x"}}|},
+      {|unknown bench action "x"|} );
+    (req, {|{"v":1,"kind":"cache","op":"x","dir":null}|}, {|unknown cache op "x"|});
+    (req, {|{"v":1,"kind":"stats","what":"x"}|}, {|unknown stats selector "x"|});
+    ( req,
+      {|{"v":1,"kind":"experiments","job":{"tables":[],"seed":1,"corpus":4,|}
+      ^ {|"configs":[],"shard":{"index":3,"count":2}}}|},
+      {|invalid shard 3/2 (need 1 <= index <= count)|} );
+    ( req,
+      {|{"v":1,"kind":"merge","partials":[|} ^ partial ~shard:3 () ^ "]}",
+      partial_shard );
+    (resp, response ~status:"5" (), {|bad status|});
+    (resp, response ~status:{|"fine"|} (), {|bad status|});
+    (resp, response ~status:{|{"error":5}|} (), {|missing field "error"|});
+    (resp, response ~data:{|{"kind":"x"}|} (), {|unknown data kind "x"|});
+    (resp, response ~stats:{|[{"name":"a"}]|} (), {|missing field "value"|});
+    (part, {|{"v":42}|}, {|unsupported api version 42 (this build speaks 1)|});
+    (part, partial ~shard:3 (), partial_shard);
+    (part, partial ~rows:("[" ^ row ^ {|"product":1}]|}) (), {|missing field "cov"|});
+  ]
+
+let test_decode_errors () =
+  List.iter
+    (fun (decode, text, msg) ->
+      check
+        Alcotest.(result unit string)
+        ("decoding " ^ text) (Error msg) (decode text))
+    decode_errors
+
+(* ------------------------------------------------------------------ *)
 (* Framing torture                                                     *)
 
 let with_socketpair f =
@@ -818,6 +1254,8 @@ let tests =
     QCheck_alcotest.to_alcotest qcheck_partial_version_rejected;
     Alcotest.test_case "partial decoder rejects bad shard arithmetic" `Quick
       test_partial_invalid_shard;
+    Alcotest.test_case "golden wire bytes" `Quick test_golden_wire;
+    Alcotest.test_case "single-defect decode errors" `Quick test_decode_errors;
     Alcotest.test_case "framing round-trip" `Quick test_framing_roundtrip;
     Alcotest.test_case "framing partial reads" `Quick test_framing_partial_reads;
     Alcotest.test_case "framing oversized prefix" `Quick

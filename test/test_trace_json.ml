@@ -60,6 +60,26 @@ let test_compare_traces () =
     && self.Trace_json.lines_gained = []
     && self.Trace_json.vars_lost = [])
 
+(* The document [debugtuner trace -p zlib -l O2 -o F] writes, pinned
+   byte for byte, and read back to the same bytes. *)
+let test_artifact_pinned () =
+  let resp =
+    Api.execute (Api.create_ctx ())
+      (Api.Request.Compile
+         {
+           c_subject = Api.Request.Named "zlib";
+           c_config = C.make C.Gcc C.O2;
+           c_profile = None;
+           c_sanitize = false;
+           c_view = Api.Request.Trace { t_entry = None; t_input = [] };
+         })
+  in
+  let doc = Option.get resp.Api.Response.artifact in
+  Alcotest.(check string) "document digest" "d5550fc17befc241cece924f4aa647a4"
+    (Digest.to_hex (Digest.string doc));
+  Alcotest.(check string) "reads back to the same bytes" doc
+    (Trace_json.to_string (Trace_json.of_string doc))
+
 let qcheck_roundtrip_random_programs =
   QCheck.Test.make ~name:"json roundtrip on random traces" ~count:15
     QCheck.(int_range 1 20_000)
@@ -77,5 +97,6 @@ let tests =
     Alcotest.test_case "string escaping" `Quick test_escape;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     Alcotest.test_case "compare traces" `Quick test_compare_traces;
+    Alcotest.test_case "zlib-O2 document pinned" `Quick test_artifact_pinned;
     QCheck_alcotest.to_alcotest qcheck_roundtrip_random_programs;
   ]
