@@ -6,24 +6,22 @@
    The gate fails (exit 1) when any of these hold:
 
      - the cold run's total wall time regressed more than
-       DEBUGTUNER_BENCH_TOLERANCE (default 0.20 = +20%) over the
-       committed baseline;
-     - the warm (populated cache) run is not at least
-       DEBUGTUNER_WARM_FLOOR (default 3.0) times faster than the cold
-       run;
+       [tolerance] (+20%) over the committed baseline;
+     - the warm (populated cache) run is not at least [warm_floor]
+       (3.0) times faster than the cold run;
      - the warm run's disk-store hit rate (sum of store/<x>/hits over
-       hits + misses) is below DEBUGTUNER_HIT_FLOOR (default 0.9), or
-       the warm run recorded no store activity at all;
+       hits + misses) is below [hit_floor] (0.9), or the warm run
+       recorded no store activity at all;
      - the cold run's pass-prefix planner recorded no sharing at all
        (prefix/hits = 0), or its hit rate (prefix/hits over
-       hits + misses) is below DEBUGTUNER_PREFIX_FLOOR (default 0.5).
-       The cold run is the one that gates: a warm run peeks everything
-       out of the persistent store and plans nothing;
+       hits + misses) is below [prefix_floor] (0.5). The cold run is
+       the one that gates: a warm run peeks everything out of the
+       persistent store and plans nothing;
      - the serve scenario's warm request p50 is not at least
-       DEBUGTUNER_SERVE_FLOOR (default 10.0) times faster than its
-       cold one-shot (timing rows "serve-cold-one-shot" and
-       "serve-warm-p50" of the cold json — the workload must include
-       `serve` in its --only list), or those rows are missing;
+       [serve_floor] (10.0) times faster than its cold one-shot
+       (timing rows "serve-cold-one-shot" and "serve-warm-p50" of the
+       cold json — the workload must include `serve` in its --only
+       list), or those rows are missing;
      - the serve scenario's 4-client executor-pool throughput (timing
        rows "serve-serialized-4c" / "serve-concurrent-4c" of the cold
        json) is not at least DEBUGTUNER_SERVE_CONCURRENCY_FLOOR
@@ -31,84 +29,62 @@
        rows are missing. CI derives the floor from nproc: parallel
        speedup needs cores, so a single-core runner only asserts that
        the pool does not collapse throughput;
+     - the VM scenario's fast core is not at least [vm_floor] (5.0)
+       times faster than the reference core (timing rows
+       "vm-reference" / "vm-fast"), or those rows are missing;
      - the shard scenario's 2-process critical path (timing rows
        "shard-1-proc" / "shard-2-proc" of the cold json — the workload
        must include `shard` in its --only list) is not at least
-       DEBUGTUNER_SHARD_FLOOR (default 1.5) times faster than the
-       single-process run, or those rows are missing;
+       [shard_floor] (1.5) times faster than the single-process run,
+       or those rows are missing;
      - the search scenario's Pareto front fails to weakly dominate
        every greedy dy point, or its dominance margin (counter rows
        search/greedy_total, search/greedy_dominated and
        search/margin_ppm of the cold json — the workload must include
-       `search` in its --only list) is below DEBUGTUNER_SEARCH_FLOOR
-       (default 0.0).
+       `search` in its --only list) is below [search_floor] (0.0).
 
    Volatile numbers (absolute seconds, ratios) are printed on lines
    starting with '#', so CI determinism diffs can drop them; the
-   PASS/FAIL verdict lines are stable. No dependencies beyond the
-   stdlib: the JSON is the harness's own flat output, scanned with
-   substring matching rather than a parser. *)
+   PASS/FAIL verdict lines are stable. The files are read with
+   Util.Json; a file that is not JSON is a one-line error (exit 2). *)
 
-let read_file path =
+module J = Util.Json
+
+let tolerance = 0.20
+let warm_floor = 3.0
+let hit_floor = 0.9
+let prefix_floor = 0.5
+let serve_floor = 10.0
+let vm_floor = 5.0
+let shard_floor = 1.5
+let search_floor = 0.0
+
+let read_json path =
   let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
+  let text = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  s
+  match J.parse text with
+  | doc -> doc
+  | exception J.Parse_error msg ->
+      Printf.eprintf "%s: malformed JSON: %s\n" path msg;
+      exit 2
 
-let find_sub text needle from =
-  let nl = String.length needle and tl = String.length text in
-  let rec go i =
-    if i + nl > tl then raise Not_found
-    else if String.sub text i nl = needle then i
-    else go (i + 1)
-  in
-  go from
+(** The [{"name": <string>, <key>: <number>}] rows of [doc]'s array
+    [table]. *)
+let rows doc table key =
+  match J.field table doc with
+  | Some (J.Arr l) ->
+      List.filter_map
+        (fun r ->
+          match (J.field "name" r, J.field key r) with
+          | Some (J.Str name), Some (J.Num v) -> Some (name, v)
+          | _ -> None)
+        l
+  | _ -> []
 
-let is_num_char = function
-  | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-  | _ -> false
-
-let number_after text pos =
-  let n = String.length text in
-  let j = ref pos in
-  while !j < n && (text.[!j] = ' ' || text.[!j] = '\t') do
-    incr j
-  done;
-  let k = ref !j in
-  while !k < n && is_num_char text.[!k] do
-    incr k
-  done;
-  if !k > !j then float_of_string_opt (String.sub text !j (!k - !j)) else None
-
-(** The first ["key": <number>] in [text]. *)
-let scan_float text key =
-  let needle = "\"" ^ key ^ "\":" in
-  match find_sub text needle 0 with
-  | exception Not_found -> None
-  | i -> number_after text (i + String.length needle)
-
-(** Every [{"name": "<name>", "value": <int>}] row of the stats table.
-    The scan starts at the ["stats"] key: the timing rows before it
-    share the [{"name": ] prefix. *)
-let counter_rows text =
-  let rows = ref [] in
-  let pos = ref 0 in
-  (try
-     pos := find_sub text "\"stats\":" 0;
-     while true do
-       let i = find_sub text "{\"name\": \"" !pos in
-       let name_start = i + String.length "{\"name\": \"" in
-       let name_end = String.index_from text name_start '"' in
-       let name = String.sub text name_start (name_end - name_start) in
-       let v = find_sub text "\"value\":" name_end in
-       (match number_after text (v + String.length "\"value\":") with
-       | Some f -> rows := (name, int_of_float f) :: !rows
-       | None -> ());
-       pos := v
-     done
-   with Not_found -> ());
-  List.rev !rows
+(** The counter table ("stats") as integers. *)
+let counter_rows doc =
+  List.map (fun (name, v) -> (name, int_of_float v)) (rows doc "stats" "value")
 
 let has_prefix p s =
   String.length s >= String.length p && String.sub s 0 (String.length p) = p
@@ -135,16 +111,13 @@ let () =
   | _ ->
       prerr_endline "usage: compare.exe BASELINE.json COLD.json WARM.json";
       exit 2);
-  let baseline = read_file Sys.argv.(1)
-  and cold = read_file Sys.argv.(2)
-  and warm = read_file Sys.argv.(3) in
-  let tolerance = env_float "DEBUGTUNER_BENCH_TOLERANCE" 0.20 in
-  let warm_floor = env_float "DEBUGTUNER_WARM_FLOOR" 3.0 in
-  let hit_floor = env_float "DEBUGTUNER_HIT_FLOOR" 0.9 in
-  let total name text =
-    match scan_float text "total_seconds" with
-    | Some s -> s
-    | None ->
+  let baseline = read_json Sys.argv.(1)
+  and cold = read_json Sys.argv.(2)
+  and warm = read_json Sys.argv.(3) in
+  let total name doc =
+    match J.field "total_seconds" doc with
+    | Some (J.Num s) -> s
+    | _ ->
         Printf.eprintf "%s: no total_seconds field\n" name;
         exit 2
   in
@@ -171,9 +144,9 @@ let () =
     (Printf.sprintf "warm run at least %.1fx faster than cold" warm_floor)
     (Printf.sprintf "cold %.3fs, warm %.3fs, speedup %.2fx" cold_s warm_s
        speedup);
-  let rows = counter_rows warm in
-  let hits = sum_store rows ~suffix:"/hits"
-  and misses = sum_store rows ~suffix:"/misses" in
+  let warm_rows = counter_rows warm in
+  let hits = sum_store warm_rows ~suffix:"/hits"
+  and misses = sum_store warm_rows ~suffix:"/misses" in
   let rate =
     if hits + misses = 0 then 0.0
     else float_of_int hits /. float_of_int (hits + misses)
@@ -182,7 +155,6 @@ let () =
     (hits + misses > 0 && rate >= hit_floor)
     (Printf.sprintf "warm store hit rate at least %.0f%%" (hit_floor *. 100.0))
     (Printf.sprintf "hits %d, misses %d, rate %.3f" hits misses rate);
-  let prefix_floor = env_float "DEBUGTUNER_PREFIX_FLOOR" 0.5 in
   let cold_rows = counter_rows cold in
   let counter rows name =
     match List.assoc_opt name rows with Some v -> v | None -> 0
@@ -202,20 +174,15 @@ let () =
        (counter cold_rows "prefix/merged"));
   (* Daemon latency gate: a warm request against the persistent server
      must be far cheaper than the cold one-shot that pays the compile. *)
-  let serve_floor = env_float "DEBUGTUNER_SERVE_FLOOR" 10.0 in
-  let timing_row text name =
-    let needle = Printf.sprintf "{\"name\": %S, \"seconds\":" name in
-    match find_sub text needle 0 with
-    | exception Not_found -> None
-    | i -> number_after text (i + String.length needle)
-  in
+  let timings = rows cold "timings" "seconds" in
+  let timing_row name = List.assoc_opt name timings in
   let serve_what =
     Printf.sprintf "serve warm p50 at least %.0fx faster than cold one-shot"
       serve_floor
   in
   (match
-     ( timing_row cold "serve-cold-one-shot",
-       timing_row cold "serve-warm-p50" )
+     ( timing_row "serve-cold-one-shot",
+       timing_row "serve-warm-p50" )
    with
   | Some c, Some w ->
       let ratio = if w > 0.0 then c /. w else infinity in
@@ -237,8 +204,8 @@ let () =
       conc_floor
   in
   (match
-     ( timing_row cold "serve-serialized-4c",
-       timing_row cold "serve-concurrent-4c" )
+     ( timing_row "serve-serialized-4c",
+       timing_row "serve-concurrent-4c" )
    with
   | Some s, Some c ->
       let ratio = if c > 0.0 then s /. c else infinity in
@@ -253,12 +220,11 @@ let () =
      beat the reference core by a wide margin on the hot-kernel
      scenario (both rows time the same fixed iteration count, so the
      ratio is the per-run speedup). *)
-  let vm_floor = env_float "DEBUGTUNER_VM_FLOOR" 5.0 in
   let vm_what =
     Printf.sprintf "vm fast core at least %.0fx faster than reference"
       vm_floor
   in
-  (match (timing_row cold "vm-reference", timing_row cold "vm-fast") with
+  (match (timing_row "vm-reference", timing_row "vm-fast") with
   | Some r, Some f ->
       let ratio = if f > 0.0 then r /. f else infinity in
       verdict (ratio >= vm_floor) vm_what
@@ -271,17 +237,16 @@ let () =
      see the shard scenario in main.ml) by the floor. This checks the
      property the code controls — balanced slices, no duplicated work —
      independently of how many cores the CI machine has. *)
-  let shard_floor = env_float "DEBUGTUNER_SHARD_FLOOR" 1.5 in
   let shard_what =
     Printf.sprintf
       "2-process shard critical path at least %.1fx faster than 1-process"
       shard_floor
   in
-  (match (timing_row cold "shard-1-proc", timing_row cold "shard-2-proc") with
+  (match (timing_row "shard-1-proc", timing_row "shard-2-proc") with
   | Some t1, Some t2 ->
       let ratio = if t2 > 0.0 then t1 /. t2 else infinity in
       let t4 =
-        match timing_row cold "shard-4-proc" with Some t -> t | None -> 0.0
+        match timing_row "shard-4-proc" with Some t -> t | None -> 0.0
       in
       verdict (ratio >= shard_floor) shard_what
         (Printf.sprintf
@@ -292,14 +257,13 @@ let () =
         "shard timing rows missing from cold json (include `shard` in --only)");
   (* Pareto dominance gate: the searched front at the pinned
      (strategy, budget, seed) must weakly dominate every greedy dy
-     point, with a margin of at least DEBUGTUNER_SEARCH_FLOOR (default
-     0.0 — the greedy points are seeded into the search, so falling
-     below 0 means the search layer *lost* configurations it was
-     handed). The counters come from the search scenario of the cold
-     run: search/greedy_total, search/greedy_dominated, and
+     point, with a margin of at least [search_floor] (the greedy points
+     are seeded into the search, so falling below 0 means the search
+     layer *lost* configurations it was handed). The counters come
+     from the search scenario of the cold run: search/greedy_total,
+     search/greedy_dominated, and
      search/margin_ppm (the margin in parts-per-million, so the counter
      table stays integral). *)
-  let search_floor = env_float "DEBUGTUNER_SEARCH_FLOOR" 0.0 in
   let search_what =
     Printf.sprintf
       "searched front dominates every greedy dy point (margin >= %.4f)"

@@ -363,12 +363,12 @@ let vm_scenario () =
    core count, not the sharding; the critical path gates exactly the
    property this code controls (balanced slices, no duplicated work).
    The three timing rows ("shard-1-proc", "shard-2-proc",
-   "shard-4-proc") feed compare.ml's DEBUGTUNER_SHARD_FLOOR gate
-   (default: 2 processes at least 1.5x faster than 1). Each phase gets
-   its own store directory — under --cache-dir when given (so a warm
-   re-run resumes every phase from disk), else a scratch dir removed at
-   the end — and the merged tables of all three phases must be
-   byte-identical, which the scenario itself asserts. *)
+   "shard-4-proc") feed compare.ml's shard gate (2 processes at least
+   1.5x faster than 1). Each phase gets its own store directory — under
+   --cache-dir when given (so a warm re-run resumes every phase from
+   disk), else a scratch dir removed at the end — and the merged tables
+   of all three phases must be byte-identical, which the scenario
+   itself asserts. *)
 
 let shard_seed = 7
 let shard_corpus = 96
@@ -698,13 +698,15 @@ let print_stats ctx =
   List.iter print_endline (Util.Cliopts.kv_lines (counter_table ctx));
   print_newline ()
 
-(* Hand-rolled JSON: flat structure, only strings / numbers, no
-   dependency. *)
+(* Laid out by hand (flat, one row per line, which ci.sh greps);
+   strings escaped through Util.Json. *)
 let write_json file ctx ~synth ~workers =
   let b = Buffer.create 1024 in
   let timing_fields =
     List.rev_map
-      (fun (name, dt) -> Printf.sprintf "    {\"name\": %S, \"seconds\": %.6f}" name dt)
+      (fun (name, dt) ->
+        Printf.sprintf "    {\"name\": \"%s\", \"seconds\": %.6f}"
+          (Util.Json.escape name) dt)
       !timings
   in
   let stat_fields =

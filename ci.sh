@@ -127,7 +127,7 @@ ci_diff "$scratch/check-prefix-on.out" "$scratch/check-prefix-off.out" \
 
 echo "== daemon smoke (serve + --connect, byte-identical to direct CLI) =="
 # Start a daemon on a scratch socket (plus a TCP listener on an
-# ephemeral port), drive rank/check/profile requests through --connect
+# ephemeral port), drive rank/check/profile/trace requests through --connect
 # clients, and byte-diff rank/check stdout against direct (in-process)
 # CLI runs. profile output is a wall-time table, so only its exit
 # status is asserted. The daemon runs with --no-cache so both paths
@@ -159,6 +159,20 @@ ci_diff "$scratch/check-direct.out" "$scratch/check-daemon.out" \
 ci_diff "$scratch/front-direct.json" "$scratch/front-daemon.json" \
   "debugtuner_cli search --budget 8 --no-cache -o F [--connect SOCK]"
 "$cli" profile -p zlib -O2 --pipeline gcc --connect "$sock" > /dev/null
+# The exported debug trace (paper Section III-C) read back across
+# transports: the daemon's document equals the direct one, and
+# `trace --against` reads it back with no line lost or gained.
+"$cli" trace -p zlib -l O2 -o "$scratch/trace-direct.json" > /dev/null
+"$cli" trace -p zlib -l O2 -o "$scratch/trace-daemon.json" --connect "$sock" > /dev/null
+ci_diff "$scratch/trace-direct.json" "$scratch/trace-daemon.json" \
+  "debugtuner_cli trace -p zlib -l O2 -o F [--connect SOCK]"
+"$cli" trace -p zlib -l O2 --against "$scratch/trace-direct.json" \
+  > "$scratch/trace-against.out"
+grep -qx '  lines lost: \[\]' "$scratch/trace-against.out" \
+  && grep -qx '  lines gained: \[\]' "$scratch/trace-against.out" || {
+  echo "trace smoke: --against did not read the document back unchanged" >&2
+  exit 1
+}
 
 echo "== daemon TCP concurrency leg (4 parallel --connect clients) =="
 # The daemon reported its ephemeral TCP port at startup; four clients
@@ -264,9 +278,8 @@ echo "== benchmark regression gate (table1+ranking+serve+vm+shard+search cold+wa
 # single-process run, and the searched Pareto front must weakly
 # dominate every greedy dy point, and the serve scenario's 4-client
 # concurrent phase must beat the serialized (inline-execution) phase
-# (see bench/compare.ml; bounds tunable via DEBUGTUNER_BENCH_TOLERANCE
-# / _WARM_FLOOR / _HIT_FLOOR / _PREFIX_FLOOR / _VM_FLOOR /
-# _SHARD_FLOOR / _SEARCH_FLOOR / _SERVE_CONCURRENCY_FLOOR).
+# (see bench/compare.ml for the bounds, which are constants there
+# except DEBUGTUNER_SERVE_CONCURRENCY_FLOOR, set below).
 #
 # Parallel speedup needs cores: the executor pool sizes itself to
 # min(4, cores), so on a 4+-core runner we demand a real 2.5x win,

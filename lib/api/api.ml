@@ -247,705 +247,510 @@ end
 (* ------------------------------------------------------------------ *)
 (* JSON codecs                                                         *)
 
-module J = Api_json
+module J = Util.Json
 
 exception Decode_error of string
 
+(** One description per wire type. A value of type ['a Codec.t] is
+    built from the combinators below, and both its encoder and its
+    decoder come from that one description. Decoders look fields up by
+    name, so unknown fields are ignored, and a field of the wrong type
+    reads as missing. *)
 module Codec = struct
+  type 'a t = { enc : 'a -> J.t; dec : J.t -> 'a }
+
   let dfail fmt = Printf.ksprintf (fun s -> raise (Decode_error s)) fmt
 
-  let need name = function
-    | Some v -> v
-    | None -> dfail "missing field %S" name
+  (* A leaf met a value of the wrong type; the field around it reports
+     the field as missing. *)
+  exception Mismatch
 
-  let get j name = need name (J.field name j)
-  let get_str j name = need name (J.str (get j name))
-  let get_int j name = need name (J.int (get j name))
-  let get_num j name = need name (J.num (get j name))
-  let get_bool j name = need name (J.bool (get j name))
-  let get_arr j name = need name (J.arr (get j name))
+  let leaf enc get =
+    { enc; dec = (fun j -> match get j with Some v -> v | None -> raise Mismatch) }
 
-  let opt_str j name =
-    match J.field name j with
-    | None | Some J.Null -> None
-    | Some v -> Some (need name (J.str v))
+  let int = leaf (fun i -> J.Num (float_of_int i)) J.int
+  let float = leaf (fun f -> J.Num f) J.num
+  let string = leaf (fun s -> J.Str s) J.str
+  let bool = leaf (fun b -> J.Bool b) J.bool
 
-  let str_list j name =
-    List.map (fun v -> need name (J.str v)) (get_arr j name)
-
-  let int_list j name =
-    List.map (fun v -> need name (J.int v)) (get_arr j name)
-
-  let check_version j =
-    match J.field "v" j with
-    | Some (J.Num f) when int_of_float f = version -> ()
-    | Some (J.Num f) ->
-        dfail "unsupported api version %d (this build speaks %d)"
-          (int_of_float f) version
-    | _ -> dfail "missing version stamp \"v\""
-
-  (* -- Config.t -- *)
-
-  let config_to_json (c : Config.t) =
-    J.Obj
-      [
-        ("compiler", J.Str (Config.compiler_name c.Config.compiler));
-        ("level", J.Str (Config.level_name c.Config.level));
-        ("disabled", J.Arr (List.map (fun p -> J.Str p) c.Config.disabled));
-      ]
-
-  let compiler_of_string = function
-    | "gcc" -> Config.Gcc
-    | "clang" -> Config.Clang
-    | s -> dfail "unknown compiler %S" s
-
-  let level_of_string = function
-    | "O0" -> Config.O0
-    | "Og" -> Config.Og
-    | "O1" -> Config.O1
-    | "O2" -> Config.O2
-    | "O3" -> Config.O3
-    | s -> dfail "unknown level %S" s
-
-  let config_of_json j =
-    Config.make
-      ~disabled:(str_list j "disabled")
-      (compiler_of_string (get_str j "compiler"))
-      (level_of_string (get_str j "level"))
-
-  (* -- subjects -- *)
-
-  let subject_to_json = function
-    | Request.Named n -> J.Obj [ ("name", J.Str n) ]
-    | Request.Inline { in_name; in_source } ->
-        J.Obj [ ("name", J.Str in_name); ("source", J.Str in_source) ]
-
-  let subject_of_json j =
-    let name = get_str j "name" in
-    match J.field "source" j with
-    | None | Some J.Null -> Request.Named name
-    | Some v ->
-        Request.Inline
-          { in_name = name; in_source = need "source" (J.str v) }
-
-  (* -- views -- *)
-
-  let opt_str_field name = function
-    | None -> (name, J.Null)
-    | Some s -> (name, J.Str s)
-
-  let view_to_json (v : Request.view) =
-    match v with
-    | Request.Summary -> J.Obj [ ("kind", J.Str "summary") ]
-    | Request.Measure -> J.Obj [ ("kind", J.Str "measure") ]
-    | Request.Dump sections ->
-        J.Obj
-          [
-            ("kind", J.Str "dump");
-            ("sections", J.Arr (List.map (fun s -> J.Str s) sections));
-          ]
-    | Request.Verify -> J.Obj [ ("kind", J.Str "verify") ]
-    | Request.Disasm func ->
-        J.Obj [ ("kind", J.Str "disasm"); opt_str_field "func" func ]
-    | Request.Dwarf_size -> J.Obj [ ("kind", J.Str "dwarf-size") ]
-    | Request.Passes -> J.Obj [ ("kind", J.Str "passes") ]
-    | Request.Pass_trace -> J.Obj [ ("kind", J.Str "pass-trace") ]
-    | Request.Trace { t_entry; t_input } ->
-        J.Obj
-          [
-            ("kind", J.Str "trace");
-            opt_str_field "entry" t_entry;
-            ("input", J.Arr (List.map (fun i -> J.Num (float_of_int i)) t_input));
-          ]
-    | Request.Debug { d_entry; d_commands } ->
-        J.Obj
-          [
-            ("kind", J.Str "debug");
-            opt_str_field "entry" d_entry;
-            ("commands", J.Arr (List.map (fun s -> J.Str s) d_commands));
-          ]
-    | Request.Sample { s_entry; s_period } ->
-        J.Obj
-          [
-            ("kind", J.Str "sample");
-            opt_str_field "entry" s_entry;
-            ("period", J.Num (float_of_int s_period));
-          ]
-    | Request.Value_check { v_entry; v_input } ->
-        J.Obj
-          [
-            ("kind", J.Str "value-check");
-            opt_str_field "entry" v_entry;
-            ("input", J.Arr (List.map (fun i -> J.Num (float_of_int i)) v_input));
-          ]
-
-  let view_of_json j : Request.view =
-    match get_str j "kind" with
-    | "summary" -> Request.Summary
-    | "measure" -> Request.Measure
-    | "dump" -> Request.Dump (str_list j "sections")
-    | "verify" -> Request.Verify
-    | "disasm" -> Request.Disasm (opt_str j "func")
-    | "dwarf-size" -> Request.Dwarf_size
-    | "passes" -> Request.Passes
-    | "pass-trace" -> Request.Pass_trace
-    | "trace" ->
-        Request.Trace { t_entry = opt_str j "entry"; t_input = int_list j "input" }
-    | "debug" ->
-        Request.Debug
-          { d_entry = opt_str j "entry"; d_commands = str_list j "commands" }
-    | "sample" ->
-        Request.Sample
-          { s_entry = opt_str j "entry"; s_period = get_int j "period" }
-    | "value-check" ->
-        Request.Value_check
-          { v_entry = opt_str j "entry"; v_input = int_list j "input" }
-    | k -> dfail "unknown view kind %S" k
-
-  (* -- jobs and shard partials -- *)
-
-  let shard_field = function
-    | None -> ("shard", J.Null)
-    | Some (i, n) ->
-        ( "shard",
-          J.Obj
-            [
-              ("index", J.Num (float_of_int i));
-              ("count", J.Num (float_of_int n));
-            ] )
-
-  let shard_of_json j =
-    match J.field "shard" j with
-    | None | Some J.Null -> None
-    | Some s ->
-        let i = get_int s "index" and n = get_int s "count" in
-        if 1 <= i && i <= n then Some (i, n)
-        else dfail "invalid shard %d/%d (need 1 <= index <= count)" i n
-
-  let job_to_json (job : Job.t) =
-    J.Obj
-      [
-        ("tables", J.Arr (List.map (fun s -> J.Str s) job.Job.j_tables));
-        ("seed", J.Num (float_of_int job.Job.j_seed));
-        ("corpus", J.Num (float_of_int job.Job.j_corpus));
-        ("configs", J.Arr (List.map config_to_json job.Job.j_configs));
-        shard_field job.Job.j_shard;
-      ]
-
-  let job_of_json j : Job.t =
+  let list c =
     {
-      Job.j_tables = str_list j "tables";
-      j_seed = get_int j "seed";
-      j_corpus = get_int j "corpus";
-      j_configs = List.map config_of_json (get_arr j "configs");
-      j_shard = shard_of_json j;
+      enc = (fun l -> J.Arr (List.map c.enc l));
+      dec = (function J.Arr l -> List.map c.dec l | _ -> raise Mismatch);
     }
+
+  let conv proj inj c =
+    { enc = (fun x -> c.enc (proj x)); dec = (fun j -> inj (c.dec j)) }
+
+  (** Names written as strings; [what] names the enumeration in errors. *)
+  let enum what name of_name =
+    {
+      enc = (fun x -> J.Str (name x));
+      dec =
+        (fun j ->
+          let s = string.dec j in
+          match of_name s with Some x -> x | None -> dfail "unknown %s %S" what s);
+    }
+
+  let enum_list what name values =
+    enum what name (fun s -> List.find_opt (fun v -> name v = s) values)
+
+  (* -- objects -- *)
+
+  type 'a field = { put : 'a -> (string * J.t) list; get : J.t -> 'a }
+
+  let missing name = dfail "missing field %S" name
+  let read name c v = try c.dec v with Mismatch -> missing name
+
+  let req name c =
+    {
+      put = (fun x -> [ (name, c.enc x) ]);
+      get =
+        (fun j ->
+          match J.field name j with Some v -> read name c v | None -> missing name);
+    }
+
+  (** [None] is written as null, or left out with [~null:false]; null and
+      a missing key both read as [None]. *)
+  let opt ?(null = true) name c =
+    {
+      put =
+        (function
+        | Some x -> [ (name, c.enc x) ]
+        | None -> if null then [ (name, J.Null) ] else []);
+      get =
+        (fun j ->
+          match J.field name j with
+          | None | Some J.Null -> None
+          | Some v -> Some (read name c v));
+    }
+
+  (* Fields are written in order and read in order. *)
+  let ( @+ ) a b =
+    {
+      put = (fun (x, y) -> a.put x @ b.put y);
+      get =
+        (fun j ->
+          let x = a.get j in
+          (x, b.get j));
+    }
+
+  let obj1 f = { enc = (fun x -> J.Obj (f.put x)); dec = f.get }
+  let obj2 a b = obj1 (a @+ b)
+
+  let obj3 a b c =
+    conv (fun (a, b, c) -> (a, (b, c))) (fun (a, (b, c)) -> (a, b, c)) (obj2 a (b @+ c))
+
+  let obj4 a b c d =
+    conv
+      (fun (a, b, c, d) -> (a, (b, (c, d))))
+      (fun (a, (b, (c, d))) -> (a, b, c, d))
+      (obj2 a (b @+ c @+ d))
+
+  let obj5 a b c d e =
+    conv
+      (fun (a, b, c, d, e) -> (a, (b, (c, (d, e)))))
+      (fun (a, (b, (c, (d, e)))) -> (a, b, c, d, e))
+      (obj2 a (b @+ c @+ d @+ e))
+
+  let obj6 a b c d e f =
+    conv
+      (fun (a, b, c, d, e, f) -> (a, (b, (c, (d, (e, f))))))
+      (fun (a, (b, (c, (d, (e, f))))) -> (a, b, c, d, e, f))
+      (obj2 a (b @+ c @+ d @+ e @+ f))
+
+  let obj7 a b c d e f g =
+    conv
+      (fun (a, b, c, d, e, f, g) -> (a, (b, (c, (d, (e, (f, g)))))))
+      (fun (a, (b, (c, (d, (e, (f, g)))))) -> (a, b, c, d, e, f, g))
+      (obj2 a (b @+ c @+ d @+ e @+ f @+ g))
+
+  let obj8 a b c d e f g h =
+    conv
+      (fun (a, b, c, d, e, f, g, h) -> (a, (b, (c, (d, (e, (f, (g, h))))))))
+      (fun (a, (b, (c, (d, (e, (f, (g, h))))))) -> (a, b, c, d, e, f, g, h))
+      (obj2 a (b @+ c @+ d @+ e @+ f @+ g @+ h))
+
+  (* [versioned] and [union] add keys to the objects they wrap. *)
+  let members = function J.Obj fields -> fields | _ -> invalid_arg "Codec.members"
+
+  (** Stamped with ["v"], which is checked before anything else. *)
+  let versioned c =
+    let stamp = "v" in
+    {
+      enc = (fun x -> J.Obj ((stamp, int.enc version) :: members (c.enc x)));
+      dec =
+        (fun j ->
+          (match J.field stamp j with
+          | Some (J.Num f) when f = float_of_int version -> ()
+          | Some (J.Num f) ->
+              dfail "unsupported api version %s (this build speaks %d)"
+                (J.number_to_string f) version
+          | _ -> dfail "missing version stamp %S" stamp);
+          c.dec j);
+    }
+
+  type 'a case = Case : string * 'b t * ('b -> 'a) * ('a -> 'b option) -> 'a case
+
+  let case name c inj proj = Case (name, c, inj, proj)
+
+  let case0 name v =
+    let none = obj1 { put = (fun () -> []); get = ignore } in
+    case name none (fun () -> v) (fun x -> if x = v then Some () else None)
+
+  let kind = req "kind" string
+
+  (** One object per case, tagged with the case's ["kind"]; [what] names
+      the tag in errors. *)
+  let union what cases =
+    {
+      enc =
+        (fun x ->
+          let rec go = function
+            | [] -> invalid_arg "Codec.union"
+            | Case (name, c, _, proj) :: rest -> (
+                match proj x with
+                | Some y -> J.Obj (kind.put name @ members (c.enc y))
+                | None -> go rest)
+          in
+          go cases);
+      dec =
+        (fun j ->
+          let k = kind.get j in
+          match List.find_opt (fun (Case (name, _, _, _)) -> name = k) cases with
+          | Some (Case (_, c, inj, _)) -> inj (c.dec j)
+          | None -> dfail "unknown %s %S" what k);
+    }
+
+  (* -- the wire types -- *)
+
+  let strategy = enum "search strategy" Tuning.strategy_name Tuning.strategy_of_string
+
+  let cache_op =
+    enum_list "cache op"
+      (function Request.Op_stats -> "stats" | Op_clear -> "clear" | Op_gc -> "gc")
+      Request.[ Op_stats; Op_clear; Op_gc ]
+
+  let stats_what =
+    enum_list "stats selector"
+      (function Request.Counters -> "counters" | Suite -> "suite" | Server -> "server")
+      Request.[ Counters; Suite; Server ]
+
+  let config : Config.t t =
+    conv
+      (fun (c : Config.t) -> (c.compiler, c.level, c.disabled))
+      (fun (compiler, level, disabled) -> Config.make ~disabled compiler level)
+      (obj3
+         (req "compiler" (enum_list "compiler" Config.compiler_name [ Gcc; Clang ]))
+         (req "level" (enum_list "level" Config.level_name [ O0; Og; O1; O2; O3 ]))
+         (req "disabled" (list string)))
+
+  (** [config]'s decoder, under the name perfbench/ reads it by. *)
+  let config_of_json = config.dec
+
+  (* A named subject has no "source" key at all. *)
+  let subject : Request.subject t =
+    conv
+      (function
+        | Request.Named n -> (n, None)
+        | Inline { in_name; in_source } -> (in_name, Some in_source))
+      (function
+        | n, None -> Request.Named n
+        | in_name, Some in_source -> Inline { in_name; in_source })
+      (obj2 (req "name" string) (opt ~null:false "source" string))
+
+  let input = req "input" (list int)
+
+  let view : Request.view t =
+    let entry = opt "entry" string in
+    union "view kind"
+      Request.
+        [
+          case0 "summary" Summary;
+          case0 "measure" Measure;
+          case "dump" (obj1 (req "sections" (list string))) (fun s -> Dump s)
+            (function Dump s -> Some s | _ -> None);
+          case0 "verify" Verify;
+          case "disasm" (obj1 (opt "func" string)) (fun f -> Disasm f)
+            (function Disasm f -> Some f | _ -> None);
+          case0 "dwarf-size" Dwarf_size;
+          case0 "passes" Passes;
+          case0 "pass-trace" Pass_trace;
+          case "trace" (obj2 entry input)
+            (fun (t_entry, t_input) -> Trace { t_entry; t_input })
+            (function Trace { t_entry; t_input } -> Some (t_entry, t_input) | _ -> None);
+          case "debug"
+            (obj2 entry (req "commands" (list string)))
+            (fun (d_entry, d_commands) -> Debug { d_entry; d_commands })
+            (function
+              | Debug { d_entry; d_commands } -> Some (d_entry, d_commands) | _ -> None);
+          case "sample"
+            (obj2 entry (req "period" int))
+            (fun (s_entry, s_period) -> Sample { s_entry; s_period })
+            (function
+              | Sample { s_entry; s_period } -> Some (s_entry, s_period) | _ -> None);
+          case "value-check" (obj2 entry input)
+            (fun (v_entry, v_input) -> Value_check { v_entry; v_input })
+            (function
+              | Value_check { v_entry; v_input } -> Some (v_entry, v_input) | _ -> None);
+        ]
+
+  let bench_action : Request.bench_action t =
+    union "bench action"
+      Request.
+        [
+          case0 "cost" Cost;
+          case "exec"
+            (obj2 (req "entry" string) input)
+            (fun (x_entry, x_input) -> Exec { x_entry; x_input })
+            (function Exec { x_entry; x_input } -> Some (x_entry, x_input) | _ -> None);
+        ]
+
+  let shard =
+    conv Fun.id
+      (fun (i, n) ->
+        if 1 <= i && i <= n then (i, n)
+        else dfail "invalid shard %d/%d (need 1 <= index <= count)" i n)
+      (obj2 (req "index" int) (req "count" int))
+
+  let job : Job.t t =
+    conv
+      (fun { Job.j_tables; j_seed; j_corpus; j_configs; j_shard } ->
+        (j_tables, j_seed, j_corpus, j_configs, j_shard))
+      (fun (j_tables, j_seed, j_corpus, j_configs, j_shard) ->
+        { Job.j_tables; j_seed; j_corpus; j_configs; j_shard })
+      (obj5
+         (req "tables" (list string))
+         (req "seed" int) (req "corpus" int)
+         (req "configs" (list config))
+         (opt "shard" shard))
 
   (* Metric fields round-trip exactly: the canonical writer prints
      non-integral floats with %.17g, so a merge of JSON-decoded rows
      renders byte-identically to the single-process run. *)
-  let corpus_row_to_json (r : Experiments.corpus_row) =
-    J.Obj
-      [
-        ("index", J.Num (float_of_int r.Experiments.cr_index));
-        ("program", J.Str r.Experiments.cr_program);
-        ("family", J.Str r.Experiments.cr_family);
-        ("config", J.Str r.Experiments.cr_config);
-        ("avail", J.Num r.Experiments.cr_avail);
-        ("cov", J.Num r.Experiments.cr_cov);
-        ("product", J.Num r.Experiments.cr_product);
-      ]
-
-  let corpus_row_of_json j : Experiments.corpus_row =
-    {
-      Experiments.cr_index = get_int j "index";
-      cr_program = get_str j "program";
-      cr_family = get_str j "family";
-      cr_config = get_str j "config";
-      cr_avail = get_num j "avail";
-      cr_cov = get_num j "cov";
-      cr_product = get_num j "product";
-    }
+  let corpus_row : Experiments.corpus_row t =
+    conv
+      (fun (r : Experiments.corpus_row) ->
+        (r.cr_index, r.cr_program, r.cr_family, r.cr_config, r.cr_avail, r.cr_cov,
+         r.cr_product))
+      (fun (cr_index, cr_program, cr_family, cr_config, cr_avail, cr_cov, cr_product) ->
+        { Experiments.cr_index; cr_program; cr_family; cr_config; cr_avail; cr_cov;
+          cr_product })
+      (obj7 (req "index" int) (req "program" string) (req "family" string)
+         (req "config" string) (req "avail" float) (req "cov" float)
+         (req "product" float))
 
   (* The partial carries its own version stamp: the same document is a
      standalone file in --partial-dir, so it must self-describe like
      any top-level request/response. *)
-  let partial_to_json (p : Partial.t) =
-    J.Obj
-      [
-        ("v", J.Num (float_of_int version));
-        ("shard", J.Num (float_of_int p.Partial.pt_shard));
-        ("shards", J.Num (float_of_int p.Partial.pt_shards));
-        ("seed", J.Num (float_of_int p.Partial.pt_seed));
-        ("corpus", J.Num (float_of_int p.Partial.pt_corpus));
-        ("digest", J.Str p.Partial.pt_digest);
-        ("configs", J.Arr (List.map (fun s -> J.Str s) p.Partial.pt_configs));
-        ("programs", J.Num (float_of_int p.Partial.pt_programs));
-        ("rows", J.Arr (List.map corpus_row_to_json p.Partial.pt_rows));
-      ]
+  let partial : Partial.t t =
+    versioned
+      (conv
+         (fun (p : Partial.t) ->
+           (p.pt_shard, p.pt_shards, p.pt_seed, p.pt_corpus, p.pt_digest, p.pt_configs,
+            p.pt_programs, p.pt_rows))
+         (fun (pt_shard, pt_shards, pt_seed, pt_corpus, pt_digest, pt_configs,
+               pt_programs, pt_rows) ->
+           if not (1 <= pt_shard && pt_shard <= pt_shards) then
+             dfail "invalid partial shard %d/%d (need 1 <= shard <= shards)" pt_shard
+               pt_shards;
+           { Partial.pt_shard; pt_shards; pt_seed; pt_corpus; pt_digest; pt_configs;
+             pt_programs; pt_rows })
+         (obj8 (req "shard" int) (req "shards" int) (req "seed" int) (req "corpus" int)
+            (req "digest" string)
+            (req "configs" (list string))
+            (req "programs" int)
+            (req "rows" (list corpus_row))))
 
-  let partial_of_json j : Partial.t =
-    check_version j;
-    let p =
-      {
-        Partial.pt_shard = get_int j "shard";
-        pt_shards = get_int j "shards";
-        pt_seed = get_int j "seed";
-        pt_corpus = get_int j "corpus";
-        pt_digest = get_str j "digest";
-        pt_configs = str_list j "configs";
-        pt_programs = get_int j "programs";
-        pt_rows = List.map corpus_row_of_json (get_arr j "rows");
-      }
-    in
-    if not (1 <= p.Partial.pt_shard && p.Partial.pt_shard <= p.Partial.pt_shards)
-    then
-      dfail "invalid partial shard %d/%d (need 1 <= shard <= shards)"
-        p.Partial.pt_shard p.Partial.pt_shards;
-    p
+  let request : Request.t t =
+    let subject_f = req "subject" subject and config_f = req "config" config in
+    let sanitize = req "sanitize" bool and seed = req "seed" int in
+    versioned
+      (union "request kind"
+         Request.
+           [
+             case "compile"
+               (obj5 subject_f config_f (opt "profile" string) sanitize (req "view" view))
+               (fun (c_subject, c_config, c_profile, c_sanitize, c_view) ->
+                 Compile { c_subject; c_config; c_profile; c_sanitize; c_view })
+               (function
+                 | Compile { c_subject; c_config; c_profile; c_sanitize; c_view } ->
+                     Some (c_subject, c_config, c_profile, c_sanitize, c_view)
+                 | _ -> None);
+             case "rank"
+               (obj2 config_f (req "k" int))
+               (fun (r_config, r_k) -> Rank { r_config; r_k })
+               (function Rank { r_config; r_k } -> Some (r_config, r_k) | _ -> None);
+             case "tune"
+               (obj2 config_f (req "y" int))
+               (fun (t_config, t_y) -> Tune { t_config; t_y })
+               (function Tune { t_config; t_y } -> Some (t_config, t_y) | _ -> None);
+             case "search"
+               (obj6 config_f (req "strategy" strategy) (req "budget" int) seed
+                  (req "debug_weight" float) (req "speed_weight" float))
+               (fun (se_config, se_strategy, se_budget, se_seed, se_debug_weight,
+                     se_speed_weight) ->
+                 Search
+                   { se_config; se_strategy; se_budget; se_seed; se_debug_weight;
+                     se_speed_weight })
+               (function
+                 | Search
+                     { se_config; se_strategy; se_budget; se_seed; se_debug_weight;
+                       se_speed_weight } ->
+                     Some
+                       (se_config, se_strategy, se_budget, se_seed, se_debug_weight,
+                        se_speed_weight)
+                 | _ -> None);
+             case "check"
+               (obj4 (opt "subject" subject) (req "fuzz" int) seed (req "suite" bool))
+               (fun (k_subject, k_fuzz, k_seed, k_suite) ->
+                 Check { k_subject; k_fuzz; k_seed; k_suite })
+               (function
+                 | Check { k_subject; k_fuzz; k_seed; k_suite } ->
+                     Some (k_subject, k_fuzz, k_seed, k_suite)
+                 | _ -> None);
+             case "profile"
+               (obj5 subject_f config_f sanitize (req "stats" bool) (req "trace" bool))
+               (fun (p_subject, p_config, p_sanitize, p_stats, p_trace) ->
+                 Profile { p_subject; p_config; p_sanitize; p_stats; p_trace })
+               (function
+                 | Profile { p_subject; p_config; p_sanitize; p_stats; p_trace } ->
+                     Some (p_subject, p_config, p_sanitize, p_stats, p_trace)
+                 | _ -> None);
+             case "bench"
+               (obj3 subject_f config_f (req "action" bench_action))
+               (fun (b_subject, b_config, b_action) ->
+                 Bench { b_subject; b_config; b_action })
+               (function
+                 | Bench { b_subject; b_config; b_action } ->
+                     Some (b_subject, b_config, b_action)
+                 | _ -> None);
+             case "cache"
+               (obj2 (req "op" cache_op) (opt "dir" string))
+               (fun (o_action, o_dir) -> Cache_op { o_action; o_dir })
+               (function
+                 | Cache_op { o_action; o_dir } -> Some (o_action, o_dir) | _ -> None);
+             case "stats" (obj1 (req "what" stats_what)) (fun s_what -> Stats { s_what })
+               (function Stats { s_what } -> Some s_what | _ -> None);
+             case "experiments" (obj1 (req "job" job))
+               (fun e_job -> Experiments { e_job })
+               (function Experiments { e_job } -> Some e_job | _ -> None);
+             case "merge"
+               (obj1 (req "partials" (list partial)))
+               (fun m_partials -> Merge { m_partials })
+               (function Merge { m_partials } -> Some m_partials | _ -> None);
+           ])
 
-  (* -- requests -- *)
+  let stats = list (obj2 (req "name" string) (req "value" int))
 
-  let request_to_json (r : Request.t) =
-    let v = ("v", J.Num (float_of_int version)) in
-    match r with
-    | Request.Compile { c_subject; c_config; c_profile; c_sanitize; c_view } ->
-        J.Obj
-          [
-            v;
-            ("kind", J.Str "compile");
-            ("subject", subject_to_json c_subject);
-            ("config", config_to_json c_config);
-            opt_str_field "profile" c_profile;
-            ("sanitize", J.Bool c_sanitize);
-            ("view", view_to_json c_view);
-          ]
-    | Request.Rank { r_config; r_k } ->
-        J.Obj
-          [
-            v;
-            ("kind", J.Str "rank");
-            ("config", config_to_json r_config);
-            ("k", J.Num (float_of_int r_k));
-          ]
-    | Request.Tune { t_config; t_y } ->
-        J.Obj
-          [
-            v;
-            ("kind", J.Str "tune");
-            ("config", config_to_json t_config);
-            ("y", J.Num (float_of_int t_y));
-          ]
-    | Request.Search
-        {
-          se_config;
-          se_strategy;
-          se_budget;
-          se_seed;
-          se_debug_weight;
-          se_speed_weight;
-        } ->
-        J.Obj
-          [
-            v;
-            ("kind", J.Str "search");
-            ("config", config_to_json se_config);
-            ("strategy", J.Str (Tuning.strategy_name se_strategy));
-            ("budget", J.Num (float_of_int se_budget));
-            ("seed", J.Num (float_of_int se_seed));
-            ("debug_weight", J.Num se_debug_weight);
-            ("speed_weight", J.Num se_speed_weight);
-          ]
-    | Request.Check { k_subject; k_fuzz; k_seed; k_suite } ->
-        J.Obj
-          [
-            v;
-            ("kind", J.Str "check");
-            ( "subject",
-              match k_subject with
-              | None -> J.Null
-              | Some s -> subject_to_json s );
-            ("fuzz", J.Num (float_of_int k_fuzz));
-            ("seed", J.Num (float_of_int k_seed));
-            ("suite", J.Bool k_suite);
-          ]
-    | Request.Profile { p_subject; p_config; p_sanitize; p_stats; p_trace } ->
-        J.Obj
-          [
-            v;
-            ("kind", J.Str "profile");
-            ("subject", subject_to_json p_subject);
-            ("config", config_to_json p_config);
-            ("sanitize", J.Bool p_sanitize);
-            ("stats", J.Bool p_stats);
-            ("trace", J.Bool p_trace);
-          ]
-    | Request.Bench { b_subject; b_config; b_action } ->
-        let action =
-          match b_action with
-          | Request.Cost -> J.Obj [ ("kind", J.Str "cost") ]
-          | Request.Exec { x_entry; x_input } ->
-              J.Obj
-                [
-                  ("kind", J.Str "exec");
-                  ("entry", J.Str x_entry);
-                  ( "input",
-                    J.Arr (List.map (fun i -> J.Num (float_of_int i)) x_input)
-                  );
-                ]
-        in
-        J.Obj
-          [
-            v;
-            ("kind", J.Str "bench");
-            ("subject", subject_to_json b_subject);
-            ("config", config_to_json b_config);
-            ("action", action);
-          ]
-    | Request.Cache_op { o_action; o_dir } ->
-        let op =
-          match o_action with
-          | Request.Op_stats -> "stats"
-          | Request.Op_clear -> "clear"
-          | Request.Op_gc -> "gc"
-        in
-        J.Obj
-          [ v; ("kind", J.Str "cache"); ("op", J.Str op); opt_str_field "dir" o_dir ]
-    | Request.Stats { s_what } ->
-        let what =
-          match s_what with
-          | Request.Counters -> "counters"
-          | Request.Suite -> "suite"
-          | Request.Server -> "server"
-        in
-        J.Obj [ v; ("kind", J.Str "stats"); ("what", J.Str what) ]
-    | Request.Experiments { e_job } ->
-        J.Obj [ v; ("kind", J.Str "experiments"); ("job", job_to_json e_job) ]
-    | Request.Merge { m_partials } ->
-        J.Obj
-          [
-            v;
-            ("kind", J.Str "merge");
-            ("partials", J.Arr (List.map partial_to_json m_partials));
-          ]
+  let data : Response.data t =
+    let config = req "config" string in
+    let point name x y = list (obj3 (req name string) (req x float) (req y float)) in
+    union "data kind"
+      Response.
+        [
+          case0 "none" D_none;
+          case "compiled"
+            (obj5 (req "program" string) config (req "instrs" int) (req "funcs" int)
+               (req "text_digest" string))
+            (fun (dc_program, dc_config, dc_instrs, dc_funcs, dc_text_digest) ->
+              D_compiled { dc_program; dc_config; dc_instrs; dc_funcs; dc_text_digest })
+            (function
+              | D_compiled { dc_program; dc_config; dc_instrs; dc_funcs; dc_text_digest }
+                ->
+                  Some (dc_program, dc_config, dc_instrs, dc_funcs, dc_text_digest)
+              | _ -> None);
+          case "ranked"
+            (obj2 config (req "top" (point "pass" "pct" "rank")))
+            (fun (dr_config, dr_top) -> D_ranked { dr_config; dr_top })
+            (function
+              | D_ranked { dr_config; dr_top } -> Some (dr_config, dr_top) | _ -> None);
+          case "tuned"
+            (obj4 config (req "disabled" (list string)) (req "debug" float)
+               (req "speedup" float))
+            (fun (dt_config, dt_disabled, dt_debug, dt_speedup) ->
+              D_tuned { dt_config; dt_disabled; dt_debug; dt_speedup })
+            (function
+              | D_tuned { dt_config; dt_disabled; dt_debug; dt_speedup } ->
+                  Some (dt_config, dt_disabled, dt_debug, dt_speedup)
+              | _ -> None);
+          case "frontier"
+            (obj7 config (req "strategy" string) (req "seed" int) (req "budget" int)
+               (req "evaluated" int) (req "dominated" int)
+               (req "front" (point "name" "debug" "speedup")))
+            (fun (df_config, df_strategy, df_seed, df_budget, df_evaluated, df_dominated,
+                  df_front) ->
+              D_frontier
+                { df_config; df_strategy; df_seed; df_budget; df_evaluated; df_dominated;
+                  df_front })
+            (function
+              | D_frontier
+                  { df_config; df_strategy; df_seed; df_budget; df_evaluated;
+                    df_dominated; df_front } ->
+                  Some
+                    (df_config, df_strategy, df_seed, df_budget, df_evaluated,
+                     df_dominated, df_front)
+              | _ -> None);
+          case "checked"
+            (obj5 (req "programs" int) (req "configs" int) (req "runs" int)
+               (req "skipped" int) (req "failures" int))
+            (fun (dk_programs, dk_configs, dk_runs, dk_skipped, dk_failures) ->
+              D_checked { dk_programs; dk_configs; dk_runs; dk_skipped; dk_failures })
+            (function
+              | D_checked { dk_programs; dk_configs; dk_runs; dk_skipped; dk_failures } ->
+                  Some (dk_programs, dk_configs, dk_runs, dk_skipped, dk_failures)
+              | _ -> None);
+          case "cost" (obj1 (req "cost" int)) (fun c -> D_cost c)
+            (function D_cost c -> Some c | _ -> None);
+          case "counters" (obj1 (req "rows" stats)) (fun rows -> D_counters rows)
+            (function D_counters rows -> Some rows | _ -> None);
+          case "partial" (obj1 (req "partial" partial)) (fun p -> D_partial p)
+            (function D_partial p -> Some p | _ -> None);
+        ]
 
-  let request_of_json j : Request.t =
-    check_version j;
-    match get_str j "kind" with
-    | "compile" ->
-        Request.Compile
-          {
-            c_subject = subject_of_json (get j "subject");
-            c_config = config_of_json (get j "config");
-            c_profile = opt_str j "profile";
-            c_sanitize = get_bool j "sanitize";
-            c_view = view_of_json (get j "view");
-          }
-    | "rank" ->
-        Request.Rank
-          { r_config = config_of_json (get j "config"); r_k = get_int j "k" }
-    | "tune" ->
-        Request.Tune
-          { t_config = config_of_json (get j "config"); t_y = get_int j "y" }
-    | "search" ->
-        let s = get_str j "strategy" in
-        Request.Search
-          {
-            se_config = config_of_json (get j "config");
-            se_strategy =
-              (match Tuning.strategy_of_string s with
-              | Some st -> st
-              | None -> dfail "unknown search strategy %S" s);
-            se_budget = get_int j "budget";
-            se_seed = get_int j "seed";
-            se_debug_weight = get_num j "debug_weight";
-            se_speed_weight = get_num j "speed_weight";
-          }
-    | "check" ->
-        Request.Check
-          {
-            k_subject =
-              (match J.field "subject" j with
-              | None | Some J.Null -> None
-              | Some s -> Some (subject_of_json s));
-            k_fuzz = get_int j "fuzz";
-            k_seed = get_int j "seed";
-            k_suite = get_bool j "suite";
-          }
-    | "profile" ->
-        Request.Profile
-          {
-            p_subject = subject_of_json (get j "subject");
-            p_config = config_of_json (get j "config");
-            p_sanitize = get_bool j "sanitize";
-            p_stats = get_bool j "stats";
-            p_trace = get_bool j "trace";
-          }
-    | "bench" ->
-        let action = get j "action" in
-        Request.Bench
-          {
-            b_subject = subject_of_json (get j "subject");
-            b_config = config_of_json (get j "config");
-            b_action =
-              (match get_str action "kind" with
-              | "cost" -> Request.Cost
-              | "exec" ->
-                  Request.Exec
-                    {
-                      x_entry = get_str action "entry";
-                      x_input = int_list action "input";
-                    }
-              | k -> dfail "unknown bench action %S" k);
-          }
-    | "cache" ->
-        Request.Cache_op
-          {
-            o_action =
-              (match get_str j "op" with
-              | "stats" -> Request.Op_stats
-              | "clear" -> Request.Op_clear
-              | "gc" -> Request.Op_gc
-              | o -> dfail "unknown cache op %S" o);
-            o_dir = opt_str j "dir";
-          }
-    | "stats" ->
-        Request.Stats
-          {
-            s_what =
-              (match get_str j "what" with
-              | "counters" -> Request.Counters
-              | "suite" -> Request.Suite
-              | "server" -> Request.Server
-              | w -> dfail "unknown stats selector %S" w);
-          }
-    | "experiments" ->
-        Request.Experiments { e_job = job_of_json (get j "job") }
-    | "merge" ->
-        Request.Merge
-          { m_partials = List.map partial_of_json (get_arr j "partials") }
-    | k -> dfail "unknown request kind %S" k
-
-  (* -- responses -- *)
-
-  let stats_to_json rows =
-    J.Arr
-      (List.map
-         (fun (n, v) ->
-           J.Obj [ ("name", J.Str n); ("value", J.Num (float_of_int v)) ])
-         rows)
-
-  let stats_of_json j name =
-    List.map
-      (fun row -> (get_str row "name", get_int row "value"))
-      (get_arr j name)
-
-  let data_to_json (d : Response.data) =
-    match d with
-    | Response.D_none -> J.Obj [ ("kind", J.Str "none") ]
-    | Response.D_compiled
-        { dc_program; dc_config; dc_instrs; dc_funcs; dc_text_digest } ->
-        J.Obj
-          [
-            ("kind", J.Str "compiled");
-            ("program", J.Str dc_program);
-            ("config", J.Str dc_config);
-            ("instrs", J.Num (float_of_int dc_instrs));
-            ("funcs", J.Num (float_of_int dc_funcs));
-            ("text_digest", J.Str dc_text_digest);
-          ]
-    | Response.D_ranked { dr_config; dr_top } ->
-        J.Obj
-          [
-            ("kind", J.Str "ranked");
-            ("config", J.Str dr_config);
-            ( "top",
-              J.Arr
-                (List.map
-                   (fun (pass, pct, rank) ->
-                     J.Obj
-                       [
-                         ("pass", J.Str pass);
-                         ("pct", J.Num pct);
-                         ("rank", J.Num rank);
-                       ])
-                   dr_top) );
-          ]
-    | Response.D_tuned { dt_config; dt_disabled; dt_debug; dt_speedup } ->
-        J.Obj
-          [
-            ("kind", J.Str "tuned");
-            ("config", J.Str dt_config);
-            ("disabled", J.Arr (List.map (fun s -> J.Str s) dt_disabled));
-            ("debug", J.Num dt_debug);
-            ("speedup", J.Num dt_speedup);
-          ]
-    | Response.D_frontier
-        {
-          df_config;
-          df_strategy;
-          df_seed;
-          df_budget;
-          df_evaluated;
-          df_dominated;
-          df_front;
-        } ->
-        J.Obj
-          [
-            ("kind", J.Str "frontier");
-            ("config", J.Str df_config);
-            ("strategy", J.Str df_strategy);
-            ("seed", J.Num (float_of_int df_seed));
-            ("budget", J.Num (float_of_int df_budget));
-            ("evaluated", J.Num (float_of_int df_evaluated));
-            ("dominated", J.Num (float_of_int df_dominated));
-            ( "front",
-              J.Arr
-                (List.map
-                   (fun (name, debug, speedup) ->
-                     J.Obj
-                       [
-                         ("name", J.Str name);
-                         ("debug", J.Num debug);
-                         ("speedup", J.Num speedup);
-                       ])
-                   df_front) );
-          ]
-    | Response.D_checked { dk_programs; dk_configs; dk_runs; dk_skipped; dk_failures }
-      ->
-        J.Obj
-          [
-            ("kind", J.Str "checked");
-            ("programs", J.Num (float_of_int dk_programs));
-            ("configs", J.Num (float_of_int dk_configs));
-            ("runs", J.Num (float_of_int dk_runs));
-            ("skipped", J.Num (float_of_int dk_skipped));
-            ("failures", J.Num (float_of_int dk_failures));
-          ]
-    | Response.D_cost c ->
-        J.Obj [ ("kind", J.Str "cost"); ("cost", J.Num (float_of_int c)) ]
-    | Response.D_counters rows ->
-        J.Obj [ ("kind", J.Str "counters"); ("rows", stats_to_json rows) ]
-    | Response.D_partial p ->
-        J.Obj [ ("kind", J.Str "partial"); ("partial", partial_to_json p) ]
-
-  let data_of_json j : Response.data =
-    match get_str j "kind" with
-    | "none" -> Response.D_none
-    | "compiled" ->
-        Response.D_compiled
-          {
-            dc_program = get_str j "program";
-            dc_config = get_str j "config";
-            dc_instrs = get_int j "instrs";
-            dc_funcs = get_int j "funcs";
-            dc_text_digest = get_str j "text_digest";
-          }
-    | "ranked" ->
-        Response.D_ranked
-          {
-            dr_config = get_str j "config";
-            dr_top =
-              List.map
-                (fun row ->
-                  (get_str row "pass", get_num row "pct", get_num row "rank"))
-                (get_arr j "top");
-          }
-    | "tuned" ->
-        Response.D_tuned
-          {
-            dt_config = get_str j "config";
-            dt_disabled = str_list j "disabled";
-            dt_debug = get_num j "debug";
-            dt_speedup = get_num j "speedup";
-          }
-    | "frontier" ->
-        Response.D_frontier
-          {
-            df_config = get_str j "config";
-            df_strategy = get_str j "strategy";
-            df_seed = get_int j "seed";
-            df_budget = get_int j "budget";
-            df_evaluated = get_int j "evaluated";
-            df_dominated = get_int j "dominated";
-            df_front =
-              List.map
-                (fun row ->
-                  ( get_str row "name",
-                    get_num row "debug",
-                    get_num row "speedup" ))
-                (get_arr j "front");
-          }
-    | "checked" ->
-        Response.D_checked
-          {
-            dk_programs = get_int j "programs";
-            dk_configs = get_int j "configs";
-            dk_runs = get_int j "runs";
-            dk_skipped = get_int j "skipped";
-            dk_failures = get_int j "failures";
-          }
-    | "cost" -> Response.D_cost (get_int j "cost")
-    | "counters" -> Response.D_counters (stats_of_json j "rows")
-    | "partial" -> Response.D_partial (partial_of_json (get j "partial"))
-    | k -> dfail "unknown data kind %S" k
-
-  let response_to_json (r : Response.t) =
-    let status =
-      match r.Response.status with
-      | Response.Ok -> J.Str "ok"
-      | Response.Overloaded -> J.Str "overloaded"
-      | Response.Error msg -> J.Obj [ ("error", J.Str msg) ]
-    in
-    J.Obj
-      [
-        ("v", J.Num (float_of_int version));
-        ("status", status);
-        ("exit", J.Num (float_of_int r.Response.exit_code));
-        ("text", J.Str r.Response.text);
-        ( "artifact",
-          match r.Response.artifact with None -> J.Null | Some s -> J.Str s );
-        ("data", data_to_json r.Response.data);
-        ("stats", stats_to_json r.Response.stats);
-      ]
-
-  let response_of_json j : Response.t =
-    check_version j;
-    let status =
-      match get j "status" with
-      | J.Str "ok" -> Response.Ok
-      | J.Str "overloaded" -> Response.Overloaded
-      | J.Obj _ as o -> Response.Error (get_str o "error")
-      | _ -> dfail "bad status"
-    in
+  (* "ok", "overloaded", or {"error": message}. *)
+  let status : Response.status t =
+    let error = obj1 (req "error" string) in
     {
-      Response.status;
-      exit_code = get_int j "exit";
-      text = get_str j "text";
-      artifact =
-        (match J.field "artifact" j with
-        | None | Some J.Null -> None
-        | Some v -> Some (need "artifact" (J.str v)));
-      data = data_of_json (get j "data");
-      stats = stats_of_json j "stats";
+      enc =
+        (function
+        | Response.Ok -> J.Str "ok"
+        | Overloaded -> J.Str "overloaded"
+        | Error msg -> error.enc msg);
+      dec =
+        (function
+        | J.Str "ok" -> Response.Ok
+        | J.Str "overloaded" -> Overloaded
+        | J.Obj _ as j -> Error (error.dec j)
+        | _ -> dfail "bad status");
     }
+
+  let response : Response.t t =
+    versioned
+      (conv
+         (fun (r : Response.t) ->
+           (r.status, r.exit_code, r.text, r.artifact, r.data, r.stats))
+         (fun (status, exit_code, text, artifact, data, stats) ->
+           { Response.status; exit_code; text; artifact; data; stats })
+         (obj6 (req "status" status) (req "exit" int) (req "text" string)
+            (opt "artifact" string) (req "data" data) (req "stats" stats)))
 end
 
-let decode f text =
-  match f (J.parse text) with
+let decode (c : 'a Codec.t) text =
+  match c.dec (J.parse text) with
   | v -> Ok v
   | exception Decode_error msg -> Error msg
   | exception J.Parse_error msg -> Error ("malformed JSON: " ^ msg)
 
-let request_to_json r = J.to_string (Codec.request_to_json r)
-let request_of_json text = decode Codec.request_of_json text
-let response_to_json r = J.to_string (Codec.response_to_json r)
-let response_of_json text = decode Codec.response_of_json text
+let request_to_json r = J.to_string (Codec.request.enc r)
+let request_of_json text = decode Codec.request text
+let response_to_json r = J.to_string (Codec.response.enc r)
+let response_of_json text = decode Codec.response text
 
-let partial_to_json p = J.to_string (Codec.partial_to_json p)
+let partial_to_json p = J.to_string (Codec.partial.enc p)
 (** The canonical shard-partial file format ([--partial-dir]). *)
 
-let partial_of_json text = decode Codec.partial_of_json text
+let partial_of_json text = decode Codec.partial text
 
 (* ------------------------------------------------------------------ *)
 (* Execution context                                                   *)
@@ -1334,7 +1139,7 @@ let run_tune ctx ~config ~y =
 (* -- search -- *)
 
 (** The frontier artifact: a standalone, self-stamped canonical JSON
-    document (every float through {!Api_json}'s [%.17g] writer), so the
+    document (every float through {!Util.Json}'s [%.17g] writer), so the
     CI determinism leg can byte-diff it across runs and [--jobs]
     settings. *)
 let frontier_json ~config (r : Tuning.search_result) =
@@ -1359,7 +1164,7 @@ let frontier_json ~config (r : Tuning.search_result) =
                   J.Obj
                     [
                       ("name", J.Str (Config.name f.Tuning.fp_config));
-                      ("config", Codec.config_to_json f.Tuning.fp_config);
+                      ("config", Codec.config.enc f.Tuning.fp_config);
                       ("debug", J.Num f.Tuning.fp_debug);
                       ("speedup", J.Num f.Tuning.fp_speedup);
                     ])

@@ -1,255 +1,2 @@
-(** A minimal, self-contained JSON reader/writer for the typed API.
-
-    The repository deliberately has no JSON dependency; the wire format
-    of [Api.Request]/[Api.Response] is small and fully under our
-    control, so a ~150-line recursive-descent reader (modeled on the
-    Chrome-trace validator's in [Obs]) plus a canonical writer is all
-    the protocol needs. Strings are treated as byte sequences: every
-    byte below 0x20 is escaped as [\uNNNN] and decoded back to the same
-    byte, bytes >= 0x80 pass through verbatim, so arbitrary OCaml
-    strings round-trip exactly (the codec QCheck tests rely on it). *)
-
-type t =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of t list
-  | Obj of (string * t) list
-
-exception Parse_error of string
-
-(* ------------------------------------------------------------------ *)
-(* Writer (canonical: no whitespace, fields in construction order)     *)
-
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let number_to_string f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
-
-let rec to_buffer b = function
-  | Null -> Buffer.add_string b "null"
-  | Bool v -> Buffer.add_string b (if v then "true" else "false")
-  | Num f -> Buffer.add_string b (number_to_string f)
-  | Str s ->
-      Buffer.add_char b '"';
-      Buffer.add_string b (escape s);
-      Buffer.add_char b '"'
-  | Arr items ->
-      Buffer.add_char b '[';
-      List.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_char b ',';
-          to_buffer b v)
-        items;
-      Buffer.add_char b ']'
-  | Obj fields ->
-      Buffer.add_char b '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '"';
-          Buffer.add_string b (escape k);
-          Buffer.add_string b "\":";
-          to_buffer b v)
-        fields;
-      Buffer.add_char b '}'
-
-let to_string v =
-  let b = Buffer.create 256 in
-  to_buffer b v;
-  Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
-(* Reader                                                              *)
-
-let parse (text : string) : t =
-  let n = String.length text in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some text.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg =
-    raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos))
-  in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word v =
-    if
-      !pos + String.length word <= n
-      && String.sub text !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else fail ("expected " ^ word)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      let c = text.[!pos] in
-      advance ();
-      match c with
-      | '"' -> Buffer.contents b
-      | '\\' -> (
-          if !pos >= n then fail "unterminated escape";
-          let e = text.[!pos] in
-          advance ();
-          match e with
-          | '"' | '\\' | '/' ->
-              Buffer.add_char b e;
-              go ()
-          | 'n' ->
-              Buffer.add_char b '\n';
-              go ()
-          | 't' ->
-              Buffer.add_char b '\t';
-              go ()
-          | 'r' ->
-              Buffer.add_char b '\r';
-              go ()
-          | 'b' ->
-              Buffer.add_char b '\b';
-              go ()
-          | 'f' ->
-              Buffer.add_char b '\012';
-              go ()
-          | 'u' ->
-              if !pos + 4 > n then fail "truncated \\u escape";
-              let hex = String.sub text !pos 4 in
-              pos := !pos + 4;
-              let code =
-                try int_of_string ("0x" ^ hex)
-                with _ -> fail "bad \\u escape"
-              in
-              Buffer.add_char b (if code < 256 then Char.chr code else '?');
-              go ()
-          | _ -> fail "unknown escape")
-      | c ->
-          Buffer.add_char b c;
-          go ()
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char c =
-      (c >= '0' && c <= '9')
-      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while (match peek () with Some c when num_char c -> true | _ -> false) do
-      advance ()
-    done;
-    if !pos = start then fail "expected a number";
-    match float_of_string_opt (String.sub text start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "malformed number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((k, v) :: acc)
-            | _ -> fail "expected ',' or '}'"
-          in
-          Obj (members [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elems (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected ',' or ']'"
-          in
-          Arr (elems [])
-        end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let parse_result text =
-  match parse text with
-  | v -> Ok v
-  | exception Parse_error msg -> Error msg
-
-(* ------------------------------------------------------------------ *)
-(* Accessors (decoding tolerates unknown fields by construction:
-   [field] looks keys up by name and ignores everything else)          *)
-
-let field name = function
-  | Obj fields -> List.assoc_opt name fields
-  | _ -> None
-
-let str = function Str s -> Some s | _ -> None
-let num = function Num f -> Some f | _ -> None
-let int = function Num f -> Some (int_of_float f) | _ -> None
-let bool = function Bool b -> Some b | _ -> None
-let arr = function Arr l -> Some l | _ -> None
+(* An alias of Util.Json: perfbench/ names it and changes only with the benchmark. *)
+include Util.Json

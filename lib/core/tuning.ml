@@ -576,8 +576,8 @@ let search ?engine (prepared_suite : Evaluation.prepared list)
     covers [points]: for each point, the best over front entries of
     [min (df - dp, sf - sp)]; the minimum of those over all points.
     Non-negative iff every point is weakly dominated by some front
-    entry. The bench gate records this (scaled to ppm) against
-    DEBUGTUNER_SEARCH_FLOOR. *)
+    entry. The bench gate records this (scaled to ppm) against its
+    search floor. *)
 let weak_dominance_margin (front : frontier_point list)
     (points : (float * float) list) =
   List.fold_left

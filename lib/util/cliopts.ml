@@ -348,23 +348,8 @@ let kv_lines (rows : (string * int) list) : string list =
   in
   List.map (fun (n, v) -> Printf.sprintf "%-*s %d" w n v) rows
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let kv_json_rows (rows : (string * int) list) : string list =
   List.map
     (fun (n, v) ->
-      Printf.sprintf "{\"name\": \"%s\", \"value\": %d}" (json_escape n) v)
+      Printf.sprintf "{\"name\": \"%s\", \"value\": %d}" (Json.escape n) v)
     rows

@@ -347,6 +347,10 @@ let test_version_missing () =
   | Ok _ -> Alcotest.fail "missing version stamp accepted (response)"
 
 let test_malformed_json () =
+  let rank_k k =
+    {|{"v":1,"kind":"rank","config":{"compiler":"gcc","level":"O2","disabled":[]},|}
+    ^ {|"k":|} ^ k ^ "}"
+  in
   List.iter
     (fun text ->
       match Api.request_of_json text with
@@ -355,6 +359,10 @@ let test_malformed_json () =
     [
       ""; "{"; "nope"; "{\"v\":1}"; "{\"v\":1,\"kind\":\"wat\"}";
       "{\"v\":1,\"kind\":\"rank\"}"; "[1,2,3]"; "{\"v\":1} trailing";
+      (* numbers that are not exact ints: a version, a count *)
+      {|{"v":1.5,"kind":"stats","what":"suite"}|};
+      rank_k "2.7";
+      rank_k "1e300";
     ]
 
 let qcheck_json_string_roundtrip =
@@ -854,6 +862,22 @@ let test_decode_errors () =
         ("decoding " ^ text) (Error msg) (decode text))
     decode_errors
 
+(* Decode rules beyond the canonical bytes: the strategy alias, and a
+   missing optional key or a null "source" reading as absent. *)
+let test_decode_rules () =
+  let cfg = {|"config":{"compiler":"gcc","level":"O2","disabled":[]}|} in
+  let decodes_to want text =
+    checkb ("decoding " ^ text) true (Api.request_of_json text = Ok want)
+  in
+  decodes_to
+    (search Api.Tuning.Hill_climb 12 1 1.0 1.0)
+    ({|{"v":1,"kind":"search",|} ^ cfg
+    ^ {|,"strategy":"hillclimb","budget":12,"seed":1,"debug_weight":1,|}
+    ^ {|"speed_weight":1}|});
+  decodes_to (compile R.Summary)
+    ({|{"v":1,"kind":"compile","subject":{"name":"zlib","source":null},|} ^ cfg
+    ^ {|,"sanitize":false,"view":{"kind":"summary"}}|})
+
 (* ------------------------------------------------------------------ *)
 (* Framing torture                                                     *)
 
@@ -1236,6 +1260,23 @@ let test_daemon_protocol_error () =
   (match Api.response_of_json (Framing.read_frame fd) with
   | Ok resp -> checkb "session survives" true (resp.Resp.status = Resp.Ok)
   | Error msg -> Alcotest.fail ("bad follow-up response: " ^ msg));
+  (* Hostile nesting is refused at the reader's depth limit. *)
+  Framing.write_frame fd (String.make (1024 * 1024) '[');
+  (match Api.response_of_json (Framing.read_frame fd) with
+  | Ok { Resp.status = Resp.Error msg; _ } ->
+      let limit = Printf.sprintf "nesting deeper than %d" Util.Json.max_depth in
+      let n = String.length limit in
+      let rec has i =
+        i + n <= String.length msg && (String.sub msg i n = limit || has (i + 1))
+      in
+      checkb ("error names the depth limit: " ^ msg) true (has 0)
+  | Ok _ -> Alcotest.fail "deeply nested frame accepted"
+  | Error msg -> Alcotest.fail ("bad error response: " ^ msg));
+  Framing.write_frame fd
+    (Api.request_to_json (R.Stats { s_what = R.Suite }));
+  (match Api.response_of_json (Framing.read_frame fd) with
+  | Ok resp -> checkb "session survives nesting" true (resp.Resp.status = Resp.Ok)
+  | Error msg -> Alcotest.fail ("bad follow-up response: " ^ msg));
   Unix.close fd;
   Api_server.stop server;
   Thread.join accept_thread
@@ -1256,6 +1297,7 @@ let tests =
       test_partial_invalid_shard;
     Alcotest.test_case "golden wire bytes" `Quick test_golden_wire;
     Alcotest.test_case "single-defect decode errors" `Quick test_decode_errors;
+    Alcotest.test_case "decode rules" `Quick test_decode_rules;
     Alcotest.test_case "framing round-trip" `Quick test_framing_roundtrip;
     Alcotest.test_case "framing partial reads" `Quick test_framing_partial_reads;
     Alcotest.test_case "framing oversized prefix" `Quick

@@ -35,8 +35,8 @@ let test_canonical_output () =
     (Trace_json.to_string (Trace_json.of_string (Trace_json.to_string t)))
 
 let test_escape () =
-  Alcotest.(check string) "quotes escaped" "a\\\"b" (Trace_json.escape "a\"b");
-  Alcotest.(check string) "backslash escaped" "a\\\\b" (Trace_json.escape "a\\b")
+  Alcotest.(check string) "quotes escaped" "a\\\"b" (Util.Json.escape "a\"b");
+  Alcotest.(check string) "backslash escaped" "a\\\\b" (Util.Json.escape "a\\b")
 
 let test_parse_errors () =
   List.iter
@@ -45,6 +45,16 @@ let test_parse_errors () =
       | exception Trace_json.Parse_error _ -> ()
       | _ -> Alcotest.fail ("should reject: " ^ s))
     [ "{"; "[1,2"; "{\"wrong\": 1}"; "{\"steppable\": [1,]}" ]
+
+let test_any_key_order () =
+  let t = make_trace (C.make C.Gcc C.O2) in
+  let reordered =
+    match Util.Json.parse (Trace_json.to_string t) with
+    | Util.Json.Obj fields -> Util.Json.to_string (Util.Json.Obj (List.rev fields))
+    | _ -> Alcotest.fail "not an object"
+  in
+  Alcotest.(check bool) "reordered keys read back" true
+    (trace_equal t (Trace_json.of_string reordered))
 
 let test_compare_traces () =
   let o0 = make_trace (C.make C.Gcc C.O0) in
@@ -96,6 +106,7 @@ let tests =
     Alcotest.test_case "canonical output" `Quick test_canonical_output;
     Alcotest.test_case "string escaping" `Quick test_escape;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    Alcotest.test_case "any key order" `Quick test_any_key_order;
     Alcotest.test_case "compare traces" `Quick test_compare_traces;
     Alcotest.test_case "zlib-O2 document pinned" `Quick test_artifact_pinned;
     QCheck_alcotest.to_alcotest qcheck_roundtrip_random_programs;

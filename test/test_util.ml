@@ -1,5 +1,5 @@
 (** Tests for the util library: PRNG determinism and distribution
-    sanity, statistics helpers, table rendering. *)
+    sanity, statistics helpers, table rendering, the JSON reader. *)
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -136,6 +136,34 @@ let test_scatter () =
   Alcotest.(check bool) "collision keeps the later marker" true
     (not (String.contains out2 'p') && String.contains out2 'q')
 
+let test_json_depth_bounded () =
+  let nested d = String.make d '[' ^ String.make d ']' in
+  let limit = Util.Json.max_depth in
+  (match Util.Json.parse (nested limit) with
+  | _ -> ()
+  | exception Util.Json.Parse_error msg ->
+      Alcotest.fail ("depth = limit rejected: " ^ msg));
+  (match Util.Json.parse (nested (limit + 1)) with
+  | _ -> Alcotest.fail "depth = limit + 1 accepted"
+  | exception Util.Json.Parse_error msg ->
+      Alcotest.(check string) "names the limit"
+        (Printf.sprintf "nesting deeper than %d at offset %d" limit limit) msg);
+  (* a 16 MiB frame of '[' fails at the limit, without reading on *)
+  let t0 = Unix.gettimeofday () in
+  (match Util.Json.parse (String.make (16 * 1024 * 1024) '[') with
+  | _ -> Alcotest.fail "16 MiB of '[' accepted"
+  | exception Util.Json.Parse_error _ -> ());
+  Alcotest.(check bool) "rejected in well under a second" true
+    (Unix.gettimeofday () -. t0 < 0.5)
+
+let test_json_exact_ints () =
+  let int_of text = Util.Json.int (Util.Json.parse text) in
+  Alcotest.(check (option int)) "integral" (Some (-42)) (int_of "-42");
+  Alcotest.(check (option int)) "integral exponent" (Some 3000) (int_of "3e3");
+  Alcotest.(check (option int)) "fraction" None (int_of "2.7");
+  Alcotest.(check (option int)) "out of range" None (int_of "1e300");
+  Alcotest.(check (option int)) "not a number" None (int_of "\"2\"")
+
 let tests =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -151,6 +179,8 @@ let tests =
     Alcotest.test_case "tablefmt render" `Quick test_tablefmt_render;
     Alcotest.test_case "tablefmt formats" `Quick test_tablefmt_formats;
     Alcotest.test_case "tablefmt scatter" `Quick test_scatter;
+    Alcotest.test_case "json nesting depth bounded" `Quick test_json_depth_bounded;
+    Alcotest.test_case "json ints are exact" `Quick test_json_exact_ints;
     QCheck_alcotest.to_alcotest qcheck_rng_bounds;
     QCheck_alcotest.to_alcotest qcheck_geomean_bounds;
   ]
