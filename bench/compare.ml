@@ -22,13 +22,6 @@
        (timing rows "serve-cold-one-shot" and "serve-warm-p50" of the
        cold json — the workload must include `serve` in its --only
        list), or those rows are missing;
-     - the serve scenario's 4-client executor-pool throughput (timing
-       rows "serve-serialized-4c" / "serve-concurrent-4c" of the cold
-       json) is not at least DEBUGTUNER_SERVE_CONCURRENCY_FLOOR
-       (default 2.5) times the serialized inline server's, or those
-       rows are missing. CI derives the floor from nproc: parallel
-       speedup needs cores, so a single-core runner only asserts that
-       the pool does not collapse throughput;
      - the VM scenario's fast core is not at least [vm_floor] (5.0)
        times faster than the reference core (timing rows
        "vm-reference" / "vm-fast"), or those rows are missing;
@@ -99,11 +92,6 @@ let sum_store rows ~suffix =
       if has_prefix "store/" name && has_suffix suffix name then acc + v
       else acc)
     0 rows
-
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s -> ( match float_of_string_opt s with Some f -> f | None -> default)
-  | None -> default
 
 let () =
   (match Sys.argv with
@@ -192,30 +180,6 @@ let () =
   | _ ->
       verdict false serve_what
         "serve timing rows missing from cold json (include `serve` in --only)");
-  (* Daemon concurrency gate: the executor pool must beat the
-     serialized (inline, executors=0) server on the 4-client
-     compile-heavy workload. Genuine parallel speedup needs cores — CI
-     sets the floor from nproc (>= 2.5x with 4+ cores; a single-core
-     runner can only assert the pool does not collapse throughput). *)
-  let conc_floor = env_float "DEBUGTUNER_SERVE_CONCURRENCY_FLOOR" 2.5 in
-  let conc_what =
-    Printf.sprintf
-      "serve executor pool at least %.2fx serialized throughput at 4 clients"
-      conc_floor
-  in
-  (match
-     ( timing_row "serve-serialized-4c",
-       timing_row "serve-concurrent-4c" )
-   with
-  | Some s, Some c ->
-      let ratio = if c > 0.0 then s /. c else infinity in
-      verdict (ratio >= conc_floor) conc_what
-        (Printf.sprintf "serialized %.3fs, concurrent %.3fs, speedup %.2fx" s c
-           ratio)
-  | _ ->
-      verdict false conc_what
-        "serve concurrency timing rows missing from cold json (include \
-         `serve` in --only)");
   (* VM core gate: the pre-decoded direct-threaded interpreter must
      beat the reference core by a wide margin on the hot-kernel
      scenario (both rows time the same fixed iteration count, so the

@@ -140,88 +140,6 @@ let serve_scenario () =
     cold_dt (p50 *. 1000.0) (p99 *. 1000.0)
     (if wall > 0.0 then float_of_int total /. wall else 0.0)
     total;
-  (* Concurrency phase: the identical compile-heavy workload pushed
-     through a serialized server (executors = 0: requests execute
-     inline on session threads, which all share the main domain's
-     runtime lock — the pre-pool behavior) and through the executor
-     pool (min 4 (recommended_domain_count): never more domains than
-     cores, where extra domains only add GC synchronization). Each
-     phase gets a fresh context, so both pay the same cold tier-1
-     compiles; every (client, round, slot) carries a distinct
-     disable-set, so every request is a real compile, never a cache
-     hit, and no two concurrent requests contend on one key. The rows
-     "serve-serialized-4c"/"serve-concurrent-4c" feed compare.ml's
-     DEBUGTUNER_SERVE_CONCURRENCY_FLOOR gate (serialized wall over
-     concurrent wall — genuine parallel speedup needs cores; single-core
-     runners can only assert the pool does not collapse throughput). *)
-  let conc_rounds = 4 and conc_slots = 4 in
-  let base_cfg =
-    Debugtuner.Config.make Debugtuner.Config.Gcc Debugtuner.Config.O2
-  in
-  let pool = Array.of_list (Debugtuner.Toolchain.pass_names base_cfg) in
-  let npool = Array.length pool in
-  let config_for i r s =
-    let k = ((i * conc_rounds) + r) * conc_slots + s in
-    let a = k mod npool in
-    let b = ((k / npool) + k + 1) mod npool in
-    let b = if b = a then (b + 1) mod npool else b in
-    {
-      base_cfg with
-      Debugtuner.Config.disabled = List.sort_uniq compare [ pool.(a); pool.(b) ];
-    }
-  in
-  let conc_requests i =
-    List.concat
-      (List.init conc_rounds (fun r ->
-           List.init conc_slots (fun s ->
-               Api.Request.Compile
-                 {
-                   c_subject = Api.Request.Named "zlib";
-                   c_config = config_for i r s;
-                   c_profile = None;
-                   c_sanitize = false;
-                   c_view = Api.Request.Summary;
-                 })))
-  in
-  let run_phase ~executors =
-    let sock = Printf.sprintf "%s.x%d" socket executors in
-    let pctx = Api.create_ctx () in
-    let pserver =
-      Api_server.create ~queue_limit:32 ~executors ~socket:sock pctx
-    in
-    let paccept = Api_server.start pserver in
-    let ok = Array.make n_clients 0 in
-    let t0 = Unix.gettimeofday () in
-    let client i () =
-      let c = Api_client.connect sock in
-      List.iter
-        (fun req ->
-          match Api_client.rpc c req with
-          | Ok r when r.Api.Response.status = Api.Response.Ok ->
-              ok.(i) <- ok.(i) + 1
-          | _ -> ())
-        (conc_requests i);
-      Api_client.close c
-    in
-    let threads = List.init n_clients (fun i -> Thread.create (client i) ()) in
-    List.iter Thread.join threads;
-    let wall = Unix.gettimeofday () -. t0 in
-    Api_server.stop pserver;
-    Thread.join paccept;
-    (wall, Array.fold_left ( + ) 0 ok)
-  in
-  let ser_wall, ser_ok = run_phase ~executors:0 in
-  let conc_wall, conc_ok =
-    run_phase ~executors:(min 4 (Domain.recommended_domain_count ()))
-  in
-  timings := ("serve-serialized-4c", ser_wall) :: !timings;
-  timings := ("serve-concurrent-4c", conc_wall) :: !timings;
-  let conc_total = n_clients * conc_rounds * conc_slots in
-  Printf.printf
-    "[serve-concurrency: serialized %.2fs, 4-client concurrent %.2fs, speedup %.2fx over %d compiles]\n\n%!"
-    ser_wall conc_wall
-    (if conc_wall > 0.0 then ser_wall /. conc_wall else 0.0)
-    conc_total;
   [
     Util.Tablefmt.make
       ~title:"Service mode: daemon under concurrent load (zlib, gcc-O2)"
@@ -233,18 +151,6 @@ let serve_scenario () =
           string_of_int n_clients;
           string_of_int total;
           string_of_int warm_ok;
-        ];
-        [
-          "serialized compiles";
-          string_of_int n_clients;
-          string_of_int conc_total;
-          string_of_int ser_ok;
-        ];
-        [
-          "concurrent compiles";
-          string_of_int n_clients;
-          string_of_int conc_total;
-          string_of_int conc_ok;
         ];
       ];
   ]

@@ -1140,15 +1140,14 @@ let serve_cmd =
           ~doc:Util.Cliopts.socket.Util.Cliopts.o_doc)
   in
   let jobs_arg = cliopt_int Util.Cliopts.jobs 1 in
-  let run socket listen executors queue_limit jobs cache_dir no_cache =
-    if executors < 0 then die "--executors must be >= 0";
+  let run socket listen queue_limit jobs cache_dir no_cache =
     let store =
       if no_cache then None
       else Some (Debugtuner.Measure_engine.open_store ?dir:cache_dir ())
     in
     let ctx = Api.create_ctx ~workers:jobs ?store () in
     let server =
-      try Api_server.create ~queue_limit ~executors ?listen ~socket ctx with
+      try Api_server.create ~queue_limit ?listen ~socket ctx with
       | Unix.Unix_error (err, _, _) ->
           die "cannot listen on %s: %s" socket (Unix.error_message err)
       | Invalid_argument msg -> die "%s" msg
@@ -1160,11 +1159,9 @@ let serve_cmd =
     Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
      with Invalid_argument _ -> ());
-    Printf.printf "debugtuner: serving on %s (queue limit %d, %d worker%s, %d executor%s)\n%!"
+    Printf.printf "debugtuner: serving on %s (queue limit %d, %d worker%s)\n%!"
       socket queue_limit jobs
-      (if jobs = 1 then "" else "s")
-      executors
-      (if executors = 1 then "" else "s");
+      (if jobs = 1 then "" else "s");
     (match Api_server.listen_addr server with
     | None -> ()
     | Some (host, port) ->
@@ -1180,15 +1177,13 @@ let serve_cmd =
          "Run the persistent service daemon: length-prefixed JSON \
           requests over a Unix-domain socket (plus TCP with --listen), \
           every cache shared process-wide across all clients, requests \
-          from different clients executing concurrently on an executor \
-          domain pool (--executors). Drive it with --connect on any \
-          subcommand. Bounded admission: beyond --queue-limit \
-          concurrent requests, clients get an immediate 'overloaded' \
-          response.")
+          executing one at a time (--jobs sizes each request's engine \
+          worker pool). Drive it with --connect on any subcommand. \
+          Bounded admission: beyond --queue-limit concurrent requests, \
+          clients get an immediate 'overloaded' response.")
     Term.(
       const run $ socket_arg
       $ cliopt_file Util.Cliopts.listen
-      $ cliopt_int Util.Cliopts.executors Api_server.default_executors
       $ cliopt_int Util.Cliopts.queue_limit 8
       $ jobs_arg
       $ cliopt_file Util.Cliopts.cache_dir

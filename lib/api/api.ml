@@ -756,33 +756,29 @@ let partial_of_json text = decode Codec.partial text
 (* Execution context                                                   *)
 
 (** One context per process: the shared measurement engine, the
-    optional persistent store behind it, and the prepared-subject cache.
+    optional persistent store behind it, and the prepared-subject memo.
     The daemon keeps a single context alive across every client, so the
     millionth request hits warm memo tables; the CLI builds one per
-    invocation.
+    invocation. Prepared subjects go through the same persisted
+    ["prepare"] memo as {!Experiments}, so a daemon restarted over its
+    store reads them back instead of fuzzing again.
 
-    {!execute} is safe to call from many threads (or executor domains)
-    at once on a shared context: the engine's memo tables and the disk
-    store are domain-safe by construction, per-request counters come
-    from request-scoped sinks (see {!Measure_engine.with_request_sink})
-    whose bump path takes no lock, and the two remaining serialization
-    points are narrow — [prepared_mu] guards the prepared-subject cache, and a
-    global mutex serializes [profile] requests (the [Obs] session is
-    process-wide). *)
+    The daemon executes one request at a time, but {!execute} stays safe
+    to call from many threads or domains at once on a shared context:
+    the engine's memo tables and the disk store are domain-safe by
+    construction, per-request counters come from request-scoped sinks
+    (see {!Measure_engine.with_request_sink}) whose bump path takes no
+    lock, and a global mutex serializes [profile] requests (the [Obs]
+    session is process-wide). *)
 type ctx = {
   engine : Measure_engine.t;
   store : Engine.Disk_store.t option;
-  prepared : (string, Evaluation.prepared) Hashtbl.t;
-  prepared_mu : Mutex.t;
+  prepared : Evaluation.prepared Engine.Memo.t;
 }
 
 let create_ctx ?(workers = 1) ?store () =
-  {
-    engine = Measure_engine.create ~workers ?store ();
-    store;
-    prepared = Hashtbl.create 16;
-    prepared_mu = Mutex.create ();
-  }
+  let engine = Measure_engine.create ~workers ?store () in
+  { engine; store; prepared = Measure_engine.memo engine ~name:"prepare" () }
 
 (** Server-introspection hook: [Api_server] installs its live counters
     here so a [Stats Server] request can be answered without a
@@ -823,33 +819,10 @@ let subject_program (s : Request.subject) : Suite_types.sprogram =
               if name = "selfcomp" then Selfcomp.program
               else failwith ("unknown program " ^ name)))
 
-(** Prepared subjects are expensive (fuzzing-derived corpora); cache
-    them per context so warm daemon requests skip preparation. The
-    preparation runs outside the mutex — concurrent requests preparing
-    *different* subjects proceed in parallel; a race on the same subject
-    computes twice (deterministically, so both agree) and the first
-    insert wins, preserving physical sharing for every later reader. *)
-let prepared_of ctx (p : Suite_types.sprogram) =
-  let key = Evaluation.prepare_key p in
-  let lookup () =
-    Mutex.lock ctx.prepared_mu;
-    let r = Hashtbl.find_opt ctx.prepared key in
-    Mutex.unlock ctx.prepared_mu;
-    r
-  in
-  match lookup () with
-  | Some pr -> pr
-  | None -> (
-      let pr = Evaluation.prepare p in
-      Mutex.lock ctx.prepared_mu;
-      match Hashtbl.find_opt ctx.prepared key with
-      | Some winner ->
-          Mutex.unlock ctx.prepared_mu;
-          winner
-      | None ->
-          Hashtbl.replace ctx.prepared key pr;
-          Mutex.unlock ctx.prepared_mu;
-          pr)
+(** Prepared subjects are expensive (fuzzing-derived corpora): memoize
+    them per context, and on disk when the context has a store, so warm
+    and restarted daemons skip preparation. *)
+let prepared_of ctx p = Experiments.prepare_via ctx.prepared p
 
 let prepared_suite ctx = List.map (prepared_of ctx) Programs.all
 

@@ -9,60 +9,29 @@
     listener; one lightweight thread per connection (a session, with
     its own id).
 
-    Execution: admitted requests are pushed onto a bounded job queue
-    drained by a pool of executor {e domains} ([~executors], default
-    {!default_executors}) — systhreads share one runtime lock, so
-    genuine concurrency needs domains. {!Api.execute} is safe to run
-    concurrently on the shared context (per-request counter sinks,
-    domain-safe caches; see {!Api.ctx}), and the engine's own Domain
-    pool declines to nest spawning from a worker domain, so an executor
-    runs its request's internal work sequentially while other executors
-    make progress. With [~executors:0] requests execute inline on their
-    session thread (serialized by the runtime lock — the pre-pool
-    behavior).
+    Execution: admitted requests run one at a time, under [exec_mu], on
+    their session threads, which all live on the main domain. There is
+    no executor domain pool, for two reasons. Every domain joins every
+    stop-the-world minor collection, so in a process whose heap the warm
+    memo tables have grown, extra domains cost more than they bring.
+    And {!Engine.Pool.map} fans out only from the main domain, so a
+    request executing here can spread its own sweeps over the engine's
+    workers ([serve --jobs N]). Requests waiting for [exec_mu] are not
+    served in any promised order.
 
-    Admission is bounded regardless of executor count: at most
-    [queue_limit] requests may be admitted (executing or queued) at
-    once; beyond that a client gets an immediate [Overloaded] response
-    — backpressure, never a hang. *)
-
-(* A one-shot synchronization cell: the session thread parks on [read]
-   until the executor [fill]s the response. *)
-module Ivar = struct
-  type 'a t = { mu : Mutex.t; cv : Condition.t; mutable v : 'a option }
-
-  let create () = { mu = Mutex.create (); cv = Condition.create (); v = None }
-
-  let fill t x =
-    Mutex.lock t.mu;
-    t.v <- Some x;
-    Condition.broadcast t.cv;
-    Mutex.unlock t.mu
-
-  let read t =
-    Mutex.lock t.mu;
-    while t.v = None do
-      Condition.wait t.cv t.mu
-    done;
-    let x = Option.get t.v in
-    Mutex.unlock t.mu;
-    x
-end
-
-type job = {
-  j_req : Api.Request.t;
-  j_session : int;
-  j_reply : Api.Response.t Ivar.t;
-}
+    Admission is bounded: at most [queue_limit] requests may be admitted
+    (executing or waiting for [exec_mu]) at once; beyond that a client
+    gets an immediate [Overloaded] response — backpressure, never a
+    hang. *)
 
 type t = {
   ctx : Api.ctx;
   socket_path : string;
   queue_limit : int;
-  executor_count : int;
   listen_fd : Unix.file_descr;
   tcp : (Unix.file_descr * string * int) option;  (** fd, host, bound port *)
   lock : Mutex.t;
+  exec_mu : Mutex.t;  (** held by the one request executing *)
   mutable stopping : bool;
   mutable in_flight : int;  (** admitted requests not yet answered *)
   mutable sessions : int;  (** connections accepted so far *)
@@ -71,10 +40,6 @@ type t = {
   mutable overloaded : int;  (** requests refused by admission control *)
   mutable protocol_errors : int;  (** undecodable frames *)
   mutable client_threads : Thread.t list;
-  jobs : job Queue.t;
-  jobs_mu : Mutex.t;
-  jobs_cv : Condition.t;
-  mutable executors : unit Domain.t list;
 }
 
 let counters t =
@@ -93,11 +58,6 @@ let counters t =
   List.filter (fun (_, v) -> v <> 0) rows
 
 let default_queue_limit = 8
-
-(* Never more executor domains than cores: on an N-core box the extra
-   domains buy no parallelism and pay for it in stop-the-world minor
-   GCs, which every domain must join. *)
-let default_executors = min 4 (Domain.recommended_domain_count ())
 
 (** ["HOST:PORT"] → (host, resolved address, port). Unparseable specs
     and unresolvable hosts raise [Invalid_argument]. *)
@@ -138,42 +98,14 @@ let error_response msg =
     exit_code = 2;
   }
 
-(* One executor: drain jobs until stopped *and* the queue is empty —
-   shutdown never abandons an admitted request (its session thread is
-   parked on the reply). *)
-let executor_loop t =
-  let rec loop () =
-    Mutex.lock t.jobs_mu;
-    while Queue.is_empty t.jobs && not t.stopping do
-      Condition.wait t.jobs_cv t.jobs_mu
-    done;
-    if Queue.is_empty t.jobs then Mutex.unlock t.jobs_mu
-    else begin
-      let job = Queue.pop t.jobs in
-      Mutex.unlock t.jobs_mu;
-      let resp =
-        try
-          Obs.Span.wrap
-            ~args:[ ("session", string_of_int job.j_session) ]
-            "serve:request"
-            (fun () -> Api.execute t.ctx job.j_req)
-        with e -> error_response (Printexc.to_string e)
-      in
-      Ivar.fill job.j_reply resp;
-      loop ()
-    end
-  in
-  loop ()
-
 (** Bind and listen; does not accept yet (call {!serve} or {!start}).
     An existing socket file at [socket] is replaced — stale sockets
     from a killed daemon must not block a restart. [listen] adds a TCP
     listener ("HOST:PORT"; port 0 binds an ephemeral port, reported by
     {!listen_addr}). *)
-let create ?(queue_limit = default_queue_limit)
-    ?(executors = default_executors) ?listen ~socket (ctx : Api.ctx) =
+let create ?(queue_limit = default_queue_limit) ?listen ~socket
+    (ctx : Api.ctx) =
   if queue_limit < 1 then invalid_arg "queue_limit must be >= 1";
-  if executors < 0 then invalid_arg "executors must be >= 0";
   (try Unix.unlink socket with Unix.Unix_error _ -> ());
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (match
@@ -209,10 +141,10 @@ let create ?(queue_limit = default_queue_limit)
       ctx;
       socket_path = socket;
       queue_limit;
-      executor_count = executors;
       listen_fd = fd;
       tcp;
       lock = Mutex.create ();
+      exec_mu = Mutex.create ();
       stopping = false;
       in_flight = 0;
       sessions = 0;
@@ -221,13 +153,8 @@ let create ?(queue_limit = default_queue_limit)
       overloaded = 0;
       protocol_errors = 0;
       client_threads = [];
-      jobs = Queue.create ();
-      jobs_mu = Mutex.create ();
-      jobs_cv = Condition.create ();
-      executors = [];
     }
   in
-  t.executors <- List.init executors (fun _ -> Domain.spawn (fun () -> executor_loop t));
   Api.server_counters_hook := (fun () -> counters t);
   t
 
@@ -278,20 +205,13 @@ let handle_request t ~session payload =
         Fun.protect
           ~finally:(fun () -> release t)
           (fun () ->
-            if t.executor_count = 0 then
-              Obs.Span.wrap
-                ~args:[ ("session", string_of_int session) ]
-                "serve:request"
-                (fun () -> Api.execute t.ctx req)
-            else begin
-              let reply = Ivar.create () in
-              Mutex.lock t.jobs_mu;
-              Queue.push { j_req = req; j_session = session; j_reply = reply }
-                t.jobs;
-              Condition.signal t.jobs_cv;
-              Mutex.unlock t.jobs_mu;
-              Ivar.read reply
-            end)
+            Mutex.protect t.exec_mu (fun () ->
+                try
+                  Obs.Span.wrap
+                    ~args:[ ("session", string_of_int session) ]
+                    "serve:request"
+                    (fun () -> Api.execute t.ctx req)
+                with e -> error_response (Printexc.to_string e)))
 
 let handle_session t ~session fd =
   let rec loop () =
@@ -369,10 +289,8 @@ let interrupt t =
 (** Stop accepting, drain every in-flight request, then remove the
     socket file — in that order. Session threads are joined first (each
     finishes once its client disconnects and its admitted requests are
-    answered — the executors are still running at that point), then the
-    executor pool is woken and joined (the queue is necessarily empty),
-    and only then does the socket file disappear: a vanished socket
-    means no work remains, so a supervisor watching for it cannot
+    answered), and only then does the socket file disappear: a vanished
+    socket means no work remains, so a supervisor watching for it cannot
     observe a "stopped" daemon that is still computing. Idempotent. *)
 let stop t =
   interrupt t;
@@ -389,15 +307,6 @@ let stop t =
     ths
   in
   List.iter Thread.join threads;
-  let doms =
-    Mutex.lock t.jobs_mu;
-    let ds = t.executors in
-    t.executors <- [];
-    Condition.broadcast t.jobs_cv;
-    Mutex.unlock t.jobs_mu;
-    ds
-  in
-  List.iter Domain.join doms;
   (try Unix.unlink t.socket_path with Unix.Unix_error _ -> ())
 
 let socket_path t = t.socket_path

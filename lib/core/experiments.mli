@@ -24,6 +24,16 @@ val create :
     persistent on-disk cache, making interrupted runs resumable and
     warm re-runs near-instant while staying byte-identical. *)
 
+val prepare_via :
+  Evaluation.prepared Engine.Memo.t ->
+  ?fuzz_budget:int ->
+  ?seed:int ->
+  Suite_types.sprogram ->
+  Evaluation.prepared
+(** {!Evaluation.prepare} through [memo], keyed by
+    {!Evaluation.prepare_key}: with a store behind the memo's engine,
+    the prepared subject persists across processes. *)
+
 val suite : ctx -> Evaluation.prepared list
 val engine : ctx -> Measure_engine.t
 

@@ -1,12 +1,14 @@
 (** Command-line options shared by the bench harness and the CLI.
 
     Both front-ends expose the same measurement/observability switches
-    (--stats, --json, --jobs, --sanitize, --trace, --profile); each
-    option's name, metavariable and help string live here exactly once.
-    The bench harness consumes them through {!parse}; the cmdliner-based
-    CLI builds its [Arg.info]s from the same {!spec}s, so the two always
-    agree on spelling and semantics. This module must stay free of
-    cmdliner (util underpins every library in the repo). *)
+    (--stats, --json, --jobs, --sanitize, --trace, --profile, and the
+    cache switches); each option's name, metavariable and help string
+    live here exactly once. The bench harness consumes those switches
+    through {!parse} into {!common}; the cmdliner-based CLI builds its
+    [Arg.info]s from the same {!spec}s, and from the CLI-only ones
+    (daemon, transport and shard options), so the two always agree on
+    spelling and semantics. This module must stay free of cmdliner
+    (util underpins every library in the repo). *)
 
 type spec = {
   o_name : string;  (** long option, with the leading "--" *)
@@ -119,16 +121,6 @@ let listen =
        (port 0 binds an ephemeral port, reported at startup)";
   }
 
-let executors =
-  {
-    o_name = "--executors";
-    o_docv = Some "N";
-    o_doc =
-      "size of the daemon's executor domain pool — requests from \
-       different clients that execute concurrently (0 = execute inline \
-       on session threads, serialized; default min(4, cores))";
-  }
-
 let connect =
   {
     o_name = "--connect";
@@ -166,13 +158,6 @@ let partial_dir =
        partial JSON files";
   }
 
-let shared =
-  [
-    stats; json; jobs; sanitize; trace; profile; cache_dir; no_cache;
-    no_prefix_cache; socket; listen; executors; timeout; queue_limit;
-    connect; shard; corpus; partial_dir;
-  ]
-
 type common = {
   mutable c_stats : bool;
   mutable c_json : string option;
@@ -183,15 +168,6 @@ type common = {
   mutable c_cache_dir : string option;
   mutable c_no_cache : bool;
   mutable c_no_prefix_cache : bool;
-  mutable c_socket : string option;
-  mutable c_listen : string option;
-  mutable c_executors : int;
-  mutable c_timeout : float option;
-  mutable c_queue_limit : int;
-  mutable c_connect : string option;
-  mutable c_shard : (int * int) option;
-  mutable c_corpus : int option;
-  mutable c_partial_dir : string option;
 }
 
 let defaults () =
@@ -205,15 +181,6 @@ let defaults () =
     c_cache_dir = None;
     c_no_cache = false;
     c_no_prefix_cache = false;
-    c_socket = None;
-    c_listen = None;
-    c_executors = min 4 (Domain.recommended_domain_count ());
-    c_timeout = None;
-    c_queue_limit = 8;
-    c_connect = None;
-    c_shard = None;
-    c_corpus = None;
-    c_partial_dir = None;
   }
 
 (** The one strict shard-spec parser: both front-ends route "--shard"
@@ -249,16 +216,10 @@ let int_value name rest =
   | Some n -> (n, rest)
   | None -> invalid_arg (Printf.sprintf "%s: not an integer: %s" name v)
 
-let float_value name rest =
-  let v, rest = value name rest in
-  match float_of_string_opt v with
-  | Some f -> (f, rest)
-  | None -> invalid_arg (Printf.sprintf "%s: not a number: %s" name v)
-
-(** [parse c argv] consumes every shared option from [argv] into [c] and
-    returns the arguments it did not recognize, in their original
-    order. Raises [Invalid_argument] on a missing or malformed option
-    argument. *)
+(** [parse c argv] consumes every option of {!common} from [argv] into
+    [c] and returns the arguments it did not recognize, in their
+    original order. Raises [Invalid_argument] on a missing or malformed
+    option argument. *)
 let parse (c : common) (argv : string list) : string list =
   let rec go acc = function
     | [] -> List.rev acc
@@ -292,46 +253,6 @@ let parse (c : common) (argv : string list) : string list =
         go acc rest
     | a :: rest when a = no_prefix_cache.o_name ->
         c.c_no_prefix_cache <- true;
-        go acc rest
-    | a :: rest when a = socket.o_name ->
-        let v, rest = value a rest in
-        c.c_socket <- Some v;
-        go acc rest
-    | a :: rest when a = listen.o_name ->
-        let v, rest = value a rest in
-        c.c_listen <- Some v;
-        go acc rest
-    | a :: rest when a = executors.o_name ->
-        let n, rest = int_value a rest in
-        c.c_executors <- n;
-        go acc rest
-    | a :: rest when a = timeout.o_name ->
-        let f, rest = float_value a rest in
-        c.c_timeout <- Some f;
-        go acc rest
-    | a :: rest when a = queue_limit.o_name ->
-        let n, rest = int_value a rest in
-        c.c_queue_limit <- n;
-        go acc rest
-    | a :: rest when a = connect.o_name ->
-        let v, rest = value a rest in
-        c.c_connect <- Some v;
-        go acc rest
-    | a :: rest when a = shard.o_name -> (
-        let v, rest = value a rest in
-        match parse_shard v with
-        | Ok pair ->
-            c.c_shard <- Some pair;
-            go acc rest
-        | Error msg -> invalid_arg msg)
-    | a :: rest when a = corpus.o_name ->
-        let n, rest = int_value a rest in
-        if n < 1 then invalid_arg (Printf.sprintf "%s: must be >= 1" a);
-        c.c_corpus <- Some n;
-        go acc rest
-    | a :: rest when a = partial_dir.o_name ->
-        let v, rest = value a rest in
-        c.c_partial_dir <- Some v;
         go acc rest
     | a :: rest -> go (a :: acc) rest
   in

@@ -1,7 +1,8 @@
 (** Command-line options shared by the bench harness and the CLI: each
     switch's name, metavariable and help string declared exactly once.
-    The bench harness consumes them via {!parse}; the cmdliner CLI
-    builds its [Arg.info]s from the same {!spec}s. Keep this module
+    The bench harness consumes the switches of {!common} via {!parse};
+    the cmdliner CLI builds its [Arg.info]s from the same {!spec}s and
+    from the CLI-only ones ({!socket} onwards). Keep this module
     free of cmdliner — util underpins every library in the repo. *)
 
 type spec = {
@@ -21,16 +22,12 @@ val no_cache : spec
 val no_prefix_cache : spec
 val socket : spec
 val listen : spec
-val executors : spec
 val timeout : spec
 val queue_limit : spec
 val connect : spec
 val shard : spec
 val corpus : spec
 val partial_dir : spec
-
-val shared : spec list
-(** All of the above, in help order. *)
 
 type common = {
   mutable c_stats : bool;
@@ -42,15 +39,6 @@ type common = {
   mutable c_cache_dir : string option;
   mutable c_no_cache : bool;
   mutable c_no_prefix_cache : bool;
-  mutable c_socket : string option;
-  mutable c_listen : string option;
-  mutable c_executors : int;
-  mutable c_timeout : float option;
-  mutable c_queue_limit : int;
-  mutable c_connect : string option;
-  mutable c_shard : (int * int) option;
-  mutable c_corpus : int option;
-  mutable c_partial_dir : string option;
 }
 
 val defaults : unit -> common
@@ -62,8 +50,8 @@ val parse_shard : string -> (int * int, string) result
     one-line message ready for a [debugtuner: <msg>] usage error. *)
 
 val parse : common -> string list -> string list
-(** [parse c argv] consumes every shared option from [argv] into [c]
-    and returns the unrecognized arguments in their original order.
+(** [parse c argv] consumes every option of {!common} from [argv] into
+    [c] and returns the unrecognized arguments in their original order.
     Raises [Invalid_argument] on a missing or malformed option
     argument. *)
 

@@ -1242,6 +1242,47 @@ let test_daemon_overloaded () =
   Api_server.stop server;
   Thread.join accept_thread
 
+let test_daemon_serial () =
+  (* The execution model: however many clients send at once, one
+     request executes at a time, and on the main domain — the one
+     domain Engine.Pool.map fans out from, which lets serve --jobs N
+     spread a request's own sweeps. The gate holds each request for
+     20 ms, so any overlap would show. *)
+  let socket = tmp_socket "serial" in
+  let server = Api_server.create ~queue_limit:16 ~socket (Api.create_ctx ()) in
+  let accept_thread = Api_server.start server in
+  let inside = Atomic.make 0 and most = Atomic.make 0 in
+  let off_main = Atomic.make 0 and answered = Atomic.make 0 in
+  Api.execute_gate :=
+    (fun () ->
+      let n = Atomic.fetch_and_add inside 1 + 1 in
+      let rec raise_most () =
+        let m = Atomic.get most in
+        if n > m && not (Atomic.compare_and_set most m n) then raise_most ()
+      in
+      raise_most ();
+      if not (Domain.is_main_domain ()) then Atomic.incr off_main;
+      Unix.sleepf 0.02;
+      Atomic.decr inside);
+  Fun.protect ~finally:(fun () -> Api.execute_gate := fun () -> ())
+  @@ fun () ->
+  let client () =
+    let c = Api_client.connect ~timeout:60.0 socket in
+    for _ = 1 to 3 do
+      match Api_client.rpc c (R.Stats { s_what = R.Suite }) with
+      | Ok resp when resp.Resp.status = Resp.Ok -> Atomic.incr answered
+      | _ -> ()
+    done;
+    Api_client.close c
+  in
+  List.iter Thread.join (List.init 4 (fun _ -> Thread.create client ()));
+  Api_server.stop server;
+  Thread.join accept_thread;
+  check Alcotest.int "every request answered" 12 (Atomic.get answered);
+  check Alcotest.int "at most one request executing" 1 (Atomic.get most);
+  check Alcotest.int "requests executed off the main domain" 0
+    (Atomic.get off_main)
+
 let test_daemon_protocol_error () =
   (* A frame that is not a valid request must produce an error
      response, and the session must survive for the next frame. *)
@@ -1317,6 +1358,8 @@ let tests =
       test_daemon_tcp_identity;
     Alcotest.test_case "daemon backpressure: overloaded, not hung" `Quick
       test_daemon_overloaded;
+    Alcotest.test_case "daemon executes one request at a time" `Quick
+      test_daemon_serial;
     Alcotest.test_case "daemon survives protocol garbage" `Quick
       test_daemon_protocol_error;
   ]

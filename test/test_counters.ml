@@ -222,6 +222,35 @@ let test_systhread_attribution () =
             want.Resp.stats got.Resp.stats)
     solo
 
+(* A daemon restarted over its store reads the prepared subjects back
+   instead of fuzzing again: the first context's measure writes the
+   prepared zlib, a second context over the same directory reads it,
+   prepares nothing, and prints the same text. *)
+let test_restart_reads_prepared () =
+  with_dir @@ fun dir ->
+  let measure =
+    R.Compile
+      {
+        c_subject = R.Named "zlib";
+        c_config = Config.make Config.Gcc Config.O2;
+        c_profile = None;
+        c_sanitize = false;
+        c_view = R.Measure;
+      }
+  in
+  let row name (r : Resp.t) = List.assoc_opt name r.Resp.stats in
+  let cold = Api.execute (on_store dir) measure in
+  ok "cold measure" cold;
+  check Alcotest.(option int) "cold run writes the prepared subject" (Some 1)
+    (row "store/prepare/writes" cold);
+  let warm = Api.execute (on_store dir) measure in
+  ok "restarted measure" warm;
+  check Alcotest.(option int) "restart reads it back" (Some 1)
+    (row "store/prepare/hits" warm);
+  check Alcotest.(option int) "restart prepares nothing" None
+    (row "engine/prepare/misses" warm);
+  check Alcotest.string "same text" cold.Resp.text warm.Resp.text
+
 (* ------------------------------------------------------------------ *)
 (* Golden rows                                                         *)
 
@@ -358,6 +387,7 @@ engine/compile/hits 570
 engine/compile/misses 416
 engine/measure/hits 18
 engine/measure/misses 188
+engine/prepare/misses 13
 engine/rank-discard/dedups 223
 prefix/hits 443
 prefix/merged 136
@@ -425,5 +455,7 @@ let tests =
       test_verdict_delta_not_poisoned;
     Alcotest.test_case "systhread requests attributed" `Quick
       test_systhread_attribution;
+    Alcotest.test_case "restart reads prepared subjects" `Quick
+      test_restart_reads_prepared;
     Alcotest.test_case "golden request rows" `Quick test_golden_rows;
   ]
