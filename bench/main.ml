@@ -22,14 +22,13 @@
                                    $DEBUGTUNER_CACHE); warm re-runs are
                                    near-instant and byte-identical
      dune exec bench/main.exe -- --no-cache   -- disable the store
-     dune exec bench/main.exe -- --no-prefix-cache -- compile sweeps
-                                   from scratch (disable pass-prefix
-                                   incremental compilation)
 
    The shared switches (--stats/--json/--jobs/--sanitize/--trace/
-   --profile/--cache-dir/--no-cache/--no-prefix-cache) are declared
-   once in Util.Cliopts
-   and mean the same thing under `debugtuner_cli`. Output is
+   --profile/--cache-dir/--no-cache) are declared once in Util.Cliopts
+   and mean the same thing under `debugtuner_cli`. The paper's tables
+   and the ablations run on the experiment context's measurement engine;
+   the serve and shard scenarios measure through API contexts of their
+   own. Output is
    deterministic for a given --synth value, including under --jobs > 1
    (the engine's parallel reduction is ordered) and across cold/warm
    cache runs (only the bracketed timing lines vary). *)
@@ -476,18 +475,17 @@ let experiments ctx : (string * (unit -> Util.Tablefmt.t list)) list =
     ( "ablations",
       fun () ->
         let cfg = Debugtuner.Config.make Debugtuner.Config.Gcc Debugtuner.Config.O2 in
-        let suite = E.suite ctx in
+        let suite = E.suite ctx and engine = E.engine ctx in
         [
-          Debugtuner.Ablations.breakpoint_policy suite cfg;
+          Debugtuner.Ablations.breakpoint_policy ~engine suite cfg;
           Debugtuner.Ablations.entry_values suite cfg;
-          Debugtuner.Ablations.ranking_metric suite cfg;
+          Debugtuner.Ablations.ranking_metric ~engine suite cfg;
           Debugtuner.Ablations.scheduler_lines suite cfg;
         ] );
     ( "ranking",
       (* The Section V pass sweep in isolation: one full Ranking.rank of
          gcc-O2 over the suite — the cost driver the pass-prefix cache
-         targets (compare BENCH_baseline.json cold wall clock with
-         --no-prefix-cache). *)
+         targets. *)
       fun () ->
         let cfg =
           Debugtuner.Config.make Debugtuner.Config.Gcc Debugtuner.Config.O2
@@ -664,13 +662,11 @@ let () =
   let only, micro, synth = parse [] false 40 rest in
   let jobs = common.Util.Cliopts.c_jobs in
   if common.Util.Cliopts.c_sanitize then Sanitize.enabled := true;
-  if common.Util.Cliopts.c_no_prefix_cache then
-    Debugtuner.Measure_engine.prefix_cache_enabled := false;
   if common.Util.Cliopts.c_trace <> None || common.Util.Cliopts.c_profile then
     Obs.start ();
   (* The persistent artifact store is on by default (default _cache/, or
      $DEBUGTUNER_CACHE, or --cache-dir): a warm re-run serves compiles,
-     traces, metrics and even suite preparation from disk and stays
+     metrics and even suite preparation from disk and stays
      byte-identical to a cold one. --no-cache opts out. *)
   let store =
     if common.Util.Cliopts.c_no_cache then None

@@ -260,9 +260,7 @@ let rank_cmd =
   let k_arg =
     Arg.(value & opt int 10 & info [ "k" ] ~docv:"K" ~doc:"Entries to print.")
   in
-  let run compiler level k no_prefix_cache tr =
-    if no_prefix_cache then
-      Debugtuner.Measure_engine.prefix_cache_enabled := false;
+  let run compiler level k tr =
     simple tr
       (Api.Request.Rank
          { r_config = Debugtuner.Config.make compiler level; r_k = k })
@@ -271,9 +269,7 @@ let rank_cmd =
     (Cmd.info "rank"
        ~doc:"Rank a level's passes by debug-information impact (Tables V/VI).")
     Term.(
-      const run $ compiler_arg $ level_arg $ k_arg
-      $ cliopt_flag Util.Cliopts.no_prefix_cache
-      $ transport_term)
+      const run $ compiler_arg $ level_arg $ k_arg $ transport_term)
 
 (* ------------------------------------------------------------------ *)
 (* tune: build and evaluate an Ox-dy configuration                     *)
@@ -282,9 +278,7 @@ let tune_cmd =
   let y_arg =
     Arg.(value & opt int 5 & info [ "y" ] ~docv:"Y" ~doc:"Passes to disable.")
   in
-  let run compiler level y no_prefix_cache tr =
-    if no_prefix_cache then
-      Debugtuner.Measure_engine.prefix_cache_enabled := false;
+  let run compiler level y tr =
     simple tr
       (Api.Request.Tune
          { t_config = Debugtuner.Config.make compiler level; t_y = y })
@@ -293,9 +287,7 @@ let tune_cmd =
     (Cmd.info "tune"
        ~doc:"Build an Ox-dy configuration and report its debug/perf trade.")
     Term.(
-      const run $ compiler_arg $ level_arg $ y_arg
-      $ cliopt_flag Util.Cliopts.no_prefix_cache
-      $ transport_term)
+      const run $ compiler_arg $ level_arg $ y_arg $ transport_term)
 
 (* ------------------------------------------------------------------ *)
 (* search: Pareto-front search over the 2^N disable-set space          *)
@@ -354,9 +346,7 @@ let search_cmd =
           ~doc:"Write the canonical frontier JSON here.")
   in
   let run compiler level strategy budget seed debug_weight speed_weight out
-      no_prefix_cache cache_dir no_cache jobs tr =
-    if no_prefix_cache then
-      Debugtuner.Measure_engine.prefix_cache_enabled := false;
+      cache_dir no_cache jobs tr =
     let store =
       if no_cache then None
       else Some (Debugtuner.Measure_engine.open_store ?dir:cache_dir ())
@@ -393,7 +383,6 @@ let search_cmd =
     Term.(
       const run $ compiler_arg $ level_arg $ strategy_arg $ budget_arg
       $ seed_arg $ debug_weight_arg $ speed_weight_arg $ out_arg
-      $ cliopt_flag Util.Cliopts.no_prefix_cache
       $ cliopt_file Util.Cliopts.cache_dir
       $ cliopt_flag Util.Cliopts.no_cache
       $ cliopt_int Util.Cliopts.jobs 1
@@ -767,10 +756,7 @@ let check_cmd =
       & info [ "p"; "program" ] ~docv:"PROGRAM"
           ~doc:"Check only this program (name or MiniC file path).")
   in
-  let run program fuzz seed no_suite cache_dir no_cache no_prefix_cache json
-      tr =
-    if no_prefix_cache then
-      Debugtuner.Measure_engine.prefix_cache_enabled := false;
+  let run program fuzz seed no_suite cache_dir no_cache json tr =
     (* The oracle's persistent verdict cache is opt-in: only an explicit
        --cache-dir (and no --no-cache) turns it on, so plain [check]
        stays stateless. Warm hits replay the cached sanitizer-counter
@@ -798,9 +784,8 @@ let check_cmd =
     | Some file ->
         (* Counters to a side file — store activity is run-dependent
            (cold vs warm), so it must never reach the byte-stable
-           stdout. Only the oracle-relevant rows of the request's
-           counter delta belong here: engine/prefix rows vary with
-           planner settings. *)
+           stdout. Only the oracle's own rows of the request's counters
+           belong here: its store and sanitizer rows. *)
         let rows =
           List.filter
             (fun (n, _) ->
@@ -830,7 +815,6 @@ let check_cmd =
       const run $ one_program_arg $ fuzz_arg $ seed_arg $ suite_arg
       $ cliopt_file Util.Cliopts.cache_dir
       $ cliopt_flag Util.Cliopts.no_cache
-      $ cliopt_flag Util.Cliopts.no_prefix_cache
       $ cliopt_file Util.Cliopts.json
       $ transport_term)
 

@@ -112,19 +112,6 @@ remaining="$(find "$scratch/cache/objects" -type f 2>/dev/null | wc -l)"
   exit 1
 }
 
-echo "== prefix-cache smoke (check --fuzz 50, planner on vs off) =="
-# Pass-prefix incremental compilation must be invisible everywhere but
-# wall clock: the same fuzz matrix with the planner disabled has to
-# produce byte-identical verdicts, sanitizer counters and stdout.
-dune exec bin/debugtuner_cli.exe -- check --fuzz 50 --seed 1 \
-  --json "$scratch/check-prefix-on.json" > "$scratch/check-prefix-on.out"
-dune exec bin/debugtuner_cli.exe -- check --fuzz 50 --seed 1 --no-prefix-cache \
-  --json "$scratch/check-prefix-off.json" > "$scratch/check-prefix-off.out"
-ci_diff "$scratch/check-prefix-on.json" "$scratch/check-prefix-off.json" \
-  "dune exec bin/debugtuner_cli.exe -- check --fuzz 50 --seed 1 --json J [--no-prefix-cache]"
-ci_diff "$scratch/check-prefix-on.out" "$scratch/check-prefix-off.out" \
-  "dune exec bin/debugtuner_cli.exe -- check --fuzz 50 --seed 1 [--no-prefix-cache]"
-
 echo "== daemon smoke (serve + --connect, byte-identical to direct CLI) =="
 # Start a daemon on a scratch socket (plus a TCP listener on an
 # ephemeral port), drive rank/check/profile/trace requests through --connect

@@ -9,6 +9,7 @@
 
 module C = Debugtuner.Config
 module E = Debugtuner.Evaluation
+module ME = Debugtuner.Measure_engine
 module R = Debugtuner.Ranking
 
 let () =
@@ -16,16 +17,19 @@ let () =
   let programs = [ "bzip2"; "libpng"; "zydis" ] in
   let prepared = List.map (fun n -> E.prepare (Programs.find n)) programs in
   let config = C.make C.Gcc C.O2 in
+  (* One engine caches every compile and measurement below. *)
+  let engine = ME.create () in
 
   (* Baseline debuggability of the standard level. *)
   List.iter2
     (fun name p ->
-      Printf.printf "%-8s O2 hybrid product: %.4f\n" name (E.product p config))
+      Printf.printf "%-8s O2 hybrid product: %.4f\n" name
+        (ME.product engine p config))
     programs prepared;
 
   (* The sweep: one configuration per pass, each with that pass's every
      instance disabled (the paper's OptPassGate analog). *)
-  let lr = R.rank prepared config in
+  let lr = R.rank ~engine prepared config in
   Printf.printf "\n%-28s %10s %28s\n" "pass (by average rank)" "avg +%"
     "(improved/neutral/regressed)";
   List.iteri
@@ -41,8 +45,8 @@ let () =
   Printf.printf "\nO2-d3 disables: %s\n" (String.concat ", " d3.C.disabled);
   List.iter2
     (fun name p ->
-      let base = E.product p config in
-      let tuned = E.product p d3 in
+      let base = ME.product engine p config in
+      let tuned = ME.product engine p d3 in
       Printf.printf "%-8s O2 %.4f -> O2-d3 %.4f  (%+.1f%%)\n" name base tuned
         (Util.Stats.pct_delta base tuned))
     programs prepared

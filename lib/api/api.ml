@@ -755,8 +755,8 @@ let partial_of_json text = decode Codec.partial text
 (* ------------------------------------------------------------------ *)
 (* Execution context                                                   *)
 
-(** One context per process: the shared measurement engine, the
-    optional persistent store behind it, and the prepared-subject memo.
+(** One context per process: the shared measurement engine (which owns
+    the optional persistent store) and the prepared-subject memo.
     The daemon keeps a single context alive across every client, so the
     millionth request hits warm memo tables; the CLI builds one per
     invocation. Prepared subjects go through the same persisted
@@ -772,13 +772,12 @@ let partial_of_json text = decode Codec.partial text
     session is process-wide). *)
 type ctx = {
   engine : Measure_engine.t;
-  store : Engine.Disk_store.t option;
   prepared : Evaluation.prepared Engine.Memo.t;
 }
 
 let create_ctx ?(workers = 1) ?store () =
   let engine = Measure_engine.create ~workers ?store () in
-  { engine; store; prepared = Measure_engine.memo engine ~name:"prepare" () }
+  { engine; prepared = Measure_engine.memo engine ~name:"prepare" () }
 
 (** Server-introspection hook: [Api_server] installs its live counters
     here so a [Stats Server] request can be answered without a
@@ -1225,6 +1224,7 @@ let sanitize_passes rows =
 
 let run_check ctx ~subject ~fuzz ~seed ~suite =
   let b = Buffer.create 1024 in
+  let store = Measure_engine.store ctx.engine in
   let reports = ref [] in
   (* This request's own boundary checks (pool workers included), never
      those of requests running alongside it. *)
@@ -1236,7 +1236,7 @@ let run_check ctx ~subject ~fuzz ~seed ~suite =
         bpf b "checking %s across O0-O3 x {gcc, clang}...\n"
           p.Suite_types.p_name;
         let failures, (runs, skipped) =
-          Diff_oracle.check_program ?store:ctx.store p
+          Diff_oracle.check_program ?store p
         in
         reports :=
           [
@@ -1253,12 +1253,12 @@ let run_check ctx ~subject ~fuzz ~seed ~suite =
           bpf b
             "checking the suite across O0-O3 x {gcc, clang} (sanitizer \
              on)...\n";
-          reports := [ Diff_oracle.check_suite ?store:ctx.store () ]
+          reports := [ Diff_oracle.check_suite ?store () ]
         end);
     if fuzz > 0 then begin
       bpf b "fuzzing %d synthetic program(s) from seed %d...\n" fuzz seed;
       reports :=
-        !reports @ [ Diff_oracle.fuzz ?store:ctx.store ~count:fuzz ~seed () ]
+        !reports @ [ Diff_oracle.fuzz ?store ~count:fuzz ~seed () ]
     end
   in
   List.iter
@@ -1432,7 +1432,7 @@ let run_bench ctx ~subject ~config (action : Request.bench_action) =
 let run_cache_op ctx ~action ~dir =
   let b = Buffer.create 256 in
   let store =
-    match (dir, ctx.store) with
+    match (dir, Measure_engine.store ctx.engine) with
     | None, Some s -> s
     | _ -> Measure_engine.open_store ?dir ()
   in

@@ -25,12 +25,12 @@ module T = Util.Tablefmt
 (* ------------------------------------------------------------------ *)
 (* 1. Breakpoint policy                                                *)
 
-let breakpoint_policy (prepared : Evaluation.prepared list) (config : Config.t)
-    =
+let breakpoint_policy ~engine (prepared : Evaluation.prepared list)
+    (config : Config.t) =
   let rows =
     List.map
       (fun (p : Evaluation.prepared) ->
-        let bin = Evaluation.compile p config in
+        let bin = Measure_engine.compile engine p config in
         let lc all_locations =
           let traces =
             List.map
@@ -112,10 +112,11 @@ let entry_values (prepared : Evaluation.prepared list) (config : Config.t) =
 (* ------------------------------------------------------------------ *)
 (* 3. Ranking metric                                                   *)
 
-let ranking_metric (prepared : Evaluation.prepared list) (config : Config.t) =
-  let hybrid = Ranking.rank prepared config in
+let ranking_metric ~engine (prepared : Evaluation.prepared list)
+    (config : Config.t) =
+  let hybrid = Ranking.rank ~engine prepared config in
   let dynamic =
-    Ranking.rank ~metric:Ranking.dynamic_product prepared config
+    Ranking.rank ~engine ~metric:Ranking.dynamic_product prepared config
   in
   let top lr =
     List.map

@@ -151,23 +151,6 @@ let metrics_of_trace (prepared : prepared) (bin : Emit.binary)
       opt_bin = bin;
     }
 
-(** [measure prepared config] — all four metric methods for [config],
-    uncached (the engine's job primitive; cached measurement lives in
-    {!Measure_engine}). [reuse] short-circuits tracing when the binary's
-    .text digest matches a previously measured binary (the discard
-    optimization; kept for engine-less callers). *)
-let measure ?reuse (prepared : prepared) (config : Config.t) :
-    Metrics.all_methods * Emit.binary =
-  let bin = compile prepared config in
-  match reuse with
-  | Some (digest, cached) when digest = bin.Emit.text_digest -> (cached, bin)
-  | _ -> (metrics_of_trace prepared bin (trace_config_bin prepared bin), bin)
-
-(** The paper's headline number for a configuration. *)
-let product (prepared : prepared) (config : Config.t) =
-  let m, _ = measure prepared config in
-  m.Metrics.m_hybrid.Metrics.product
-
 (* -------------------------------------------------------------- *)
 (* Table III statistics                                            *)
 

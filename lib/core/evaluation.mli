@@ -5,9 +5,10 @@
     Each suite program is "prepared" once — fuzzing-derived corpus,
     minimization, trace pruning, O0 baseline trace — and then arbitrary
     configurations are measured against that baseline. The functions
-    here are the engine's uncached primitives; repeated measurement
-    should go through {!Measure_engine}, which caches them
-    content-addressed (the prepared digests below are its keys). *)
+    here are the engine's uncached primitives (compile, trace, metrics);
+    measuring a configuration goes through {!Measure_engine.measure},
+    which caches them content-addressed (the prepared digests below are
+    its keys). *)
 
 type harness_corpus = {
   hc_harness : Suite_types.harness;
@@ -54,25 +55,13 @@ val prepare : ?fuzz_budget:int -> ?seed:int -> Suite_types.sprogram -> prepared
     the O0 baseline. *)
 
 val compile : prepared -> Config.t -> Emit.binary
-(** The program under a configuration, uncached. *)
+(** The program under a configuration, uncached (the engine's compile
+    primitive). *)
 
 val metrics_of_trace :
   prepared -> Emit.binary -> Debugger.trace -> Metrics.all_methods
 (** All four metric methods given an already-collected trace (the
     engine's metrics primitive). *)
-
-val measure :
-  ?reuse:string * Metrics.all_methods ->
-  prepared ->
-  Config.t ->
-  Metrics.all_methods * Emit.binary
-(** All four metric methods for a configuration, uncached. [reuse]
-    short-circuits tracing when the binary's .text digest matches a
-    previously measured binary (the discard optimization; kept for
-    engine-less callers). *)
-
-val product : prepared -> Config.t -> float
-(** The paper's headline number for a configuration, uncached. *)
 
 type suite_stats = {
   ss_program : string;

@@ -15,8 +15,8 @@ type ctx = {
       (** guards [synth]: the one piece of mutable context state, so
           concurrent requests sharing a context build the corpus once *)
   engine : Measure_engine.t;
-      (** the shared measurement engine: every compile / trace / measure
-          / bench job of every table goes through its two-tier cache *)
+      (** the shared measurement engine: every compile, measure and
+          bench job of every table goes through its two-tier cache *)
   rankings : Ranking.level_ranking Engine.Memo.t;
       (** derived results, keyed by {!Config.fingerprint} *)
   points : Tuning.config_point Engine.Memo.t;
@@ -805,7 +805,7 @@ let clang_og_table ctx =
 let per_program_table ctx =
   let cfg = Config.make Config.Gcc Config.O2 in
   let y = 5 in
-  let rows = Extensions.per_program ctx.suite cfg ~y in
+  let rows = Extensions.per_program ~engine:ctx.engine ctx.suite cfg ~y in
   let abbreviate passes =
     match passes with
     | a :: b :: c :: _ :: _ -> Printf.sprintf "%s, %s, %s, ..." a b c

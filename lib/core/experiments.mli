@@ -4,9 +4,10 @@
     reductions are ordered, so every run prints identical tables — for
     any engine worker count.
 
-    The context owns a private measurement engine: every compile /
-    trace / measure / benchmark job of every table goes through its
-    two-tier content-addressed cache, and derived results (rankings,
+    The context owns a private measurement engine: every compile,
+    measure and benchmark job of every table — the ablations and
+    extensions included — goes through its two-tier content-addressed
+    cache, and derived results (rankings,
     trade-off points, speedup rows) are memoized on
     {!Config.fingerprint} keys. The mutable cache state is hidden
     behind this interface; inspect it with

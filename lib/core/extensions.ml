@@ -46,10 +46,11 @@ type interaction = {
 (** [pairwise prepared config ~passes] measures every unordered pair of
     [passes] (intended: a ranking's top handful — the quadratic cost is
     why the paper leaves the full space to future work). *)
-let pairwise (prepared : Evaluation.prepared list) (config : Config.t)
+let pairwise ~engine (prepared : Evaluation.prepared list) (config : Config.t)
     ~(passes : string list) : interaction list =
   let product cfg =
-    Util.Stats.mean (List.map (fun p -> Evaluation.product p cfg) prepared)
+    Util.Stats.mean
+      (List.map (fun p -> Measure_engine.product engine p cfg) prepared)
   in
   let base = product config in
   let inc disabled =
@@ -143,14 +144,14 @@ type per_program_row = {
     lists per-program configurations as future work: the cross-program
     ranking trades per-program optimality for one reusable
     configuration; this measures what the trade costs. *)
-let per_program (prepared : Evaluation.prepared list) (config : Config.t)
-    ~y : per_program_row list =
-  let global_dy = Tuning.dy_config (Ranking.rank prepared config) ~y in
+let per_program ~engine (prepared : Evaluation.prepared list)
+    (config : Config.t) ~y : per_program_row list =
+  let global_dy = Tuning.dy_config (Ranking.rank ~engine prepared config) ~y in
   List.map
     (fun p ->
-      let local_dy = Tuning.dy_config (Ranking.rank [ p ] config) ~y in
-      let g = Evaluation.product p global_dy in
-      let l = Evaluation.product p local_dy in
+      let local_dy = Tuning.dy_config (Ranking.rank ~engine [ p ] config) ~y in
+      let g = Measure_engine.product engine p global_dy in
+      let l = Measure_engine.product engine p local_dy in
       {
         pp_program = p.Evaluation.program.Suite_types.p_name;
         pp_global = g;

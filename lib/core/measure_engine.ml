@@ -1,94 +1,177 @@
-(** The repository's measurement engine: {!Engine.Make} instantiated
-    over the DebugTuner toolchain. This is the single entry point for
-    all measurement — [Ranking], [Tuning], [Experiments], the bench
-    harness and the CLI all issue their compile / trace / measure /
-    benchmark jobs here, sharing one two-tier content-addressed cache:
+(** The repository's measurement engine: the single owner of
+    measurement state. [Ranking], [Tuning], [Experiments], [Ablations],
+    [Extensions], the bench harness and the service API all issue their
+    compile / measure / benchmark jobs on an engine they are handed,
+    sharing one two-tier content-addressed cache:
 
     - tier 1, keyed by (AST digest, {!Config.fingerprint}): compiled
       binaries — a configuration is compiled once per program no matter
       how many tables ask for it;
-    - tier 2, keyed by (subject digest, binary digest): traces, metric
-      records and benchmark costs — two configurations whose binaries
-      have identical content share one measurement, generalizing the
-      paper's Section III-A discard optimization engine-wide. Metric
-      and trace results key on {!Emit.binary.full_digest} (identical
-      [.text] can still carry different debug info, and the metrics see
-      it); benchmark costs key on the coarser
-      {!Emit.binary.text_digest}, since execution cost depends on the
-      machine code alone. *)
+    - tier 2, keyed by (subject digest, binary digest): metric records
+      and benchmark costs — two configurations whose binaries have
+      identical content share one measurement, generalizing the
+      paper's Section III-A discard optimization engine-wide. Metrics
+      key on {!Emit.binary.full_digest} (identical [.text] can still
+      carry different debug info, and the metrics see it); benchmark
+      costs key on the coarser {!Emit.binary.text_digest}, since
+      execution cost depends on the machine code alone. *)
 
-module Domain_impl = struct
-  type config = Config.t
-  type subject = Evaluation.prepared
-  type bench_subject = Suite_types.sprogram
-  type binary = Emit.binary
-  type trace = Debugger.trace
-  type metrics = Metrics.all_methods
+module Memo = Engine.Memo
 
-  let config_key = Config.fingerprint
-  let subject_ast_key (p : Evaluation.prepared) = p.Evaluation.ast_digest
-  let subject_key (p : Evaluation.prepared) = p.Evaluation.content_digest
+(* Each primitive below runs only on a cache miss, so its span measures
+   actual work (hits never reach it). The [Obs.enabled] guard keeps the
+   disabled path allocation-free. *)
+let span name subject f =
+  if not (Obs.enabled ()) then f ()
+  else begin
+    Obs.count ("engine/" ^ name);
+    Obs.Span.wrap ("engine:" ^ name) ~args:[ ("subject", subject) ] f
+  end
 
-  (* Benchmark programs carry no corpus; their content address is the
-     source plus the harness list (entries and seed workloads). *)
-  let bench_subject_key (p : Suite_types.sprogram) =
-    Digest.to_hex
-      (Digest.string
-         (Marshal.to_string (p.Suite_types.p_source, p.Suite_types.p_harnesses) []))
+let pname (p : Evaluation.prepared) = p.Evaluation.program.Suite_types.p_name
 
-  let binary_key (b : Emit.binary) = b.Emit.full_digest
-  let binary_cost_key (b : Emit.binary) = b.Emit.text_digest
+let compile_uncached p config =
+  span "compile" (pname p) (fun () -> Evaluation.compile p config)
 
-  (* Each worker function below runs only on a cache miss, so its span
-     measures actual work (hits never reach it). The [Obs.enabled]
-     guard keeps the disabled path allocation-free. *)
-  let span name subject f =
-    if not (Obs.enabled ()) then f ()
-    else begin
-      Obs.count ("engine/" ^ name);
-      Obs.Span.wrap ("engine:" ^ name) ~args:[ ("subject", subject) ] f
-    end
+let bench_compile_uncached (p : Suite_types.sprogram) config =
+  span "bench_compile" p.Suite_types.p_name (fun () ->
+      Toolchain.compile (Suite_types.ast p) ~config
+        ~roots:(Suite_types.roots p))
 
-  let pname (p : Evaluation.prepared) =
-    p.Evaluation.program.Suite_types.p_name
-
-  let compile p config =
-    span "compile" (pname p) (fun () -> Evaluation.compile p config)
-
-  let trace (p : Evaluation.prepared) bin =
+(* The trace is transient: only its metrics are retained, so a
+   full-evaluation run holds one metrics record per distinct binary,
+   not one trace (traces are orders of magnitude larger). *)
+let measure_uncached p bin =
+  let tr =
     span "trace" (pname p) (fun () -> Evaluation.trace_config_bin p bin)
+  in
+  span "metrics" (pname p) (fun () -> Evaluation.metrics_of_trace p bin tr)
 
-  let metrics p bin tr =
-    span "metrics" (pname p) (fun () ->
-        Evaluation.metrics_of_trace p bin tr)
+(** Total VM cost of every harness seed (the paper's SPEC timing; the
+    median-of-three degenerates to one deterministic run). *)
+let bench_run (p : Suite_types.sprogram) (bin : Emit.binary) =
+  span "bench_run" p.Suite_types.p_name @@ fun () ->
+  List.fold_left
+    (fun acc (h : Suite_types.harness) ->
+      let inputs =
+        if h.Suite_types.h_seeds = [] then [ [] ] else h.Suite_types.h_seeds
+      in
+      List.fold_left
+        (fun acc input ->
+          let r =
+            Vm.run bin ~entry:h.Suite_types.h_entry ~input Vm.default_opts
+          in
+          if r.Vm.timed_out then
+            invalid_arg ("bench timed out: " ^ p.Suite_types.p_name);
+          acc + r.Vm.cost)
+        acc inputs)
+    0 p.Suite_types.p_harnesses
 
-  let bench_compile (p : Suite_types.sprogram) config =
-    span "bench_compile" p.Suite_types.p_name (fun () ->
-        Toolchain.compile (Suite_types.ast p) ~config
-          ~roots:(Suite_types.roots p))
+(* Benchmark programs carry no corpus; their content address is the
+   source plus the harness list (entries and seed workloads). *)
+let bench_subject_key (p : Suite_types.sprogram) =
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string
+          (p.Suite_types.p_source, p.Suite_types.p_harnesses)
+          []))
 
-  (** Total VM cost of every harness seed (the paper's SPEC timing; the
-      median-of-three degenerates to one deterministic run). *)
-  let bench_run (p : Suite_types.sprogram) (bin : Emit.binary) =
-    span "bench_run" p.Suite_types.p_name @@ fun () ->
-    List.fold_left
-      (fun acc (h : Suite_types.harness) ->
-        let inputs =
-          if h.Suite_types.h_seeds = [] then [ [] ] else h.Suite_types.h_seeds
-        in
-        List.fold_left
-          (fun acc input ->
-            let r =
-              Vm.run bin ~entry:h.Suite_types.h_entry ~input Vm.default_opts
-            in
-            if r.Vm.timed_out then
-              invalid_arg ("bench timed out: " ^ p.Suite_types.p_name);
-            acc + r.Vm.cost)
-          acc inputs)
-      0 p.Suite_types.p_harnesses
-end
+type t = {
+  pool : Engine.Pool.t;
+  counters : Util.Counters.table;  (** [engine/<cache>/hits|misses|dedups] *)
+  store : Engine.Disk_store.t option;
+      (** persistent second level behind every memo table *)
+  binaries : Emit.binary Memo.t;  (** tier 1: (AST digest, fingerprint) *)
+  bench_binaries : Emit.binary Memo.t;  (** tier 1 for benchmarks *)
+  measures : Metrics.all_methods Memo.t;
+      (** tier 2: (subject digest, full binary digest) *)
+  costs : int Memo.t;  (** tier 2: (bench digest, [.text] digest) *)
+}
 
-include Engine.Make (Domain_impl)
+let create ?workers ?store () =
+  let counters = Util.Counters.create () in
+  {
+    pool = Engine.Pool.create ?workers ();
+    counters;
+    store;
+    binaries = Memo.create ~counters ?store ~name:"compile" ();
+    bench_binaries = Memo.create ~counters ?store ~name:"bench-compile" ();
+    measures = Memo.create ~counters ?store ~name:"measure" ();
+    costs = Memo.create ~counters ?store ~name:"bench-cost" ();
+  }
+
+let tier1_key subject_key config = subject_key ^ "/" ^ Config.fingerprint config
+
+(* Tier-1 lookup that also reports whether the binary was freshly
+   compiled — a fresh compile whose binary digest already sits in a
+   tier-2 table is a *dedup* (the discard optimization firing), while
+   a tier-1 hit followed by a tier-2 hit is a plain cache hit. *)
+let compile_tracked memo key produce =
+  let fresh = ref false in
+  let bin =
+    Memo.find_or_add memo key (fun () ->
+        fresh := true;
+        produce ())
+  in
+  (bin, if !fresh then "dedups" else "hits")
+
+let compile_key (p : Evaluation.prepared) config =
+  tier1_key p.Evaluation.ast_digest config
+
+(* Planner support (see the prefix planner below): [peek] checks tier 1
+   without executing anything or touching the counters — the planner
+   uses it to drop already-compiled configs from a sweep before grouping
+   the rest by shared prefix. [seed] publishes a binary produced outside
+   the engine (an incremental suffix compile) under the ordinary tier-1
+   key, bumping the regular counters, so every later [compile]/[measure]
+   of that config is a plain tier-1 hit. *)
+let peek_compile t p config = Memo.find_opt t.binaries (compile_key p config)
+
+let seed_compile t p config produce =
+  Memo.find_or_add t.binaries (compile_key p config) produce
+
+let compile t p config =
+  seed_compile t p config (fun () -> compile_uncached p config)
+
+let peek_bench_compile t bench config =
+  Memo.find_opt t.bench_binaries (tier1_key (bench_subject_key bench) config)
+
+let seed_bench_compile t bench config produce =
+  Memo.find_or_add t.bench_binaries
+    (tier1_key (bench_subject_key bench) config)
+    produce
+
+let measure t (p : Evaluation.prepared) config =
+  let bin, hit =
+    compile_tracked t.binaries (compile_key p config) (fun () ->
+        compile_uncached p config)
+  in
+  let m =
+    Memo.find_or_add ~hit t.measures
+      (p.Evaluation.content_digest ^ "@" ^ bin.Emit.full_digest)
+      (fun () -> measure_uncached p bin)
+  in
+  (m, bin)
+
+(** The paper's headline number for a configuration, engine-cached. *)
+let product t prepared config =
+  (fst (measure t prepared config)).Metrics.m_hybrid.Metrics.product
+
+let bench_cost t bench config =
+  let key = bench_subject_key bench in
+  let bin, hit =
+    compile_tracked t.bench_binaries (tier1_key key config) (fun () ->
+        bench_compile_uncached bench config)
+  in
+  Memo.find_or_add ~hit t.costs
+    (key ^ "@" ^ bin.Emit.text_digest)
+    (fun () -> bench_run bench bin)
+
+let map t f xs = Engine.Pool.map t.pool f xs
+let workers t = Engine.Pool.workers t.pool
+let stats t = t.counters
+let store t = t.store
+let memo t ~name () = Memo.create ~counters:t.counters ?store:t.store ~name ()
 
 (* Per-request counter sinks: {!Util.Counters} sinks under the names
    the service API and the bench harness use. Every counting site bumps
@@ -100,21 +183,19 @@ let create_request_sink = Util.Counters.create_sink
 let with_request_sink = Util.Counters.with_sink
 let request_sink_rows = Util.Counters.sink_rows
 
-(* Bracket every disk-store I/O with an [Obs] span + counter. Installed
-   at module init so the engine library itself never depends on
-   lib/obs; free when observability is off. *)
+(* An [Obs] span + counter named [name]; free when observability is
+   off. *)
+let obs_span name args f =
+  if not (Obs.enabled ()) then f ()
+  else begin
+    Obs.count name;
+    Obs.Span.wrap name ~args f
+  end
+
+(* Bracket every disk-store I/O with [obs_span]. Installed at module
+   init so the engine library itself never depends on lib/obs. *)
 let () =
-  Engine.Disk_store.set_io_wrap
-    (Some
-       {
-         Engine.Disk_store.wrap =
-           (fun name args f ->
-             if not (Obs.enabled ()) then f ()
-             else begin
-               Obs.count name;
-               Obs.Span.wrap name ~args f
-             end);
-       })
+  Engine.Disk_store.set_io_wrap (Some { Engine.Disk_store.wrap = obs_span })
 
 (* The serialization schema stamp: [Marshal] is type-unsafe, so any
    change to the marshalled value layouts (or the compiler that decides
@@ -134,49 +215,6 @@ let open_store ?dir ?max_bytes () =
   Engine.Disk_store.create ?max_bytes ~schema:cache_schema
     ~dir:(cache_dir_of ?dir ()) ()
 
-(* Key decoded programs into the persistent store: a warm daemon (or a
-   second process sharing --cache-dir) skips re-decoding every binary
-   it executes. A [None] result ("the fast core cannot run this
-   binary") is persisted too — rediscovering it costs a full decode
-   attempt. Failures degrade to a miss, exactly like every other store
-   consumer; a payload that fails to unmarshal is evicted. *)
-let decode_persist s =
-  {
-    Vm.Decode.ps_get =
-      (fun key ->
-        match Engine.Disk_store.get s ~cache:"vm-decode" ~key with
-        | None -> None
-        | Some data -> (
-            match (Marshal.from_string data 0 : Vm.Decode.program option) with
-            | p -> Some p
-            | exception _ ->
-                Engine.Disk_store.invalidate s ~cache:"vm-decode" ~key;
-                None));
-    ps_put =
-      (fun key p ->
-        match Marshal.to_string p [] with
-        | data -> Engine.Disk_store.put s ~cache:"vm-decode" ~key data
-        | exception _ -> ());
-  }
-
-(* The decode cache is process-global, so its store is too: the last
-   engine created with a store wins, which in every real deployment
-   (CLI one-shot, daemon, bench) is the only one. *)
-let create ?workers ?store () =
-  Option.iter (fun s -> Vm.Decode.set_persist (Some (decode_persist s))) store;
-  create ?workers ?store ()
-
-let default_instance = lazy (create ())
-
-(** The process-wide shared engine, for callers that do not thread an
-    instance (CLI one-shots, tests). Experiment contexts create their
-    own so cache statistics are per-run. *)
-let default () = Lazy.force default_instance
-
-(** The paper's headline number for a configuration, engine-cached. *)
-let product t prepared config =
-  (fst (measure t prepared config)).Metrics.m_hybrid.Metrics.product
-
 (* ------------------------------------------------------------------ *)
 (* Pass-prefix incremental compilation (DESIGN.md "Incremental
    compilation"). A sweep's configurations mostly run the identical
@@ -186,15 +224,6 @@ let product t prepared config =
    suffixes ([Toolchain.resume]) on the Domain pool. Results are seeded
    into the ordinary tier-1 table, so they are byte-identical and
    indistinguishable from straight-line compiles to every consumer. *)
-
-let prefix_cache_enabled = ref true
-
-let prefix_span name args f =
-  if not (Obs.enabled ()) then f ()
-  else begin
-    Obs.count name;
-    Obs.Span.wrap name ~args f
-  end
 
 (* One unit of sweep work: a suffix compile forked from a shared
    checkpoint, a group of configurations proven state-identical at the
@@ -285,7 +314,7 @@ let plan_family ~ast ~roots configs =
       "prefix/snapshot_bytes"
   in
   let cp0 =
-    prefix_span "prefix:snapshot" [ ("upto", "0") ] (fun () ->
+    obs_span "prefix:snapshot" [ ("upto", "0") ] (fun () ->
         Toolchain.start ast ~config:rep ~roots)
   in
   note_capture cp0;
@@ -312,7 +341,7 @@ let plan_family ~ast ~roots configs =
              in it is disabled, [advance] shares the snapshot and there
              is no new capture to account for. *)
           let cp' =
-            prefix_span "prefix:snapshot"
+            obs_span "prefix:snapshot"
               [ ("upto", string_of_int j) ]
               (fun () -> Toolchain.advance ~upto:j cp c0)
           in
@@ -328,7 +357,7 @@ let plan_family ~ast ~roots configs =
           let yes, no = List.partition (fun (_, b) -> b.(idx)) all in
           let rep_yes = fst (List.hd yes) in
           let cp_yes =
-            prefix_span "prefix:snapshot"
+            obs_span "prefix:snapshot"
               [ ("upto", string_of_int (idx + 1)) ]
               (fun () -> Toolchain.advance ~upto:(idx + 1) cp rep_yes)
           in
@@ -367,13 +396,7 @@ let sweep t ~ast ~roots ~peek ~seed ~straight configs =
   let todo =
     List.filter (fun c -> fresh c && Option.is_none (peek c)) configs
   in
-  if todo = [] then ()
-  else if not !prefix_cache_enabled then
-    (* Escape hatch (--no-prefix-cache): same compiles, no snapshots;
-       still parallel, still seeded through the ordinary tier-1 path. *)
-    ignore
-      (map t (fun c -> seed c (fun () -> straight c)) todo : unit list)
-  else begin
+  if todo <> [] then begin
     (* Group by pipeline family, preserving input order. *)
     let families = ref [] in
     List.iter
@@ -400,7 +423,7 @@ let sweep t ~ast ~roots ~peek ~seed ~straight configs =
                seed c (fun () -> straight c)
            | Suffix (c, cp) ->
                seed c (fun () ->
-                   prefix_span "prefix:resume"
+                   obs_span "prefix:resume"
                      [ ("config", Config.fingerprint c) ]
                      (fun () -> Toolchain.resume ~from:cp c))
            | Merged (cs, cp) ->
@@ -409,7 +432,7 @@ let sweep t ~ast ~roots ~peek ~seed ~straight configs =
                let rep = List.hd cs in
                let bin =
                  lazy
-                   (prefix_span "prefix:resume"
+                   (obs_span "prefix:resume"
                       [ ("config", Config.fingerprint rep) ]
                       (fun () -> Toolchain.resume ~from:cp rep))
                in
@@ -423,7 +446,7 @@ let compile_sweep t (p : Evaluation.prepared) configs =
   sweep t ~ast:p.Evaluation.ast ~roots:p.Evaluation.roots
     ~peek:(fun c -> peek_compile t p c)
     ~seed:(fun c produce -> ignore (seed_compile t p c produce : Emit.binary))
-    ~straight:(fun c -> Domain_impl.compile p c)
+    ~straight:(fun c -> compile_uncached p c)
     configs
 
 let bench_compile_sweep t (sp : Suite_types.sprogram) configs =
@@ -431,12 +454,12 @@ let bench_compile_sweep t (sp : Suite_types.sprogram) configs =
     ~peek:(fun c -> peek_bench_compile t sp c)
     ~seed:(fun c produce ->
       ignore (seed_bench_compile t sp c produce : Emit.binary))
-    ~straight:(fun c -> Domain_impl.bench_compile sp c)
+    ~straight:(fun c -> bench_compile_uncached sp c)
     configs
 
 (** One flat, sorted [(name, value)] table over every counter source:
     this engine's caches, its store, the process table (sanitizer,
-    prefix planner, shard, search and vm counters) and the live [Obs]
+    prefix planner, shard and search counters) and the live [Obs]
     session — so [bench --stats] and the CLI render one table through
     one code path, text or JSON alike. *)
 let stats_table t : (string * int) list =

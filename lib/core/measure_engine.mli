@@ -1,29 +1,19 @@
-(** The repository's measurement engine — the single entry point for
-    compiling, tracing, measuring and benchmarking (program,
-    configuration) pairs, with a two-tier content-addressed cache and an
-    optional [Domain] worker pool (see [lib/engine] for the substrate
-    and DESIGN.md "Measurement engine" for the design).
+(** The repository's measurement engine — the single owner of
+    measurement state and the single entry point for compiling,
+    measuring and benchmarking (program, configuration) pairs, with a
+    two-tier content-addressed cache and an optional [Domain] worker
+    pool (see [lib/engine] for the generic substrate and DESIGN.md
+    "Measurement engine" for the design). There is no process-wide
+    engine: every caller is handed one explicitly.
 
     Tier 1 is keyed by (AST digest, {!Config.fingerprint}) and caches
-    compiled binaries; tier 2 is keyed by (subject digest, [.text]
-    digest) and caches traces, metrics and benchmark costs — two
-    configurations whose binaries share machine code share one
-    measurement (the engine-wide generalization of the paper's
-    Section III-A discard optimization). *)
+    compiled binaries; tier 2 caches metrics, keyed by (subject digest,
+    full binary digest), and benchmark costs, keyed by (benchmark
+    digest, [.text] digest) — two configurations whose binaries share
+    content share one measurement (the engine-wide generalization of
+    the paper's Section III-A discard optimization). *)
 
 type t
-
-type job =
-  | Compile of Evaluation.prepared * Config.t
-  | Trace of Evaluation.prepared * Config.t
-  | Measure of Evaluation.prepared * Config.t
-  | BenchCost of Suite_types.sprogram * Config.t
-
-type result =
-  | Binary of Emit.binary
-  | Traced of Debugger.trace * Emit.binary
-  | Measured of Metrics.all_methods * Emit.binary
-  | Cost of int
 
 val create : ?workers:int -> ?store:Engine.Disk_store.t -> unit -> t
 (** Fresh caches, zeroed counters. [workers] sizes the pool behind
@@ -46,12 +36,6 @@ val open_store :
     [dir] if given, else [$DEBUGTUNER_CACHE] if set and non-empty, else
     ["_cache"]. Always stamped with {!cache_schema}. *)
 
-val default : unit -> t
-(** The process-wide shared engine, for callers that do not thread an
-    instance. *)
-
-val run : t -> job -> result
-
 val compile : t -> Evaluation.prepared -> Config.t -> Emit.binary
 (** Tier-1 cached compilation. *)
 
@@ -60,9 +44,11 @@ val peek_compile : t -> Evaluation.prepared -> Config.t -> Emit.binary option
 
 val seed_compile :
   t -> Evaluation.prepared -> Config.t -> (unit -> Emit.binary) -> Emit.binary
-(** Publish a binary produced outside the engine under the ordinary
-    tier-1 key; [produce] must return exactly what a straight compile
-    would (see [Engine.Make.seed_compile]). *)
+(** [seed_compile t p c produce] publishes a binary produced outside
+    the engine (an incremental prefix-cache suffix compile) under the
+    ordinary tier-1 key: the regular hit/miss counters fire, and every
+    later {!compile} of the same job is a plain tier-1 hit. [produce]
+    must return exactly what a straight compile would. *)
 
 val peek_bench_compile :
   t -> Suite_types.sprogram -> Config.t -> Emit.binary option
@@ -74,13 +60,14 @@ val seed_bench_compile :
   (unit -> Emit.binary) ->
   Emit.binary
 
-val trace : t -> Evaluation.prepared -> Config.t -> Debugger.trace * Emit.binary
-(** Tier-2 cached trace extraction. *)
-
 val measure :
   t -> Evaluation.prepared -> Config.t -> Metrics.all_methods * Emit.binary
-(** Tier-2 cached measurement: the cached replacement for
-    {!Evaluation.measure}. *)
+(** Tier-2 cached measurement: trace the binary over the prepared
+    corpora and compute all four metric methods. Only the metrics are
+    kept; the trace is dropped. Two configurations of the same subject
+    whose binaries share a [full_digest] share one metrics record; a
+    hit reached through a fresh compile counts as
+    [engine/measure/dedups]. *)
 
 val product : t -> Evaluation.prepared -> Config.t -> float
 (** The paper's headline number (hybrid product), engine-cached. *)
@@ -137,15 +124,10 @@ val request_sink_rows : request_sink -> (string * int) list
     difference — except in wall clock. See DESIGN.md "Incremental
     compilation". *)
 
-val prefix_cache_enabled : bool ref
-(** Escape hatch ([--no-prefix-cache]): when [false] the sweep entry
-    points compile every configuration straight (still in parallel,
-    still cached) with no snapshotting. Default [true]. *)
-
 val compile_sweep : t -> Evaluation.prepared -> Config.t list -> unit
 (** Prewarm tier 1 for a sweep over one prepared program: compile every
     not-yet-cached configuration, sharing pipeline prefixes. After the
-    call, {!compile}/{!trace}/{!measure} of any swept configuration is
+    call, {!compile}/{!measure} of any swept configuration is
     a tier-1 hit. Duplicate fingerprints are planned once.
 
     Planner activity goes to the process counter table:
@@ -165,7 +147,10 @@ val bench_compile_sweep : t -> Suite_types.sprogram -> Config.t list -> unit
 val workers : t -> int
 
 val stats : t -> Util.Counters.table
-(** This engine's cache counters ({!Engine.Make.stats}). *)
+(** This engine's cache counters: [engine/<cache>/hits|misses|dedups]
+    for every memo table it owns or hands out ({!memo}). A dedup is a
+    tier-2 content collision — a fresh compile whose binary digest was
+    already measured, served without re-tracing or re-running. *)
 
 val store : t -> Engine.Disk_store.t option
 (** The persistent store this engine was created with, if any. *)
@@ -180,10 +165,8 @@ val stats_table : t -> (string * int) list
       ([sanitize/<pass>/checked|failures]), the pass-prefix planner
       ([prefix/hits|misses|snapshot_bytes|passes_skipped|merged], see
       {!compile_sweep}), the sharded experiment runner
-      ([shard/programs|rows|resumed_programs]), tuning search
-      ([search/<name>], see {!Tuning.search}) and the VM decode cache
-      ([vm/decode_hits|misses], bumped only once an engine with a store
-      exists);
+      ([shard/programs|rows|resumed_programs]) and tuning search
+      ([search/<name>], see {!Tuning.search});
     - the live [Obs] session's counters ([obs/<name>]).
 
     The single stats path behind [bench --stats] and the CLI, in both

@@ -35,11 +35,8 @@ let dynamic_product (m : Metrics.all_methods) = m.Metrics.m_dynamic.Metrics.prod
    tier-2 sharing demands full binary identity (identical .text can
    still carry different debug info). Discards show up in the engine's
    statistics under "rank-discard". *)
-let per_program_increments ?engine ?(metric = hybrid_product)
+let per_program_increments ~engine:eng ?(metric = hybrid_product)
     (prepared : Evaluation.prepared) (config : Config.t) =
-  let eng =
-    match engine with Some e -> e | None -> Measure_engine.default ()
-  in
   let passes = Toolchain.pass_names config in
   (* The whole sweep — baseline plus one config per disabled pass —
      shares its pipeline prefix up to each divergence: compile it
@@ -88,11 +85,8 @@ let rank_positions increments =
     one level. Programs are measured on the engine's worker pool (one
     job per program; sequential on a one-worker engine) and reduced in
     suite order, so the ranking is identical for any worker count. *)
-let rank ?engine ?metric (prepared_programs : Evaluation.prepared list)
+let rank ~engine:eng ?metric (prepared_programs : Evaluation.prepared list)
     (config : Config.t) : level_ranking =
-  let eng =
-    match engine with Some e -> e | None -> Measure_engine.default ()
-  in
   let per_program =
     Measure_engine.map eng
       (fun p -> per_program_increments ~engine:eng ?metric p config)
@@ -158,7 +152,7 @@ let top_passes ?(k = 10) (lr : level_ranking) =
 (** The paper's stability check (Section V-A): how many of the
     cross-program top-[k] passes also sit in each program's own top-[k]
     (and top-[2k]) ranking. Returns the averages over programs. *)
-let stability ?engine ?metric ?(k = 10)
+let stability ~engine ?metric ?(k = 10)
     (prepared_programs : Evaluation.prepared list) (lr : level_ranking) =
   let global_top =
     List.filteri (fun i _ -> i < k) lr.lr_effects
@@ -167,7 +161,7 @@ let stability ?engine ?metric ?(k = 10)
   let per_program_hits =
     List.map
       (fun p ->
-        let _, incs = per_program_increments ?engine ?metric p lr.lr_config in
+        let _, incs = per_program_increments ~engine ?metric p lr.lr_config in
         let ranked =
           rank_positions incs
           |> List.sort (fun (_, a) (_, b) -> compare a b)

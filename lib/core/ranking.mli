@@ -28,16 +28,16 @@ val dynamic_product : Metrics.all_methods -> float
 (** Alternative metric for the ranking-metric ablation. *)
 
 val per_program_increments :
-  ?engine:Measure_engine.t ->
+  engine:Measure_engine.t ->
   ?metric:(Metrics.all_methods -> float) ->
   Evaluation.prepared ->
   Config.t ->
   float * (string * float) list
 (** One program's baseline product and pass -> relative-increment
-    association. [engine] defaults to {!Measure_engine.default}. *)
+    association. *)
 
 val rank :
-  ?engine:Measure_engine.t ->
+  engine:Measure_engine.t ->
   ?metric:(Metrics.all_methods -> float) ->
   Evaluation.prepared list ->
   Config.t ->
@@ -50,7 +50,7 @@ val top_passes : ?k:int -> level_ranking -> pass_effect list
 (** Top-[k] entries of a ranking (Tables V and VI rows). *)
 
 val stability :
-  ?engine:Measure_engine.t ->
+  engine:Measure_engine.t ->
   ?metric:(Metrics.all_methods -> float) ->
   ?k:int ->
   Evaluation.prepared list ->

@@ -540,10 +540,9 @@ let compile ?(options = Options.default) ?(instrument = Instrument.nop)
    [j]'s behaviour depends on the IR state, on [Config.enabled] of its
    own name, and (for gcc's gated inliners) on [Config.enabled
    "inline"] — whose entry always precedes the gated ones in the
-   pipeline list. So two configurations that agree on the enabled bits
-   of entries [0..k) run byte-identical prefixes, which is what
-   {!prefix_fingerprint} captures (see DESIGN.md "Incremental
-   compilation"). *)
+   pipeline list. So two configurations that agree on {!entry_effective}
+   of entries [0..k) run byte-identical prefixes (see DESIGN.md
+   "Incremental compilation"). *)
 
 type checkpoint = {
   cp_snapshot : Ir.Snapshot.t;
@@ -560,29 +559,6 @@ let checkpoint_digest cp = Ir.Snapshot.digest cp.cp_snapshot
 let checkpoint_opts cp = cp.cp_mach
 
 let pipeline_length (config : Config.t) = List.length (pipeline config)
-
-(** Content address of the execution prefix [0, k) of [config]'s
-    pipeline: compiler, level, and the enabled bit of each of the first
-    [k] entries. Two configurations with equal prefix fingerprints run
-    byte-identical pipeline prefixes, so a checkpoint captured under one
-    is valid for the other. Sound because {!Config.canonical} makes
-    [Config.enabled] a pure set-membership test and because no pass
-    closure reads any other configuration state (the one cross-entry
-    read, gcc's master "inline" gate, always precedes its dependents —
-    enforced by [test_prefix]). *)
-let prefix_fingerprint (config : Config.t) (k : int) =
-  let bits =
-    List.filteri (fun i _ -> i < k) (pipeline config)
-    |> List.map (fun e ->
-           let n = entry_name e in
-           if Config.enabled config n then n else "!" ^ n)
-  in
-  Digest.to_hex
-    (Digest.string
-       (String.concat ";"
-          (Config.compiler_name config.Config.compiler
-          :: Config.level_name config.Config.level
-          :: bits)))
 
 (** The full behaviour-determining input of entry [e] under [config]:
     its own enabled bit and, for gcc's gated inliners, the master
@@ -673,9 +649,10 @@ let advance ?(options = Options.default) ?(instrument = Instrument.nop)
 (** [resume ~from config] replays only the pipeline suffix
     [from.index, end) and finishes the compilation (backend and
     emission included). Byte-identical to [compile] of the same
-    configuration whenever [from] was captured under a configuration
-    agreeing with [config] on {!prefix_fingerprint} at [from]'s
-    index. *)
+    configuration whenever [from] holds the state [config]'s own
+    pipeline reaches at [from]'s index — in particular whenever [from]
+    was captured under configurations agreeing with [config] on
+    {!entry_effective} of every entry before that index. *)
 let resume ?(options = Options.default) ?(instrument = Instrument.nop)
     ~(from : checkpoint) (config : Config.t) : Emit.binary =
   check_family from config "Toolchain.resume";

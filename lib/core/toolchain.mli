@@ -161,15 +161,6 @@ val checkpoint_opts : checkpoint -> Mach.opts
 val pipeline_length : Config.t -> int
 (** Number of pipeline entries of the configuration's family (0 at O0). *)
 
-val prefix_fingerprint : Config.t -> int -> string
-(** [prefix_fingerprint config k] — content address of the execution
-    prefix [0, k): compiler, level, and each of the first [k] entries'
-    enabled bits. Equal fingerprints guarantee byte-identical prefix
-    execution, so a checkpoint captured under one configuration can be
-    resumed under any other with the same fingerprint at its index
-    (the engine's prefix-cache key; soundness argument in DESIGN.md
-    "Incremental compilation"). *)
-
 val start :
   ?options:Options.t ->
   ?instrument:Instrument.t ->
@@ -202,5 +193,9 @@ val resume :
   Emit.binary
 (** [resume ~from config] replays pipeline entries [from.index, end)
     and finishes the compilation (backend, emission). Byte-identical to
-    {!compile} whenever [from] was captured under a configuration whose
-    {!prefix_fingerprint} at [from]'s index equals [config]'s. *)
+    {!compile} whenever [from] holds the state [config]'s own pipeline
+    reaches at [from]'s index: in particular whenever [from] was
+    captured under configurations agreeing with [config] on
+    {!entry_effective} of every entry before that index, and whenever
+    an entry they disagree on left {!checkpoint_digest} and
+    {!checkpoint_opts} unchanged (a no-op on this program). *)

@@ -23,36 +23,21 @@ let dy_config (lr : Ranking.level_ranking) ~y : Config.t =
 (* -------------------------------------------------------------- *)
 (* Performance on the SPEC analogs                                 *)
 
-type bench_run = { br_name : string; br_cost : int }
-
-(** Total VM cost of one benchmark under a configuration, cached on the
-    measurement engine ([BenchCost] jobs: the compile hits tier 1, the
-    VM run hits the .text-digest tier — two configurations producing
-    identical machine code never re-run the benchmark). The SPEC analogs
-    are closed programs; the median-of-three of the paper degenerates to
-    a single deterministic run here. *)
-let bench_cost ?engine (p : Suite_types.sprogram) (config : Config.t) =
-  let eng =
-    match engine with Some e -> e | None -> Measure_engine.default ()
-  in
-  Measure_engine.bench_cost eng p config
-
 type speedup_row = {
   sp_bench : string;
   sp_speedup : float;  (** over the O0 build of the same benchmark *)
 }
 
-(** [speedups benches config] — per-benchmark speedup over O0 plus the
-    geometric mean. O0 costs are computed on the fly; callers measuring
-    many configurations should use {!speedups_cached}. *)
-let speedups_cached ?engine ~(o0_costs : (string * int) list)
+(** [speedups_cached ~o0_costs benches config] — per-benchmark speedup
+    over the given O0 costs plus the geometric mean. *)
+let speedups_cached ~engine ~(o0_costs : (string * int) list)
     (benches : Suite_types.sprogram list) (config : Config.t) =
   let rows =
     List.map
       (fun p ->
         let name = p.Suite_types.p_name in
         let base = List.assoc name o0_costs in
-        let c = bench_cost ?engine p config in
+        let c = Measure_engine.bench_cost engine p config in
         {
           sp_bench = name;
           sp_speedup = float_of_int base /. float_of_int (max 1 c);
@@ -62,15 +47,11 @@ let speedups_cached ?engine ~(o0_costs : (string * int) list)
   let geo = Util.Stats.geomean (List.map (fun r -> r.sp_speedup) rows) in
   (rows, geo)
 
-let o0_costs ?engine (benches : Suite_types.sprogram list) =
+let o0_costs ~engine (benches : Suite_types.sprogram list) =
+  let o0 = Config.make Config.Gcc Config.O0 in
   List.map
-    (fun p ->
-      ( p.Suite_types.p_name,
-        bench_cost ?engine p (Config.make Config.Gcc Config.O0) ))
+    (fun p -> (p.Suite_types.p_name, Measure_engine.bench_cost engine p o0))
     benches
-
-let speedups ?engine benches config =
-  speedups_cached ?engine ~o0_costs:(o0_costs ?engine benches) benches config
 
 (* -------------------------------------------------------------- *)
 (* Joint debug + performance measurement of a configuration         *)
@@ -82,16 +63,9 @@ type config_point = {
   cp_per_program : (string * float) list;
 }
 
-let default_engine = function
-  | Some e -> e
-  | None -> Measure_engine.default ()
-
-let measure_point ?engine (prepared_suite : Evaluation.prepared list)
+let measure_point ~engine:eng (prepared_suite : Evaluation.prepared list)
     ~(o0_costs : (string * int) list) (benches : Suite_types.sprogram list)
     (config : Config.t) : config_point =
-  let eng =
-    match engine with Some e -> e | None -> Measure_engine.default ()
-  in
   let per_program =
     List.map
       (fun (p : Evaluation.prepared) ->
@@ -500,11 +474,10 @@ let front_of (points : (Config.t * float * float) list) =
         (b.fp_debug, b.fp_speedup, Config.name b.fp_config))
     dedup
 
-let search ?engine (prepared_suite : Evaluation.prepared list)
+let search ~engine:eng (prepared_suite : Evaluation.prepared list)
     ~(o0_costs : (string * int) list) (benches : Suite_types.sprogram list)
     ~(base : Config.t) ~(opts : search_opts) : search_result =
   if opts.so_budget < 1 then invalid_arg "Tuning.search: budget must be >= 1";
-  let eng = default_engine engine in
   let scope =
     Digest.to_hex
       (Digest.string

@@ -1,8 +1,8 @@
 (** Configuration tuning (Section III-B, second component): build the
     [Ox-dy] configurations from a ranking and measure both sides of the
     trade — debuggability on the test suite, performance on the SPEC
-    analogs. All measurement is engine-cached ({!Measure_engine});
-    [engine] parameters default to {!Measure_engine.default}. *)
+    analogs. All measurement is cached on the engine the caller passes
+    ({!Measure_engine}). *)
 
 val dy_config : Ranking.level_ranking -> y:int -> Config.t
 (** Disable the top-[y] ranked passes, with the paper's inliner
@@ -10,19 +10,13 @@ val dy_config : Ranking.level_ranking -> y:int -> Config.t
     [Inliner]) is never disabled — only the more specific inlining
     flags participate. *)
 
-type bench_run = { br_name : string; br_cost : int }
-
-val bench_cost : ?engine:Measure_engine.t -> Suite_types.sprogram -> Config.t -> int
-(** Total VM cost of one benchmark under a configuration (a cached
-    engine [BenchCost] job; identical [.text] never re-runs). *)
-
 type speedup_row = {
   sp_bench : string;
   sp_speedup : float;  (** over the O0 build of the same benchmark *)
 }
 
 val speedups_cached :
-  ?engine:Measure_engine.t ->
+  engine:Measure_engine.t ->
   o0_costs:(string * int) list ->
   Suite_types.sprogram list ->
   Config.t ->
@@ -31,14 +25,7 @@ val speedups_cached :
     mean. *)
 
 val o0_costs :
-  ?engine:Measure_engine.t -> Suite_types.sprogram list -> (string * int) list
-
-val speedups :
-  ?engine:Measure_engine.t ->
-  Suite_types.sprogram list ->
-  Config.t ->
-  speedup_row list * float
-(** {!speedups_cached} with O0 costs computed on the fly. *)
+  engine:Measure_engine.t -> Suite_types.sprogram list -> (string * int) list
 
 type config_point = {
   cp_config : Config.t;
@@ -48,7 +35,7 @@ type config_point = {
 }
 
 val measure_point :
-  ?engine:Measure_engine.t ->
+  engine:Measure_engine.t ->
   Evaluation.prepared list ->
   o0_costs:(string * int) list ->
   Suite_types.sprogram list ->
@@ -119,7 +106,7 @@ val pass_universe : Config.t -> string list
     exception. *)
 
 val search :
-  ?engine:Measure_engine.t ->
+  engine:Measure_engine.t ->
   Evaluation.prepared list ->
   o0_costs:(string * int) list ->
   Suite_types.sprogram list ->

@@ -120,36 +120,7 @@ let debugger_snapshots (bin : Emit.binary) ~entry ~input =
   let seen : (int, string * (string, oval) Hashtbl.t) Hashtbl.t =
     Hashtbl.create 64
   in
-  let globals = Hashtbl.create 16 in
-  List.iter
-    (fun (g : Ir.global_def) ->
-      Hashtbl.replace globals g.Ir.g_name (Array.make g.Ir.g_size g.Ir.g_init))
-    bin.Emit.bin_globals;
-  let st =
-    {
-      Vm.bin;
-      pregs = Array.make (Mach.num_regs + 1) 0;
-      frames = [];
-      globals;
-      input = Array.of_list input;
-      input_pos = 0;
-      out_rev = [];
-      cost = 0;
-      icount = 0;
-      pc = 0;
-      last_writes = [];
-      last_was_load = false;
-      edges = Hashtbl.create 16;
-      bp_hits_rev = [];
-      halted = false;
-    }
-  in
-  let fi =
-    match Hashtbl.find_opt bin.Emit.fn_by_name entry with
-    | Some idx -> bin.Emit.funcs.(idx)
-    | None -> raise (Vm.Runtime_error ("no entry function " ^ entry))
-  in
-  Vm.enter_function st fi [] ~ret_pc:(-1) ~ret_dst:None;
+  let st = Vm.init_state bin ~entry ~args:[] ~input in
   let observe () =
     match Hashtbl.find_opt line_at st.Vm.pc with
     | Some line when not (Hashtbl.mem seen line) -> (

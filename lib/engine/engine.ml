@@ -1,6 +1,6 @@
-(* Measurement-engine substrate: content-addressed memo tables with
-   observable counters, a deterministic Domain worker pool, and the
-   two-tier cached job API (see engine.mli for the contract). *)
+(* Measurement-engine substrate: a persistent content-addressed store,
+   content-addressed memo tables with observable counters, and a
+   deterministic Domain worker pool (see engine.mli for the contract). *)
 
 module Counters = Util.Counters
 
@@ -17,7 +17,7 @@ module Counters = Util.Counters
 module Disk_store = struct
   let format_version = 1
 
-  (* Observability seam: the instantiation (Measure_engine) installs a
+  (* Observability seam: Measure_engine installs a
      polymorphic wrapper that brackets every store I/O in an [Obs] span
      and counter without this library depending on lib/obs. *)
   type io_wrap = {
@@ -478,24 +478,20 @@ module Memo = struct
      table meanwhile; a concurrent duplicate computation of the same key
      is harmless because producers are deterministic and [add] keeps the
      first value. *)
-  let find_or_add t key produce =
+  let find_or_add ?(hit = "hits") t key produce =
     match find_opt t key with
     | Some v ->
-        bump t "hits";
+        bump t hit;
         v
     | None ->
         bump t "misses";
         let v = produce () in
         add t key v;
         v
-
-  let length t = locked t (fun () -> Hashtbl.length t.table)
 end
 
 module Pool = struct
   type t = { workers : int }
-
-  let recommended_workers () = min 16 (Domain.recommended_domain_count ())
 
   let create ?(workers = 1) () = { workers = max 1 workers }
 
@@ -540,181 +536,4 @@ module Pool = struct
            | Some (Error e) -> raise e
            | None -> assert false)
     end
-end
-
-module type DOMAIN = sig
-  type config
-  type subject
-  type bench_subject
-  type binary
-  type trace
-  type metrics
-
-  val config_key : config -> string
-  val subject_ast_key : subject -> string
-  val subject_key : subject -> string
-  val bench_subject_key : bench_subject -> string
-  val binary_key : binary -> string
-  val binary_cost_key : binary -> string
-
-  val compile : subject -> config -> binary
-  val trace : subject -> binary -> trace
-  val metrics : subject -> binary -> trace -> metrics
-  val bench_compile : bench_subject -> config -> binary
-  val bench_run : bench_subject -> binary -> int
-end
-
-module Make (D : DOMAIN) = struct
-  type t = {
-    pool : Pool.t;
-    counters : Counters.table;  (** [engine/<cache>/hits|misses|dedups] *)
-    store : Disk_store.t option;
-        (** persistent second level behind every memo table *)
-    binaries : D.binary Memo.t;  (** tier 1: (AST digest, fingerprint) *)
-    bench_binaries : D.binary Memo.t;  (** tier 1 for benchmarks *)
-    traces : D.trace Memo.t;  (** tier 2: (subject digest, binary digest) *)
-    measures : D.metrics Memo.t;  (** tier 2 *)
-    costs : int Memo.t;  (** tier 2, keyed by the coarser cost key *)
-  }
-
-  type job =
-    | Compile of D.subject * D.config
-    | Trace of D.subject * D.config
-    | Measure of D.subject * D.config
-    | BenchCost of D.bench_subject * D.config
-
-  type result =
-    | Binary of D.binary
-    | Traced of D.trace * D.binary
-    | Measured of D.metrics * D.binary
-    | Cost of int
-
-  let create ?workers ?store () =
-    let counters = Counters.create () in
-    {
-      pool = Pool.create ?workers ();
-      counters;
-      store;
-      binaries = Memo.create ~counters ?store ~name:"compile" ();
-      bench_binaries = Memo.create ~counters ?store ~name:"bench-compile" ();
-      traces = Memo.create ~counters ?store ~name:"trace" ();
-      measures = Memo.create ~counters ?store ~name:"measure" ();
-      costs = Memo.create ~counters ?store ~name:"bench-cost" ();
-    }
-
-  let tier1_key ast_key config = ast_key ^ "/" ^ D.config_key config
-
-  (* Tier-1 lookup that also reports whether the binary was freshly
-     compiled — a fresh compile whose binary digest already sits in a
-     tier-2 table is a *dedup* (the discard optimization firing), while
-     a tier-1 hit followed by a tier-2 hit is a plain cache hit. *)
-  let compile_tracked t subject config =
-    let key = tier1_key (D.subject_ast_key subject) config in
-    let fresh = ref false in
-    let bin =
-      Memo.find_or_add t.binaries key (fun () ->
-          fresh := true;
-          D.compile subject config)
-    in
-    (bin, !fresh)
-
-  let compile t subject config = fst (compile_tracked t subject config)
-
-  (* Planner support (see Measure_engine's prefix planner): [peek]
-     checks tier 1 without executing anything or touching the counters —
-     the planner uses it to drop already-compiled configs from a sweep
-     before grouping the rest by shared prefix. [seed] publishes a
-     binary produced outside the engine (an incremental suffix compile)
-     under the ordinary tier-1 key, bumping the regular counters, so
-     every later [compile]/[trace]/[measure] of that config is a plain
-     tier-1 hit. *)
-  let peek_compile t subject config =
-    Memo.find_opt t.binaries (tier1_key (D.subject_ast_key subject) config)
-
-  let seed_compile t subject config produce =
-    Memo.find_or_add t.binaries
-      (tier1_key (D.subject_ast_key subject) config)
-      produce
-
-  let peek_bench_compile t bench config =
-    Memo.find_opt t.bench_binaries
-      (tier1_key (D.bench_subject_key bench) config)
-
-  let seed_bench_compile t bench config produce =
-    Memo.find_or_add t.bench_binaries
-      (tier1_key (D.bench_subject_key bench) config)
-      produce
-
-  (* Tier-2 generic lookup with hit/dedup classification. [bin_key]
-     picks which binary digest keys the tier (full for debug-quality
-     results, code-only for execution cost). *)
-  let tier2 (memo : _ Memo.t) ~subject_key ~bin_key ~bin ~fresh produce =
-    let key = subject_key ^ "@" ^ bin_key bin in
-    match Memo.find_opt memo key with
-    | Some v ->
-        Memo.bump memo (if fresh then "dedups" else "hits");
-        v
-    | None ->
-        Memo.bump memo "misses";
-        let v = produce () in
-        Memo.add memo key v;
-        v
-
-  let trace t subject config =
-    let bin, fresh = compile_tracked t subject config in
-    let tr =
-      tier2 t.traces ~subject_key:(D.subject_key subject)
-        ~bin_key:D.binary_key ~bin ~fresh (fun () -> D.trace subject bin)
-    in
-    (tr, bin)
-
-  let measure t subject config =
-    let bin, fresh = compile_tracked t subject config in
-    let m =
-      tier2 t.measures ~subject_key:(D.subject_key subject)
-        ~bin_key:D.binary_key ~bin ~fresh (fun () ->
-          (* The trace is transient: only its metrics are retained, so a
-             full-evaluation run holds one metrics record per distinct
-             binary, not one trace (traces are orders of magnitude
-             larger). Explicit [Trace] jobs do populate the trace
-             tier. *)
-          let tr =
-            match
-              Memo.find_opt t.traces
-                (D.subject_key subject ^ "@" ^ D.binary_key bin)
-            with
-            | Some tr -> tr
-            | None -> D.trace subject bin
-          in
-          D.metrics subject bin tr)
-    in
-    (m, bin)
-
-  let bench_cost t bench config =
-    let key = tier1_key (D.bench_subject_key bench) config in
-    let fresh = ref false in
-    let bin =
-      Memo.find_or_add t.bench_binaries key (fun () ->
-          fresh := true;
-          D.bench_compile bench config)
-    in
-    tier2 t.costs ~subject_key:(D.bench_subject_key bench)
-      ~bin_key:D.binary_cost_key ~bin ~fresh:!fresh (fun () ->
-        D.bench_run bench bin)
-
-  let run t = function
-    | Compile (s, c) -> Binary (compile t s c)
-    | Trace (s, c) ->
-        let tr, bin = trace t s c in
-        Traced (tr, bin)
-    | Measure (s, c) ->
-        let m, bin = measure t s c in
-        Measured (m, bin)
-    | BenchCost (b, c) -> Cost (bench_cost t b c)
-
-  let map t f xs = Pool.map t.pool f xs
-  let workers t = Pool.workers t.pool
-  let stats t = t.counters
-  let store t = t.store
-  let memo t ~name () = Memo.create ~counters:t.counters ?store:t.store ~name ()
 end

@@ -1,43 +1,28 @@
-(** The measurement engine: content-addressed caching and deterministic
-    parallel execution for "measure (program, configuration)" jobs.
+(** The measurement engine's generic substrate: a persistent store,
+    memo tables and a worker pool, ignorant of the compiler model.
 
     Every table of the paper's evaluation is assembled from the same
     primitive — compile a program under a configuration, trace it, and
     compute metrics — and the experiment drivers re-request identical
-    jobs thousands of times. This library is the shared substrate those
-    drivers run on:
+    jobs thousands of times. [Debugtuner.Measure_engine] caches that
+    primitive; this library holds the pieces it is built from:
 
+    - {!Disk_store}: a persistent content-addressed artifact store — a
+      versioned on-disk cache directory behind every memo table, so
+      measurement survives process restarts and long experiment runs
+      are resumable;
     - {!Memo}: a mutex-protected content-addressed memo table (string
       key -> value) whose hits, misses and dedups are counted in a
       {!Util.Counters} table, so the caching is observable (surfaced by
       [bench/main.exe --stats]);
     - {!Pool}: an optional [Domain]-based worker pool with a
       deterministic ordered reduction — results come back in input
-      order, so parallel runs print byte-identical tables;
-    - {!Make}: a functor turning domain operations (compile, trace,
-      metrics, benchmark) into a typed job API with a two-tier
-      content-addressed cache. Tier 1 is keyed by (subject content
-      digest, canonical configuration fingerprint) and stores compiled
-      binaries; tier 2 is keyed by a binary content digest and stores
-      traces / metrics / benchmark costs, generalizing the paper's
-      Section III-A ".text-identical discard" to every measurement in
-      the repository. The domain supplies two binary keys: a full one
-      for debug-quality results (identical .text can carry different
-      debug info, so metrics need the whole binary to agree) and a
-      possibly coarser one for execution cost (which depends on the
-      machine code alone).
+      order, so parallel runs print byte-identical tables.
 
-    - {!Disk_store}: a persistent content-addressed artifact store — a
-      versioned on-disk cache directory behind every memo table, so
-      measurement survives process restarts and long experiment runs
-      are resumable.
-
-    The library is deliberately ignorant of the compiler model: it
-    depends on the standard library, [Unix] (for the disk store's
-    atomic-rename publication and LRU clock) and [util] (for
+    The library depends on the standard library, [Unix] (for the disk
+    store's atomic-rename publication and LRU clock) and [util] (for
     {!Util.Counters}, which also carries every count to the calling
-    request's sink); the concrete instantiation lives in
-    [Debugtuner.Measure_engine]. *)
+    request's sink). *)
 
 (** {1 Persistent content-addressed artifact store} *)
 
@@ -112,7 +97,7 @@ module Disk_store : sig
 
   val set_io_wrap : io_wrap option -> unit
   (** Install a wrapper bracketing every store I/O ([store:get],
-      [store:put], [store:gc]) — the instantiation points this at [Obs]
+      [store:put], [store:gc]) — Measure_engine points this at [Obs]
       spans/counters without this library depending on lib/obs. *)
 end
 
@@ -128,23 +113,23 @@ module Memo : sig
     unit ->
     'a t
   (** A fresh table. When [counters] is given, lookups bump
-      [engine/<name>/hits|misses] there (and tier-2 lookups of the
-      {!Make} engine [engine/<name>/dedups]). When [store] is given,
+      [engine/<name>/hits|misses] there. When [store] is given,
       the table is read-through / write-through persistent: misses consult the disk store (under
       the cache named [name], values [Marshal]ed) and computed values
       are published back. A disk payload that fails to decode is
       evicted and recomputed. *)
 
-  val find_or_add : 'a t -> string -> (unit -> 'a) -> 'a
+  val find_or_add : ?hit:string -> 'a t -> string -> (unit -> 'a) -> 'a
   (** [find_or_add t key produce] returns the cached value for [key],
       running [produce] (outside the table lock) on a miss. [produce]
       must be deterministic in [key]: under parallel execution two
       domains may race on the same key and the first inserted value
-      wins. *)
+      wins. [hit] names the counter a hit bumps (default ["hits"]; the
+      measurement engine's tier 2 passes ["dedups"] for a hit reached
+      through a fresh compile). *)
 
   val find_opt : 'a t -> string -> 'a option
   val add : 'a t -> string -> 'a -> unit
-  val length : 'a t -> int
 end
 
 (** {1 Deterministic worker pool} *)
@@ -156,9 +141,6 @@ module Pool : sig
   (** [workers <= 1] (the default) is the sequential fallback: [map] is
       exactly [List.map]. *)
 
-  val recommended_workers : unit -> int
-  (** [Domain.recommended_domain_count], capped to a sane bound. *)
-
   val workers : t -> int
 
   val map : t -> ('a -> 'b) -> 'a list -> 'b list
@@ -168,138 +150,4 @@ module Pool : sig
       are re-raised (the one attached to the earliest input wins).
       Workers run {!Util.Counters.within} the caller's scope, so their
       counts land in the caller's request sinks. *)
-end
-
-(** {1 The typed job API} *)
-
-(** Domain operations the engine caches. All functions must be pure
-    (deterministic, no shared mutable state) — the repository's
-    compiler, tracer and VM qualify — and every [*_key] must be a
-    content address: equal keys imply interchangeable results. *)
-module type DOMAIN = sig
-  type config
-  type subject  (** a prepared test-suite program *)
-
-  type bench_subject  (** a benchmark program (no corpus needed) *)
-
-  type binary
-  type trace
-  type metrics
-
-  val config_key : config -> string
-  (** Canonical configuration fingerprint (order- and
-      duplicate-insensitive over disabled passes). *)
-
-  val subject_ast_key : subject -> string
-  (** Content digest of the compile inputs (AST + roots); tier-1 key
-      component. *)
-
-  val subject_key : subject -> string
-  (** Content digest of everything measurement depends on (AST + corpus
-      + baseline); tier-2 key component. *)
-
-  val bench_subject_key : bench_subject -> string
-
-  val binary_key : binary -> string
-  (** Content digest of the *whole* binary (machine code and debug
-      sections): the key of the trace and metrics tiers. Two binaries
-      sharing it must be interchangeable for any measurement. *)
-
-  val binary_cost_key : binary -> string
-  (** Key of the benchmark-cost tier. Execution cost depends on the
-      machine code alone, so this may be the (coarser) .text digest —
-      sharing costs between binaries that differ only in debug info. *)
-
-  val compile : subject -> config -> binary
-  val trace : subject -> binary -> trace
-  val metrics : subject -> binary -> trace -> metrics
-  val bench_compile : bench_subject -> config -> binary
-  val bench_run : bench_subject -> binary -> int
-end
-
-module Make (D : DOMAIN) : sig
-  type t
-
-  (** The four job kinds of the measurement engine. *)
-  type job =
-    | Compile of D.subject * D.config
-    | Trace of D.subject * D.config
-    | Measure of D.subject * D.config
-    | BenchCost of D.bench_subject * D.config
-
-  type result =
-    | Binary of D.binary
-    | Traced of D.trace * D.binary
-    | Measured of D.metrics * D.binary
-    | Cost of int
-
-  val create : ?workers:int -> ?store:Disk_store.t -> unit -> t
-  (** A fresh engine: empty caches, zeroed counters, and a worker pool
-      of the given size (default 1 = sequential). When [store] is
-      given, every cache tier is backed by that persistent store: jobs
-      already on disk are served without executing (counted as hits),
-      and fresh results are published back — so a second run of the
-      same workload is warm, and an interrupted run resumes where it
-      stopped. *)
-
-  val run : t -> job -> result
-
-  (** Typed wrappers over {!run}: *)
-
-  val compile : t -> D.subject -> D.config -> D.binary
-  (** Tier-1 cached: keyed by (subject AST digest, config
-      fingerprint). *)
-
-  val peek_compile : t -> D.subject -> D.config -> D.binary option
-  (** Tier-1 lookup without side effects: no compile, no counter bump.
-      Sweep planners use it to drop already-cached configurations before
-      grouping the rest by shared pipeline prefix. *)
-
-  val seed_compile : t -> D.subject -> D.config -> (unit -> D.binary) -> D.binary
-  (** [seed_compile t s c produce] publishes a binary produced outside
-      the engine (e.g. an incremental prefix-cache suffix compile) under
-      the ordinary tier-1 key — the regular hit/miss counters fire, and
-      every later {!compile} of the same job is a plain tier-1 hit.
-      [produce] must return exactly what [D.compile s c] would. *)
-
-  val peek_bench_compile : t -> D.bench_subject -> D.config -> D.binary option
-  (** {!peek_compile} for the benchmark tier. *)
-
-  val seed_bench_compile :
-    t -> D.bench_subject -> D.config -> (unit -> D.binary) -> D.binary
-  (** {!seed_compile} for the benchmark tier. *)
-
-  val trace : t -> D.subject -> D.config -> D.trace * D.binary
-  (** Tier-2 cached: keyed by (subject digest, binary digest). *)
-
-  val measure : t -> D.subject -> D.config -> D.metrics * D.binary
-  (** Tier-2 cached. Two configurations of the same subject whose
-      binaries share a content digest share one metrics object — the
-      engine-wide generalization of the paper's discard optimization. *)
-
-  val bench_cost : t -> D.bench_subject -> D.config -> int
-  (** Tier-1 cached compile, tier-2 cached cost keyed by
-      {!DOMAIN.binary_cost_key} (same .text, same cost — the benchmark
-      never re-runs). *)
-
-  val map : t -> ('a -> 'b) -> 'a list -> 'b list
-  (** The engine's pool, see {!Pool.map}. Caches are domain-safe, so
-      [f] may issue engine jobs. *)
-
-  val workers : t -> int
-
-  val stats : t -> Util.Counters.table
-  (** This engine's cache counters: [engine/<cache>/hits|misses|dedups]
-      for every memo table it owns or hands out ({!memo}). A dedup is a
-      tier-2 content collision — a fresh compile whose binary digest was
-      already measured, served without re-tracing / re-running. *)
-
-  val store : t -> Disk_store.t option
-  (** The persistent store this engine was created with, if any. *)
-
-  val memo : t -> name:string -> (unit -> 'a Memo.t)
-  (** [memo t ~name ()] is a fresh memo table wired to this engine's
-      counters — for derived results (rankings, trade-off points,
-      speedup rows) that are keyed by configuration fingerprint but
-      computed outside the four core job kinds. *)
 end

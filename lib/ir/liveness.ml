@@ -30,20 +30,6 @@ let block_use_def (b : Ir.block) =
     (Ir.term_uses b.term);
   (!use, !def)
 
-(** Registers a block's successors' phis read along the edge from this
-    block. *)
-let phi_edge_uses fn from_label =
-  let b = Ir.block fn from_label in
-  List.concat_map
-    (fun s ->
-      List.concat_map
-        (fun (p : Ir.phi) ->
-          List.concat_map
-            (fun (l, o) -> if l = from_label then Ir.operand_uses o else [])
-            p.p_args)
-        (Ir.block fn s).Ir.phis)
-    (Ir.succs b.term)
-
 let compute (fn : Ir.fn) =
   Ir.recompute_preds fn;
   let live_in = Hashtbl.create 16 and live_out = Hashtbl.create 16 in

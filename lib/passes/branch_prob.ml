@@ -50,11 +50,4 @@ let run (fn : Ir.fn) =
       | Ir.Br _ | Ir.Ret _ -> b.Ir.prob <- 1.0);
       b.Ir.freq <- 8.0 ** float_of_int (Loops.depth loops b.Ir.b_label))
 
-(** Reset to the uninformed state (pass disabled). *)
-let reset (fn : Ir.fn) =
-  Ir.iter_blocks fn (fun b ->
-      b.Ir.prob <- 0.5;
-      b.Ir.freq <- 1.0)
-
 let run_program (p : Ir.program) = Ir.iter_funcs run p
-let reset_program (p : Ir.program) = Ir.iter_funcs reset p

@@ -92,16 +92,3 @@ let clone_ikind ~fresh_def ~map_use (ik : Ir.ikind) : Ir.ikind =
   | Ir.Select (d, c, a, b) -> Ir.Select (fresh_def d, c, a, b)
   | Ir.Vec (op, lanes) ->
       Ir.Vec (op, Array.map (fun (d, a, b) -> (fresh_def d, a, b)) lanes)
-
-(** Blocks of a function whose register definitions include [r]. *)
-let def_site (fn : Ir.fn) r =
-  let found = ref None in
-  Ir.iter_blocks fn (fun b ->
-      List.iter
-        (fun (p : Ir.phi) -> if p.Ir.p_dst = r then found := Some (b, `Phi p))
-        b.Ir.phis;
-      List.iter
-        (fun (i : Ir.instr) ->
-          if List.mem r (Ir.def_of_ikind i.Ir.ik) then found := Some (b, `Instr i))
-        b.Ir.instrs);
-  !found

@@ -78,15 +78,6 @@ let no_cache =
     o_doc = "disable the persistent artifact cache for this run";
   }
 
-let no_prefix_cache =
-  {
-    o_name = "--no-prefix-cache";
-    o_docv = None;
-    o_doc =
-      "disable pass-prefix incremental compilation for sweeps (compile \
-       every configuration from scratch)";
-  }
-
 let socket =
   {
     o_name = "--socket";
@@ -167,7 +158,6 @@ type common = {
   mutable c_profile : bool;
   mutable c_cache_dir : string option;
   mutable c_no_cache : bool;
-  mutable c_no_prefix_cache : bool;
 }
 
 let defaults () =
@@ -180,7 +170,6 @@ let defaults () =
     c_profile = false;
     c_cache_dir = None;
     c_no_cache = false;
-    c_no_prefix_cache = false;
   }
 
 (** The one strict shard-spec parser: both front-ends route "--shard"
@@ -250,9 +239,6 @@ let parse (c : common) (argv : string list) : string list =
         go acc rest
     | a :: rest when a = no_cache.o_name ->
         c.c_no_cache <- true;
-        go acc rest
-    | a :: rest when a = no_prefix_cache.o_name ->
-        c.c_no_prefix_cache <- true;
         go acc rest
     | a :: rest -> go (a :: acc) rest
   in

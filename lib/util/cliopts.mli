@@ -19,7 +19,6 @@ val trace : spec
 val profile : spec
 val cache_dir : spec
 val no_cache : spec
-val no_prefix_cache : spec
 val socket : spec
 val listen : spec
 val timeout : spec
@@ -38,7 +37,6 @@ type common = {
   mutable c_profile : bool;
   mutable c_cache_dir : string option;
   mutable c_no_cache : bool;
-  mutable c_no_prefix_cache : bool;
 }
 
 val defaults : unit -> common

@@ -187,6 +187,43 @@ let func_by_name st name =
   | Some idx -> st.bin.Emit.funcs.(idx)
   | None -> raise (Runtime_error ("call to unknown function " ^ name))
 
+(** A fresh machine state for [bin], positioned at the first instruction
+    of [entry] with [args] delivered: the prologue shared by
+    {!Reference.run}, the debugger's sessions and the value oracle's
+    replay. Raises [Runtime_error] when [entry] does not exist. *)
+let init_state (bin : Emit.binary) ~entry ~args ~input =
+  let globals = Hashtbl.create 16 in
+  List.iter
+    (fun (g : Ir.global_def) ->
+      Hashtbl.replace globals g.Ir.g_name (Array.make g.Ir.g_size g.Ir.g_init))
+    bin.Emit.bin_globals;
+  let st =
+    {
+      bin;
+      pregs = Array.make (Mach.num_regs + 1) 0;
+      frames = [];
+      globals;
+      input = Array.of_list input;
+      input_pos = 0;
+      out_rev = [];
+      cost = 0;
+      icount = 0;
+      pc = 0;
+      last_writes = [];
+      last_was_load = false;
+      edges = Hashtbl.create 256;
+      bp_hits_rev = [];
+      halted = false;
+    }
+  in
+  let fi =
+    match Hashtbl.find_opt bin.Emit.fn_by_name entry with
+    | Some idx -> bin.Emit.funcs.(idx)
+    | None -> raise (Runtime_error ("no entry function " ^ entry))
+  in
+  enter_function st fi args ~ret_pc:(-1) ~ret_dst:None;
+  st
+
 (** Execute one instruction; updates [st.pc]. *)
 let step st (opts : run_opts) sampler =
   let bin = st.bin in
@@ -334,30 +371,7 @@ let step st (opts : run_opts) sampler =
 module Reference = struct
   let run (bin : Emit.binary) ~entry ?(args = []) ~input (opts : run_opts) :
       result =
-    let globals = Hashtbl.create 16 in
-    List.iter
-      (fun (g : Ir.global_def) ->
-        Hashtbl.replace globals g.Ir.g_name (Array.make g.Ir.g_size g.Ir.g_init))
-      bin.Emit.bin_globals;
-    let st =
-      {
-        bin;
-        pregs = Array.make (Mach.num_regs + 1) 0;
-        frames = [];
-        globals;
-        input = Array.of_list input;
-        input_pos = 0;
-        out_rev = [];
-        cost = 0;
-        icount = 0;
-        pc = 0;
-        last_writes = [];
-        last_was_load = false;
-        edges = Hashtbl.create 256;
-        bp_hits_rev = [];
-        halted = false;
-      }
-    in
+    let st = init_state bin ~entry ~args ~input in
     let sampler =
       Option.map
         (fun period ->
@@ -369,12 +383,6 @@ module Reference = struct
           })
         opts.sample_period
     in
-    let fi =
-      match Hashtbl.find_opt bin.Emit.fn_by_name entry with
-      | Some idx -> bin.Emit.funcs.(idx)
-      | None -> raise (Runtime_error ("no entry function " ^ entry))
-    in
-    enter_function st fi args ~ret_pc:(-1) ~ret_dst:None;
     let timed_out = ref false in
     (try
        while not st.halted do
@@ -879,29 +887,6 @@ module Decode = struct
   let cache : (string, program option) Hashtbl.t = Hashtbl.create 64
   let cache_mu = Mutex.create ()
 
-  (* Bumped whenever [program]'s layout (or the decoder's output for a
-     given binary — new superinstructions, changed cost model) changes:
-     persisted decode results from any other version must read as
-     misses, never be trusted. *)
-  let format_version = 1
-
-  (* Persistence seam: the instantiation (Measure_engine) keys decode
-     results into its [Disk_store] without this library depending on
-     lib/engine. [ps_get]/[ps_put] see the full versioned key; a [None]
-     payload records "decode unsupported", which is as expensive to
-     rediscover as a successful decode. While a store is installed, a
-     persisted hit counts as vm/decode_hits and a fresh decode as
-     vm/decode_misses. *)
-  type persist = {
-    ps_get : string -> program option option;
-    ps_put : string -> program option -> unit;
-  }
-
-  let persist : persist option ref = ref None
-  let set_persist p = persist := p
-
-  let persist_key digest = Printf.sprintf "decode-v%d/%s" format_version digest
-
   let get (bin : Emit.binary) : program option =
     Mutex.lock cache_mu;
     let cached = Hashtbl.find_opt cache bin.Emit.full_digest in
@@ -909,20 +894,7 @@ module Decode = struct
     match cached with
     | Some p -> p
     | None ->
-        let p =
-          match !persist with
-          | None -> (try Some (decode bin) with Unsupported -> None)
-          | Some ps -> (
-              match ps.ps_get (persist_key bin.Emit.full_digest) with
-              | Some p ->
-                  Util.Counters.bump "vm/decode_hits";
-                  p
-              | None ->
-                  let p = try Some (decode bin) with Unsupported -> None in
-                  Util.Counters.bump "vm/decode_misses";
-                  ps.ps_put (persist_key bin.Emit.full_digest) p;
-                  p)
-        in
+        let p = try Some (decode bin) with Unsupported -> None in
         Mutex.lock cache_mu;
         if Hashtbl.length cache > 192 then Hashtbl.reset cache;
         Hashtbl.replace cache bin.Emit.full_digest p;

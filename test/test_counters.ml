@@ -254,11 +254,9 @@ let test_restart_reads_prepared () =
 (* ------------------------------------------------------------------ *)
 (* Golden rows                                                         *)
 
-(* The exact rows of six requests, as absolute values: the relative
-   tests above still pass if a row is renamed or dropped on both sides;
-   these do not. Left out: the decode cache's rows ([vm/decode_] and
-   [store/vm-decode/] prefixes), whose values depend on what the process
-   decoded before. *)
+(* The exact rows of six requests, as absolute values, every row
+   compared: the relative tests above still pass if a row is renamed or
+   dropped on both sides; these do not. *)
 
 let rows text =
   List.filter_map
@@ -400,18 +398,10 @@ search/rounds 1
 search/suffix_shared 83
 |}
 
-let stable (r : Resp.t) =
-  List.filter
-    (fun (n, _) ->
-      not
-        (String.starts_with ~prefix:"vm/decode_" n
-        || String.starts_with ~prefix:"store/vm-decode/" n))
-    r.Resp.stats
-
 let test_golden_rows () =
   let pinned what want (r : Resp.t) =
     ok what r;
-    check rows_t what want (stable r)
+    check rows_t what want r.Resp.stats
   in
   pinned "sanitized compile zlib gcc O2" compile_zlib_o2
     (Api.execute (Api.create_ctx ()) (compile "zlib" Config.Gcc Config.O2));

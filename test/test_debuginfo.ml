@@ -3,6 +3,7 @@
 
 module C = Debugtuner.Config
 module T = Debugtuner.Toolchain
+module ME = Debugtuner.Measure_engine
 
 let all_configs =
   List.concat_map
@@ -108,12 +109,11 @@ let test_o0_lines_cover_every_statement () =
 
 let test_optimization_shrinks_debug_monotonically () =
   (* Hybrid product at Og must be >= O3 on every suite program (gcc). *)
+  let engine = ME.create () in
   List.iter
     (fun name ->
       let prepared = Debugtuner.Evaluation.prepare (Programs.find name) in
-      let product lvl =
-        Debugtuner.Evaluation.product prepared (C.make C.Gcc lvl)
-      in
+      let product lvl = ME.product engine prepared (C.make C.Gcc lvl) in
       Alcotest.(check bool)
         (name ^ ": Og at least as debuggable as O3")
         true

@@ -411,6 +411,27 @@ let test_corruption_never_changes_results () =
          && String.sub n (String.length n - 8) 8 = "/corrupt")
        (DS.counters store))
 
+(* Measurement state belongs to the engine that measures: creating an
+   engine over a store must not hand that store to a store-less engine
+   created after it. The benchmark is one no other test runs, so its
+   binary is decoded fresh by this run. *)
+let test_storeless_engine_touches_no_store () =
+  with_dir @@ fun d ->
+  let s = ME.open_store ~dir:d () in
+  ignore (ME.create ~store:s () : ME.t);
+  let b = ME.create () in
+  let bench = Synth.program ~seed:90417 in
+  ignore (ME.bench_cost b bench (C.make C.Gcc C.O2) : int);
+  Alcotest.(check int) "the other engine's store stays empty" 0
+    (DS.entry_count s);
+  Alcotest.(check (list (pair string int)))
+    "no vm/ or store/ rows" []
+    (List.filter
+       (fun (n, _) ->
+         String.starts_with ~prefix:"vm/" n
+         || String.starts_with ~prefix:"store/" n)
+       (ME.stats_table b))
+
 let test_oracle_warm_byte_identical () =
   with_dir @@ fun d ->
   let module DO = Diff_oracle in
@@ -467,6 +488,8 @@ let tests =
       test_engine_resumable;
     Alcotest.test_case "corrupt cache never changes results" `Slow
       test_corruption_never_changes_results;
+    Alcotest.test_case "store-less engine touches no store" `Quick
+      test_storeless_engine_touches_no_store;
     Alcotest.test_case "oracle warm run byte-identical" `Slow
       test_oracle_warm_byte_identical;
   ]

@@ -20,7 +20,10 @@ let test_cached_matches_uncached () =
   List.iter
     (fun level ->
       let cfg = C.make C.Gcc level in
-      let m_raw, bin_raw = Ev.measure p cfg in
+      let bin_raw = Ev.compile p cfg in
+      let m_raw =
+        Ev.metrics_of_trace p bin_raw (Ev.trace_config_bin p bin_raw)
+      in
       let m_eng, bin_eng = ME.measure eng p cfg in
       Alcotest.(check string)
         (C.name cfg ^ ": same binary")

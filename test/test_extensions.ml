@@ -3,20 +3,27 @@
 
 module C = Debugtuner.Config
 module E = Debugtuner.Evaluation
+module ME = Debugtuner.Measure_engine
 module X = Debugtuner.Extensions
 
 let prepared = lazy (List.map E.prepare [ Programs.find "zlib"; Programs.find "libexif" ])
+
+(* One engine for the whole module: its tests share compiles and
+   measurements. *)
+let engine = ME.create ()
 
 let test_clang_og_trade () =
   (* The prototype Og must be more debuggable than O1 and slower than
      it, but much faster than O0. *)
   let pts = Lazy.force prepared in
-  let product cfg = Util.Stats.mean (List.map (fun p -> E.product p cfg) pts) in
+  let product cfg =
+    Util.Stats.mean (List.map (fun p -> ME.product engine p cfg) pts)
+  in
   let o1 = C.make C.Clang C.O1 in
   Alcotest.(check bool) "more debuggable than O1" true
     (product X.clang_og > product o1);
   let cost cfg =
-    Debugtuner.Tuning.bench_cost (Spec.find "505.mcf") cfg
+    ME.bench_cost engine (Spec.find "505.mcf") cfg
   in
   Alcotest.(check bool) "faster than O0" true
     (cost X.clang_og < cost (C.make C.Clang C.O0))
@@ -33,7 +40,8 @@ let test_pairwise_interactions () =
   let pts = Lazy.force prepared in
   let config = C.make C.Gcc C.O2 in
   let inter =
-    X.pairwise pts config ~passes:[ "schedule-insns2"; "if-conversion"; "tree-ter" ]
+    X.pairwise ~engine pts config
+      ~passes:[ "schedule-insns2"; "if-conversion"; "tree-ter" ]
   in
   Alcotest.(check int) "3 choose 2 pairs" 3 (List.length inter);
   List.iter
@@ -101,8 +109,11 @@ let test_entry_values_ablation () =
 let test_ranking_metric_choice () =
   let pts = Lazy.force prepared in
   let cfg = C.make C.Gcc C.O1 in
-  let h = Debugtuner.Ranking.rank pts cfg in
-  let d = Debugtuner.Ranking.rank ~metric:Debugtuner.Ranking.dynamic_product pts cfg in
+  let h = Debugtuner.Ranking.rank ~engine pts cfg in
+  let d =
+    Debugtuner.Ranking.rank ~engine ~metric:Debugtuner.Ranking.dynamic_product
+      pts cfg
+  in
   Alcotest.(check int) "same pass universe"
     (List.length h.Debugtuner.Ranking.lr_effects)
     (List.length d.Debugtuner.Ranking.lr_effects)
@@ -140,7 +151,7 @@ let test_scheduler_lines_ablation () =
 let test_per_program () =
   let pts = Lazy.force prepared in
   let cfg = C.make C.Gcc C.O1 in
-  let rows = X.per_program pts cfg ~y:3 in
+  let rows = X.per_program ~engine pts cfg ~y:3 in
   Alcotest.(check int) "one row per program" (List.length pts)
     (List.length rows);
   List.iter

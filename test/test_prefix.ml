@@ -14,6 +14,7 @@ module C = Debugtuner.Config
 module T = Debugtuner.Toolchain
 module ME = Debugtuner.Measure_engine
 module Ev = Debugtuner.Evaluation
+module Rk = Debugtuner.Ranking
 
 (* One small fixed subject: the planner's behavior varies with the
    config set, not the program. *)
@@ -33,9 +34,10 @@ let straight config =
 let sweep_rows = ref []
 
 let scoped_sweep f =
-  let (), rows = Util.Counters.scoped f in
+  let result, rows = Util.Counters.scoped f in
   sweep_rows :=
-    List.filter (fun (n, _) -> String.starts_with ~prefix:"prefix/" n) rows
+    List.filter (fun (n, _) -> String.starts_with ~prefix:"prefix/" n) rows;
+  result
 
 let counter name = Option.value ~default:0 (List.assoc_opt name !sweep_rows)
 
@@ -226,20 +228,6 @@ let test_merged_identical_bits () =
   | Some a, Some b -> Alcotest.(check bool) "physically shared" true (a == b)
   | _ -> Alcotest.fail "not seeded"
 
-(* The --no-prefix-cache escape hatch: same binaries, zero planner
-   activity. *)
-let test_cache_disabled () =
-  let configs =
-    [ C.make C.Gcc C.O2; C.make ~disabled:[ "dce" ] C.Gcc C.O2 ]
-  in
-  ME.prefix_cache_enabled := false;
-  Fun.protect ~finally:(fun () -> ME.prefix_cache_enabled := true)
-  @@ fun () ->
-  let eng = run_sweep configs in
-  check_byte_identity eng configs;
-  Alcotest.(check (list (pair string int))) "no planner activity" []
-    !sweep_rows
-
 (* compile_sweep (the prepared-subject tier): seeded binaries are what
    Evaluation.compile produces, and later engine compiles are tier-1
    hits. *)
@@ -274,6 +262,61 @@ let test_prepared_sweep () =
   scoped_sweep (fun () -> ME.compile_sweep eng p configs);
   Alcotest.(check (list (pair string int))) "idempotent" [] !sweep_rows
 
+(* The planner inside a real ranking: Ranking.rank through the planner
+   equals Ranking.rank on an engine whose tier 1 was first filled by a
+   straight [ME.compile] of every sweep configuration, so that its own
+   sweep plans nothing. Suite programs at both families' O2, where
+   most one-disabled configurations are no-ops the planner merges. *)
+let rank_programs =
+  lazy
+    (List.map
+       (fun n -> Ev.prepare (Programs.find n))
+       [ "zlib"; "libexif"; "libyaml" ])
+
+let test_rank_planner_vs_straight () =
+  let programs = Lazy.force rank_programs in
+  List.iter
+    (fun config ->
+      let what = C.name config in
+      let sweep =
+        config
+        :: List.map
+             (fun pass -> { config with C.disabled = [ pass ] })
+             (T.pass_names config)
+      in
+      let planned = ME.create () in
+      let lr_planned =
+        scoped_sweep (fun () -> Rk.rank ~engine:planned programs config)
+      in
+      Alcotest.(check bool) (what ^ ": planner engaged") true
+        (counter "prefix/hits" > 0 && counter "prefix/merged" > 0);
+      let straight = ME.create () in
+      List.iter
+        (fun p -> List.iter (fun c -> ignore (ME.compile straight p c)) sweep)
+        programs;
+      let lr_straight =
+        scoped_sweep (fun () -> Rk.rank ~engine:straight programs config)
+      in
+      Alcotest.(check (list (pair string int)))
+        (what ^ ": straight engine planned nothing") [] !sweep_rows;
+      Alcotest.(check bool) (what ^ ": same level_ranking") true
+        (lr_planned = lr_straight);
+      List.iter
+        (fun p ->
+          List.iter
+            (fun c ->
+              let digest eng =
+                match ME.peek_compile eng p c with
+                | Some bin -> bin.Emit.full_digest
+                | None -> Alcotest.fail ("not compiled: " ^ C.fingerprint c)
+              in
+              Alcotest.(check string)
+                (what ^ ": full_digest of " ^ C.fingerprint c)
+                (digest straight) (digest planned))
+            sweep)
+        programs)
+    [ C.make C.Gcc C.O2; C.make C.Clang C.O2 ]
+
 let tests =
   [
     QCheck_alcotest.to_alcotest qcheck_planner;
@@ -281,7 +324,7 @@ let tests =
     Alcotest.test_case "O0 / empty pipeline" `Quick test_o0_edge;
     Alcotest.test_case "identical-bit configs share one backend run" `Quick
       test_merged_identical_bits;
-    Alcotest.test_case "--no-prefix-cache escape hatch" `Quick
-      test_cache_disabled;
     Alcotest.test_case "prepared-subject sweep" `Quick test_prepared_sweep;
+    Alcotest.test_case "rank through the planner = rank on straight compiles"
+      `Quick test_rank_planner_vs_straight;
   ]

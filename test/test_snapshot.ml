@@ -169,21 +169,6 @@ let test_checkpoint_guards () =
     (fun () ->
       ignore (T.advance ~upto:1 (T.advance ~upto:3 cp gcc) gcc : T.checkpoint))
 
-let test_prefix_fingerprint () =
-  let base = C.make C.Gcc C.O2 in
-  let nodce = C.make ~disabled:[ "dce" ] C.Gcc C.O2 in
-  let n = T.pipeline_length base in
-  Alcotest.(check bool) "pipeline non-trivial" true (n > 2);
-  (* The two configs agree up to (not including) the first "dce" entry
-     and disagree on the full pipeline. *)
-  Alcotest.(check string) "empty prefixes agree" (T.prefix_fingerprint base 0)
-    (T.prefix_fingerprint nodce 0);
-  Alcotest.(check bool) "full prefixes differ" true
-    (T.prefix_fingerprint base n <> T.prefix_fingerprint nodce n);
-  Alcotest.(check bool) "families never collide" true
-    (T.prefix_fingerprint base 0
-    <> T.prefix_fingerprint (C.make C.Clang C.O2) 0)
-
 let tests =
   [
     Alcotest.test_case "resume = straight-line compile" `Quick
@@ -195,5 +180,4 @@ let tests =
     Alcotest.test_case "pipeline order regression" `Quick
       test_pipeline_order_regression;
     Alcotest.test_case "checkpoint guards" `Quick test_checkpoint_guards;
-    Alcotest.test_case "prefix fingerprints" `Quick test_prefix_fingerprint;
   ]

@@ -4,6 +4,7 @@
 module C = Debugtuner.Config
 module T = Debugtuner.Toolchain
 module E = Debugtuner.Evaluation
+module ME = Debugtuner.Measure_engine
 
 let test_config_names () =
   Alcotest.(check string) "standard" "gcc-O2" (C.name (C.make C.Gcc C.O2));
@@ -46,6 +47,10 @@ let test_paper_pass_names_present () =
 
 let libpng = lazy (E.prepare (Programs.find "libpng"))
 
+(* One engine for the whole module: its tests share compiles and
+   measurements. *)
+let engine = ME.create ()
+
 let test_disabling_pass_changes_or_keeps_binary () =
   let prepared = Lazy.force libpng in
   let base = E.compile prepared (C.make C.Gcc C.O2) in
@@ -63,24 +68,25 @@ let test_disable_all_is_weak () =
   let prepared = Lazy.force libpng in
   let full = C.make C.Gcc C.O2 in
   let none = C.make ~disabled:(T.pass_names full) C.Gcc C.O2 in
-  let q_full = E.product prepared full in
-  let q_none = E.product prepared none in
+  let q_full = ME.product engine prepared full in
+  let q_none = ME.product engine prepared none in
   Alcotest.(check bool) "no passes -> more debuggable" true (q_none >= q_full)
 
 let test_measure_reuse_discard_optimization () =
   let prepared = Lazy.force libpng in
-  let m, bin = E.measure prepared (C.make C.Gcc C.O2) in
-  (* Disabling a pass that does not change .text must reuse the cached
-     metrics — simulate with the same config. *)
+  let m, _ = ME.measure engine prepared (C.make C.Gcc C.O2) in
+  (* Disabling a pass outside the pipeline leaves the binary unchanged,
+     so the engine must reuse the cached metrics. *)
   let m2, _ =
-    E.measure ~reuse:(bin.Emit.text_digest, m) prepared (C.make C.Gcc C.O2)
+    ME.measure engine prepared (C.make ~disabled:[ "not-a-pass" ] C.Gcc C.O2)
   in
   Alcotest.(check (float 1e-12)) "identical metrics via reuse"
-    m.Metrics.m_hybrid.Metrics.product m2.Metrics.m_hybrid.Metrics.product
+    m.Metrics.m_hybrid.Metrics.product m2.Metrics.m_hybrid.Metrics.product;
+  Alcotest.(check bool) "the cached record itself" true (m == m2)
 
 let test_ranking_shape () =
   let prepared = [ Lazy.force libpng ] in
-  let lr = Debugtuner.Ranking.rank prepared (C.make C.Gcc C.O1) in
+  let lr = Debugtuner.Ranking.rank ~engine prepared (C.make C.Gcc C.O1) in
   let effects = lr.Debugtuner.Ranking.lr_effects in
   Alcotest.(check bool) "covers all passes" true
     (List.length effects = List.length (T.pass_names (C.make C.Gcc C.O1)));
@@ -95,7 +101,7 @@ let test_ranking_shape () =
 
 let test_dy_config_inliner_exception () =
   let prepared = [ Lazy.force libpng ] in
-  let lr = Debugtuner.Ranking.rank prepared (C.make C.Gcc C.O2) in
+  let lr = Debugtuner.Ranking.rank ~engine prepared (C.make C.Gcc C.O2) in
   let cfg = Debugtuner.Tuning.dy_config lr ~y:5 in
   Alcotest.(check int) "5 disabled" 5 (List.length cfg.C.disabled);
   Alcotest.(check bool) "general inliner never disabled" false
@@ -103,7 +109,7 @@ let test_dy_config_inliner_exception () =
 
 let test_dy_configs_nest () =
   let prepared = [ Lazy.force libpng ] in
-  let lr = Debugtuner.Ranking.rank prepared (C.make C.Gcc C.O2) in
+  let lr = Debugtuner.Ranking.rank ~engine prepared (C.make C.Gcc C.O2) in
   let d3 = (Debugtuner.Tuning.dy_config lr ~y:3).C.disabled in
   let d5 = (Debugtuner.Tuning.dy_config lr ~y:5).C.disabled in
   List.iter
@@ -112,12 +118,14 @@ let test_dy_configs_nest () =
 
 let test_speedups_ordering () =
   let benches = [ Spec.find "505.mcf"; Spec.find "525.x264" ] in
-  let o0_costs = Debugtuner.Tuning.o0_costs benches in
+  let o0_costs = Debugtuner.Tuning.o0_costs ~engine benches in
   let _, geo_o0 =
-    Debugtuner.Tuning.speedups_cached ~o0_costs benches (C.make C.Gcc C.O0)
+    Debugtuner.Tuning.speedups_cached ~engine ~o0_costs benches
+      (C.make C.Gcc C.O0)
   in
   let _, geo_o2 =
-    Debugtuner.Tuning.speedups_cached ~o0_costs benches (C.make C.Gcc C.O2)
+    Debugtuner.Tuning.speedups_cached ~engine ~o0_costs benches
+      (C.make C.Gcc C.O2)
   in
   Alcotest.(check (float 1e-9)) "O0 speedup is 1" 1.0 geo_o0;
   Alcotest.(check bool) "O2 faster than O0" true (geo_o2 > 1.2)
