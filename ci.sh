@@ -100,10 +100,18 @@ dune exec bin/debugtuner_cli.exe -- check --fuzz 100 --seed 1 \
 ci_diff "$scratch/check-cold.out" "$scratch/check-warm.out" \
   "dune exec bin/debugtuner_cli.exe -- check --fuzz 100 --seed 1 --cache-dir DIR (twice)"
 cat "$scratch/check-cold.out"
-grep -q '"name": "store/oracle/hits", "value": [1-9]' "$scratch/check-warm.json" || {
-  echo "cache smoke: warm run reported no disk hits" >&2
-  exit 1
+# Every verdict the cold run wrote comes back from disk: the warm run's
+# oracle hits equal the cold run's writes, and it misses none.
+oracle_row() {
+  sed -n "s#.*\"name\": \"store/oracle/$2\", \"value\": \([0-9][0-9]*\).*#\1#p" "$1"
 }
+cold_writes="$(oracle_row "$scratch/check-cold.json" writes)"
+warm_hits="$(oracle_row "$scratch/check-warm.json" hits)"
+warm_misses="$(oracle_row "$scratch/check-warm.json" misses)"
+if [ -z "$cold_writes" ] || [ "$warm_hits" != "$cold_writes" ] || [ -n "$warm_misses" ]; then
+  echo "cache smoke: warm run served ${warm_hits:-0} of ${cold_writes:-0} oracle verdicts from disk and missed ${warm_misses:-0}" >&2
+  exit 1
+fi
 dune exec bin/debugtuner_cli.exe -- cache clear --cache-dir "$scratch/cache" \
   | sed "s#$scratch#SCRATCH#g"
 remaining="$(find "$scratch/cache/objects" -type f 2>/dev/null | wc -l)"

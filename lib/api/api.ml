@@ -755,13 +755,14 @@ let partial_of_json text = decode Codec.partial text
 (* ------------------------------------------------------------------ *)
 (* Execution context                                                   *)
 
-(** One context per process: the shared measurement engine (which owns
-    the optional persistent store) and the prepared-subject memo.
-    The daemon keeps a single context alive across every client, so the
-    millionth request hits warm memo tables; the CLI builds one per
-    invocation. Prepared subjects go through the same persisted
-    ["prepare"] memo as {!Experiments}, so a daemon restarted over its
-    store reads them back instead of fuzzing again.
+(** One context per process: the shared measurement engine, which owns
+    the optional persistent store, the prepared subjects and every
+    compile. The daemon keeps a single context alive across every
+    client, so the millionth request hits warm memo tables; the CLI
+    builds one per invocation. Subjects are prepared through the
+    engine's persisted ["prepare"] table, as in {!Experiments}, so a
+    daemon restarted over its store reads them back instead of fuzzing
+    again.
 
     The daemon executes one request at a time, but {!execute} stays safe
     to call from many threads or domains at once on a shared context:
@@ -770,14 +771,10 @@ let partial_of_json text = decode Codec.partial text
     (see {!Measure_engine.with_request_sink}) whose bump path takes no
     lock, and a global mutex serializes [profile] requests (the [Obs]
     session is process-wide). *)
-type ctx = {
-  engine : Measure_engine.t;
-  prepared : Evaluation.prepared Engine.Memo.t;
-}
+type ctx = { engine : Measure_engine.t }
 
 let create_ctx ?(workers = 1) ?store () =
-  let engine = Measure_engine.create ~workers ?store () in
-  { engine; prepared = Measure_engine.memo engine ~name:"prepare" () }
+  { engine = Measure_engine.create ~workers ?store () }
 
 (** Server-introspection hook: [Api_server] installs its live counters
     here so a [Stats Server] request can be answered without a
@@ -818,31 +815,26 @@ let subject_program (s : Request.subject) : Suite_types.sprogram =
               if name = "selfcomp" then Selfcomp.program
               else failwith ("unknown program " ^ name)))
 
-(** Prepared subjects are expensive (fuzzing-derived corpora): memoize
-    them per context, and on disk when the context has a store, so warm
+(** Prepared subjects are expensive (fuzzing-derived corpora): the
+    engine keeps them, and on disk when the context has a store, so warm
     and restarted daemons skip preparation. *)
-let prepared_of ctx p = Experiments.prepare_via ctx.prepared p
+let prepared_of ctx p = Measure_engine.prepare ctx.engine p
 
 let prepared_suite ctx = List.map (prepared_of ctx) Programs.all
 
-(** Plain compiles (default options) are cached in the engine's
-    bench-compile tier, so a warm daemon serves repeated views of the
-    same (program, config) without recompiling. Sanitized or
-    profile-fed compiles run straight — their side effects are the
-    point. *)
+(** Plain compiles (default options) go through the engine's tier 1,
+    the same binaries {!exec_measure} and the sweeps use, so a warm
+    daemon serves repeated views of the same (program, config) without
+    recompiling. Sanitized or profile-fed compiles run straight — their
+    side effects are the point. *)
 let compile_subject ctx (p : Suite_types.sprogram) (cfg : Config.t)
     ~(profile : string option) ~(sanitize : bool) : Emit.binary =
-  let straight () =
+  if profile = None && not sanitize then Measure_engine.compile ctx.engine p cfg
+  else
     let profile = Option.map Autofdo.profile_of_string profile in
     Toolchain.compile
       ~options:(Toolchain.Options.make ?profile ~sanitize ())
       (Suite_types.ast p) ~config:cfg ~roots:(Suite_types.roots p)
-  in
-  if profile = None && not sanitize then
-    match Measure_engine.peek_bench_compile ctx.engine p cfg with
-    | Some bin -> bin
-    | None -> Measure_engine.seed_bench_compile ctx.engine p cfg straight
-  else straight ()
 
 let default_entry (p : Suite_types.sprogram) = function
   | Some e -> e

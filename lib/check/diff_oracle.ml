@@ -114,8 +114,9 @@ let run_one ast ~roots ~entry ~input (cfg : C.t) ~expected =
    run counts and the sanitizer rows its own compiles produced (read
    from a {!Util.Counters.scoped} scope, so work running alongside it in
    the process never leaks in) — is cached on a content address of
-   everything the verdict depends on. Warm hits replay those rows, so a
-   warm [check] prints byte-identical output, counters included. *)
+   everything the verdict depends on, in the store's ["oracle"] cache
+   through an {!Engine.Memo}. Warm hits replay those rows, so a warm
+   [check] prints byte-identical output, counters included. *)
 
 let verdict_key tag payload =
   Digest.to_hex
@@ -136,30 +137,21 @@ let verdict_key tag payload =
 let cached store ~key (f : unit -> 'a) : 'a =
   match store with
   | None -> f ()
-  | Some s -> (
-      let fresh () =
-        let v, rows = Util.Counters.scoped f in
-        let delta =
-          List.filter
-            (fun (name, _) -> String.starts_with ~prefix:"sanitize/" name)
-            rows
-        in
-        (try
-           Engine.Disk_store.put s ~cache:"oracle" ~key
-             (Marshal.to_string (v, delta) [])
-         with _ -> ());
-        v
-      in
-      match Engine.Disk_store.get s ~cache:"oracle" ~key with
-      | None -> fresh ()
-      | Some payload -> (
-          match (Marshal.from_string payload 0 : 'a * (string * int) list) with
-          | v, delta ->
-              List.iter (fun (name, n) -> Util.Counters.bump ~n name) delta;
-              v
-          | exception _ ->
-              Engine.Disk_store.invalidate s ~cache:"oracle" ~key;
-              fresh ()))
+  | Some store -> (
+      let memo = Engine.Memo.create ~store ~name:"oracle" () in
+      match Engine.Memo.find_opt memo key with
+      | Some (v, delta) ->
+          List.iter (fun (name, n) -> Util.Counters.bump ~n name) delta;
+          v
+      | None ->
+          let v, rows = Util.Counters.scoped f in
+          let delta =
+            List.filter
+              (fun (name, _) -> String.starts_with ~prefix:"sanitize/" name)
+              rows
+          in
+          Engine.Memo.add memo key (v, delta);
+          v)
 
 (* ------------------------------------------------------------------ *)
 (* Suite programs                                                      *)

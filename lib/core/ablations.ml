@@ -30,7 +30,7 @@ let breakpoint_policy ~engine (prepared : Evaluation.prepared list)
   let rows =
     List.map
       (fun (p : Evaluation.prepared) ->
-        let bin = Measure_engine.compile engine p config in
+        let bin = Measure_engine.compile engine p.Evaluation.program config in
         let lc all_locations =
           let traces =
             List.map

@@ -24,8 +24,8 @@ type prepared = {
   o0_bin : Emit.binary;
   o0_trace : Debugger.trace;
   ast_digest : string;
-      (** content address of the compile inputs (AST + roots); tier-1
-          engine cache key component *)
+      (** content address of the compile inputs (AST + roots); a
+          component of [content_digest] *)
   content_digest : string;
       (** content address of everything measurement depends on (AST +
           roots + minimized corpora); tier-2 engine cache key

@@ -5,10 +5,12 @@
     Each suite program is "prepared" once — fuzzing-derived corpus,
     minimization, trace pruning, O0 baseline trace — and then arbitrary
     configurations are measured against that baseline. The functions
-    here are the engine's uncached primitives (compile, trace, metrics);
-    measuring a configuration goes through {!Measure_engine.measure},
-    which caches them content-addressed (the prepared digests below are
-    its keys). *)
+    here are the engine's uncached primitives (prepare, compile, trace,
+    metrics); preparing a subject goes through
+    {!Measure_engine.prepare} and measuring a configuration through
+    {!Measure_engine.measure}, which cache them content-addressed
+    ({!prepare_key} and [content_digest] below are their keys; tier 1
+    keys on the program's source, not on [ast_digest]). *)
 
 type harness_corpus = {
   hc_harness : Suite_types.harness;
@@ -26,8 +28,8 @@ type prepared = {
   o0_bin : Emit.binary;
   o0_trace : Debugger.trace;
   ast_digest : string;
-      (** content address of the compile inputs (AST + roots); tier-1
-          engine cache key component *)
+      (** content address of the compile inputs (AST + roots); a
+          component of [content_digest] *)
   content_digest : string;
       (** content address of everything measurement depends on (AST +
           roots + minimized corpora); tier-2 engine cache key
@@ -37,8 +39,6 @@ type prepared = {
 val merge_traces : Debugger.trace list -> Debugger.trace
 (** Merge traces of several harness sessions into one program-level
     trace (first binding of a line wins, like one long session). *)
-
-val trace_with_corpora : harness_corpus list -> Emit.binary -> Debugger.trace
 
 val trace_config_bin : prepared -> Emit.binary -> Debugger.trace
 (** Trace a configuration's binary over the prepared corpora (the
@@ -55,8 +55,9 @@ val prepare : ?fuzz_budget:int -> ?seed:int -> Suite_types.sprogram -> prepared
     the O0 baseline. *)
 
 val compile : prepared -> Config.t -> Emit.binary
-(** The program under a configuration, uncached (the engine's compile
-    primitive). *)
+(** The program under a configuration, uncached, from the AST the
+    subject carries (what a tier-1 miss of {!Measure_engine.measure}
+    runs). *)
 
 val metrics_of_trace :
   prepared -> Emit.binary -> Debugger.trace -> Metrics.all_methods

@@ -10,66 +10,38 @@ type ctx = {
   spec : Suite_types.sprogram list;
   o0_costs : (string * int) list;
   synth_count : int;
-  mutable synth : Evaluation.prepared list option;
-  synth_mu : Mutex.t;
-      (** guards [synth]: the one piece of mutable context state, so
-          concurrent requests sharing a context build the corpus once *)
   engine : Measure_engine.t;
-      (** the shared measurement engine: every compile, measure and
-          bench job of every table goes through its two-tier cache *)
+      (** the shared measurement engine: every preparation and every
+          compile, measure and bench job of every table goes through
+          its content-addressed cache *)
   rankings : Ranking.level_ranking Engine.Memo.t;
       (** derived results, keyed by {!Config.fingerprint} *)
   points : Tuning.config_point Engine.Memo.t;
   speedup_rows : Tuning.speedup_row list Engine.Memo.t;
-  prepares : Evaluation.prepared Engine.Memo.t;
-      (** prepared subjects, keyed by {!Evaluation.prepare_key} — with a
-          persistent store this makes the expensive corpus construction
-          itself resumable *)
 }
-
-let prepare_via memo ?fuzz_budget ?seed p =
-  Engine.Memo.find_or_add memo
-    (Evaluation.prepare_key ?fuzz_budget ?seed p)
-    (fun () -> Evaluation.prepare ?fuzz_budget ?seed p)
 
 let create ?(synth_count = 40) ?workers ?store () =
   let engine = Measure_engine.create ?workers ?store () in
-  let prepares = Measure_engine.memo engine ~name:"prepare" () in
   {
-    suite = List.map (prepare_via prepares) Programs.all;
+    suite = List.map (Measure_engine.prepare engine) Programs.all;
     spec = Spec.all;
     o0_costs = Tuning.o0_costs ~engine Spec.all;
     synth_count;
-    synth = None;
-    synth_mu = Mutex.create ();
     engine;
     rankings = Measure_engine.memo engine ~name:"ranking" ();
     points = Measure_engine.memo engine ~name:"point" ();
     speedup_rows = Measure_engine.memo engine ~name:"speedup" ();
-    prepares;
   }
 
 let suite ctx = ctx.suite
 let engine ctx = ctx.engine
 
+(* Table I's synthetic set, prepared through the engine: the first call
+   prepares it, every later one hits the engine's prepare table. *)
 let synth_programs ctx =
-  (* Double-checked under the lock: the corpus is deterministic in
-     (synth_count, seed), so two racing builders would agree — the lock
-     only keeps the expensive preparation from running twice. *)
-  Mutex.lock ctx.synth_mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock ctx.synth_mu)
-    (fun () ->
-      match ctx.synth with
-      | Some s -> s
-      | None ->
-          let s =
-            List.init ctx.synth_count (fun i ->
-                prepare_via ctx.prepares ~fuzz_budget:8
-                  (Synth.program ~seed:(i + 1)))
-          in
-          ctx.synth <- Some s;
-          s)
+  List.init ctx.synth_count (fun i ->
+      Measure_engine.prepare ctx.engine ~fuzz_budget:8
+        (Synth.program ~seed:(i + 1)))
 
 let measure ctx prepared config = Measure_engine.measure ctx.engine prepared config
 
@@ -102,15 +74,13 @@ let dy_configs ctx =
   (* The dy frontier of one base level differs only in how many of the
      ranked passes are disabled — long shared pipeline prefixes.
      Prewarm tier 1 incrementally before the per-point measurement
-     fan-out; on any later call the sweep peeks everything cached and
+     fan-out; on any later call the sweep finds everything cached and
      is a no-op. *)
   let just = List.map (fun (_, _, c) -> c) configs in
   List.iter
-    (fun p -> Measure_engine.compile_sweep ctx.engine p just)
-    ctx.suite;
-  List.iter
-    (fun sp -> Measure_engine.bench_compile_sweep ctx.engine sp just)
-    ctx.spec;
+    (fun sp -> Measure_engine.compile_sweep ctx.engine sp just)
+    (List.map (fun (p : Evaluation.prepared) -> p.Evaluation.program) ctx.suite
+    @ ctx.spec);
   configs
 
 (* ------------------------------------------------------------------ *)
@@ -850,7 +820,9 @@ let dwarf_sizes_table ctx =
         let entries = ref 0 and code = ref 0 in
         List.iter
           (fun (p : Evaluation.prepared) ->
-            let bin = Measure_engine.compile ctx.engine p cfg in
+            let bin =
+              Measure_engine.compile ctx.engine p.Evaluation.program cfg
+            in
             let line, locs, _ = Dwarf_encode.section_sizes bin.Emit.debug in
             line_total := !line_total + line;
             loc_total := !loc_total + locs;
@@ -1000,13 +972,12 @@ let corpus_rows ~engine ?shard spec configs : corpus_row list =
   let mine =
     match shard with None -> entries | Some s -> shard_slice s entries
   in
-  let prepares = Measure_engine.memo engine ~name:"prepare" () in
   let per_entry, rows =
     Util.Counters.scoped @@ fun () ->
     Measure_engine.map engine
       (fun (e : Corpus.entry) ->
         let prepared =
-          prepare_via prepares ~fuzz_budget:e.Corpus.e_fuzz_budget
+          Measure_engine.prepare engine ~fuzz_budget:e.Corpus.e_fuzz_budget
             e.Corpus.e_program
         in
         List.map

@@ -4,12 +4,12 @@
     reductions are ordered, so every run prints identical tables — for
     any engine worker count.
 
-    The context owns a private measurement engine: every compile,
+    The context owns a private measurement engine: every prepared
+    subject (the suite and Table I's synthetic set) and every compile,
     measure and benchmark job of every table — the ablations and
-    extensions included — goes through its two-tier content-addressed
-    cache, and derived results (rankings,
-    trade-off points, speedup rows) are memoized on
-    {!Config.fingerprint} keys. The mutable cache state is hidden
+    extensions included — goes through its content-addressed cache, and
+    derived results (rankings, trade-off points, speedup rows) are
+    memoized on {!Config.fingerprint} keys. The cache state is hidden
     behind this interface; inspect it with
     [Measure_engine.stats_table (engine ctx)]. *)
 
@@ -20,25 +20,13 @@ val create :
 (** Prepare the 13-program suite and the SPEC-analog baselines.
     [synth_count] sizes Table I's synthetic-program set (default 40);
     [workers] sizes the engine's worker pool (default 1 = sequential).
-    [store] backs the context's engine — and the expensive subject
-    preparation itself, memoized on {!Evaluation.prepare_key} — with a
+    [store] backs the context's engine — the expensive subject
+    preparation included ({!Measure_engine.prepare}) — with a
     persistent on-disk cache, making interrupted runs resumable and
     warm re-runs near-instant while staying byte-identical. *)
 
-val prepare_via :
-  Evaluation.prepared Engine.Memo.t ->
-  ?fuzz_budget:int ->
-  ?seed:int ->
-  Suite_types.sprogram ->
-  Evaluation.prepared
-(** {!Evaluation.prepare} through [memo], keyed by
-    {!Evaluation.prepare_key}: with a store behind the memo's engine,
-    the prepared subject persists across processes. *)
-
 val suite : ctx -> Evaluation.prepared list
 val engine : ctx -> Measure_engine.t
-
-val synth_programs : ctx -> Evaluation.prepared list
 
 val ranking : ctx -> Config.t -> Ranking.level_ranking
 (** Fingerprint-memoized {!Ranking.rank} over the suite. *)
@@ -116,11 +104,12 @@ val corpus_rows :
   corpus_spec ->
   Config.t list ->
   corpus_row list
-(** Measure (this shard's slice of) the corpus at every configuration,
-    through the engine's caches — with a persistent store, shards
-    coordinate by content address and interrupted runs resume warm.
-    Bumps the [shard/*] progress counters ([programs], [rows],
-    [resumed_programs]). *)
+(** Prepare and measure (this shard's slice of) the corpus at every
+    configuration, through the engine's caches — with a persistent
+    store, shards coordinate by content address and interrupted runs
+    resume warm. Bumps the [shard/*] progress counters ([programs],
+    [rows], and [resumed_programs]: programs the engine already held
+    prepared, in memory or in its store). *)
 
 val corpus_tables :
   corpus_spec -> configs:string list -> corpus_row list -> Util.Tablefmt.t list

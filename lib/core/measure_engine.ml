@@ -1,12 +1,14 @@
 (** The repository's measurement engine: the single owner of
     measurement state. [Ranking], [Tuning], [Experiments], [Ablations],
-    [Extensions], the bench harness and the service API all issue their
-    compile / measure / benchmark jobs on an engine they are handed,
-    sharing one two-tier content-addressed cache:
+    [Extensions], the bench harness and the service API all prepare
+    their subjects and run their compile / measure / benchmark jobs on
+    an engine they are handed, sharing one content-addressed cache:
 
-    - tier 1, keyed by (AST digest, {!Config.fingerprint}): compiled
-      binaries — a configuration is compiled once per program no matter
-      how many tables ask for it;
+    - prepared subjects, keyed by {!Evaluation.prepare_key};
+    - tier 1, keyed by (source digest, {!Config.fingerprint}): compiled
+      binaries of every program, measured or benchmarked — a
+      configuration is compiled once per program no matter how many
+      tables ask for it;
     - tier 2, keyed by (subject digest, binary digest): metric records
       and benchmark costs — two configurations whose binaries have
       identical content share one measurement, generalizing the
@@ -29,14 +31,6 @@ let span name subject f =
   end
 
 let pname (p : Evaluation.prepared) = p.Evaluation.program.Suite_types.p_name
-
-let compile_uncached p config =
-  span "compile" (pname p) (fun () -> Evaluation.compile p config)
-
-let bench_compile_uncached (p : Suite_types.sprogram) config =
-  span "bench_compile" p.Suite_types.p_name (fun () ->
-      Toolchain.compile (Suite_types.ast p) ~config
-        ~roots:(Suite_types.roots p))
 
 (* The trace is transient: only its metrics are retained, so a
    full-evaluation run holds one metrics record per distinct binary,
@@ -81,8 +75,9 @@ type t = {
   counters : Util.Counters.table;  (** [engine/<cache>/hits|misses|dedups] *)
   store : Engine.Disk_store.t option;
       (** persistent second level behind every memo table *)
-  binaries : Emit.binary Memo.t;  (** tier 1: (AST digest, fingerprint) *)
-  bench_binaries : Emit.binary Memo.t;  (** tier 1 for benchmarks *)
+  prepares : Evaluation.prepared Memo.t;
+      (** prepared subjects: {!Evaluation.prepare_key} *)
+  binaries : Emit.binary Memo.t;  (** tier 1: (source digest, fingerprint) *)
   measures : Metrics.all_methods Memo.t;
       (** tier 2: (subject digest, full binary digest) *)
   costs : int Memo.t;  (** tier 2: (bench digest, [.text] digest) *)
@@ -94,57 +89,50 @@ let create ?workers ?store () =
     pool = Engine.Pool.create ?workers ();
     counters;
     store;
+    prepares = Memo.create ~counters ?store ~name:"prepare" ();
     binaries = Memo.create ~counters ?store ~name:"compile" ();
-    bench_binaries = Memo.create ~counters ?store ~name:"bench-compile" ();
     measures = Memo.create ~counters ?store ~name:"measure" ();
     costs = Memo.create ~counters ?store ~name:"bench-cost" ();
   }
 
-let tier1_key subject_key config = subject_key ^ "/" ^ Config.fingerprint config
+let prepare t ?fuzz_budget ?seed p =
+  Memo.find_or_add t.prepares
+    (Evaluation.prepare_key ?fuzz_budget ?seed p)
+    (fun () -> Evaluation.prepare ?fuzz_budget ?seed p)
+
+(* Tier-1 keys of one program: what a compile reads — the source text
+   and the harness entry roots — digested once, then one key per
+   configuration. Computing a key never parses. *)
+let compile_keys (p : Suite_types.sprogram) =
+  let digest =
+    Digest.to_hex
+      (Digest.string
+         (Marshal.to_string (p.Suite_types.p_source, Suite_types.roots p) []))
+  in
+  fun config -> digest ^ "/" ^ Config.fingerprint config
 
 (* Tier-1 lookup that also reports whether the binary was freshly
    compiled — a fresh compile whose binary digest already sits in a
    tier-2 table is a *dedup* (the discard optimization firing), while
-   a tier-1 hit followed by a tier-2 hit is a plain cache hit. *)
-let compile_tracked memo key produce =
+   a tier-1 hit followed by a tier-2 hit is a plain cache hit.
+   [produce] runs on a miss only, so a hit never parses. *)
+let tier1 t (p : Suite_types.sprogram) config produce =
   let fresh = ref false in
   let bin =
-    Memo.find_or_add memo key (fun () ->
+    Memo.find_or_add t.binaries (compile_keys p config) (fun () ->
         fresh := true;
-        produce ())
+        span "compile" p.Suite_types.p_name produce)
   in
   (bin, if !fresh then "dedups" else "hits")
 
-let compile_key (p : Evaluation.prepared) config =
-  tier1_key p.Evaluation.ast_digest config
+let parse_and_compile (p : Suite_types.sprogram) config () =
+  Toolchain.compile (Suite_types.ast p) ~config ~roots:(Suite_types.roots p)
 
-(* Planner support (see the prefix planner below): [peek] checks tier 1
-   without executing anything or touching the counters — the planner
-   uses it to drop already-compiled configs from a sweep before grouping
-   the rest by shared prefix. [seed] publishes a binary produced outside
-   the engine (an incremental suffix compile) under the ordinary tier-1
-   key, bumping the regular counters, so every later [compile]/[measure]
-   of that config is a plain tier-1 hit. *)
-let peek_compile t p config = Memo.find_opt t.binaries (compile_key p config)
-
-let seed_compile t p config produce =
-  Memo.find_or_add t.binaries (compile_key p config) produce
-
-let compile t p config =
-  seed_compile t p config (fun () -> compile_uncached p config)
-
-let peek_bench_compile t bench config =
-  Memo.find_opt t.bench_binaries (tier1_key (bench_subject_key bench) config)
-
-let seed_bench_compile t bench config produce =
-  Memo.find_or_add t.bench_binaries
-    (tier1_key (bench_subject_key bench) config)
-    produce
+let compile t p config = fst (tier1 t p config (parse_and_compile p config))
 
 let measure t (p : Evaluation.prepared) config =
   let bin, hit =
-    compile_tracked t.binaries (compile_key p config) (fun () ->
-        compile_uncached p config)
+    tier1 t p.Evaluation.program config (fun () -> Evaluation.compile p config)
   in
   let m =
     Memo.find_or_add ~hit t.measures
@@ -158,13 +146,9 @@ let product t prepared config =
   (fst (measure t prepared config)).Metrics.m_hybrid.Metrics.product
 
 let bench_cost t bench config =
-  let key = bench_subject_key bench in
-  let bin, hit =
-    compile_tracked t.bench_binaries (tier1_key key config) (fun () ->
-        bench_compile_uncached bench config)
-  in
+  let bin, hit = tier1 t bench config (parse_and_compile bench config) in
   Memo.find_or_add ~hit t.costs
-    (key ^ "@" ^ bin.Emit.text_digest)
+    (bench_subject_key bench ^ "@" ^ bin.Emit.text_digest)
     (fun () -> bench_run bench bin)
 
 let map t f xs = Engine.Pool.map t.pool f xs
@@ -379,11 +363,12 @@ let plan_family ~ast ~roots configs =
   plan cp0 tagged;
   List.rev !jobs
 
-(* The generic sweep driver behind [compile_sweep] and
-   [bench_compile_sweep]. [peek]/[seed]/[straight] abstract over the
-   two tier-1 tables; [straight c] must be the exact producer the
-   engine's own compile path runs. *)
-let sweep t ~ast ~roots ~peek ~seed ~straight configs =
+(* The sweep's filter probes tier 1 once per configuration (memory,
+   then disk); a planned compile is then published with [Memo.fill],
+   which counts the miss without probing again. The source is parsed
+   only when there is work to plan. *)
+let compile_sweep t (p : Suite_types.sprogram) configs =
+  let key = compile_keys p in
   let seen = Hashtbl.create 16 in
   let fresh c =
     let fp = Config.fingerprint c in
@@ -394,17 +379,23 @@ let sweep t ~ast ~roots ~peek ~seed ~straight configs =
     end
   in
   let todo =
-    List.filter (fun c -> fresh c && Option.is_none (peek c)) configs
+    List.filter
+      (fun c -> fresh c && Option.is_none (Memo.find_opt t.binaries (key c)))
+      configs
   in
   if todo <> [] then begin
+    let ast = Suite_types.ast p and roots = Suite_types.roots p in
+    let publish c produce =
+      ignore (Memo.fill t.binaries (key c) produce : Emit.binary)
+    in
     (* Group by pipeline family, preserving input order. *)
     let families = ref [] in
     List.iter
       (fun c ->
-        let key = (c.Config.compiler, c.Config.level) in
-        match List.assoc_opt key !families with
+        let fam = (c.Config.compiler, c.Config.level) in
+        match List.assoc_opt fam !families with
         | Some cell -> cell := c :: !cell
-        | None -> families := !families @ [ (key, ref [ c ]) ])
+        | None -> families := !families @ [ (fam, ref [ c ]) ])
       todo;
     let jobs =
       List.concat_map
@@ -420,9 +411,11 @@ let sweep t ~ast ~roots ~peek ~seed ~straight configs =
            match job with
            | Straight c ->
                Util.Counters.bump "prefix/misses";
-               seed c (fun () -> straight c)
+               publish c (fun () ->
+                   span "compile" p.Suite_types.p_name (fun () ->
+                       Toolchain.compile ast ~config:c ~roots))
            | Suffix (c, cp) ->
-               seed c (fun () ->
+               publish c (fun () ->
                    obs_span "prefix:resume"
                      [ ("config", Config.fingerprint c) ]
                      (fun () -> Toolchain.resume ~from:cp c))
@@ -437,25 +430,10 @@ let sweep t ~ast ~roots ~peek ~seed ~straight configs =
                       (fun () -> Toolchain.resume ~from:cp rep))
                in
                Util.Counters.bump ~n:(List.length cs - 1) "prefix/merged";
-               List.iter (fun c -> seed c (fun () -> Lazy.force bin)) cs)
+               List.iter (fun c -> publish c (fun () -> Lazy.force bin)) cs)
          jobs
         : unit list)
   end
-
-let compile_sweep t (p : Evaluation.prepared) configs =
-  sweep t ~ast:p.Evaluation.ast ~roots:p.Evaluation.roots
-    ~peek:(fun c -> peek_compile t p c)
-    ~seed:(fun c produce -> ignore (seed_compile t p c produce : Emit.binary))
-    ~straight:(fun c -> compile_uncached p c)
-    configs
-
-let bench_compile_sweep t (sp : Suite_types.sprogram) configs =
-  sweep t ~ast:(Suite_types.ast sp) ~roots:(Suite_types.roots sp)
-    ~peek:(fun c -> peek_bench_compile t sp c)
-    ~seed:(fun c produce ->
-      ignore (seed_bench_compile t sp c produce : Emit.binary))
-    ~straight:(fun c -> bench_compile_uncached sp c)
-    configs
 
 (** One flat, sorted [(name, value)] table over every counter source:
     this engine's caches, its store, the process table (sanitizer,

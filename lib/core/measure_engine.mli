@@ -1,17 +1,21 @@
 (** The repository's measurement engine — the single owner of
-    measurement state and the single entry point for compiling,
-    measuring and benchmarking (program, configuration) pairs, with a
-    two-tier content-addressed cache and an optional [Domain] worker
-    pool (see [lib/engine] for the generic substrate and DESIGN.md
-    "Measurement engine" for the design). There is no process-wide
-    engine: every caller is handed one explicitly.
+    measurement state and the single entry point for preparing subjects
+    and for compiling, measuring and benchmarking (program,
+    configuration) pairs, with a content-addressed cache and an optional
+    [Domain] worker pool (see [lib/engine] for the generic substrate and
+    DESIGN.md "Measurement engine" for the design). There is no
+    process-wide engine: every caller is handed one explicitly.
 
-    Tier 1 is keyed by (AST digest, {!Config.fingerprint}) and caches
-    compiled binaries; tier 2 caches metrics, keyed by (subject digest,
-    full binary digest), and benchmark costs, keyed by (benchmark
-    digest, [.text] digest) — two configurations whose binaries share
-    content share one measurement (the engine-wide generalization of
-    the paper's Section III-A discard optimization). *)
+    Prepared subjects are keyed by {!Evaluation.prepare_key}. Tier 1 is
+    keyed by (source digest, {!Config.fingerprint}) for every program,
+    measured or benchmarked — the digest covers the program's source
+    text and harness entry roots, everything a compile reads — and
+    caches compiled binaries, so a configuration is compiled once per
+    program. Tier 2 caches metrics, keyed by (subject digest, full
+    binary digest), and benchmark costs, keyed by (benchmark digest,
+    [.text] digest) — two configurations whose binaries share content
+    share one measurement (the engine-wide generalization of the
+    paper's Section III-A discard optimization). *)
 
 type t
 
@@ -36,37 +40,28 @@ val open_store :
     [dir] if given, else [$DEBUGTUNER_CACHE] if set and non-empty, else
     ["_cache"]. Always stamped with {!cache_schema}. *)
 
-val compile : t -> Evaluation.prepared -> Config.t -> Emit.binary
-(** Tier-1 cached compilation. *)
-
-val peek_compile : t -> Evaluation.prepared -> Config.t -> Emit.binary option
-(** Side-effect-free tier-1 lookup (no compile, no counter bump). *)
-
-val seed_compile :
-  t -> Evaluation.prepared -> Config.t -> (unit -> Emit.binary) -> Emit.binary
-(** [seed_compile t p c produce] publishes a binary produced outside
-    the engine (an incremental prefix-cache suffix compile) under the
-    ordinary tier-1 key: the regular hit/miss counters fire, and every
-    later {!compile} of the same job is a plain tier-1 hit. [produce]
-    must return exactly what a straight compile would. *)
-
-val peek_bench_compile :
-  t -> Suite_types.sprogram -> Config.t -> Emit.binary option
-
-val seed_bench_compile :
+val prepare :
   t ->
+  ?fuzz_budget:int ->
+  ?seed:int ->
   Suite_types.sprogram ->
-  Config.t ->
-  (unit -> Emit.binary) ->
-  Emit.binary
+  Evaluation.prepared
+(** {!Evaluation.prepare}, cached on {!Evaluation.prepare_key}: with a
+    store, a prepared subject persists across processes. *)
+
+val compile : t -> Suite_types.sprogram -> Config.t -> Emit.binary
+(** Tier-1 cached compilation. A hit never parses; a miss parses the
+    source once. *)
 
 val measure :
   t -> Evaluation.prepared -> Config.t -> Metrics.all_methods * Emit.binary
 (** Tier-2 cached measurement: trace the binary over the prepared
     corpora and compute all four metric methods. Only the metrics are
-    kept; the trace is dropped. Two configurations of the same subject
-    whose binaries share a [full_digest] share one metrics record; a
-    hit reached through a fresh compile counts as
+    kept; the trace is dropped. The binary comes from tier 1, shared
+    with {!compile} of the subject's program; a miss compiles the AST
+    the prepared subject carries. Two configurations of the same
+    subject whose binaries share a [full_digest] share one metrics
+    record; a hit reached through a fresh compile counts as
     [engine/measure/dedups]. *)
 
 val product : t -> Evaluation.prepared -> Config.t -> float
@@ -124,11 +119,13 @@ val request_sink_rows : request_sink -> (string * int) list
     difference — except in wall clock. See DESIGN.md "Incremental
     compilation". *)
 
-val compile_sweep : t -> Evaluation.prepared -> Config.t list -> unit
-(** Prewarm tier 1 for a sweep over one prepared program: compile every
+val compile_sweep : t -> Suite_types.sprogram -> Config.t list -> unit
+(** Prewarm tier 1 for a sweep over one program: compile every
     not-yet-cached configuration, sharing pipeline prefixes. After the
-    call, {!compile}/{!measure} of any swept configuration is
-    a tier-1 hit. Duplicate fingerprints are planned once.
+    call, {!compile}, {!measure} and {!bench_cost} of any swept
+    configuration reach a tier-1 hit. Duplicate fingerprints are
+    planned once; each planned configuration probes the store once, and
+    the source is parsed only when something is left to plan.
 
     Planner activity goes to the process counter table:
     [prefix/hits] (sweep compiles that skipped a shared prefix),
@@ -140,9 +137,6 @@ val compile_sweep : t -> Evaluation.prepared -> Config.t list -> unit
     structural divergence trie — [passes_skipped] is exactly the sum of
     shared-prefix lengths, independent of how much better no-op merging
     did. *)
-
-val bench_compile_sweep : t -> Suite_types.sprogram -> Config.t list -> unit
-(** {!compile_sweep} for the benchmark tier ({!bench_cost}). *)
 
 val workers : t -> int
 

@@ -42,7 +42,7 @@ let per_program_increments ~engine:eng ?(metric = hybrid_product)
      shares its pipeline prefix up to each divergence: compile it
      incrementally up front, so the per-pass loop below only ever sees
      tier-1 hits. *)
-  Measure_engine.compile_sweep eng prepared
+  Measure_engine.compile_sweep eng prepared.Evaluation.program
     (config
     :: List.map (fun pass -> { config with Config.disabled = [ pass ] }) passes);
   let baseline_m, baseline_bin = Measure_engine.measure eng prepared config in
@@ -51,7 +51,9 @@ let per_program_increments ~engine:eng ?(metric = hybrid_product)
     List.map
       (fun pass ->
         let cfg = { config with Config.disabled = [ pass ] } in
-        let bin = Measure_engine.compile eng prepared cfg in
+        let bin =
+          Measure_engine.compile eng prepared.Evaluation.program cfg
+        in
         let m =
           if String.equal bin.Emit.text_digest baseline_bin.Emit.text_digest
           then begin

@@ -21,20 +21,9 @@ type level_ranking = {
   lr_baseline_avg : float;
 }
 
-val hybrid_product : Metrics.all_methods -> float
-(** The score a ranking optimizes by default (Section III-D). *)
-
 val dynamic_product : Metrics.all_methods -> float
-(** Alternative metric for the ranking-metric ablation. *)
-
-val per_program_increments :
-  engine:Measure_engine.t ->
-  ?metric:(Metrics.all_methods -> float) ->
-  Evaluation.prepared ->
-  Config.t ->
-  float * (string * float) list
-(** One program's baseline product and pass -> relative-increment
-    association. *)
+(** Alternative metric for the ranking-metric ablation (the default is
+    the hybrid product, Section III-D). *)
 
 val rank :
   engine:Measure_engine.t ->

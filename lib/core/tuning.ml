@@ -217,12 +217,11 @@ let eval_batch st (batch : Config.t list) =
         let (), sweep_rows =
           Util.Counters.scoped (fun () ->
               List.iter
-                (fun p -> Measure_engine.compile_sweep st.st_engine p configs)
-                st.st_suite;
-              List.iter
-                (fun b ->
-                  Measure_engine.bench_compile_sweep st.st_engine b configs)
-                st.st_benches)
+                (fun sp -> Measure_engine.compile_sweep st.st_engine sp configs)
+                (List.map
+                   (fun (p : Evaluation.prepared) -> p.Evaluation.program)
+                   st.st_suite
+                @ st.st_benches))
         in
         let row n = Option.value ~default:0 (List.assoc_opt n sweep_rows) in
         Util.Counters.bump

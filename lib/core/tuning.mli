@@ -101,10 +101,6 @@ type search_result = {
   sr_dominated : int;  (** evaluated points not on the front *)
 }
 
-val pass_universe : Config.t -> string list
-(** The toggleable passes of a base level, with the inliner
-    exception. *)
-
 val search :
   engine:Measure_engine.t ->
   Evaluation.prepared list ->

@@ -478,16 +478,18 @@ module Memo = struct
      table meanwhile; a concurrent duplicate computation of the same key
      is harmless because producers are deterministic and [add] keeps the
      first value. *)
+  let fill t key produce =
+    bump t "misses";
+    let v = produce () in
+    add t key v;
+    v
+
   let find_or_add ?(hit = "hits") t key produce =
     match find_opt t key with
     | Some v ->
         bump t hit;
         v
-    | None ->
-        bump t "misses";
-        let v = produce () in
-        add t key v;
-        v
+    | None -> fill t key produce
 end
 
 module Pool = struct

@@ -128,6 +128,11 @@ module Memo : sig
       measurement engine's tier 2 passes ["dedups"] for a hit reached
       through a fresh compile). *)
 
+  val fill : 'a t -> string -> (unit -> 'a) -> 'a
+  (** [find_or_add]'s miss path alone: count a miss, run [produce] and
+      publish its value, reading neither memory nor disk first — for a
+      key a {!find_opt} has just missed, so the store is probed once. *)
+
   val find_opt : 'a t -> string -> 'a option
   val add : 'a t -> string -> 'a -> unit
 end

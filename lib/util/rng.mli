@@ -11,9 +11,6 @@ val create : int -> t
 val copy : t -> t
 (** Independent copy continuing from the same state. *)
 
-val next_int64 : t -> int64
-(** One raw splitmix64 step. *)
-
 val bits : t -> int
 (** 62 uniform pseudo-random bits as a non-negative int. *)
 

@@ -43,38 +43,3 @@ let median = function
     [reference], e.g. [pct_delta 0.25 0.27 = 8.0]. *)
 let pct_delta reference value =
   if reference = 0.0 then nan else (value -. reference) /. reference *. 100.0
-
-(** Average rank aggregation: given per-program rankings (lists of keys,
-    best first), return keys sorted by their mean rank position. Keys
-    missing from a ranking are charged that ranking's length (i.e. worst
-    rank + 1), matching how the paper treats no-effect passes. *)
-let average_rank (rankings : 'a list list) : ('a * float) list =
-  let tbl = Hashtbl.create 97 in
-  let all_keys = Hashtbl.create 97 in
-  List.iter
-    (fun ranking ->
-      List.iteri
-        (fun i key ->
-          Hashtbl.replace all_keys key ();
-          let prev = try Hashtbl.find tbl key with Not_found -> [] in
-          Hashtbl.replace tbl key (float_of_int (i + 1) :: prev))
-        ranking)
-    rankings;
-  let n_rankings = List.length rankings in
-  let scores =
-    Hashtbl.fold
-      (fun key () acc ->
-        let positions = try Hashtbl.find tbl key with Not_found -> [] in
-        let missing = n_rankings - List.length positions in
-        let penalty =
-          (* Charge absences as one-past-the-longest ranking. *)
-          let longest =
-            List.fold_left (fun m r -> max m (List.length r)) 0 rankings
-          in
-          float_of_int (longest + 1) *. float_of_int missing
-        in
-        let total = List.fold_left ( +. ) penalty positions in
-        (key, total /. float_of_int (max 1 n_rankings)) :: acc)
-      all_keys []
-  in
-  List.sort (fun (_, a) (_, b) -> compare a b) scores

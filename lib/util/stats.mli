@@ -15,8 +15,3 @@ val median : float list -> float
 val pct_delta : float -> float -> float
 (** [pct_delta reference value] — percentage change of [value] over
     [reference], e.g. [pct_delta 0.25 0.27 = 8.0]. *)
-
-val average_rank : 'a list list -> ('a * float) list
-(** Average-rank aggregation across per-program rankings (best first);
-    keys missing from a ranking are charged one past the longest
-    ranking's length. Result is sorted by ascending average rank. *)

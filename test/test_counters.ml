@@ -251,6 +251,68 @@ let test_restart_reads_prepared () =
     (row "engine/prepare/misses" warm);
   check Alcotest.string "same text" cold.Resp.text warm.Resp.text
 
+(* Every view of a program shares one tier 1: a [Summary] compile and
+   then a [Measure] of zlib at gcc-O2 on one context compile once. *)
+let test_views_compile_once () =
+  let ctx = Api.create_ctx () in
+  let view v =
+    Api.execute ctx
+      (R.Compile
+         {
+           c_subject = R.Named "zlib";
+           c_config = Config.make Config.Gcc Config.O2;
+           c_profile = None;
+           c_sanitize = false;
+           c_view = v;
+         })
+  in
+  let summary = view R.Summary in
+  ok "summary" summary;
+  let measure = view R.Measure in
+  ok "measure" measure;
+  let engine_rows (r : Resp.t) =
+    List.filter
+      (fun (n, _) -> String.starts_with ~prefix:"engine/" n)
+      r.Resp.stats
+  in
+  check rows_t "summary compiles" [ ("engine/compile/misses", 1) ]
+    (engine_rows summary);
+  check rows_t "measure reads the summary's binary"
+    [
+      ("engine/compile/hits", 1);
+      ("engine/measure/misses", 1);
+      ("engine/prepare/misses", 1);
+    ]
+    (engine_rows measure)
+
+(* The engine owns prepared subjects: the same corpus job run twice on
+   one store-less context prepares its programs once, and the second
+   run reports them all resumed. *)
+let test_experiments_prepare_once () =
+  let ctx = Api.create_ctx () in
+  let job () =
+    Api.execute ctx
+      (R.Experiments
+         {
+           e_job =
+             Api.Job.make
+               ~configs:[ Config.make Config.Gcc Config.O2 ]
+               ~seed:5 ~corpus:6 ();
+         })
+  in
+  let first = job () in
+  ok "first run" first;
+  let second = job () in
+  ok "second run" second;
+  let row name (r : Resp.t) = List.assoc_opt name r.Resp.stats in
+  check Alcotest.(option int) "first run prepares" (Some 6)
+    (row "engine/prepare/misses" first);
+  check Alcotest.(option int) "second run prepares nothing" None
+    (row "engine/prepare/misses" second);
+  check Alcotest.(option int) "second run resumes every program" (Some 6)
+    (row "shard/resumed_programs" second);
+  check Alcotest.string "same text" first.Resp.text second.Resp.text
+
 (* ------------------------------------------------------------------ *)
 (* Golden rows                                                         *)
 
@@ -377,12 +439,10 @@ shard/rows 14
 let search_rows =
   rows
     {|
-engine/bench-compile/hits 40
-engine/bench-compile/misses 50
 engine/bench-cost/hits 2
 engine/bench-cost/misses 48
-engine/compile/hits 570
-engine/compile/misses 416
+engine/compile/hits 610
+engine/compile/misses 466
 engine/measure/hits 18
 engine/measure/misses 188
 engine/prepare/misses 13
@@ -447,5 +507,9 @@ let tests =
       test_systhread_attribution;
     Alcotest.test_case "restart reads prepared subjects" `Quick
       test_restart_reads_prepared;
+    Alcotest.test_case "compile and measure views compile once" `Quick
+      test_views_compile_once;
+    Alcotest.test_case "experiments job prepares once per context" `Quick
+      test_experiments_prepare_once;
     Alcotest.test_case "golden request rows" `Quick test_golden_rows;
   ]

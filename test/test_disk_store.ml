@@ -432,6 +432,24 @@ let test_storeless_engine_touches_no_store () =
          || String.starts_with ~prefix:"store/" n)
        (ME.stats_table b))
 
+(* A planned compile probes the store once: the sweep's filter reads
+   it, and publishing the fresh binary writes without reading again. *)
+let test_sweep_probes_store_once () =
+  with_dir @@ fun d ->
+  let store = ME.open_store ~dir:d () in
+  let eng = ME.create ~store () in
+  let base = C.make C.Gcc C.O2 in
+  ME.compile_sweep eng (Programs.find "zlib")
+    (base
+    :: List.map
+         (fun pass -> C.make ~disabled:[ pass ] C.Gcc C.O2)
+         (Debugtuner.Toolchain.pass_names base));
+  let row name = List.assoc_opt name (DS.counters store) in
+  Alcotest.(check bool) "the sweep wrote binaries" true
+    (row "store/compile/writes" <> None);
+  Alcotest.(check (option int)) "misses equal writes"
+    (row "store/compile/writes") (row "store/compile/misses")
+
 let test_oracle_warm_byte_identical () =
   with_dir @@ fun d ->
   let module DO = Diff_oracle in
@@ -488,6 +506,8 @@ let tests =
       test_engine_resumable;
     Alcotest.test_case "corrupt cache never changes results" `Slow
       test_corruption_never_changes_results;
+    Alcotest.test_case "a planned compile probes the store once" `Quick
+      test_sweep_probes_store_once;
     Alcotest.test_case "store-less engine touches no store" `Quick
       test_storeless_engine_touches_no_store;
     Alcotest.test_case "oracle warm run byte-identical" `Slow

@@ -1,11 +1,10 @@
 (** Property tests for the pass-prefix sweep planner
-    ([Measure_engine.compile_sweep] / [bench_compile_sweep]): over
-    random configuration sets, (a) every binary the planner seeds is
-    byte-identical ([full_digest]) to a straight-line
-    [Toolchain.compile], and (b) the [prefix/*] counters match an
-    independent reference model of the divergence tree —
-    [passes_skipped] is exactly the sum of shared-prefix lengths,
-    including the O0/empty-pipeline edge case. The counters are
+    ([Measure_engine.compile_sweep]): over random configuration sets,
+    (a) every binary the planner seeds is byte-identical ([full_digest])
+    to a straight-line [Toolchain.compile], and (b) the [prefix/*]
+    counters match an independent reference model of the divergence
+    tree — [passes_skipped] is exactly the sum of shared-prefix
+    lengths, including the O0/empty-pipeline edge case. The counters are
     structural by contract, so (b) holds no matter how much better the
     planner's semantic no-op merging does; (a) is what keeps the
     merging honest. *)
@@ -26,8 +25,8 @@ let sp =
       [ { Suite_types.h_name = "main"; h_entry = "main"; h_seeds = [] } ];
   }
 
-let straight config =
-  T.compile (Suite_types.ast sp) ~config ~roots:(Suite_types.roots sp)
+let straight ?(p = sp) config =
+  T.compile (Suite_types.ast p) ~config ~roots:(Suite_types.roots p)
 
 (* The prefix/* rows of the last sweep run ([run_sweep] and
    [scoped_sweep] capture them); zero rows are dropped. *)
@@ -132,19 +131,28 @@ let derive_configs rand_seed count =
 
 let run_sweep configs =
   let eng = ME.create () in
-  scoped_sweep (fun () -> ME.bench_compile_sweep eng sp configs);
+  scoped_sweep (fun () -> ME.compile_sweep eng sp configs);
   eng
 
-let check_byte_identity eng configs =
-  List.iter
-    (fun config ->
-      match ME.peek_bench_compile eng sp config with
-      | None -> Alcotest.fail ("not seeded: " ^ C.fingerprint config)
-      | Some bin ->
-          Alcotest.(check string)
-            ("byte-identical: " ^ C.fingerprint config)
-            (straight config).Emit.full_digest bin.Emit.full_digest)
-    configs
+(* The binaries a sweep seeded for [configs]: engine compiles after it
+   must all be tier-1 hits (no [engine/compile/misses] row). *)
+let seeded eng p configs =
+  let bins, rows =
+    Util.Counters.scoped (fun () -> List.map (ME.compile eng p) configs)
+  in
+  Alcotest.(check (option int))
+    (p.Suite_types.p_name ^ ": every config seeded")
+    None
+    (List.assoc_opt "engine/compile/misses" rows);
+  bins
+
+let check_byte_identity ?(p = sp) eng configs =
+  List.iter2
+    (fun config (bin : Emit.binary) ->
+      Alcotest.(check string)
+        ("byte-identical: " ^ C.fingerprint config)
+        (straight ~p config).Emit.full_digest bin.Emit.full_digest)
+    configs (seeded eng p configs)
 
 let qcheck_planner =
   QCheck.Test.make ~name:"planner: byte-identity + counter arithmetic"
@@ -221,20 +229,18 @@ let test_merged_identical_bits () =
   let eng = run_sweep configs in
   check_byte_identity eng configs;
   Alcotest.(check int) "merged" 1 (counter "prefix/merged");
-  match
-    ( ME.peek_bench_compile eng sp (List.nth configs 0),
-      ME.peek_bench_compile eng sp (List.nth configs 1) )
-  with
-  | Some a, Some b -> Alcotest.(check bool) "physically shared" true (a == b)
+  match seeded eng sp configs with
+  | [ a; b ] -> Alcotest.(check bool) "physically shared" true (a == b)
   | _ -> Alcotest.fail "not seeded"
 
-(* compile_sweep (the prepared-subject tier): seeded binaries are what
-   Evaluation.compile produces, and later engine compiles are tier-1
-   hits. *)
+(* One compile_sweep serves every program, a prepared suite subject and
+   a SPEC benchmark alike: seeded binaries are what a straight compile
+   produces, and the subject's later measures and the benchmark's
+   costs are tier-1 hits on the very binaries the sweep seeded. *)
 let prepared = lazy (Ev.prepare (Programs.find "libpng"))
 
-let test_prepared_sweep () =
-  let p = Lazy.force prepared in
+let test_sweep_prepared_and_spec () =
+  let p = Lazy.force prepared and bench = Spec.find "505.mcf" in
   let configs =
     [
       C.make C.Gcc C.O2;
@@ -243,24 +249,34 @@ let test_prepared_sweep () =
     ]
   in
   let eng = ME.create () in
-  scoped_sweep (fun () -> ME.compile_sweep eng p configs);
-  Alcotest.(check bool) "prefix engaged" true (counter "prefix/hits" > 0);
   List.iter
-    (fun config ->
-      match ME.peek_compile eng p config with
-      | None -> Alcotest.fail ("not seeded: " ^ C.fingerprint config)
-      | Some bin ->
-          Alcotest.(check string)
-            ("matches Evaluation.compile: " ^ C.fingerprint config)
-            (Ev.compile p config).Emit.full_digest bin.Emit.full_digest;
-          (* A post-sweep engine compile must be a tier-1 hit, i.e.
-             physically the seeded binary. *)
-          Alcotest.(check bool) "tier-1 hit" true
-            (ME.compile eng p config == bin))
-    configs;
-  (* Re-sweeping is a no-op: everything peeks as cached. *)
-  scoped_sweep (fun () -> ME.compile_sweep eng p configs);
-  Alcotest.(check (list (pair string int))) "idempotent" [] !sweep_rows
+    (fun (prog : Suite_types.sprogram) ->
+      let what = prog.Suite_types.p_name in
+      scoped_sweep (fun () -> ME.compile_sweep eng prog configs);
+      Alcotest.(check bool) (what ^ ": prefix engaged") true
+        (counter "prefix/hits" > 0);
+      check_byte_identity ~p:prog eng configs;
+      (* Re-sweeping is a no-op: everything is found cached. *)
+      scoped_sweep (fun () -> ME.compile_sweep eng prog configs);
+      Alcotest.(check (list (pair string int)))
+        (what ^ ": idempotent") [] !sweep_rows)
+    [ p.Ev.program; bench ];
+  let (), rows =
+    Util.Counters.scoped (fun () ->
+        List.iter2
+          (fun config seeded_bin ->
+            Alcotest.(check string)
+              ("matches Evaluation.compile: " ^ C.fingerprint config)
+              (Ev.compile p config).Emit.full_digest
+              seeded_bin.Emit.full_digest;
+            Alcotest.(check bool) "measure reads the seeded binary" true
+              (snd (ME.measure eng p config) == seeded_bin);
+            ignore (ME.bench_cost eng bench config : int))
+          configs
+          (seeded eng p.Ev.program configs))
+  in
+  Alcotest.(check (option int)) "no tier-1 miss after the sweeps" None
+    (List.assoc_opt "engine/compile/misses" rows)
 
 (* The planner inside a real ranking: Ranking.rank through the planner
    equals Ranking.rank on an engine whose tier 1 was first filled by a
@@ -292,7 +308,10 @@ let test_rank_planner_vs_straight () =
         (counter "prefix/hits" > 0 && counter "prefix/merged" > 0);
       let straight = ME.create () in
       List.iter
-        (fun p -> List.iter (fun c -> ignore (ME.compile straight p c)) sweep)
+        (fun (p : Ev.prepared) ->
+          List.iter
+            (fun c -> ignore (ME.compile straight p.Ev.program c))
+            sweep)
         programs;
       let lr_straight =
         scoped_sweep (fun () -> Rk.rank ~engine:straight programs config)
@@ -302,18 +321,15 @@ let test_rank_planner_vs_straight () =
       Alcotest.(check bool) (what ^ ": same level_ranking") true
         (lr_planned = lr_straight);
       List.iter
-        (fun p ->
-          List.iter
-            (fun c ->
-              let digest eng =
-                match ME.peek_compile eng p c with
-                | Some bin -> bin.Emit.full_digest
-                | None -> Alcotest.fail ("not compiled: " ^ C.fingerprint c)
-              in
-              Alcotest.(check string)
-                (what ^ ": full_digest of " ^ C.fingerprint c)
-                (digest straight) (digest planned))
-            sweep)
+        (fun (p : Ev.prepared) ->
+          let digests eng =
+            List.map
+              (fun (bin : Emit.binary) -> bin.Emit.full_digest)
+              (seeded eng p.Ev.program sweep)
+          in
+          Alcotest.(check (list string))
+            (what ^ ": full_digest of every swept config")
+            (digests straight) (digests planned))
         programs)
     [ C.make C.Gcc C.O2; C.make C.Clang C.O2 ]
 
@@ -324,7 +340,8 @@ let tests =
     Alcotest.test_case "O0 / empty pipeline" `Quick test_o0_edge;
     Alcotest.test_case "identical-bit configs share one backend run" `Quick
       test_merged_identical_bits;
-    Alcotest.test_case "prepared-subject sweep" `Quick test_prepared_sweep;
+    Alcotest.test_case "prepared-subject sweep" `Quick
+      test_sweep_prepared_and_spec;
     Alcotest.test_case "rank through the planner = rank on straight compiles"
       `Quick test_rank_planner_vs_straight;
   ]

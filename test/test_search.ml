@@ -226,7 +226,6 @@ let test_resume_after_kill () =
 
 let test_sweep_digest_equality () =
   let sp = List.hd benches in
-  let prepared = List.hd (Lazy.force suite) in
   let rng = Util.Rng.create 77 in
   let universe = Array.of_list (T.pass_names base) in
   let random_config () =
@@ -238,10 +237,10 @@ let test_sweep_digest_equality () =
   in
   let configs = base :: List.init 8 (fun _ -> random_config ()) in
   let engine = ME.create () in
-  ME.compile_sweep engine prepared configs;
+  ME.compile_sweep engine sp configs;
   List.iter
     (fun config ->
-      let swept = ME.compile engine prepared config in
+      let swept = ME.compile engine sp config in
       let straight =
         T.compile (Suite_types.ast sp) ~config ~roots:(Suite_types.roots sp)
       in

@@ -64,17 +64,6 @@ let test_pct_delta () =
   check_float "8%" 8.0 (Util.Stats.pct_delta 0.25 0.27);
   check_float "negative" (-10.0) (Util.Stats.pct_delta 1.0 0.9)
 
-let test_average_rank () =
-  (* b first everywhere; a second; c third or missing. *)
-  let ranked =
-    Util.Stats.average_rank [ [ "b"; "a"; "c" ]; [ "b"; "a" ]; [ "b"; "c"; "a" ] ]
-  in
-  (match ranked with
-  | (first, _) :: _ -> Alcotest.(check string) "b wins" "b" first
-  | [] -> Alcotest.fail "empty ranking");
-  let keys = List.map fst ranked in
-  Alcotest.(check int) "all keys present" 3 (List.length keys)
-
 let test_tablefmt_render () =
   let t =
     Util.Tablefmt.make ~title:"t" ~header:[ "a"; "bb" ]
@@ -175,7 +164,6 @@ let tests =
     Alcotest.test_case "geomean" `Quick test_geomean;
     Alcotest.test_case "geo stddev" `Quick test_geo_stddev;
     Alcotest.test_case "pct delta" `Quick test_pct_delta;
-    Alcotest.test_case "average rank" `Quick test_average_rank;
     Alcotest.test_case "tablefmt render" `Quick test_tablefmt_render;
     Alcotest.test_case "tablefmt formats" `Quick test_tablefmt_formats;
     Alcotest.test_case "tablefmt scatter" `Quick test_scatter;
