@@ -50,6 +50,17 @@ DEBUGTUNER_VM=reference dune exec bin/debugtuner_cli.exe -- \
 ci_diff "$scratch/check-fast.out" "$scratch/check-reference.out" \
   "DEBUGTUNER_VM=reference dune exec bin/debugtuner_cli.exe -- check --fuzz 100 --seed 1"
 
+echo "== vm conformance: corpus experiments (reference core, byte-identical stdout) =="
+# The check matrix above never runs the coverage fuzzer. A corpus job
+# does: each program is fuzzed, minimized and pruned before its tables
+# are measured, so coverage counts reach its stdout.
+dune exec bin/debugtuner_cli.exe -- \
+  experiments --corpus 24 --seed 1 --no-cache > "$scratch/corpus-fast.out"
+DEBUGTUNER_VM=reference dune exec bin/debugtuner_cli.exe -- \
+  experiments --corpus 24 --seed 1 --no-cache > "$scratch/corpus-reference.out"
+ci_diff "$scratch/corpus-fast.out" "$scratch/corpus-reference.out" \
+  "DEBUGTUNER_VM=reference dune exec bin/debugtuner_cli.exe -- experiments --corpus 24 --seed 1 --no-cache"
+
 # The repository benchmark checks its own outputs: sampled (program,
 # config) pairs through Diff_oracle against the Minic.Interp reference,
 # byte identity across repetitions of the same inputs and, for search,

@@ -3,7 +3,8 @@
     Greedy set cover over edge coverage: process inputs by decreasing
     coverage, keep an input only if it contributes an edge not yet
     covered by the kept set. The kept subset covers exactly the same
-    edges as the full corpus. *)
+    edges as the full corpus. Edges are the VM's edge ids, so the
+    covered set is a flag per id. *)
 
 (* ------------------------------------------------------------------ *)
 (* Generic delta-debugging list reduction                              *)
@@ -58,13 +59,13 @@ let minimize (bin : Emit.binary) ~entry (corpus : int list list) : stats =
       (fun (_, a) (_, b) -> compare (List.length b) (List.length a))
       with_cov
   in
-  let covered = Hashtbl.create 1024 in
+  let covered = Array.make (Array.length (Vm.edge_table bin)) false in
   let kept =
     List.filter_map
       (fun (input, edges) ->
-        let adds = List.exists (fun e -> not (Hashtbl.mem covered e)) edges in
+        let adds = List.exists (fun e -> not covered.(e)) edges in
         if adds then begin
-          List.iter (fun e -> Hashtbl.replace covered e ()) edges;
+          List.iter (fun e -> covered.(e) <- true) edges;
           Some input
         end
         else None)

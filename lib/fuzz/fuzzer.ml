@@ -2,21 +2,25 @@
     OSS-Fuzz campaigns the paper mines for inputs (Section IV).
 
     Inputs are integer vectors (what [input()] consumes). Coverage is
-    the VM's control-transfer edge set over the O0 binary. The loop is
-    AFL-shaped: pick a corpus entry, mutate it (bit/arith/havoc/splice),
-    keep the child in the queue if it exercises a new edge {e or} drives
-    some edge into an unseen hit-count bucket (AFL's novelty rule — this
-    is why real queues hold thousands of inputs that coverage-preserving
-    minimization later cuts by ~97%). Fully deterministic under the
-    given seed. *)
+    the VM's control-transfer edge set over the O0 binary: a coverage
+    run returns a hit count per edge id ({!Vm.edge_table}), AFL's
+    coverage map without collisions. The loop is AFL-shaped: pick a
+    corpus entry, mutate it (bit/arith/havoc/splice), keep the child in
+    the queue if it exercises a new edge {e or} drives some edge into an
+    unseen hit-count bucket (AFL's novelty rule — this is why real
+    queues hold thousands of inputs that coverage-preserving
+    minimization later cuts by ~97%). Novelty is one bitmask of reached
+    buckets per edge id, so a run is checked without hashing. Fully
+    deterministic under the given seed. *)
 
-(* AFL-style logarithmic hit-count buckets. *)
-let bucket n =
-  if n <= 3 then n
-  else if n <= 7 then 4
-  else if n <= 15 then 8
-  else if n <= 31 then 16
-  else if n <= 127 then 32
+(* AFL-style logarithmic hit-count buckets, one bit each: 1, 2, 3,
+   4–7, 8–15, 16–31, 32–127 and 128 or more hits. *)
+let bucket_bit n =
+  if n <= 3 then 1 lsl (n - 1)
+  else if n <= 7 then 8
+  else if n <= 15 then 16
+  else if n <= 31 then 32
+  else if n <= 127 then 64
   else 128
 
 type corpus_entry = { data : int list; edge_count : int }
@@ -31,12 +35,14 @@ let run_input bin ~entry input =
   Vm.run bin ~entry ~input
     { Vm.default_opts with coverage = true; max_instrs = 300_000 }
 
-(* Sorted: Hashtbl.fold order depends on the table's internal layout
-   (insertion order, resizes, and the hash seed under randomized
-   hashing), which would make corpus growth — and so every downstream
-   fuzz verdict — run-dependent. *)
+(** The ids of the edges a coverage run hit, ascending — which is the
+    (src, dst) order of {!Vm.edge_table}. *)
 let edges_of (res : Vm.result) =
-  List.sort compare (Hashtbl.fold (fun e _ acc -> e :: acc) res.Vm.edges [])
+  let acc = ref [] in
+  for id = Array.length res.Vm.edges - 1 downto 0 do
+    if res.Vm.edges.(id) > 0 then acc := id :: !acc
+  done;
+  !acc
 
 let mutate rng (data : int list) =
   let arr = Array.of_list data in
@@ -86,28 +92,29 @@ let mutate rng (data : int list) =
 (** [fuzz bin ~entry ~seeds ~budget ~seed] runs [budget] executions. *)
 let fuzz (bin : Emit.binary) ~entry ~(seeds : int list list) ~budget ~seed =
   let rng = Util.Rng.create seed in
-  let global_edges : (int * int, unit) Hashtbl.t = Hashtbl.create 1024 in
-  let global_buckets : (int * int * int, unit) Hashtbl.t = Hashtbl.create 2048 in
+  (* Per edge id, the buckets its hit count has reached in any run so
+     far; nonzero exactly when the edge has been seen. *)
+  let reached = Array.make (Array.length (Vm.edge_table bin)) 0 in
+  let edges_found = ref 0 in
   let corpus = ref [] in
   let execs = ref 0 in
   let try_input data =
     incr execs;
-    let res = run_input bin ~entry data in
-    let novel = ref false in
-    Hashtbl.iter
-      (fun ((src, dst) as e) count ->
-        if not (Hashtbl.mem global_edges e) then begin
-          Hashtbl.replace global_edges e ();
+    let counts = (run_input bin ~entry data).Vm.edges in
+    let novel = ref false and hit = ref 0 in
+    for id = 0 to Array.length counts - 1 do
+      let n = counts.(id) in
+      if n > 0 then begin
+        incr hit;
+        let seen = reached.(id) and b = bucket_bit n in
+        if seen land b = 0 then begin
+          if seen = 0 then incr edges_found;
+          reached.(id) <- seen lor b;
           novel := true
-        end;
-        let bk = (src, dst, bucket count) in
-        if not (Hashtbl.mem global_buckets bk) then begin
-          Hashtbl.replace global_buckets bk ();
-          novel := true
-        end)
-      res.Vm.edges;
-    if !novel then
-      corpus := { data; edge_count = Hashtbl.length res.Vm.edges } :: !corpus
+        end
+      end
+    done;
+    if !novel then corpus := { data; edge_count = !hit } :: !corpus
   in
   let base_seeds = if seeds = [] then [ []; [ 0 ]; [ 1; 2; 3 ] ] else seeds in
   List.iter try_input base_seeds;
@@ -122,5 +129,5 @@ let fuzz (bin : Emit.binary) ~entry ~(seeds : int list list) ~budget ~seed =
   {
     corpus = List.rev !corpus;
     total_execs = !execs;
-    edges_found = Hashtbl.length global_edges;
+    edges_found = !edges_found;
   }

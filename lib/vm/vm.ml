@@ -20,7 +20,10 @@
 
     The VM also provides the instrumentation the framework needs: edge
     coverage (for the fuzzer), first-hit temporary breakpoints (for the
-    debugger), and cost-driven PC sampling (for AutoFDO).
+    debugger), and cost-driven PC sampling (for AutoFDO). Coverage is
+    AFL's fixed map made exact: every static control-transfer edge of a
+    binary has an id ({!edge_table}, in (src, dst) order), and a
+    coverage run counts hits into an [int array] indexed by id.
 
     Two cores implement these semantics. {!Reference} is the original
     tree-walking interpreter over [Emit.eop]; it is the executable
@@ -29,9 +32,10 @@
     binary once ({!Decode}) into flat instruction arrays with resolved
     frame-slot offsets, precomputed hazard bitsets and static costs, and
     fused superinstructions, then executes with an array-based frame
-    stack and no per-instruction allocation. [run] dispatches to the
-    fast core when the binary is decodable and falls back to
-    {!Reference} otherwise (or when [DEBUGTUNER_VM=reference] is set).
+    stack and no per-instruction allocation; a short run's whole state
+    fits the minor heap. [run] dispatches to the fast core when the
+    binary is decodable and falls back to {!Reference} otherwise (or
+    when [DEBUGTUNER_VM=reference] is set).
     The conformance suite pins the two cores to byte-identical
     {!result}s. *)
 
@@ -67,7 +71,9 @@ type result = {
   output : int list;
   cost : int;
   instrs : int;
-  edges : (int * int, int) Hashtbl.t;  (** (src, dst) -> count *)
+  edges : int array;
+      (** hit count per edge id (the index into {!edge_table});
+          [[||]] unless [coverage] *)
   bp_hits : int list;  (** breakpoint addresses in first-hit order *)
   samples : int list;  (** sampled addresses in order *)
   timed_out : bool;
@@ -95,7 +101,6 @@ type state = {
   mutable pc : int;
   mutable last_writes : Mach.mloc list;  (** locations written by previous instr *)
   mutable last_was_load : bool;
-  edges : (int * int, int) Hashtbl.t;
   mutable bp_hits_rev : int list;
   mutable halted : bool;
 }
@@ -211,7 +216,6 @@ let init_state (bin : Emit.binary) ~entry ~args ~input =
       pc = 0;
       last_writes = [];
       last_was_load = false;
-      edges = Hashtbl.create 256;
       bp_hits_rev = [];
       halted = false;
     }
@@ -245,11 +249,6 @@ let step st (opts : run_opts) sampler =
   in
   let fallthrough = pc + 1 in
   let transfer dst =
-    if opts.coverage || opts.sample_period <> None then begin
-      let key = (pc, dst) in
-      Hashtbl.replace st.edges key
-        (1 + Option.value ~default:0 (Hashtbl.find_opt st.edges key))
-    end;
     if dst <> fallthrough then st.cost <- st.cost + 3;
     st.pc <- dst
   in
@@ -365,13 +364,87 @@ let step st (opts : run_opts) sampler =
       done
   | None -> ()
 
+(* The static control-transfer edges of [bin] in (src, dst) order: a
+   jump's edge, one edge per distinct arm of a conditional branch, and,
+   for a return at [r], one edge (r, c + 1) per call site [c] of [r]'s
+   function. Alongside, [first.(a)] is the id of the first edge leaving
+   address [a] (its edges are ids [first.(a)] to [first.(a + 1) - 1]),
+   and [rank.(c + 1)] is the rank, in address order, of the call at [c]
+   among the calls to its callee, so a return at [r] to [c + 1] is edge
+   [first.(r) + rank.(c + 1)]. Built in one ascending sweep, no sort. *)
+let edge_layout (bin : Emit.binary) =
+  let code = bin.Emit.code in
+  let len = Array.length code in
+  let nf = Array.length bin.Emit.funcs in
+  let callee a =
+    match code.(a) with
+    | Emit.Eins (Mach.Mcall (_, f, _)) -> Hashtbl.find_opt bin.Emit.fn_by_name f
+    | _ -> None
+  in
+  let rank = Array.make (len + 1) 0 in
+  let ncalls = Array.make nf 0 and sites_rev = Array.make nf [] in
+  for a = 0 to len - 1 do
+    match callee a with
+    | Some fx ->
+        rank.(a + 1) <- ncalls.(fx);
+        ncalls.(fx) <- ncalls.(fx) + 1;
+        sites_rev.(fx) <- (a + 1) :: sites_rev.(fx)
+    | None -> ()
+  done;
+  let sites = Array.map List.rev sites_rev in
+  let first = Array.make (len + 1) 0 in
+  let rev = ref [] and n = ref 0 in
+  let add a dst =
+    rev := (a, dst) :: !rev;
+    incr n
+  in
+  for a = 0 to len - 1 do
+    first.(a) <- !n;
+    match code.(a) with
+    | Emit.Ejmp t -> add a t
+    | Emit.Ecbr (_, t1, t2) ->
+        add a (min t1 t2);
+        if t1 <> t2 then add a (max t1 t2)
+    | Emit.Eret _ ->
+        let fx = bin.Emit.fn_of_addr.(a) in
+        if fx >= 0 && fx < nf then List.iter (add a) sites.(fx)
+    | Emit.Eins _ -> ()
+  done;
+  first.(len) <- !n;
+  (Array.of_list (List.rev !rev), first, rank)
+
+(** Every static control-transfer edge of [bin] as (src, dst), strictly
+    ascending; an edge's id is its index, and a coverage run's
+    [result.edges] counts hits per id. The edges are each jump, each arm
+    of a conditional branch, and each return paired with each call site
+    [c] of its function (dst [c + 1]). *)
+let edge_table bin =
+  let table, _, _ = edge_layout bin in
+  table
+
 (** The original tree-walking interpreter — the executable specification
     the fast core is conformance-tested against, and the fallback for
-    binaries the decoder rejects. *)
+    binaries the decoder rejects. Coverage counts go through the same
+    edge ids; a transfer that is not in {!edge_table} (possible only in a
+    binary whose control leaves a function other than by call and
+    return, which the emitter never produces and the decoder rejects)
+    is not counted. *)
 module Reference = struct
   let run (bin : Emit.binary) ~entry ?(args = []) ~input (opts : run_opts) :
       result =
     let st = init_state bin ~entry ~args ~input in
+    let table, first, _ =
+      if opts.coverage then edge_layout bin else ([||], [||], [||])
+    in
+    let counts = Array.make (Array.length table) 0 in
+    let count src dst =
+      let rec find id =
+        if id < first.(src + 1) then
+          if snd table.(id) = dst then counts.(id) <- counts.(id) + 1
+          else find (id + 1)
+      in
+      find first.(src)
+    in
     let sampler =
       Option.map
         (fun period ->
@@ -386,14 +459,20 @@ module Reference = struct
     let timed_out = ref false in
     (try
        while not st.halted do
-         try step st opts sampler with Exit -> ()
+         let pc = st.pc in
+         (try step st opts sampler with Exit -> ());
+         if opts.coverage then
+           match bin.Emit.code.(pc) with
+           | (Emit.Ejmp _ | Emit.Ecbr _ | Emit.Eret _) when not st.halted ->
+               count pc st.pc
+           | _ -> ()
        done
      with Budget_exhausted -> timed_out := true);
     {
       output = List.rev st.out_rev;
       cost = st.cost;
       instrs = st.icount;
-      edges = st.edges;
+      edges = counts;
       bp_hits = List.rev st.bp_hits_rev;
       samples = (match sampler with Some s -> List.rev s.samples | None -> []);
       timed_out = !timed_out;
@@ -403,16 +482,19 @@ end
 (** One-time flattening of an [Emit.binary] into the fast core's
     pre-decoded form: operands carry resolved absolute frame-word
     indices, every instruction carries its static cost, its hazard
-    read/write bitsets and its touches-frame flag, and adjacent
-    cmp+cbr / load+use pairs are fused into superinstructions on the
-    plain (uninstrumented) code array.
+    read/write bitsets and its touches-frame flag, every control
+    transfer carries its {!edge_table} ids, and adjacent cmp+cbr /
+    load+use pairs are fused into superinstructions on a second code
+    array, the one plain and coverage-only runs execute.
 
     Hazard bitsets pack [Preg k] as bit [k] and [Pslot i] as bit
     [15 + i]; binaries whose spill indices do not fit (i > 47), or with
-    degenerate layouts the checks below reject, decode to [None] and run
-    on {!Reference}. Decoded programs are immutable (all mutable
-    per-run state lives in the fast core's own state record), so the
-    digest-keyed cache can be shared across domains behind its mutex. *)
+    degenerate layouts the checks below reject (among them control that
+    leaves a function other than by call and return, which edge ids
+    rule out), decode to [None] and run on {!Reference}. Decoded
+    programs are immutable (all mutable per-run state lives in the fast
+    core's own state record), so the digest-keyed cache can be shared
+    across domains behind its mutex. *)
 module Decode = struct
   exception Unsupported
 
@@ -506,7 +588,8 @@ module Decode = struct
         tf : bool;
       }
     | Inop  (** [Mdbg]: cost 1, no reads, no writes *)
-    | Ijmp of { t : int; c : int }  (** c includes the taken-branch 3 *)
+    | Ijmp of { t : int; c : int; e : int }
+        (** c includes the taken-branch 3; e is the edge id *)
     | Icbr of {
         cnd : operand;
         t1 : int;
@@ -515,8 +598,12 @@ module Decode = struct
         x2 : int;
         c : int;
         rb : int;
+        e1 : int;  (** edge id of the t1 arm *)
+        e2 : int;
       }
-    | Iret of { v : operand; c : int }  (** no hazard: returns pay a flat 2 *)
+    | Iret of { v : operand; c : int; e : int }
+        (** no hazard: returns pay a flat 2. The edge back to call site
+            [rp - 1] is [e + p_ret_rank.(rp)] *)
     | Ifail of string
         (** statically-malformed instruction (unknown global/function,
             bad frame slot): raises [Runtime_error] when executed, like
@@ -536,6 +623,8 @@ module Decode = struct
         x1 : int;
         x2 : int;
         c2 : int;
+        e1 : int;
+        e2 : int;
       }
     | Iload_bin of {
         (* fused Mload ; Mbin — part 2's load-use hazard is static in c2 *)
@@ -562,8 +651,12 @@ module Decode = struct
   }
 
   type program = {
-    p_code : dins array;  (** unfused; the instrumented loop runs this *)
-    p_plain : dins array;  (** with superinstructions; the plain loop *)
+    p_code : dins array;  (** unfused; breakpoint and sampling runs *)
+    p_plain : dins array;  (** with superinstructions; all other runs *)
+    p_edges : int;  (** number of edge ids, [Array.length (edge_table bin)] *)
+    p_ret_rank : int array;
+        (** [p_ret_rank.(c + 1)]: rank of the call at [c] among the calls
+            to its callee, in address order *)
     p_funcs : dfunc array;
     p_globals : (int * int) array;  (** size, init — in [bin_globals] order *)
     p_max_params : int;
@@ -586,6 +679,27 @@ module Decode = struct
 
   let decode (bin : Emit.binary) : program =
     let funcs = bin.Emit.funcs in
+    let code = bin.Emit.code in
+    let len = Array.length code in
+    (* Return edge ids assume control leaves a function only by call and
+       return (then a return always goes back to a call site of its own
+       function): every entry, fallthrough, jump and branch target stays
+       in its function. The emitter guarantees it; check it anyway. *)
+    let fn_at a = if a < 0 || a >= len then -1 else bin.Emit.fn_of_addr.(a) in
+    let inside fx a = if fn_at a <> fx then raise Unsupported in
+    Array.iteri (fun fx (fi : Emit.func_info) -> inside fx fi.Emit.fi_entry) funcs;
+    for pc = 0 to len - 1 do
+      let fx = fn_at pc in
+      if fx >= 0 then
+        match code.(pc) with
+        | Emit.Eins _ -> inside fx (pc + 1)
+        | Emit.Ejmp t -> inside fx t
+        | Emit.Ecbr (_, t1, t2) ->
+            inside fx t1;
+            inside fx t2
+        | Emit.Eret _ -> ()
+    done;
+    let edges, first, rank = edge_layout bin in
     let globals = Array.of_list bin.Emit.bin_globals in
     let gindex = Hashtbl.create 16 in
     (* Last definition wins, matching the reference core's
@@ -621,8 +735,6 @@ module Decode = struct
     Array.iter
       (fun df -> max_params := max !max_params (Array.length df.df_params))
       dfuncs;
-    let code = bin.Emit.code in
-    let len = Array.length code in
     let dec pc =
       (* Frame context of the address. [fn_of_addr] can only be out of a
          function for padding that is never executed; any frame-relative
@@ -798,7 +910,8 @@ module Decode = struct
                   tf;
                 }
           | Mach.Mdbg _ -> Inop)
-      | Emit.Ejmp t -> Ijmp { t; c = (if t <> pc + 1 then 4 else 1) }
+      | Emit.Ejmp t ->
+          Ijmp { t; c = (if t <> pc + 1 then 4 else 1); e = first.(pc) }
       | Emit.Ecbr (cnd, t1, t2) ->
           Icbr
             {
@@ -809,6 +922,8 @@ module Decode = struct
               x2 = (if t2 <> pc + 1 then 3 else 0);
               c = 1 + val_cost cnd;
               rb = bits (Mach.mval_reads cnd);
+              e1 = (first.(pc) + if t1 > t2 then 1 else 0);
+              e2 = (first.(pc) + if t2 > t1 then 1 else 0);
             }
       | Emit.Eret v ->
           let rv, rc =
@@ -816,13 +931,13 @@ module Decode = struct
             | None -> (Ocst 0, 0)
             | Some x -> (op_of x, val_cost x)
           in
-          Iret { v = rv; c = 2 + rc }
+          Iret { v = rv; c = 2 + rc; e = first.(pc) }
     in
     let d_code = Array.init len dec in
     (* Superinstruction pass: fuse straight-line pairs on a copy. The
        second address keeps its unfused instruction so jumps into the
        middle of a pair still work, and the unfused array keeps the
-       per-instruction breakpoint/edge/sample semantics exact. *)
+       per-instruction breakpoint and sample semantics exact. *)
     let d_plain = Array.copy d_code in
     for pc = 0 to len - 2 do
       if bin.Emit.fn_of_addr.(pc) = bin.Emit.fn_of_addr.(pc + 1) then
@@ -847,6 +962,8 @@ module Decode = struct
                   x1 = cb.x1;
                   x2 = cb.x2;
                   c2;
+                  e1 = cb.e1;
+                  e2 = cb.e2;
                 }
         | Iload { d; ad; ix; c; rb; wb; tf }, Ibin b2 ->
             (* Load-use: the consumer pays the 4-cycle penalty when it
@@ -874,6 +991,8 @@ module Decode = struct
     {
       p_code = d_code;
       p_plain = d_plain;
+      p_edges = Array.length edges;
+      p_ret_rank = rank;
       p_funcs = dfuncs;
       p_globals =
         Array.map (fun (g : Ir.global_def) -> (g.Ir.g_size, g.Ir.g_init)) globals;
@@ -910,10 +1029,12 @@ end
 (** The pre-decoded execution core: flat {!Decode} arrays, an array-based
     frame stack (frame words, saved register windows and return records
     all live in growable flat arrays), and unsafe indexing everywhere a
-    bound was established at decode time. Two loops share the state: the
-    plain loop runs the fused code with zero instrumentation overhead,
-    the instrumented loop runs the unfused code with the exact
-    per-instruction breakpoint/edge/sampler semantics of {!step}. *)
+    bound was established at decode time. A run starts its state at
+    sizes that fit the minor heap and grows it on demand. Two loops
+    share the state: the plain loop runs the fused code with zero
+    instrumentation overhead, the instrumented loop counts edges and
+    keeps the exact per-instruction breakpoint/sampler semantics of
+    {!step}. *)
 module Fast = struct
   open Decode
 
@@ -947,7 +1068,7 @@ module Fast = struct
 
   let ensure_stk st need =
     if need > Array.length st.stk then begin
-      let n = ref (max 1024 (Array.length st.stk)) in
+      let n = ref (2 * Array.length st.stk) in
       while !n < need do
         n := !n * 2
       done;
@@ -1165,18 +1286,18 @@ module Fast = struct
           st.cost <- st.cost + 1;
           st.last_bits <- 0;
           pc := pc0 + 1
-      | Ijmp { t; c } ->
+      | Ijmp { t; c; _ } ->
           st.cost <- st.cost + c;
           st.last_bits <- 0;
           pc := t
-      | Icbr { cnd; t1; t2; x1; x2; c; rb } ->
+      | Icbr { cnd; t1; t2; x1; x2; c; rb; _ } ->
           st.cost <- st.cost + c + haz st rb;
           let t, x = if rdo st cnd <> 0 then (t1, x1) else (t2, x2) in
           st.cost <- st.cost + x;
           st.last_bits <- 0;
           st.hp <- 2;
           pc := t
-      | Iret { v; c } ->
+      | Iret { v; c; _ } ->
           st.cost <- st.cost + c;
           let value = rdo st v in
           let d = st.depth - 1 in
@@ -1201,7 +1322,7 @@ module Fast = struct
             pc := rp
           end
       | Ifail msg -> raise (Runtime_error msg)
-      | Icmp_cbr { op; d; a; b; c1; rb; tf; cnd; t1; t2; x1; x2; c2 } ->
+      | Icmp_cbr { op; d; a; b; c1; rb; tf; cnd; t1; t2; x1; x2; c2; _ } ->
           st.cost <- st.cost + c1 + haz st rb;
           charge st tf;
           wrd st d (Ir.eval_binop op (rdo st a) (rdo st b));
@@ -1229,22 +1350,27 @@ module Fast = struct
           pc := pc0 + 2
     done
 
-  (* The instrumented loop over the unfused code: per-instruction
-     breakpoint recording, edge counting on transfers, and the
+  (* The instrumented loop: per-instruction breakpoint recording, edge
+     counting on transfers (into [counts], indexed by the decoded edge
+     ids; the decoder's closure check bounds every id), and the
      cost-driven sampler (skipped after calls, exactly like the
-     reference core's [Exit] shortcut skips the bottom of [step]). *)
-  let exec_instr (p : program) st (opts : run_opts) sampler edges start =
-    let code = p.p_code in
+     reference core's [Exit] shortcut skips the bottom of [step]).
+     Breakpoints and samples need every instruction boundary, so they
+     run the unfused code; a coverage-only run counts edges on the fused
+     code, as fast as the plain loop. *)
+  let exec_instr (p : program) st (opts : run_opts) sampler counts start =
+    let code =
+      match (opts.breakpoints, sampler) with
+      | None, None -> p.p_plain
+      | _ -> p.p_code
+    in
     let len = Array.length code in
     let funcs = p.p_funcs in
-    let record_edges = opts.coverage || opts.sample_period <> None in
+    let coverage = opts.coverage in
     let max_instrs = opts.max_instrs in
-    let bump src dst =
-      if record_edges then begin
-        let key = (src, dst) in
-        Hashtbl.replace edges key
-          (1 + Option.value ~default:0 (Hashtbl.find_opt edges key))
-      end
+    let bump e =
+      if coverage then
+        Array.unsafe_set counts e (Array.unsafe_get counts e + 1)
     in
     let pc = ref start in
     let running = ref true in
@@ -1381,20 +1507,20 @@ module Fast = struct
           st.cost <- st.cost + 1;
           st.last_bits <- 0;
           pc := pc0 + 1
-      | Ijmp { t; c } ->
+      | Ijmp { t; c; e } ->
           st.cost <- st.cost + c;
           st.last_bits <- 0;
-          bump pc0 t;
+          bump e;
           pc := t
-      | Icbr { cnd; t1; t2; x1; x2; c; rb } ->
+      | Icbr { cnd; t1; t2; x1; x2; c; rb; e1; e2 } ->
           st.cost <- st.cost + c + haz st rb;
-          let t, x = if rdo st cnd <> 0 then (t1, x1) else (t2, x2) in
-          bump pc0 t;
+          let t, x, e = if rdo st cnd <> 0 then (t1, x1, e1) else (t2, x2, e2) in
+          bump e;
           st.cost <- st.cost + x;
           st.last_bits <- 0;
           st.hp <- 2;
           pc := t
-      | Iret { v; c } ->
+      | Iret { v; c; e } ->
           st.cost <- st.cost + c;
           let value = rdo st v in
           let d = st.depth - 1 in
@@ -1413,16 +1539,38 @@ module Fast = struct
                 Array.unsafe_set st.stk (st.fp + st.f_ret_idx.(d)) value
             | _ -> ());
             let rp = st.f_ret_pc.(d) in
-            bump pc0 rp;
+            bump (e + Array.unsafe_get p.p_ret_rank rp);
             if rp <> pc0 + 1 then st.cost <- st.cost + 3;
             st.last_bits <- 0;
             st.hp <- 2;
             pc := rp
           end
       | Ifail msg -> raise (Runtime_error msg)
-      | Icmp_cbr _ | Iload_bin _ ->
-          (* superinstructions live only in [p_plain] *)
-          assert false);
+      | Icmp_cbr { op; d; a; b; c1; rb; tf; cnd; t1; t2; x1; x2; c2; e1; e2 } ->
+          st.cost <- st.cost + c1 + haz st rb;
+          charge st tf;
+          wrd st d (Ir.eval_binop op (rdo st a) (rdo st b));
+          st.icount <- st.icount + 1;
+          if st.icount > max_instrs then raise Budget_exhausted;
+          st.cost <- st.cost + c2;
+          let t, x, e = if rdo st cnd <> 0 then (t1, x1, e1) else (t2, x2, e2) in
+          bump e;
+          st.cost <- st.cost + x;
+          st.last_bits <- 0;
+          st.hp <- 2;
+          pc := t
+      | Iload_bin { d; ad; ix; c1; rb1; tf1; op; d2; a; b; c2; wb2; tf2 } ->
+          st.cost <- st.cost + c1 + haz st rb1;
+          charge st tf1;
+          wrd st d (mem_get st ad (rdo st ix));
+          st.icount <- st.icount + 1;
+          if st.icount > max_instrs then raise Budget_exhausted;
+          st.cost <- st.cost + c2;
+          charge st tf2;
+          wrd st d2 (Ir.eval_binop op (rdo st a) (rdo st b));
+          st.last_bits <- wb2;
+          st.hp <- 2;
+          pc := pc0 + 2);
       match sampler with
       | Some s when not !skip ->
           while st.cost >= s.next_at do
@@ -1435,19 +1583,21 @@ module Fast = struct
 
   let run (p : program) (bin : Emit.binary) ~entry ~args ~input
       (opts : run_opts) : result =
+    (* Sized for the minor heap (every block under [Max_young_wosize]),
+       grown by [ensure_stk] and [grow_frames] when a run goes deeper. *)
     let st =
       {
-        stk = Array.make 1024 0;
+        stk = Array.make 128 0;
         fp = 0;
         sp = 0;
         depth = 0;
-        f_ret_pc = Array.make 64 0;
-        f_ret_mode = Array.make 64 0;
-        f_ret_idx = Array.make 64 0;
-        f_fp = Array.make 64 0;
-        f_words = Array.make 64 0;
-        f_paid = Array.make 64 false;
-        rsave = Array.make (64 * nregs) 0;
+        f_ret_pc = Array.make 8 0;
+        f_ret_mode = Array.make 8 0;
+        f_ret_idx = Array.make 8 0;
+        f_fp = Array.make 8 0;
+        f_words = Array.make 8 0;
+        f_paid = Array.make 8 false;
+        rsave = Array.make (8 * nregs) 0;
         regs = Array.make nregs 0;
         g_mem = Array.map (fun (size, init) -> Array.make size init) p.p_globals;
         input = Array.of_list input;
@@ -1488,7 +1638,7 @@ module Fast = struct
           })
         opts.sample_period
     in
-    let edges = Hashtbl.create 256 in
+    let counts = if opts.coverage then Array.make p.p_edges 0 else [||] in
     let timed_out = ref false in
     let plain =
       (match opts.breakpoints with None -> true | Some _ -> false)
@@ -1497,13 +1647,13 @@ module Fast = struct
     in
     (try
        if plain then exec_plain p st opts.max_instrs df.df_entry
-       else exec_instr p st opts sampler edges df.df_entry
+       else exec_instr p st opts sampler counts df.df_entry
      with Budget_exhausted -> timed_out := true);
     {
       output = List.rev st.out_rev;
       cost = st.cost;
       instrs = st.icount;
-      edges;
+      edges = counts;
       bp_hits = List.rev st.bp_hits_rev;
       samples = (match sampler with Some s -> List.rev s.samples | None -> []);
       timed_out = !timed_out;

@@ -118,6 +118,60 @@ let test_shrink_list () =
   Alcotest.(check (list int)) "empty ok" []
     (Cmin.shrink_list ~still_interesting:(fun _ -> true) [])
 
+(* The id-indexed fuzz loop and cmin against the hash-keyed copies in
+   [Reference_fuzz], on what [Evaluation.prepare] fuzzes: each harness
+   of [program] on its gcc-O0 binary at [budget], harness [i] at seed
+   42 + 1000 i, and cmin over the harness seeds plus the fuzzed corpus.
+   Every raw input's edge profile must also match the reference core's. *)
+let check_against_reference ~budget (program : Suite_types.sprogram) =
+  let bin =
+    T.compile (Suite_types.ast program) ~config:(C.make C.Gcc C.O0)
+      ~roots:(Suite_types.roots program)
+  in
+  List.iteri
+    (fun i (h : Suite_types.harness) ->
+      let what =
+        Printf.sprintf "%s/%s" program.Suite_types.p_name h.Suite_types.h_name
+      in
+      let entry = h.Suite_types.h_entry and seeds = h.Suite_types.h_seeds in
+      let seed = 42 + (i * 1000) in
+      let lib = Fuzzer.fuzz bin ~entry ~seeds ~budget ~seed in
+      let old = Reference_fuzz.fuzz bin ~entry ~seeds ~budget ~seed in
+      let entries (r : Fuzzer.result) =
+        List.map
+          (fun (c : Fuzzer.corpus_entry) -> (c.Fuzzer.data, c.Fuzzer.edge_count))
+          r.Fuzzer.corpus
+      in
+      Alcotest.(check (list (pair (list int) int)))
+        (what ^ " corpus") (entries old) (entries lib);
+      Alcotest.(check int) (what ^ " edges_found") old.Fuzzer.edges_found
+        lib.Fuzzer.edges_found;
+      Alcotest.(check int) (what ^ " execs") old.Fuzzer.total_execs
+        lib.Fuzzer.total_execs;
+      let raw = seeds @ List.map fst (entries lib) in
+      Alcotest.(check (list (list int)))
+        (what ^ " cmin kept")
+        (Reference_fuzz.minimize bin ~entry raw).Cmin.kept
+        (Cmin.minimize bin ~entry raw).Cmin.kept;
+      List.iter
+        (fun input ->
+          let opts = { Vm.default_opts with coverage = true; max_instrs = 300_000 } in
+          Alcotest.(check (array int))
+            (what ^ " edge profile")
+            (Vm.Reference.run bin ~entry ~input opts).Vm.edges
+            (Fuzzer.run_input bin ~entry input).Vm.edges)
+        raw)
+    program.Suite_types.p_harnesses
+
+let test_suite_matches_reference () =
+  List.iter (check_against_reference ~budget:700) Programs.all
+
+let test_corpus_matches_reference () =
+  List.iter
+    (fun (e : Corpus.entry) ->
+      check_against_reference ~budget:e.Corpus.e_fuzz_budget e.Corpus.e_program)
+    (Corpus.generate ~seed:1 ~n:24)
+
 let tests =
   [
     Alcotest.test_case "fuzzer deterministic" `Quick test_fuzzer_deterministic;
@@ -130,4 +184,8 @@ let tests =
     Alcotest.test_case "cmin preserves edges" `Quick test_cmin_preserves_edges;
     Alcotest.test_case "trace prune preserves lines" `Quick
       test_trace_prune_preserves_lines;
+    Alcotest.test_case "suite fuzzing matches the hash-keyed loop" `Quick
+      test_suite_matches_reference;
+    Alcotest.test_case "corpus fuzzing matches the hash-keyed loop" `Quick
+      test_corpus_matches_reference;
   ]

@@ -175,7 +175,17 @@ let test_coverage_edges () =
   let r =
     Vm.run bin ~entry:"main" ~input:[] { Vm.default_opts with coverage = true }
   in
-  Alcotest.(check bool) "edges recorded" true (Hashtbl.length r.Vm.edges > 0)
+  Alcotest.(check int) "one count per edge id"
+    (Array.length (Vm.edge_table bin))
+    (Array.length r.Vm.edges);
+  (* Three trips round the loop: some edge is taken exactly three times,
+     none more than four (the header's test runs once more). *)
+  Alcotest.(check bool) "loop edge counted" true (Array.mem 3 r.Vm.edges);
+  Alcotest.(check bool) "no edge over four" true
+    (Array.for_all (fun n -> n <= 4) r.Vm.edges);
+  let plain = Vm.run bin ~entry:"main" ~input:[] Vm.default_opts in
+  Alcotest.(check (array int)) "no counts without coverage" [||]
+    plain.Vm.edges
 
 let test_sampling_density () =
   let src = (Spec.find "541.leela").Suite_types.p_source in
@@ -229,6 +239,53 @@ let test_breakpoints_first_hit_only () =
   Alcotest.(check int) "each address at most once" (List.length r.Vm.bp_hits)
     (List.length sorted)
 
+let test_short_run_minor_heap () =
+  (* A short run's whole state fits the minor heap: zlib's first
+     harness on its first seed input, run 200 times with coverage (as
+     the fuzzer runs it) and 200 times plain on the fast core, allocates
+     no word directly in the major heap and a few hundred in the minor
+     heap per run. Words promoted by a minor collection that happens to
+     fall inside a run are not direct major allocations. Minor words
+     come from [Gc.minor_words]: [Gc.counters]' minor field lags behind
+     allocation under OCaml 5. *)
+  let p = Programs.find "zlib" in
+  let h = List.hd p.Suite_types.p_harnesses in
+  let input = List.hd h.Suite_types.h_seeds in
+  let bin =
+    T.compile (Suite_types.ast p) ~config:(C.make C.Gcc C.O0)
+      ~roots:(Suite_types.roots p)
+  in
+  let prog =
+    match Vm.Decode.get bin with
+    | Some prog -> prog
+    | None -> Alcotest.fail "zlib rejected by the fast-core decoder"
+  in
+  let per_run opts =
+    let run () =
+      ignore
+        (Vm.Fast.run prog bin ~entry:h.Suite_types.h_entry ~args:[] ~input opts)
+    in
+    run ();
+    let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+    for _ = 1 to 200 do
+      run ()
+    done;
+    let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+    ( (minor1 -. minor0) /. 200.,
+      (major1 -. major0 -. (promoted1 -. promoted0)) /. 200. )
+  in
+  List.iter
+    (fun (what, opts) ->
+      let minor, major = per_run opts in
+      Alcotest.(check (float 0.)) (what ^ " major words per run") 0. major;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f minor words per run, at most 768" what minor)
+        true (minor <= 768.))
+    [
+      ("coverage", { Vm.default_opts with coverage = true; max_instrs = 300_000 });
+      ("plain", Vm.default_opts);
+    ]
+
 let qcheck_vm_determinism =
   QCheck.Test.make ~name:"vm runs are deterministic" ~count:20
     QCheck.(pair (int_range 1 30_000) (small_list small_int))
@@ -255,5 +312,7 @@ let tests =
     Alcotest.test_case "sampling density" `Quick test_sampling_density;
     Alcotest.test_case "sampling deterministic" `Quick test_sampling_deterministic;
     Alcotest.test_case "breakpoints first hit" `Quick test_breakpoints_first_hit_only;
+    Alcotest.test_case "short run stays in the minor heap" `Quick
+      test_short_run_minor_heap;
     QCheck_alcotest.to_alcotest qcheck_vm_determinism;
   ]

@@ -22,13 +22,8 @@ let compile ?(config = C.make C.Gcc C.O0) src roots =
 let configs =
   [ C.make C.Gcc C.O0; C.make C.Gcc C.O2; C.make C.Clang C.O2 ]
 
-let sorted_edges (r : Vm.result) =
-  Hashtbl.fold (fun (s, d) n acc -> (s, d, n) :: acc) r.Vm.edges []
-  |> List.sort compare
-
-(* Byte-for-byte equality of everything in a [Vm.result] (edges compared
-   as sorted association lists — the hashtable layout itself may
-   differ). *)
+(* Byte-for-byte equality of everything in a [Vm.result], the edge
+   counts id by id. *)
 let check_same what (ref_r : Vm.result) (fast_r : Vm.result) =
   Alcotest.(check (list int)) (what ^ " output") ref_r.Vm.output fast_r.Vm.output;
   Alcotest.(check int) (what ^ " cost") ref_r.Vm.cost fast_r.Vm.cost;
@@ -39,8 +34,7 @@ let check_same what (ref_r : Vm.result) (fast_r : Vm.result) =
     fast_r.Vm.bp_hits;
   Alcotest.(check (list int)) (what ^ " samples") ref_r.Vm.samples
     fast_r.Vm.samples;
-  Alcotest.(check (list (triple int int int)))
-    (what ^ " edges") (sorted_edges ref_r) (sorted_edges fast_r)
+  Alcotest.(check (array int)) (what ^ " edges") ref_r.Vm.edges fast_r.Vm.edges
 
 let run_fast bin ~entry ~args ~input opts =
   match Vm.Decode.get bin with
@@ -68,6 +62,7 @@ let opts_grid code_len : (string * (unit -> Vm.run_opts)) list =
     ("sampling-1", mk ~sample_period:1 ());
     ("all-instr", mk ~coverage:true ~bps:true ~sample_period:97 ());
     ("tiny-budget", mk ~max_instrs:40 ());
+    ("tiny-budget-coverage", mk ~max_instrs:40 ~coverage:true ());
     ("tiny-budget-instr", mk ~max_instrs:40 ~coverage:true ~sample_period:13 ());
   ]
 
@@ -112,6 +107,56 @@ let test_suite_conformance () =
     suite_subjects
 
 (* ------------------------------------------------------------------ *)
+(* Edge ids: the table both cores count through.                       *)
+
+let test_edge_table () =
+  (* Strictly ascending, and exactly the static transfers: every jump,
+     every branch arm, and every (return, call site + 1) pair of a call
+     to the return's function. *)
+  List.iter
+    (fun (name, config) ->
+      let p = Programs.find name in
+      let bin =
+        T.compile (Suite_types.ast p) ~config ~roots:(Suite_types.roots p)
+      in
+      let what = name ^ "@" ^ C.name config in
+      let table = Vm.edge_table bin in
+      Array.iteri
+        (fun i e ->
+          if i > 0 && compare table.(i - 1) e >= 0 then
+            Alcotest.failf "%s: edge %d not above edge %d" what i (i - 1))
+        table;
+      let code = bin.Emit.code in
+      let expected = ref [] and returns = ref 0 in
+      let add a dst = expected := (a, dst) :: !expected in
+      Array.iteri
+        (fun a op ->
+          match op with
+          | Emit.Ejmp t -> add a t
+          | Emit.Ecbr (_, t1, t2) ->
+              add a t1;
+              add a t2
+          | Emit.Eret _ ->
+              Array.iteri
+                (fun c op' ->
+                  match op' with
+                  | Emit.Eins (Mach.Mcall (_, f, _))
+                    when Hashtbl.find_opt bin.Emit.fn_by_name f
+                         = Some bin.Emit.fn_of_addr.(a) ->
+                      incr returns;
+                      add a (c + 1)
+                  | _ -> ())
+                code
+          | Emit.Eins _ -> ())
+        code;
+      Alcotest.(check bool) (what ^ " has return edges") true (!returns > 0);
+      Alcotest.(check (list (pair int int)))
+        (what ^ " edges")
+        (List.sort_uniq compare !expected)
+        (Array.to_list table))
+    [ ("zlib", C.make C.Gcc C.O0); ("libpng", C.make C.Clang C.O2) ]
+
+(* ------------------------------------------------------------------ *)
 (* Fuzz-generated binaries: the synthetic generator at many seeds,     *)
 (* each config, on the oracle's input vectors.                         *)
 
@@ -154,7 +199,7 @@ let test_qcheck_conformance =
       && r_ref.Vm.instrs = r_fast.Vm.instrs
       && r_ref.Vm.timed_out = r_fast.Vm.timed_out
       && r_ref.Vm.samples = r_fast.Vm.samples
-      && sorted_edges r_ref = sorted_edges r_fast)
+      && r_ref.Vm.edges = r_fast.Vm.edges)
 
 (* ------------------------------------------------------------------ *)
 (* run_opts edge cases the suite never hits.                           *)
@@ -291,6 +336,8 @@ let tests =
     Alcotest.test_case "synthetic binaries conform across opts grid" `Slow
       test_synth_conformance;
     QCheck_alcotest.to_alcotest test_qcheck_conformance;
+    Alcotest.test_case "edge table holds every static transfer" `Quick
+      test_edge_table;
     Alcotest.test_case "budget exhaustion mid-call" `Quick test_budget_mid_call;
     Alcotest.test_case "breakpoints on unreachable addresses" `Quick
       test_unreachable_breakpoints;
