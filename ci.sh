@@ -34,6 +34,20 @@ ci_diff() {
 echo "== dune build =="
 dune build
 
+echo "== CLI help (every subcommand's --help=plain, nothing on stderr) =="
+# cmdliner reports a malformed doc string (say, a bare '$') on stderr and
+# still exits 0, so each help page is checked for a silent stderr.
+cli=_build/default/bin/debugtuner_cli.exe
+for cmd in "" $("$cli" --help=plain \
+  | awk '/^COMMANDS/ { on = 1; next } /^[A-Z]/ { on = 0 } on && /^       [a-z]/ { print $1 }'); do
+  "$cli" $cmd --help=plain > /dev/null 2> "$scratch/help.err"
+  if [ -s "$scratch/help.err" ]; then
+    echo "CLI help: 'debugtuner $cmd --help=plain' wrote to stderr:" >&2
+    head -5 "$scratch/help.err" >&2
+    exit 1
+  fi
+done
+
 echo "== dune runtest =="
 dune runtest
 

@@ -42,9 +42,9 @@ type binary = {
       (** content address of the whole binary — machine code, line
           attributions and debug sections. Two binaries sharing it are
           interchangeable for *any* measurement, including debug-quality
-          metrics; [text_digest] alone only licenses sharing
-          code-dependent results (execution cost), since identical
-          .text can carry different debug info. *)
+          metrics; [text_digest] covers the machine code alone, and
+          identical .text can carry different debug info, frame layouts
+          ([funcs]) and globals, all of which a measurement may read. *)
 }
 
 (* ------------------------------------------------------------------ *)

@@ -8,15 +8,17 @@
     - tier 1, keyed by (source digest, {!Config.fingerprint}): compiled
       binaries of every program, measured or benchmarked — a
       configuration is compiled once per program no matter how many
-      tables ask for it;
+      tables ask for it. An entry is packed: the binary's [Marshal]
+      bytes plus its digests, decoded only where code or debug info is
+      read;
     - tier 2, keyed by (subject digest, binary digest): metric records
       and benchmark costs — two configurations whose binaries have
       identical content share one measurement, generalizing the
       paper's Section III-A discard optimization engine-wide. Metrics
       key on {!Emit.binary.full_digest} (identical [.text] can still
       carry different debug info, and the metrics see it); benchmark
-      costs key on the coarser {!Emit.binary.text_digest}, since
-      execution cost depends on the machine code alone. *)
+      costs key on the execution digest, over what the VM reads: the
+      machine code, the frame layouts and the globals. *)
 
 module Memo = Engine.Memo
 
@@ -70,6 +72,38 @@ let bench_subject_key (p : Suite_types.sprogram) =
           (p.Suite_types.p_source, p.Suite_types.p_harnesses)
           []))
 
+(* A tier-1 entry. A decoded binary averages about nine times its
+   marshalled size in the heap, so the table keeps the bytes and the
+   digests its lookups read; only a consumer of code or debug info
+   decodes ([unpack]). *)
+type packed = {
+  pk_full_digest : string;
+  pk_text_digest : string;
+  pk_exec_digest : string;
+  pk_bytes : string;
+}
+
+(* What the VM reads of a binary: the machine code, the frame layouts
+   ([funcs], shrink-wrap's activation points included) and the globals.
+   [No_sharing] makes the digest a function of the values alone. *)
+let exec_digest (bin : Emit.binary) =
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string
+          (bin.Emit.text_digest, bin.Emit.funcs, bin.Emit.bin_globals)
+          [ Marshal.No_sharing ]))
+
+let pack (bin : Emit.binary) =
+  {
+    pk_full_digest = bin.Emit.full_digest;
+    pk_text_digest = bin.Emit.text_digest;
+    pk_exec_digest = exec_digest bin;
+    pk_bytes = Marshal.to_string bin [];
+  }
+
+let unpack name pk : Emit.binary =
+  span "unpack" name (fun () -> Marshal.from_string pk.pk_bytes 0)
+
 type t = {
   pool : Engine.Pool.t;
   counters : Util.Counters.table;  (** [engine/<cache>/hits|misses|dedups] *)
@@ -77,10 +111,10 @@ type t = {
       (** persistent second level behind every memo table *)
   prepares : Evaluation.prepared Memo.t;
       (** prepared subjects: {!Evaluation.prepare_key} *)
-  binaries : Emit.binary Memo.t;  (** tier 1: (source digest, fingerprint) *)
+  binaries : packed Memo.t;  (** tier 1: (source digest, fingerprint) *)
   measures : Metrics.all_methods Memo.t;
       (** tier 2: (subject digest, full binary digest) *)
-  costs : int Memo.t;  (** tier 2: (bench digest, [.text] digest) *)
+  costs : int Memo.t;  (** tier 2: (bench digest, execution digest) *)
 }
 
 let create ?workers ?store () =
@@ -111,45 +145,58 @@ let compile_keys (p : Suite_types.sprogram) =
   in
   fun config -> digest ^ "/" ^ Config.fingerprint config
 
-(* Tier-1 lookup that also reports whether the binary was freshly
-   compiled — a fresh compile whose binary digest already sits in a
-   tier-2 table is a *dedup* (the discard optimization firing), while
-   a tier-1 hit followed by a tier-2 hit is a plain cache hit.
-   [produce] runs on a miss only, so a hit never parses. *)
+(* Tier-1 lookup: the packed entry, plus the live binary when this call
+   compiled it — a fresh compile hands its binary straight on, only a
+   hit decodes. A fresh compile whose binary digest already sits in a
+   tier-2 table is a *dedup* (the discard optimization firing), while a
+   tier-1 hit followed by a tier-2 hit is a plain cache hit. [produce]
+   runs on a miss only, so a hit never parses. *)
+type lookup = { entry : packed; live : Emit.binary option; hit : string }
+
 let tier1 t (p : Suite_types.sprogram) config produce =
-  let fresh = ref false in
-  let bin =
+  let live = ref None in
+  let entry =
     Memo.find_or_add t.binaries (compile_keys p config) (fun () ->
-        fresh := true;
-        span "compile" p.Suite_types.p_name produce)
+        let bin = span "compile" p.Suite_types.p_name produce in
+        live := Some bin;
+        pack bin)
   in
-  (bin, if !fresh then "dedups" else "hits")
+  { entry; live = !live; hit = (if !live = None then "hits" else "dedups") }
+
+let binary (p : Suite_types.sprogram) l =
+  match l.live with
+  | Some bin -> bin
+  | None -> unpack p.Suite_types.p_name l.entry
 
 let parse_and_compile (p : Suite_types.sprogram) config () =
   Toolchain.compile (Suite_types.ast p) ~config ~roots:(Suite_types.roots p)
 
-let compile t p config = fst (tier1 t p config (parse_and_compile p config))
+let compile t p config =
+  binary p (tier1 t p config (parse_and_compile p config))
+
+let compile_packed t p config =
+  (tier1 t p config (parse_and_compile p config)).entry
 
 let measure t (p : Evaluation.prepared) config =
-  let bin, hit =
+  let l =
     tier1 t p.Evaluation.program config (fun () -> Evaluation.compile p config)
   in
   let m =
-    Memo.find_or_add ~hit t.measures
-      (p.Evaluation.content_digest ^ "@" ^ bin.Emit.full_digest)
-      (fun () -> measure_uncached p bin)
+    Memo.find_or_add ~hit:l.hit t.measures
+      (p.Evaluation.content_digest ^ "@" ^ l.entry.pk_full_digest)
+      (fun () -> measure_uncached p (binary p.Evaluation.program l))
   in
-  (m, bin)
+  (m, l.entry)
 
 (** The paper's headline number for a configuration, engine-cached. *)
 let product t prepared config =
   (fst (measure t prepared config)).Metrics.m_hybrid.Metrics.product
 
 let bench_cost t bench config =
-  let bin, hit = tier1 t bench config (parse_and_compile bench config) in
-  Memo.find_or_add ~hit t.costs
-    (bench_subject_key bench ^ "@" ^ bin.Emit.text_digest)
-    (fun () -> bench_run bench bin)
+  let l = tier1 t bench config (parse_and_compile bench config) in
+  Memo.find_or_add ~hit:l.hit t.costs
+    (bench_subject_key bench ^ "@" ^ l.entry.pk_exec_digest)
+    (fun () -> bench_run bench (binary bench l))
 
 let map t f xs = Engine.Pool.map t.pool f xs
 let workers t = Engine.Pool.workers t.pool
@@ -184,8 +231,9 @@ let () =
 (* The serialization schema stamp: [Marshal] is type-unsafe, so any
    change to the marshalled value layouts (or the compiler that decides
    them) must read as "stale entry, recompute". Bump the leading tag
-   whenever a persisted type changes shape. *)
-let cache_schema = "debugtuner-v1/" ^ Sys.ocaml_version
+   whenever a persisted type changes shape: [v2] persists the compile
+   cache as packed entries. *)
+let cache_schema = "debugtuner-v2/" ^ Sys.ocaml_version
 
 let cache_dir_of ?dir () =
   match dir with
@@ -386,7 +434,7 @@ let compile_sweep t (p : Suite_types.sprogram) configs =
   if todo <> [] then begin
     let ast = Suite_types.ast p and roots = Suite_types.roots p in
     let publish c produce =
-      ignore (Memo.fill t.binaries (key c) produce : Emit.binary)
+      ignore (Memo.fill t.binaries (key c) produce : packed)
     in
     (* Group by pipeline family, preserving input order. *)
     let families = ref [] in
@@ -412,25 +460,28 @@ let compile_sweep t (p : Suite_types.sprogram) configs =
            | Straight c ->
                Util.Counters.bump "prefix/misses";
                publish c (fun () ->
-                   span "compile" p.Suite_types.p_name (fun () ->
-                       Toolchain.compile ast ~config:c ~roots))
+                   pack
+                     (span "compile" p.Suite_types.p_name (fun () ->
+                          Toolchain.compile ast ~config:c ~roots)))
            | Suffix (c, cp) ->
                publish c (fun () ->
-                   obs_span "prefix:resume"
-                     [ ("config", Config.fingerprint c) ]
-                     (fun () -> Toolchain.resume ~from:cp c))
+                   pack
+                     (obs_span "prefix:resume"
+                        [ ("config", Config.fingerprint c) ]
+                        (fun () -> Toolchain.resume ~from:cp c)))
            | Merged (cs, cp) ->
-               (* One backend run; every config in the group is seeded
-                  the same (byte-identical) binary. *)
+               (* One backend run, packed once; every config in the
+                  group is seeded the same entry. *)
                let rep = List.hd cs in
-               let bin =
+               let entry =
                  lazy
-                   (obs_span "prefix:resume"
-                      [ ("config", Config.fingerprint rep) ]
-                      (fun () -> Toolchain.resume ~from:cp rep))
+                   (pack
+                      (obs_span "prefix:resume"
+                         [ ("config", Config.fingerprint rep) ]
+                         (fun () -> Toolchain.resume ~from:cp rep)))
                in
                Util.Counters.bump ~n:(List.length cs - 1) "prefix/merged";
-               List.iter (fun c -> publish c (fun () -> Lazy.force bin)) cs)
+               List.iter (fun c -> publish c (fun () -> Lazy.force entry)) cs)
          jobs
         : unit list)
   end

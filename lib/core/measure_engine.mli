@@ -11,11 +11,15 @@
     measured or benchmarked — the digest covers the program's source
     text and harness entry roots, everything a compile reads — and
     caches compiled binaries, so a configuration is compiled once per
-    program. Tier 2 caches metrics, keyed by (subject digest, full
-    binary digest), and benchmark costs, keyed by (benchmark digest,
-    [.text] digest) — two configurations whose binaries share content
-    share one measurement (the engine-wide generalization of the
-    paper's Section III-A discard optimization). *)
+    program. A tier-1 entry is {!packed}: the binary's [Marshal] bytes
+    plus its digests. Lookups that need only a digest never decode;
+    {!compile}, and a tier-2 miss that must trace or run the binary,
+    decode it (an [engine:unpack] span when traced); a fresh compile
+    hands its live binary on without decoding. Tier 2 caches metrics,
+    keyed by (subject digest, full binary digest), and benchmark costs,
+    keyed by (benchmark digest, execution digest) — two configurations
+    whose binaries share content share one measurement (the engine-wide
+    generalization of the paper's Section III-A discard optimization). *)
 
 type t
 
@@ -30,7 +34,7 @@ val create : ?workers:int -> ?store:Engine.Disk_store.t -> unit -> t
 
 val cache_schema : string
 (** The serialization schema stamp written into every persistent cache
-    entry: ["debugtuner-v1/" ^ Sys.ocaml_version]. Entries written under
+    entry: ["debugtuner-v2/" ^ Sys.ocaml_version]. Entries written under
     any other stamp are stale — evicted and recomputed, never decoded
     ([Marshal] is type-unsafe). *)
 
@@ -49,12 +53,29 @@ val prepare :
 (** {!Evaluation.prepare}, cached on {!Evaluation.prepare_key}: with a
     store, a prepared subject persists across processes. *)
 
+type packed = private {
+  pk_full_digest : string;  (** {!Emit.binary.full_digest} *)
+  pk_text_digest : string;  (** {!Emit.binary.text_digest} *)
+  pk_exec_digest : string;
+      (** digest of what the VM reads: the [.text] digest, the frame
+          layouts ([funcs]) and the globals *)
+  pk_bytes : string;  (** the binary's [Marshal] bytes, made once *)
+}
+(** A tier-1 entry: a binary kept as its store bytes plus digests. The
+    entry is what the store persists, so a warm-store hit decodes
+    nothing until code is read. *)
+
 val compile : t -> Suite_types.sprogram -> Config.t -> Emit.binary
-(** Tier-1 cached compilation. A hit never parses; a miss parses the
-    source once. *)
+(** Tier-1 cached compilation. A hit never parses; it decodes the
+    packed entry. A miss parses the source once and returns the binary
+    it compiled. *)
+
+val compile_packed : t -> Suite_types.sprogram -> Config.t -> packed
+(** {!compile} for a caller that reads only digests: the tier-1 entry,
+    never decoded. *)
 
 val measure :
-  t -> Evaluation.prepared -> Config.t -> Metrics.all_methods * Emit.binary
+  t -> Evaluation.prepared -> Config.t -> Metrics.all_methods * packed
 (** Tier-2 cached measurement: trace the binary over the prepared
     corpora and compute all four metric methods. Only the metrics are
     kept; the trace is dropped. The binary comes from tier 1, shared
@@ -62,13 +83,16 @@ val measure :
     the prepared subject carries. Two configurations of the same
     subject whose binaries share a [full_digest] share one metrics
     record; a hit reached through a fresh compile counts as
-    [engine/measure/dedups]. *)
+    [engine/measure/dedups]. Returns the metrics and the tier-1 entry
+    measured; a tier-2 hit decodes nothing. *)
 
 val product : t -> Evaluation.prepared -> Config.t -> float
 (** The paper's headline number (hybrid product), engine-cached. *)
 
 val bench_cost : t -> Suite_types.sprogram -> Config.t -> int
-(** Tier-2 cached benchmark cost: same [.text], same cost, no re-run. *)
+(** Tier-2 cached benchmark cost, keyed by the binary's execution
+    digest: binaries the VM cannot tell apart share one cost, no re-run.
+    A hit decodes nothing. *)
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Deterministic ordered parallel map on the engine's pool; [f] may

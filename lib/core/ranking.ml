@@ -29,7 +29,8 @@ let dynamic_product (m : Metrics.all_methods) = m.Metrics.m_dynamic.Metrics.prod
    an association pass -> increment, plus the baseline product. All
    measurement goes through the engine. A disabled pass whose binary
    has the same .text as the baseline scores exactly the baseline
-   without re-tracing — the paper's Section III-A discard optimization.
+   without re-tracing — the paper's Section III-A discard optimization,
+   which compares the tier-1 entries' digests and decodes nothing.
    The discard is scoped to the baseline on purpose: it is the paper's
    definition of "the pass did nothing", whereas the engine's own
    tier-2 sharing demands full binary identity (identical .text can
@@ -45,17 +46,21 @@ let per_program_increments ~engine:eng ?(metric = hybrid_product)
   Measure_engine.compile_sweep eng prepared.Evaluation.program
     (config
     :: List.map (fun pass -> { config with Config.disabled = [ pass ] }) passes);
-  let baseline_m, baseline_bin = Measure_engine.measure eng prepared config in
+  let baseline_m, baseline_entry =
+    Measure_engine.measure eng prepared config
+  in
   let baseline = metric baseline_m in
   let increments =
     List.map
       (fun pass ->
         let cfg = { config with Config.disabled = [ pass ] } in
-        let bin =
-          Measure_engine.compile eng prepared.Evaluation.program cfg
+        let entry =
+          Measure_engine.compile_packed eng prepared.Evaluation.program cfg
         in
         let m =
-          if String.equal bin.Emit.text_digest baseline_bin.Emit.text_digest
+          if
+            String.equal entry.Measure_engine.pk_text_digest
+              baseline_entry.Measure_engine.pk_text_digest
           then begin
             Util.Counters.bump ~table:(Measure_engine.stats eng)
               "engine/rank-discard/dedups";

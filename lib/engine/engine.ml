@@ -464,7 +464,9 @@ module Memo = struct
                 | v ->
                     mem_add t key v;
                     (* Serve the table's copy: a racing insert may have
-                       won, and callers rely on physical sharing. *)
+                       won, and every lookup of a key then returns one
+                       value, so no second copy stays live beside the
+                       table's. *)
                     locked t (fun () -> Hashtbl.find_opt t.table key)
                 | exception _ ->
                     Disk_store.invalidate s ~cache:t.name ~key;

@@ -17,16 +17,19 @@ type sprogram = {
   p_harnesses : harness list;
 }
 
-(** Parse and check a suite program, failing loudly if its source is
-    malformed (suite sources are part of the repository and must always
-    parse). *)
+(** Parse and check a program, and check that it defines every harness
+    entry. A malformed source raises [Minic]'s own [Parser.Error],
+    [Lexer.Error] or [Typecheck.Error]; a missing entry fails with
+    ["MiniC source must define <entry>()"]. Suite sources are part of
+    the repository and always pass; a source a client sent is first
+    parsed here, wherever its AST is first needed. *)
 let ast (p : sprogram) =
-  try Minic.Typecheck.parse_and_check p.p_source with
-  | Minic.Parser.Error (msg, line) ->
-      failwith (Printf.sprintf "%s: parse error line %d: %s" p.p_name line msg)
-  | Minic.Lexer.Error (msg, line) ->
-      failwith (Printf.sprintf "%s: lex error line %d: %s" p.p_name line msg)
-  | Minic.Typecheck.Error (msg, line) ->
-      failwith (Printf.sprintf "%s: check error line %d: %s" p.p_name line msg)
+  let ast = Minic.Typecheck.parse_and_check p.p_source in
+  List.iter
+    (fun h ->
+      if Minic.Ast.find_func ast h.h_entry = None then
+        failwith (Printf.sprintf "MiniC source must define %s()" h.h_entry))
+    p.p_harnesses;
+  ast
 
 let roots (p : sprogram) = List.map (fun h -> h.h_entry) p.p_harnesses

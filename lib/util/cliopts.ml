@@ -13,7 +13,7 @@
 type spec = {
   o_name : string;  (** long option, with the leading "--" *)
   o_docv : string option;  (** argument metavariable; [None] = flag *)
-  o_doc : string;  (** help string (cmdliner markup-free) *)
+  o_doc : string;  (** help string, in cmdliner's doc markup *)
 }
 
 let stats =
@@ -68,7 +68,7 @@ let cache_dir =
     o_docv = Some "DIR";
     o_doc =
       "persistent artifact cache directory (default _cache, or \
-       $DEBUGTUNER_CACHE when set)";
+       $(b,DEBUGTUNER_CACHE) when set)";
   }
 
 let no_cache =

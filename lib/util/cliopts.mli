@@ -8,7 +8,9 @@
 type spec = {
   o_name : string;  (** long option, with the leading "--" *)
   o_docv : string option;  (** argument metavariable; [None] = flag *)
-  o_doc : string;  (** help string *)
+  o_doc : string;
+      (** help string, in cmdliner's doc markup: write
+          [$(b,DEBUGTUNER_CACHE)], never a bare ['$'] *)
 }
 
 val stats : spec

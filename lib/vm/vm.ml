@@ -1002,7 +1002,8 @@ module Decode = struct
 
   (* Digest-keyed decode cache, shared across the engine's domains. The
      table is bounded; decoding outside the lock means a race decodes
-     twice, which is benign (programs are immutable). *)
+     twice, which is benign (programs are immutable). A decode is a
+     [vm:decode] span of its own. *)
   let cache : (string, program option) Hashtbl.t = Hashtbl.create 64
   let cache_mu = Mutex.create ()
 
@@ -1013,12 +1014,23 @@ module Decode = struct
     match cached with
     | Some p -> p
     | None ->
-        let p = try Some (decode bin) with Unsupported -> None in
+        let p =
+          Obs.Span.wrap "vm:decode"
+            ~args:[ ("binary", bin.Emit.full_digest) ]
+            (fun () -> try Some (decode bin) with Unsupported -> None)
+        in
         Mutex.lock cache_mu;
         if Hashtbl.length cache > 192 then Hashtbl.reset cache;
         Hashtbl.replace cache bin.Emit.full_digest p;
         Mutex.unlock cache_mu;
         p
+
+  (** Forget every cached decode: the next run of each binary decodes
+      it again. *)
+  let clear () =
+    Mutex.lock cache_mu;
+    Hashtbl.reset cache;
+    Mutex.unlock cache_mu
 
   (** Whether the fast core can execute this binary (decode succeeded).
       The conformance suite asserts this for every generated binary, so
@@ -1672,23 +1684,26 @@ let use_reference =
     cached verdicts never cross cores. *)
 let active_core () = if use_reference then "reference" else "fast"
 
-let run_unobserved bin ~entry ?(args = []) ~input opts =
-  if use_reference then Reference.run bin ~entry ~args ~input opts
-  else
-    match Decode.get bin with
-    | Some p -> Fast.run p bin ~entry ~args ~input opts
-    | None -> Reference.run bin ~entry ~args ~input opts
+let decoded bin = if use_reference then None else Decode.get bin
+
+let run_decoded decoded bin ~entry ~args ~input opts =
+  match decoded with
+  | Some p -> Fast.run p bin ~entry ~args ~input opts
+  | None -> Reference.run bin ~entry ~args ~input opts
 
 (* The [Obs.enabled] guard keeps the disabled path free of the span
    machinery (and of the args-list allocation) — executions dominate
-   every experiment's inner loop. *)
+   every experiment's inner loop. A traced run decodes before it opens
+   [vm:run], so a first run's decode stays in its [vm:decode] span. *)
 let run bin ~entry ?(args = []) ~input opts : result =
-  if not (Obs.enabled ()) then run_unobserved bin ~entry ~args ~input opts
+  if not (Obs.enabled ()) then
+    run_decoded (decoded bin) bin ~entry ~args ~input opts
   else
+    let d = decoded bin in
     Obs.Span.wrap "vm:run"
       ~args:[ ("entry", entry) ]
       (fun () ->
-        let r = run_unobserved bin ~entry ~args ~input opts in
+        let r = run_decoded d bin ~entry ~args ~input opts in
         Obs.count "vm/runs";
         Obs.count ~n:r.instrs "vm/instrs";
         Obs.count ~n:r.cost "vm/cost";

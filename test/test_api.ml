@@ -979,6 +979,39 @@ let test_execute_error_response () =
         msg
   | _ -> Alcotest.fail "expected an error response");
   check Alcotest.int "exit code" 2 resp.Resp.exit_code;
+  (* An inline subject is parsed where its AST is first needed, not
+     when the request is read; a bad source still fails every view with
+     the message and exit code it always had. *)
+  let subject src = R.Inline { in_name = "bad.c"; in_source = src } in
+  let config = Config.make Config.Gcc Config.O2 in
+  let compile src view =
+    R.Compile
+      { c_subject = subject src; c_config = config; c_profile = None;
+        c_sanitize = false; c_view = view }
+  in
+  List.iter
+    (fun (src, msg) ->
+      List.iter
+        (fun (view, req) ->
+          let resp = Api.execute ctx req in
+          check Alcotest.string (view ^ ": " ^ msg) msg
+            (match resp.Resp.status with
+            | Resp.Error m -> m
+            | _ -> "not an error");
+          check Alcotest.int (view ^ ": exit code") 2 resp.Resp.exit_code)
+        [
+          ("summary", compile src R.Summary);
+          ("measure", compile src R.Measure);
+          ("dwarf-size", compile src R.Dwarf_size);
+          ("cost", R.Bench { b_subject = subject src; b_config = config;
+                             b_action = R.Cost });
+        ])
+    [
+      ("int main() { return 1 }", "parse error line 1: expected ; but found }");
+      ("int main() { return 1; } @", "lex error line 1: unexpected character '@'");
+      ("int main() { return x; }", "check error line 1: undeclared variable x");
+      ("int f() { return 1; }", "MiniC source must define main()");
+    ];
   (* the context stays usable after a failed request *)
   let ok = Api.execute ctx (R.Stats { s_what = R.Suite }) in
   checkb "recovers" true (ok.Resp.status = Resp.Ok)

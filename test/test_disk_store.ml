@@ -356,11 +356,21 @@ let test_engine_warm_run () =
   Alcotest.(check bool) "cold run wrote entries" true
     (counter cold_store "measure/writes" > 0);
   (* A fresh engine + fresh store handle on the same directory: the
-     whole workload must be served from disk — no recomputation — with
-     identical results. *)
+     whole workload must be served from disk — no recomputation, and no
+     tier-1 entry decoded ([engine:unpack]) — with identical results. *)
   let warm_store = ME.open_store ~dir:d () in
   let warm = ME.create ~store:warm_store () in
-  let warm_results = List.map (fun cfg -> fst (ME.measure warm p cfg)) engine_configs in
+  ignore (Obs.stop ());
+  Obs.start ();
+  let warm_results =
+    match List.map (fun cfg -> fst (ME.measure warm p cfg)) engine_configs with
+    | results -> results
+    | exception e ->
+        ignore (Obs.stop ());
+        raise e
+  in
+  Alcotest.(check (option int)) "nothing decoded" None
+    (List.assoc_opt "engine/unpack" (Obs.counters (Option.get (Obs.stop ()))));
   Alcotest.(check bool) "byte-identical metrics" true (cold_results = warm_results);
   Alcotest.(check int) "zero engine misses when warm" 0
     (total_counter (ME.stats warm) `Misses);

@@ -7,9 +7,12 @@ module C = Debugtuner.Config
 module ME = Debugtuner.Measure_engine
 module Ev = Debugtuner.Evaluation
 module R = Debugtuner.Ranking
+module T = Debugtuner.Toolchain
+module Ex = Debugtuner.Experiments
 
 let libpng = lazy (Ev.prepare (Programs.find "libpng"))
 let bzip2 = lazy (Ev.prepare (Programs.find "bzip2"))
+let zlib = lazy (Ev.prepare (Programs.find "zlib"))
 let all_levels = [ C.O0; C.Og; C.O1; C.O2; C.O3 ]
 
 (* Cached and uncached measurement agree at every standard level, and a
@@ -24,10 +27,10 @@ let test_cached_matches_uncached () =
       let m_raw =
         Ev.metrics_of_trace p bin_raw (Ev.trace_config_bin p bin_raw)
       in
-      let m_eng, bin_eng = ME.measure eng p cfg in
+      let m_eng, entry = ME.measure eng p cfg in
       Alcotest.(check string)
         (C.name cfg ^ ": same binary")
-        bin_raw.Emit.full_digest bin_eng.Emit.full_digest;
+        bin_raw.Emit.full_digest entry.ME.pk_full_digest;
       Alcotest.(check bool)
         (C.name cfg ^ ": identical metrics")
         true (m_raw = m_eng);
@@ -96,6 +99,144 @@ let test_workers_rank_identical () =
     (seq.R.lr_effects = par.R.lr_effects
     && seq.R.lr_baseline_avg = par.R.lr_baseline_avg)
 
+(* ------------------------------------------------------------------ *)
+(* Packed tier 1                                                       *)
+
+let straight (p : Suite_types.sprogram) config =
+  T.compile (Suite_types.ast p) ~config ~roots:(Suite_types.roots p)
+
+(* Tier 1 keeps each binary packed: after zlib's gcc-O2 ranking sweep
+   the whole engine stays far below the decoded binaries it would
+   otherwise hold (about 55,000 words with decoded entries). *)
+let test_packed_resident_size () =
+  let eng = ME.create () and base = C.make C.Gcc C.O2 in
+  let configs =
+    base
+    :: List.map (fun pass -> { base with C.disabled = [ pass ] })
+         (T.pass_names base)
+  in
+  Alcotest.(check int) "ranking configurations" 29 (List.length configs);
+  ME.compile_sweep eng (Programs.find "zlib") configs;
+  let words = Obj.reachable_words (Obj.repr eng) in
+  if words > 15_000 then
+    Alcotest.failf "the engine holds %d words after the sweep (bound 15000)"
+      words
+
+(* A tier-1 hit decodes to the very binary a straight compile produces,
+   for every suite and SPEC program at the standard configurations. *)
+let test_hit_decodes_straight_binary () =
+  let eng = ME.create () in
+  List.iter
+    (fun (p : Suite_types.sprogram) ->
+      ME.compile_sweep eng p Ex.all_standard_configs;
+      let hits, rows =
+        Util.Counters.scoped (fun () ->
+            List.map (ME.compile eng p) Ex.all_standard_configs)
+      in
+      Alcotest.(check (option int))
+        (p.Suite_types.p_name ^ ": every lookup hits") None
+        (List.assoc_opt "engine/compile/misses" rows);
+      List.iter2
+        (fun config (hit : Emit.binary) ->
+          Alcotest.(check bool)
+            (p.Suite_types.p_name ^ " at " ^ C.name config ^ ": = straight")
+            true
+            (hit = straight p config))
+        Ex.all_standard_configs hits)
+    (Programs.all @ Spec.all)
+
+(* [f ()] under an [Obs] session; with how many tier-1 entries it
+   decoded ([engine:unpack] spans). *)
+let counting_unpacks f =
+  ignore (Obs.stop ());
+  Obs.start ();
+  let r =
+    match f () with
+    | r -> r
+    | exception e ->
+        ignore (Obs.stop ());
+        raise e
+  in
+  let s = Option.get (Obs.stop ()) in
+  let spans =
+    List.length
+      (List.filter (fun e -> e.Obs.ev_name = "engine:unpack") (Obs.events s))
+  in
+  Alcotest.(check int) "one engine/unpack count per span" spans
+    (Option.value ~default:0 (List.assoc_opt "engine/unpack" (Obs.counters s)));
+  (r, spans)
+
+(* Lookups that read only a digest decode nothing: Ranking's [.text]
+   discard and every tier-2 hit. A cold ranking decodes exactly once
+   per metrics record it computes; a warm one, and tier-2 hits of
+   [measure] and [bench_cost], never. *)
+let test_digest_reads_decode_nothing () =
+  let p = Lazy.force zlib and cfg = C.make C.Gcc C.O2 in
+  let eng = ME.create () in
+  let (_, rows), unpacked =
+    counting_unpacks (fun () ->
+        Util.Counters.scoped (fun () -> R.rank ~engine:eng [ p ] cfg))
+  in
+  Alcotest.(check int) "cold rank: one unpack per measure miss"
+    (Option.value ~default:0 (List.assoc_opt "engine/measure/misses" rows))
+    unpacked;
+  Alcotest.(check bool) "the discard fired" true
+    (List.mem_assoc "engine/rank-discard/dedups" rows);
+  let _, unpacked = counting_unpacks (fun () -> R.rank ~engine:eng [ p ] cfg) in
+  Alcotest.(check int) "warm rank" 0 unpacked;
+  (* A fresh compile hands its live binary on: nothing to decode. *)
+  let eng = ME.create () and o1 = C.make C.Gcc C.O1 in
+  let _, unpacked =
+    counting_unpacks (fun () ->
+        ignore (ME.measure eng p o1);
+        ignore (ME.bench_cost eng p.Ev.program o1 : int))
+  in
+  Alcotest.(check int) "fresh compile, then a tier-1 hit costed" 1 unpacked;
+  let _, unpacked =
+    counting_unpacks (fun () ->
+        ignore (ME.measure eng p o1);
+        ignore (ME.bench_cost eng p.Ev.program o1 : int))
+  in
+  Alcotest.(check int) "tier-2 hits" 0 unpacked
+
+(* Costs key on what the VM executes, not on [.text] alone: libpng at
+   gcc-O1 with and without shrink-wrap shares one [.text] but not its
+   frame layouts, and the two cost differently. On one engine, in
+   either order, each cost equals a straight run of its own binary. *)
+let straight_cost (p : Suite_types.sprogram) config =
+  let bin = straight p config in
+  List.fold_left
+    (fun acc (h : Suite_types.harness) ->
+      List.fold_left
+        (fun acc input ->
+          acc
+          + (Vm.run bin ~entry:h.Suite_types.h_entry ~input Vm.default_opts)
+              .Vm.cost)
+        acc
+        (if h.Suite_types.h_seeds = [] then [ [] ] else h.Suite_types.h_seeds))
+    0 p.Suite_types.p_harnesses
+
+let test_bench_cost_exec_key () =
+  let p = Programs.find "libpng" in
+  let base = C.make C.Gcc C.O1 in
+  let wrapless = C.make ~disabled:[ "shrink-wrap" ] C.Gcc C.O1 in
+  Alcotest.(check string) "one .text"
+    (straight p base).Emit.text_digest (straight p wrapless).Emit.text_digest;
+  let expected =
+    List.map (fun c -> (c, straight_cost p c)) [ base; wrapless ]
+  in
+  Alcotest.(check bool) "different costs" true
+    (List.assoc base expected <> List.assoc wrapless expected);
+  List.iter
+    (fun order ->
+      let eng = ME.create () in
+      List.iter
+        (fun config ->
+          Alcotest.(check int) (C.name config) (List.assoc config expected)
+            (ME.bench_cost eng p config))
+        order)
+    [ [ base; wrapless ]; [ wrapless; base ] ]
+
 let tests =
   [
     Alcotest.test_case "cached = uncached, all levels" `Slow
@@ -107,4 +248,12 @@ let tests =
     Alcotest.test_case "pool ordered reduction" `Quick test_pool_ordered;
     Alcotest.test_case "parallel rank = sequential rank" `Slow
       test_workers_rank_identical;
+    Alcotest.test_case "packed tier 1 stays small" `Quick
+      test_packed_resident_size;
+    Alcotest.test_case "a hit decodes the straight binary" `Slow
+      test_hit_decodes_straight_binary;
+    Alcotest.test_case "digest reads decode nothing" `Quick
+      test_digest_reads_decode_nothing;
+    Alcotest.test_case "bench costs key on what the VM executes" `Quick
+      test_bench_cost_exec_key;
   ]

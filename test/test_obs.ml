@@ -285,6 +285,64 @@ let test_cleanup_row () =
   Alcotest.(check int64) "pass spans = pass rows + cleanup row" span_ns profile_ns;
   Alcotest.(check bool) "cleanup took time" true (cleanup.Obs.pr_ns > 0L)
 
+(* ------------------------------------------------------------------ *)
+(* Decoding spans                                                      *)
+
+(* A binary's first-run decode is a [vm:decode] span of its own, outside
+   [vm:run]: a traced cold Measure view of zlib at gcc-O2 decodes each
+   binary it runs exactly once (the O0 build its preparation fuzzes and
+   the gcc-O2 build it traces), and a repeat of the request decodes
+   nothing. Tracing leaves the response alone, [obs/] rows aside. *)
+let test_decode_spans () =
+  let module ME = Debugtuner.Measure_engine in
+  let zlib = Programs.find "zlib" and config = C.make C.Gcc C.O2 in
+  let req =
+    Api.Request.Compile
+      {
+        c_subject = Api.Request.Named "zlib";
+        c_config = config;
+        c_profile = None;
+        c_sanitize = false;
+        c_view = Api.Request.Measure;
+      }
+  in
+  let untraced = Api.execute (Api.create_ctx ()) req in
+  Vm.Decode.clear ();
+  let ctx = Api.create_ctx () in
+  let traced () =
+    with_session (fun () ->
+        let r = Api.execute ctx req in
+        (r, stop_exn ()))
+  in
+  let decoded s =
+    List.sort compare
+      (List.filter_map
+         (fun e ->
+           if e.Obs.ev_name = "vm:decode" then
+             List.assoc_opt "binary" e.Obs.ev_args
+           else None)
+         (Obs.events s))
+  in
+  let cold, s = traced () in
+  let eng = ctx.Api.engine in
+  Alcotest.(check (list string))
+    "one vm:decode per distinct binary"
+    (List.sort compare
+       [
+         (ME.prepare eng zlib).Debugtuner.Evaluation.o0_bin.Emit.full_digest;
+         (ME.compile_packed eng zlib config).ME.pk_full_digest;
+       ])
+    (decoded s);
+  let _, s = traced () in
+  Alcotest.(check (list string)) "a repeat decodes nothing" [] (decoded s);
+  Alcotest.(check string) "same text" untraced.Api.Response.text
+    cold.Api.Response.text;
+  Alcotest.(check (list (pair string int)))
+    "same rows, obs/ aside" untraced.Api.Response.stats
+    (List.filter
+       (fun (n, _) -> not (String.starts_with ~prefix:"obs/" n))
+       cold.Api.Response.stats)
+
 let tests =
   [
     Alcotest.test_case "span nesting and self time" `Quick test_span_nesting;
@@ -302,4 +360,5 @@ let tests =
       test_deltas_telescope;
     Alcotest.test_case "vm counters" `Quick test_vm_counters;
     Alcotest.test_case "cleanup is its own row" `Quick test_cleanup_row;
+    Alcotest.test_case "decoding is its own span" `Quick test_decode_spans;
   ]

@@ -134,17 +134,22 @@ let run_sweep configs =
   scoped_sweep (fun () -> ME.compile_sweep eng sp configs);
   eng
 
-(* The binaries a sweep seeded for [configs]: engine compiles after it
-   must all be tier-1 hits (no [engine/compile/misses] row). *)
-let seeded eng p configs =
-  let bins, rows =
-    Util.Counters.scoped (fun () -> List.map (ME.compile eng p) configs)
+(* What a sweep seeded for [configs], looked up through [lookup]:
+   engine lookups after it must all be tier-1 hits (no
+   [engine/compile/misses] row). [seeded] decodes each binary,
+   [seeded_entries] returns the packed tier-1 entries themselves. *)
+let seeded_with lookup eng p configs =
+  let found, rows =
+    Util.Counters.scoped (fun () -> List.map (lookup eng p) configs)
   in
   Alcotest.(check (option int))
     (p.Suite_types.p_name ^ ": every config seeded")
     None
     (List.assoc_opt "engine/compile/misses" rows);
-  bins
+  found
+
+let seeded eng p configs = seeded_with ME.compile eng p configs
+let seeded_entries eng p configs = seeded_with ME.compile_packed eng p configs
 
 let check_byte_identity ?(p = sp) eng configs =
   List.iter2
@@ -220,8 +225,8 @@ let test_o0_edge () =
 
 (* Distinct fingerprints, identical effective pipelines: the planner
    proves the configs state-identical at the end of the pipeline and
-   seeds both the same (physically shared) binary — no second backend
-   run. *)
+   seeds both the same (physically shared) packed entry — one backend
+   run, packed once. *)
 let test_merged_identical_bits () =
   let configs =
     [ C.make C.Gcc C.O2; C.make ~disabled:[ "not-a-pass" ] C.Gcc C.O2 ]
@@ -229,14 +234,14 @@ let test_merged_identical_bits () =
   let eng = run_sweep configs in
   check_byte_identity eng configs;
   Alcotest.(check int) "merged" 1 (counter "prefix/merged");
-  match seeded eng sp configs with
+  match seeded_entries eng sp configs with
   | [ a; b ] -> Alcotest.(check bool) "physically shared" true (a == b)
   | _ -> Alcotest.fail "not seeded"
 
 (* One compile_sweep serves every program, a prepared suite subject and
    a SPEC benchmark alike: seeded binaries are what a straight compile
    produces, and the subject's later measures and the benchmark's
-   costs are tier-1 hits on the very binaries the sweep seeded. *)
+   costs are tier-1 hits on the very entries the sweep seeded. *)
 let prepared = lazy (Ev.prepare (Programs.find "libpng"))
 
 let test_sweep_prepared_and_spec () =
@@ -264,16 +269,16 @@ let test_sweep_prepared_and_spec () =
   let (), rows =
     Util.Counters.scoped (fun () ->
         List.iter2
-          (fun config seeded_bin ->
+          (fun config (seeded_entry : ME.packed) ->
             Alcotest.(check string)
               ("matches Evaluation.compile: " ^ C.fingerprint config)
               (Ev.compile p config).Emit.full_digest
-              seeded_bin.Emit.full_digest;
-            Alcotest.(check bool) "measure reads the seeded binary" true
-              (snd (ME.measure eng p config) == seeded_bin);
+              seeded_entry.ME.pk_full_digest;
+            Alcotest.(check bool) "measure reads the seeded entry" true
+              (snd (ME.measure eng p config) == seeded_entry);
             ignore (ME.bench_cost eng bench config : int))
           configs
-          (seeded eng p.Ev.program configs))
+          (seeded_entries eng p.Ev.program configs))
   in
   Alcotest.(check (option int)) "no tier-1 miss after the sweeps" None
     (List.assoc_opt "engine/compile/misses" rows)
