@@ -79,9 +79,11 @@ ci_diff "$scratch/corpus-fast.out" "$scratch/corpus-reference.out" \
 # config) pairs through Diff_oracle against the Minic.Interp reference,
 # byte identity across repetitions of the same inputs and, for search,
 # no hit on a store entry it must not see. Its last stdout line is the
-# result; it must report the run correct with no failed operation.
+# result; it must report the run correct with no failed operation, and
+# its output digest must equal the one pinned here for seed 1.
 perfbench_smoke() {
   workload=$1
+  expected=$2
   echo "== benchmark output checks (perfbench $workload, seed 1) =="
   if ! python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
     > "$scratch/perfbench-$workload.out" 2> "$scratch/perfbench-$workload.err"; then
@@ -90,18 +92,26 @@ perfbench_smoke() {
     exit 1
   fi
   case "$(tail -n 1 "$scratch/perfbench-$workload.out")" in
-    *'"correct": true,'*'"failed": 0,'*) grep '^digest ' "$scratch/perfbench-$workload.out" ;;
+    *'"correct": true,'*'"failed": 0,'*) ;;
     *)
       echo "perfbench $workload smoke: $(tail -n 1 "$scratch/perfbench-$workload.out")" >&2
       exit 1
       ;;
   esac
+  # A change that moves any output fails here even when it is
+  # deterministic, which the determinism leg cannot see.
+  actual="$(sed -n 's/^digest //p' "$scratch/perfbench-$workload.out")"
+  if [ "$actual" != "$expected" ]; then
+    echo "perfbench $workload smoke: digest $actual, expected $expected" >&2
+    exit 1
+  fi
+  echo "digest $actual"
 }
-perfbench_smoke corpus-cold
+perfbench_smoke corpus-cold e39beae1271fb4146f451801dc4aecf6
 # search is the only benchmarked path through the prefix planner's
 # restore-and-resume, which runs the inter-pass cleanup on restored
-# snapshots; its digest is fe167bfdcab2ba2aa6dfe54deea018fe at seed 1.
-perfbench_smoke search
+# snapshots.
+perfbench_smoke search fe167bfdcab2ba2aa6dfe54deea018fe
 
 echo "== observability smoke (profile zlib at O2, validate trace) =="
 # `profile --trace` self-validates the written document (balanced B/E

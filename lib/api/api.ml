@@ -840,24 +840,31 @@ let default_entry (p : Suite_types.sprogram) = function
 
 (* -- compile-family views -- *)
 
-let exec_summary b (p : Suite_types.sprogram) cfg (bin : Emit.binary) =
+(* The summary counts come with the tier-1 entry, so a plain compile's
+   summary decodes nothing. *)
+let exec_summary ctx b (p : Suite_types.sprogram) cfg ~profile ~sanitize =
+  let (s : Measure_engine.summary), text_digest =
+    if profile = None && not sanitize then
+      let pk = Measure_engine.compile_packed ctx.engine p cfg in
+      (pk.Measure_engine.pk_summary, pk.Measure_engine.pk_text_digest)
+    else
+      let bin = compile_subject ctx p cfg ~profile ~sanitize in
+      (Measure_engine.summary bin, bin.Emit.text_digest)
+  in
   bpf b "%s at %s\n" p.Suite_types.p_name (Config.name cfg);
-  bpf b "  code: %d instructions, %d functions\n"
-    (Array.length bin.Emit.code)
-    (Array.length bin.Emit.funcs);
+  bpf b "  code: %d instructions, %d functions\n" s.Measure_engine.sm_instrs
+    s.Measure_engine.sm_funcs;
   bpf b "  line table: %d entries, %d steppable lines\n"
-    (List.length bin.Emit.debug.Dwarfish.line_table)
-    (List.length (Dwarfish.steppable_lines bin.Emit.debug));
-  bpf b "  variables with location info: %d\n"
-    (List.length bin.Emit.debug.Dwarfish.vars);
-  bpf b "  .text digest: %s\n" bin.Emit.text_digest;
+    s.Measure_engine.sm_line_entries s.Measure_engine.sm_steppable_lines;
+  bpf b "  variables with location info: %d\n" s.Measure_engine.sm_vars;
+  bpf b "  .text digest: %s\n" text_digest;
   Response.D_compiled
     {
       dc_program = p.Suite_types.p_name;
       dc_config = Config.name cfg;
-      dc_instrs = Array.length bin.Emit.code;
-      dc_funcs = Array.length bin.Emit.funcs;
-      dc_text_digest = bin.Emit.text_digest;
+      dc_instrs = s.Measure_engine.sm_instrs;
+      dc_funcs = s.Measure_engine.sm_funcs;
+      dc_text_digest = text_digest;
     }
 
 let exec_measure ctx b (p : Suite_types.sprogram) cfg =
@@ -1013,14 +1020,15 @@ let run_compile ctx ~subject ~config ~profile ~sanitize (view : Request.view) =
       let p = subject_program subject in
       let code = exec_value_check b p config v_entry v_input in
       (Buffer.contents b, None, Response.D_none, code)
-  | Request.Summary | Request.Dump _ | Request.Verify | Request.Disasm _
-  | Request.Trace _ | Request.Debug _ | Request.Sample _ -> (
+  | Request.Summary ->
+      let p = subject_program subject in
+      let data = exec_summary ctx b p config ~profile ~sanitize in
+      (Buffer.contents b, None, data, 0)
+  | Request.Dump _ | Request.Verify | Request.Disasm _ | Request.Trace _
+  | Request.Debug _ | Request.Sample _ -> (
       let p = subject_program subject in
       let bin = compile_subject ctx p config ~profile ~sanitize in
       match view with
-      | Request.Summary ->
-          let data = exec_summary b p config bin in
-          (Buffer.contents b, None, data, 0)
       | Request.Dump sections ->
           exec_dump b p config bin sections;
           (Buffer.contents b, None, Response.D_none, 0)

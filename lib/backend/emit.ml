@@ -50,44 +50,36 @@ type binary = {
 (* ------------------------------------------------------------------ *)
 (* Identical-code folding (gcc's toplevel-reorder model)               *)
 
-(* Canonical text of a function's code with labels normalized to layout
-   positions and all debug artifacts stripped. Two functions with equal
-   canonical text produce identical .text, so the later one can alias the
-   earlier. *)
-let canonical_text (m : Mach.mfn) =
+(* The folding key of a function's code: its parameter locations, its
+   frame slots' ids and sizes, its spill words and its blocks in layout
+   order, each with its instructions (debug bindings dropped) and its
+   terminator, branch targets replaced by layout positions ([-1] off the
+   layout). Two functions with equal keys produce identical .text, so
+   the later one can alias the earlier. [No_sharing] makes the bytes a
+   function of the values alone. *)
+let icf_key (m : Mach.mfn) =
   let pos = Hashtbl.create 16 in
   List.iteri (fun i l -> Hashtbl.replace pos l i) m.Mach.mf_layout;
-  let lbl l = string_of_int (Option.value ~default:(-1) (Hashtbl.find_opt pos l)) in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (String.concat ","
-       (List.map Mach.mloc_to_string m.Mach.mf_param_locs));
-  List.iter
-    (fun (fs : Mach.frame_slot) ->
-      Buffer.add_string buf (Printf.sprintf "|s%d:%d" fs.Mach.fs_id fs.Mach.fs_size))
-    m.Mach.mf_frame;
-  Buffer.add_string buf (Printf.sprintf "|spill%d|" m.Mach.mf_spill_words);
-  List.iter
-    (fun l ->
-      let b = Mach.mblock m l in
-      Buffer.add_string buf (lbl l ^ ":");
-      List.iter
+  let lbl l = Option.value ~default:(-1) (Hashtbl.find_opt pos l) in
+  let block l =
+    let b = Mach.mblock m l in
+    ( List.filter_map
         (fun (i : Mach.minstr) ->
-          match i.Mach.mk with
-          | Mach.Mdbg _ -> ()
-          | mk -> Buffer.add_string buf (Mach.mkind_to_string mk ^ ";"))
-        b.Mach.mins;
-      (match b.Mach.mterm with
-      | Mach.Mret None -> Buffer.add_string buf "ret;"
-      | Mach.Mret (Some v) ->
-          Buffer.add_string buf ("ret " ^ Mach.mval_to_string v ^ ";")
-      | Mach.Mjmp t -> Buffer.add_string buf ("jmp " ^ lbl t ^ ";")
-      | Mach.Mcbr (c, t1, t2) ->
-          Buffer.add_string buf
-            (Printf.sprintf "cbr %s,%s,%s;" (Mach.mval_to_string c) (lbl t1)
-               (lbl t2))))
-    m.Mach.mf_layout;
-  Buffer.contents buf
+          match i.Mach.mk with Mach.Mdbg _ -> None | mk -> Some mk)
+        b.Mach.mins,
+      match b.Mach.mterm with
+      | Mach.Mret _ as t -> t
+      | Mach.Mjmp t -> Mach.Mjmp (lbl t)
+      | Mach.Mcbr (c, t1, t2) -> Mach.Mcbr (c, lbl t1, lbl t2) )
+  in
+  Marshal.to_string
+    ( m.Mach.mf_param_locs,
+      List.map
+        (fun (fs : Mach.frame_slot) -> (fs.Mach.fs_id, fs.Mach.fs_size))
+        m.Mach.mf_frame,
+      m.Mach.mf_spill_words,
+      List.map block m.Mach.mf_layout )
+    [ Marshal.No_sharing ]
 
 (* ------------------------------------------------------------------ *)
 (* Location-list construction                                          *)
@@ -172,7 +164,7 @@ let emit ?(icf = false) ?(entry_values = false) (prog : Mach.mprogram) : binary 
   let vars = Dwarfish.Vars.create () in
   let funcs = ref [] in
   let fn_by_name = Hashtbl.create 16 in
-  (* ICF: functions whose canonical text matches an earlier function
+  (* ICF: functions whose folding key matches an earlier function's
      become aliases and emit no code (and hence no debug info — the
      mechanical cost of folding). *)
   let canon_seen : (string, int) Hashtbl.t = Hashtbl.create 16 in
@@ -180,8 +172,7 @@ let emit ?(icf = false) ?(entry_values = false) (prog : Mach.mprogram) : binary 
   List.iter
     (fun (m : Mach.mfn) ->
       let canon =
-        if icf then canonical_text m
-        else "unique:" ^ m.Mach.mf_name
+        if icf then icf_key m else "unique:" ^ m.Mach.mf_name
       in
       match Hashtbl.find_opt canon_seen canon with
       | Some idx -> Hashtbl.replace fn_by_name m.Mach.mf_name idx

@@ -217,13 +217,13 @@ let sink (m : Mach.mfn) =
 (* ------------------------------------------------------------------ *)
 (* Tail merging (crossjumping)                                         *)
 
-let tail_key (i : Mach.minstr) = Mach.mkind_to_string i.Mach.mk
-
+(* One round: merge the first pair of blocks, in layout order, with the
+   same terminator whose instruction suffixes coincide. Returns whether
+   it merged. *)
 let tail_merge (m : Mach.mfn) =
-  (* Pairs of blocks with the same terminator whose instruction suffixes
-     coincide: move the common suffix into a fresh block both jump to.
-     The fresh block takes the FIRST block's lines; the second copy's
-     line entries are gone. *)
+  (* Move the common suffix into a fresh block both jump to. The fresh
+     block takes the FIRST block's lines; the second copy's line entries
+     are gone. *)
   let same_term a b =
     match (a, b) with
     | Mach.Mjmp x, Mach.Mjmp y -> x = y
@@ -231,86 +231,87 @@ let tail_merge (m : Mach.mfn) =
     | Mach.Mret (Some x), Mach.Mret (Some y) -> x = y
     | _ -> false
   in
-  let labels = m.Mach.mf_layout in
-  let merged = ref false in
-  List.iteri
-    (fun ai a_l ->
-      List.iteri
-        (fun bi b_l ->
-          if (not !merged) && bi > ai then begin
-            match (Ir.Label_store.find_opt m.Mach.mf_blocks a_l,
-                   Ir.Label_store.find_opt m.Mach.mf_blocks b_l) with
-            | Some a, Some b when same_term a.Mach.mterm b.Mach.mterm ->
-                let ra =
-                  List.rev
-                    (List.filter
-                       (fun (i : Mach.minstr) ->
-                         match i.Mach.mk with Mach.Mdbg _ -> false | _ -> true)
-                       a.Mach.mins)
-                and rb =
-                  List.rev
-                    (List.filter
-                       (fun (i : Mach.minstr) ->
-                         match i.Mach.mk with Mach.Mdbg _ -> false | _ -> true)
-                       b.Mach.mins)
-                in
-                let rec common acc (xs : Mach.minstr list) (ys : Mach.minstr list)
-                    =
-                  match (xs, ys) with
-                  | x :: xs', y :: ys' when tail_key x = tail_key y ->
-                      common (x :: acc) xs' ys'
-                  | _ -> acc
-                in
-                let suffix = common [] ra rb in
-                let k = List.length suffix in
-                if k >= 2 then begin
-                  merged := true;
-                  (* New label reusing a fresh id. *)
-                  let fresh =
-                    1
-                    + Ir.Label_store.fold
-                        (fun l _ acc -> max l acc)
-                        m.Mach.mf_blocks 0
-                  in
-                  let nb =
-                    {
-                      Mach.mb_label = fresh;
-                      mins = suffix;
-                      mterm = a.Mach.mterm;
-                      mterm_line = a.Mach.mterm_line;
-                      mb_prob = 1.0;
-                      mb_freq = a.Mach.mb_freq +. b.Mach.mb_freq;
-                    }
-                  in
-                  Ir.Label_store.replace m.Mach.mf_blocks fresh nb;
-                  let chop (blk : Mach.mblock) =
-                    (* Remove the last k real instructions (and any Mdbg
-                       interleaved after the cut keeps its place). *)
-                    let rec drop n acc = function
-                      | [] -> List.rev acc
-                      | (i : Mach.minstr) :: rest -> (
-                          match i.Mach.mk with
-                          | Mach.Mdbg _ when n > 0 -> drop n acc rest
-                          | _ when n > 0 -> drop (n - 1) acc rest
-                          | _ -> drop 0 (i :: acc) rest)
-                    in
-                    blk.Mach.mins <- List.rev (drop k [] (List.rev blk.Mach.mins));
-                    blk.Mach.mterm <- Mach.Mjmp fresh
-                  in
-                  chop a;
-                  chop b;
-                  m.Mach.mf_layout <- m.Mach.mf_layout @ [ fresh ]
-                end
-            | _ -> ()
-          end)
-        labels)
-    labels
+  (* Each block's real instructions, last first, taken once a round:
+     nothing changes before the round's one merge. *)
+  let blocks =
+    List.filter_map
+      (fun l ->
+        Option.map
+          (fun (b : Mach.mblock) ->
+            ( b,
+              List.rev
+                (List.filter
+                   (fun (i : Mach.minstr) ->
+                     match i.Mach.mk with Mach.Mdbg _ -> false | _ -> true)
+                   b.Mach.mins) ))
+          (Ir.Label_store.find_opt m.Mach.mf_blocks l))
+      m.Mach.mf_layout
+  in
+  let rec common acc (xs : Mach.minstr list) (ys : Mach.minstr list) =
+    match (xs, ys) with
+    | x :: xs', y :: ys' when x.Mach.mk = y.Mach.mk -> common (x :: acc) xs' ys'
+    | _ -> acc
+  in
+  let merge (a : Mach.mblock) (b : Mach.mblock) suffix =
+    let k = List.length suffix in
+    (* New label reusing a fresh id. *)
+    let fresh =
+      1 + Ir.Label_store.fold (fun l _ acc -> max l acc) m.Mach.mf_blocks 0
+    in
+    let nb =
+      {
+        Mach.mb_label = fresh;
+        mins = suffix;
+        mterm = a.Mach.mterm;
+        mterm_line = a.Mach.mterm_line;
+        mb_prob = 1.0;
+        mb_freq = a.Mach.mb_freq +. b.Mach.mb_freq;
+      }
+    in
+    Ir.Label_store.replace m.Mach.mf_blocks fresh nb;
+    let chop (blk : Mach.mblock) =
+      (* Remove the last k real instructions (and any Mdbg
+         interleaved after the cut keeps its place). *)
+      let rec drop n acc = function
+        | [] -> List.rev acc
+        | (i : Mach.minstr) :: rest -> (
+            match i.Mach.mk with
+            | Mach.Mdbg _ when n > 0 -> drop n acc rest
+            | _ when n > 0 -> drop (n - 1) acc rest
+            | _ -> drop 0 (i :: acc) rest)
+      in
+      blk.Mach.mins <- List.rev (drop k [] (List.rev blk.Mach.mins));
+      blk.Mach.mterm <- Mach.Mjmp fresh
+    in
+    chop a;
+    chop b;
+    m.Mach.mf_layout <- m.Mach.mf_layout @ [ fresh ]
+  in
+  let rec first_pair = function
+    | [] -> None
+    | (a, ra) :: rest -> (
+        let mergeable (b, rb) =
+          if same_term a.Mach.mterm b.Mach.mterm then
+            let suffix = common [] ra rb in
+            if List.compare_length_with suffix 2 >= 0 then Some (b, suffix)
+            else None
+          else None
+        in
+        match List.find_map mergeable rest with
+        | Some (b, suffix) -> Some (a, b, suffix)
+        | None -> first_pair rest)
+  in
+  match first_pair blocks with
+  | Some (a, b, suffix) ->
+      merge a b suffix;
+      true
+  | None -> false
 
 let tail_merge_all (m : Mach.mfn) =
-  (* Iterate a few times; each call merges at most one pair. *)
-  for _ = 1 to 8 do
-    tail_merge m
-  done
+  (* A few rounds, one merge each; a round that merges nothing leaves
+     the function as it was, so every later round would too. *)
+  let rec rounds n = if n > 0 && tail_merge m then rounds (n - 1) in
+  rounds 8
 
 (* ------------------------------------------------------------------ *)
 (* Block placement                                                     *)

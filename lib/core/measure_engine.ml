@@ -72,14 +72,32 @@ let bench_subject_key (p : Suite_types.sprogram) =
           (p.Suite_types.p_source, p.Suite_types.p_harnesses)
           []))
 
+type summary = {
+  sm_instrs : int;
+  sm_funcs : int;
+  sm_line_entries : int;
+  sm_steppable_lines : int;
+  sm_vars : int;
+}
+
+let summary (bin : Emit.binary) =
+  {
+    sm_instrs = Array.length bin.Emit.code;
+    sm_funcs = Array.length bin.Emit.funcs;
+    sm_line_entries = List.length bin.Emit.debug.Dwarfish.line_table;
+    sm_steppable_lines = List.length (Dwarfish.steppable_lines bin.Emit.debug);
+    sm_vars = List.length bin.Emit.debug.Dwarfish.vars;
+  }
+
 (* A tier-1 entry. A decoded binary averages about nine times its
-   marshalled size in the heap, so the table keeps the bytes and the
-   digests its lookups read; only a consumer of code or debug info
-   decodes ([unpack]). *)
+   marshalled size in the heap, so the table keeps the bytes plus the
+   digests and summary counts its lookups read; only a consumer of code
+   or debug info decodes ([unpack]). *)
 type packed = {
   pk_full_digest : string;
   pk_text_digest : string;
   pk_exec_digest : string;
+  pk_summary : summary;
   pk_bytes : string;
 }
 
@@ -98,6 +116,7 @@ let pack (bin : Emit.binary) =
     pk_full_digest = bin.Emit.full_digest;
     pk_text_digest = bin.Emit.text_digest;
     pk_exec_digest = exec_digest bin;
+    pk_summary = summary bin;
     pk_bytes = Marshal.to_string bin [];
   }
 
@@ -232,8 +251,8 @@ let () =
    change to the marshalled value layouts (or the compiler that decides
    them) must read as "stale entry, recompute". Bump the leading tag
    whenever a persisted type changes shape: [v2] persists the compile
-   cache as packed entries. *)
-let cache_schema = "debugtuner-v2/" ^ Sys.ocaml_version
+   cache as packed entries, [v3] adds their summary counts. *)
+let cache_schema = "debugtuner-v3/" ^ Sys.ocaml_version
 
 let cache_dir_of ?dir () =
   match dir with

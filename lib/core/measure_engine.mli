@@ -34,7 +34,7 @@ val create : ?workers:int -> ?store:Engine.Disk_store.t -> unit -> t
 
 val cache_schema : string
 (** The serialization schema stamp written into every persistent cache
-    entry: ["debugtuner-v2/" ^ Sys.ocaml_version]. Entries written under
+    entry: ["debugtuner-v3/" ^ Sys.ocaml_version]. Entries written under
     any other stamp are stale — evicted and recomputed, never decoded
     ([Marshal] is type-unsafe). *)
 
@@ -53,12 +53,24 @@ val prepare :
 (** {!Evaluation.prepare}, cached on {!Evaluation.prepare_key}: with a
     store, a prepared subject persists across processes. *)
 
+type summary = {
+  sm_instrs : int;  (** machine instructions ([code]) *)
+  sm_funcs : int;  (** emitted functions ([funcs]) *)
+  sm_line_entries : int;  (** line-table entries *)
+  sm_steppable_lines : int;  (** distinct lines in the line table *)
+  sm_vars : int;  (** variables with location info *)
+}
+(** The counts a [Compile] [Summary] view prints. *)
+
+val summary : Emit.binary -> summary
+
 type packed = private {
   pk_full_digest : string;  (** {!Emit.binary.full_digest} *)
   pk_text_digest : string;  (** {!Emit.binary.text_digest} *)
   pk_exec_digest : string;
       (** digest of what the VM reads: the [.text] digest, the frame
           layouts ([funcs]) and the globals *)
+  pk_summary : summary;  (** taken from the live binary when packed *)
   pk_bytes : string;  (** the binary's [Marshal] bytes, made once *)
 }
 (** A tier-1 entry: a binary kept as its store bytes plus digests. The
@@ -71,8 +83,8 @@ val compile : t -> Suite_types.sprogram -> Config.t -> Emit.binary
     it compiled. *)
 
 val compile_packed : t -> Suite_types.sprogram -> Config.t -> packed
-(** {!compile} for a caller that reads only digests: the tier-1 entry,
-    never decoded. *)
+(** {!compile} for a caller that reads only digests or summary counts:
+    the tier-1 entry, never decoded. *)
 
 val measure :
   t -> Evaluation.prepared -> Config.t -> Metrics.all_methods * packed

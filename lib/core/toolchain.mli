@@ -148,8 +148,12 @@ val checkpoint_bytes : checkpoint -> int
 (** Approximate heap footprint of the underlying snapshot. *)
 
 val checkpoint_digest : checkpoint -> string
-(** Content digest of the snapshotted program
-    ({!Ir.Snapshot.digest}) — iteration-order independent. *)
+(** Content digest of the snapshotted program ({!Ir.Snapshot.digest}):
+    an MD5 of the marshalled fields that {!Ir.fn_to_string} prints plus
+    the ones it omits (entry label, fresh-name counters, purity and
+    inline markers, slot array-ness, block frequencies, probabilities
+    and predecessors, globals). Iteration-order independent, computed
+    once per checkpoint. *)
 
 val checkpoint_opts : checkpoint -> Mach.opts
 (** The accumulated backend options at the checkpoint. Together with

@@ -772,43 +772,45 @@ module Snapshot = struct
     List.iter (fun (n, fn) -> Hashtbl.replace funcs n (copy_fn fn)) t.sn_funcs;
     { funcs; prog_globals = t.sn_globals }
 
-  (* The digest walks deterministic structure only: functions sorted by
-     name, blocks in layout order via [fn_to_string], plus every field
-     that printer omits (entry label, fresh-name counters, purity and
-     inline markers, slot array-ness, per-block frequency/probability in
-     hex-float form, predecessor lists, globals). No hash table is ever
-     serialized directly, so the digest is independent of table
-     insertion history by construction. *)
+  (* The digest hashes a projection of the program that holds what
+     [fn_to_string] prints plus the fields it omits: per function, in
+     name order, the header (name, line, entry label, fresh-name
+     counters, purity and inline markers), the slots (array-ness
+     included) and the params, then the blocks in layout order with
+     their phis, instructions and lines, terminator and its line,
+     frequency and probability (as their IEEE bits, which is how
+     [Marshal] writes a float) and predecessor lists; then the globals.
+     Blocks off the layout and the label store's capacity stay out: two
+     states that differ only there run every later pass alike.
+     [No_sharing] makes the bytes a function of the values alone, and
+     no hash table is serialized, so the digest is independent of
+     insertion history. *)
+  let digest_funcs (funcs : (string * fn) list) globals =
+    let block_view fn l =
+      let b = block fn l in
+      (l, b.phis, b.instrs, b.term, b.term_line, b.freq, b.prob, b.preds)
+    in
+    let fn_view (_, fn) =
+      ( ( fn.f_name,
+          fn.f_line,
+          fn.entry,
+          fn.next_reg,
+          fn.next_label,
+          fn.next_slot,
+          fn.is_pure,
+          fn.always_inline ),
+        fn.f_slots,
+        fn.f_params,
+        List.map (block_view fn) fn.layout )
+    in
+    let view = (List.map fn_view funcs, (globals : global_def list)) in
+    Digest.to_hex
+      (Digest.string (Marshal.to_string view [ Marshal.No_sharing ]))
+
   let digest_program (p : program) : string =
-    let buf = Buffer.create 4096 in
-    List.iter
-      (fun n ->
-        let fn = Hashtbl.find p.funcs n in
-        Buffer.add_string buf
-          (Printf.sprintf "fn %s line=%d entry=L%d next=%d,%d,%d pure=%b ai=%b\n"
-             fn.f_name fn.f_line fn.entry fn.next_reg fn.next_label fn.next_slot
-             fn.is_pure fn.always_inline);
-        List.iter
-          (fun (s : slot) ->
-            Buffer.add_string buf
-              (Printf.sprintf "slot%d array=%b\n" s.s_id s.s_array))
-          fn.f_slots;
-        Buffer.add_string buf (fn_to_string fn);
-        List.iter
-          (fun l ->
-            let b = block fn l in
-            Buffer.add_string buf
-              (Printf.sprintf "L%d freq=%h prob=%h preds=%s\n" l b.freq b.prob
-                 (String.concat "," (List.map string_of_int b.preds))))
-          fn.layout)
-      (sorted_names p);
-    List.iter
-      (fun (g : global_def) ->
-        Buffer.add_string buf
-          (Printf.sprintf "global %s size=%d init=%d\n" g.g_name g.g_size
-             g.g_init))
-      p.prog_globals;
-    Digest.to_hex (Digest.string (Buffer.contents buf))
+    digest_funcs
+      (List.map (fun n -> (n, Hashtbl.find p.funcs n)) (sorted_names p))
+      p.prog_globals
 
   let digest (t : t) : string =
     match t.sn_digest with
@@ -816,9 +818,7 @@ module Snapshot = struct
     | None ->
         (* Digesting only reads, so view the templates in place instead
            of paying for a restore copy. *)
-        let funcs = Hashtbl.create (max 16 (List.length t.sn_funcs)) in
-        List.iter (fun (n, fn) -> Hashtbl.replace funcs n fn) t.sn_funcs;
-        let d = digest_program { funcs; prog_globals = t.sn_globals } in
+        let d = digest_funcs t.sn_funcs t.sn_globals in
         t.sn_digest <- Some d;
         d
 

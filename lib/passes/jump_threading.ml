@@ -16,23 +16,58 @@
     the new join splits location ranges — the mechanical losses behind
     this pass's high ranking in the paper. *)
 
+(* What the threading queries read of a function. All of it holds
+   until a thread rewrites the function. *)
+type facts = {
+  dom : Dom.t;
+  cmps : (Ir.reg, Ir.binop * Ir.reg * int) Hashtbl.t;
+      (** for every register defined by an operation of a register with
+          a constant, that operation (the last in layout order, as a
+          scan would find it) *)
+  uses : (Ir.reg, Ir.label * Ir.label) Hashtbl.t Lazy.t;
+      (** every real use of a register in a layout block: the block
+          holding it and the block it is attributed to (the contributing
+          predecessor for a phi argument, else the same block) *)
+}
+
+let compute_facts (fn : Ir.fn) =
+  let cmps = Hashtbl.create 16 in
+  Ir.iter_instrs fn (fun _ i ->
+      match i.Ir.ik with
+      | Ir.Bin (op, d, Ir.Reg x, Ir.Imm c) -> Hashtbl.replace cmps d (op, x, c)
+      | _ -> ());
+  let uses =
+    lazy
+      (let tbl = Hashtbl.create 64 in
+       Ir.iter_blocks fn (fun ob ->
+           let l = ob.Ir.b_label in
+           let here r = Hashtbl.add tbl r (l, l) in
+           List.iter
+             (fun (i : Ir.instr) -> Ir.iter_real_uses here i.Ir.ik)
+             ob.Ir.instrs;
+           Ir.iter_term_uses here ob.Ir.term;
+           let from pl r = Hashtbl.add tbl r (l, pl) in
+           List.iter
+             (fun (p : Ir.phi) ->
+               List.iter (fun (pl, o) -> Ir.iter_operand (from pl) o) p.Ir.p_args)
+             ob.Ir.phis);
+       tbl)
+  in
+  { dom = Dom.compute fn; cmps; uses }
+
 (* The comparison (if any) defining a block's branch condition. *)
-let cond_cmp (fn : Ir.fn) (b : Ir.block) =
+let cond_cmp facts (b : Ir.block) =
   match b.Ir.term with
-  | Ir.Cbr (Ir.Reg r, _, _) ->
-      let found = ref None in
-      Ir.iter_instrs fn (fun _ i ->
-          match i.Ir.ik with
-          | Ir.Bin (op, d, Ir.Reg x, Ir.Imm c) when d = r ->
-              found := Some (op, x, c)
-          | _ -> ());
-      !found
+  | Ir.Cbr (Ir.Reg r, _, _) -> Hashtbl.find_opt facts.cmps r
   | _ -> None
 
 (* Walk [pred]'s dominator chain for a conditional branch on a
    comparison of [x] with a constant whose taken edge dominates [pred]:
-   the strongest fact about [x] that necessarily holds on entry. *)
-let dominating_fact (fn : Ir.fn) dom pred x =
+   the strongest fact about [x] that necessarily holds on entry. The
+   predecessor lists are current: every retarget is followed by
+   [Ir.recompute_preds]. *)
+let dominating_fact (fn : Ir.fn) facts pred x =
+  let dom = facts.dom in
   (* A fact established on edge D->T holds at [pred] when T dominates
      [pred] AND T's only predecessor is D — then every path to [pred]
      entered T through that very edge. (T merely dominating [pred] is
@@ -45,19 +80,18 @@ let dominating_fact (fn : Ir.fn) dom pred x =
     | None -> None
     | Some d -> (
         let db = Ir.block fn d in
-        match (cond_cmp fn db, db.Ir.term) with
+        match (cond_cmp facts db, db.Ir.term) with
         | Some (pop, px, pc), Ir.Cbr (_, pt, pf) when px = x && pt <> pf ->
             if edge_holds d pt then Some (pop, pc, true)
             else if edge_holds d pf then Some (pop, pc, false)
             else up d
         | _ -> up d)
   in
-  Ir.recompute_preds fn;
   up pred
 
 (* What does entering [b] from [pred] tell us about [b]'s branch
    condition? *)
-let eval_cond_for_pred (fn : Ir.fn) dom (b : Ir.block) pred =
+let eval_cond_for_pred (fn : Ir.fn) facts (b : Ir.block) pred =
   let phi_value r =
     List.find_map
       (fun (p : Ir.phi) ->
@@ -76,7 +110,7 @@ let eval_cond_for_pred (fn : Ir.fn) dom (b : Ir.block) pred =
       | None -> (
           (* Through one comparison of a phi with a constant... *)
           let via_phi_cmp =
-            match cond_cmp fn b with
+            match cond_cmp facts b with
             | Some (op, x, c) -> (
                 match phi_value x with
                 | Some v -> Some (Ir.eval_binop op v c)
@@ -90,7 +124,7 @@ let eval_cond_for_pred (fn : Ir.fn) dom (b : Ir.block) pred =
                  register: either the predecessor's own branch (the edge
                  chooses), or any comparison on a dominator whose taken
                  edge dominates the predecessor (the if-chain case). *)
-              match cond_cmp fn b with
+              match cond_cmp facts b with
               | None -> None
               | Some (op, x, c) -> (
                   let apply (pop, pc, on_true) =
@@ -109,7 +143,7 @@ let eval_cond_for_pred (fn : Ir.fn) dom (b : Ir.block) pred =
                   let via_pred_branch =
                     match Ir.find_block fn pred with
                     | Some pb -> (
-                        match (cond_cmp fn pb, pb.Ir.term) with
+                        match (cond_cmp facts pb, pb.Ir.term) with
                         | Some (pop, px, pc), Ir.Cbr (_, pt, pf)
                           when px = x && pt <> pf ->
                             if b.Ir.b_label = pt then apply (pop, pc, true)
@@ -121,7 +155,7 @@ let eval_cond_for_pred (fn : Ir.fn) dom (b : Ir.block) pred =
                   match via_pred_branch with
                   | Some v -> Some v
                   | None -> (
-                      match dominating_fact fn dom pred x with
+                      match dominating_fact fn facts pred x with
                       | Some fact -> apply fact
                       | None -> None)))))
   | Ir.Br _ | Ir.Ret _ -> None
@@ -143,49 +177,46 @@ let threadable_block (b : Ir.block) counts =
 
 (* Uses of [r] outside block [b], classified against [target]'s
    pre-threading dominance region: `Inside (substitutable), `Keep (still
-   dominated by b's region, untouched), or `Unsafe. *)
-let classify_uses (fn : Ir.fn) dom ~b_label ~target r =
+   dominated by b's region, untouched), or `Unsafe. Phi-argument uses
+   count at the contributing predecessor. *)
+let classify_uses (fn : Ir.fn) facts ~b_label ~target r =
   let reachable_from_target =
-    let seen = Hashtbl.create 16 in
-    let rec go l =
-      if not (Hashtbl.mem seen l) then begin
-        Hashtbl.replace seen l ();
-        List.iter go (Ir.succs (Ir.block fn l).Ir.term)
-      end
-    in
-    go target;
-    seen
+    lazy
+      (let seen = Hashtbl.create 16 in
+       let rec go l =
+         if not (Hashtbl.mem seen l) then begin
+           Hashtbl.replace seen l ();
+           List.iter go (Ir.succs (Ir.block fn l).Ir.term)
+         end
+       in
+       go target;
+       seen)
   in
   let unsafe = ref false in
   let used_inside = ref false in
-  Ir.iter_blocks fn (fun ob ->
-      if ob.Ir.b_label <> b_label then begin
-        let classify_block ub =
-          if Dom.dominates dom target ub then used_inside := true
-          else if Hashtbl.mem reachable_from_target ub then unsafe := true
-        in
-        let check_in ub rr = if rr = r then classify_block ub in
-        List.iter
-          (fun (i : Ir.instr) ->
-            List.iter (check_in ob.Ir.b_label) (Ir.real_uses_of_ikind i.Ir.ik))
-          ob.Ir.instrs;
-        List.iter (check_in ob.Ir.b_label) (Ir.term_uses ob.Ir.term);
-        (* Phi-argument uses are attributed to the contributing pred. *)
-        List.iter
-          (fun (p : Ir.phi) ->
-            List.iter
-              (fun (pl, o) ->
-                if pl <> b_label then
-                  List.iter (check_in pl) (Ir.operand_uses o))
-              p.Ir.p_args)
-          ob.Ir.phis
-      end);
+  List.iter
+    (fun (ob, ub) ->
+      if ob <> b_label && ub <> b_label then
+        if Dom.dominates facts.dom target ub then used_inside := true
+        else if Hashtbl.mem (Lazy.force reachable_from_target) ub then
+          unsafe := true)
+    (Hashtbl.find_all (Lazy.force facts.uses) r);
   if !unsafe then `Unsafe else if !used_inside then `Inside else `Keep
 
 let run (fn : Ir.fn) =
   Ir.prune_unreachable fn;
   let threaded = ref 0 in
   let counts = Putil.use_counts fn in
+  (* Built on first use; a thread drops them. *)
+  let cached = ref None in
+  let facts () =
+    match !cached with
+    | Some f -> f
+    | None ->
+        let f = compute_facts fn in
+        cached := Some f;
+        f
+  in
   let labels = fn.Ir.layout in
   List.iter
     (fun l ->
@@ -196,11 +227,13 @@ let run (fn : Ir.fn) =
           | Ir.Cbr (_, t1, t2)
             when l <> fn.Ir.entry && t1 <> l && t2 <> l
                  && threadable_block b counts ->
-              Ir.recompute_preds fn;
+              (* The predecessor lists are current: [prune_unreachable]
+                 computed them, and every retarget recomputes them. *)
               List.iter
                 (fun pred ->
-                  let dom = Dom.compute fn in
-                  match eval_cond_for_pred fn dom b pred with
+                  let facts = facts () in
+                  let dom = facts.dom in
+                  match eval_cond_for_pred fn facts b pred with
                   | Some v
                     when pred <> l && Ir.mem_block fn pred
                          && Ir.mem_block fn l -> (
@@ -226,7 +259,7 @@ let run (fn : Ir.fn) =
                       let escaped =
                         List.filter
                           (fun (p : Ir.phi) ->
-                            classify_uses fn dom ~b_label:l ~target p.Ir.p_dst
+                            classify_uses fn facts ~b_label:l ~target p.Ir.p_dst
                             <> `Keep)
                           b.Ir.phis
                       in
@@ -270,7 +303,7 @@ let run (fn : Ir.fn) =
                               end)
                         && List.for_all
                              (fun (p : Ir.phi) ->
-                               classify_uses fn dom ~b_label:l ~target
+                               classify_uses fn facts ~b_label:l ~target
                                  p.Ir.p_dst
                                <> `Unsafe)
                              b.Ir.phis
@@ -391,6 +424,7 @@ let run (fn : Ir.fn) =
                               List.filter (fun (pl, _) -> pl <> pred) p.Ir.p_args)
                           b.Ir.phis;
                         Ir.recompute_preds fn;
+                        cached := None;
                         incr threaded
                       end)
                   | _ -> ())

@@ -60,20 +60,27 @@ let pure_ikind ?(pure_calls = fun _ -> false) = function
   | Ir.Call (_, f, _) -> pure_calls f
   | Ir.Store _ | Ir.Input _ | Ir.Eof _ | Ir.Output _ | Ir.Dbg _ -> false
 
-(** A key identifying the value computed by a pure instruction, for value
+(** What a numberable instruction computes: two instructions with equal
+    keys compute the same value. [Kload] and [Kcall] are numbered only
+    where the caller knows memory cannot change (see {!Cse}). *)
+type value_key =
+  | Kbin of Ir.binop * Ir.operand * Ir.operand
+  | Kun of Ir.unop * Ir.operand
+  | Ksel of Ir.operand * Ir.operand * Ir.operand
+  | Kmov of Ir.operand
+  | Kload of Ir.addr
+  | Kcall of string * Ir.operand list
+
+(** The key of the value computed by a pure instruction, for value
     numbering; [None] when the instruction is not numberable. Commutative
     operands are put in a canonical order. *)
 let value_key = function
   | Ir.Bin (op, _, a, b) ->
       let a, b = if Ir.commutative op && b < a then (b, a) else (a, b) in
-      Some (Printf.sprintf "bin:%s:%s:%s" (Ir.binop_name op)
-              (Ir.operand_to_string a) (Ir.operand_to_string b))
-  | Ir.Un (op, _, a) ->
-      Some (Printf.sprintf "un:%s:%s" (Ir.unop_name op) (Ir.operand_to_string a))
-  | Ir.Select (_, c, a, b) ->
-      Some (Printf.sprintf "sel:%s:%s:%s" (Ir.operand_to_string c)
-              (Ir.operand_to_string a) (Ir.operand_to_string b))
-  | Ir.Mov (_, a) -> Some (Printf.sprintf "mov:%s" (Ir.operand_to_string a))
+      Some (Kbin (op, a, b))
+  | Ir.Un (op, _, a) -> Some (Kun (op, a))
+  | Ir.Select (_, c, a, b) -> Some (Ksel (c, a, b))
+  | Ir.Mov (_, a) -> Some (Kmov a)
   | _ -> None
 
 (** Clone an instruction kind, renaming definitions through [fresh_def]

@@ -1,9 +1,14 @@
-(** Test-only reference implementations of the inter-pass cleanup and
-    of SSA construction, in their straightforward form: every cleanup
-    component rebuilds the lists it filters on every call, predecessors
-    are recomputed before every use, and promotion finds slots and phis
-    through hash tables and list searches. The library versions must
-    produce structurally equal IR; [test_reference.ml] checks that at
+(** Test-only reference implementations in their straightforward form.
+    The inter-pass cleanup rebuilds the lists it filters on every call
+    and recomputes predecessors before every use; SSA construction finds
+    slots and phis through hash tables and list searches; CSE numbers
+    values by printed keys held in an association list per dominator
+    path; jump threading recomputes the dominator tree for every
+    (block, predecessor) pair and rescans the function for every
+    condition; tail merging runs a fixed eight rounds over printed
+    instructions; the snapshot digest hashes printed text. The library
+    versions must produce structurally equal results (equal digests
+    exactly when these are equal); [test_reference.ml] checks that at
     every intermediate state of the pipeline. The [Ir] and [Putil]
     helpers these call that the library implements differently are
     copied here too, so the reference does not move when the library
@@ -482,4 +487,712 @@ module Mem2reg = struct
       fn.Ir.f_slots <-
         List.filter (fun (s : Ir.slot) -> not (is_promoted s.Ir.s_id)) fn.Ir.f_slots
     end
+end
+
+module Cse = struct
+  (** Common-subexpression elimination with string value keys: the
+      local scope is a hash table per block, the dominator scope an
+      association list per dominator path, searched linearly. *)
+
+  (** A key identifying the value computed by a pure instruction, for value
+      numbering; [None] when the instruction is not numberable. Commutative
+      operands are put in a canonical order. *)
+  let value_key = function
+    | Ir.Bin (op, _, a, b) ->
+        let a, b = if Ir.commutative op && b < a then (b, a) else (a, b) in
+        Some (Printf.sprintf "bin:%s:%s:%s" (Ir.binop_name op)
+                (Ir.operand_to_string a) (Ir.operand_to_string b))
+    | Ir.Un (op, _, a) ->
+        Some (Printf.sprintf "un:%s:%s" (Ir.unop_name op) (Ir.operand_to_string a))
+    | Ir.Select (_, c, a, b) ->
+        Some (Printf.sprintf "sel:%s:%s:%s" (Ir.operand_to_string c)
+                (Ir.operand_to_string a) (Ir.operand_to_string b))
+    | Ir.Mov (_, a) -> Some (Printf.sprintf "mov:%s" (Ir.operand_to_string a))
+    | _ -> None
+
+  let addr_key (a : Ir.addr) =
+    Printf.sprintf "%s[%s]" (Ir.base_to_string a.Ir.base)
+      (Ir.operand_to_string a.Ir.index)
+
+  let stored_bases (fn : Ir.fn) =
+    let tbl = Hashtbl.create 16 in
+    Ir.iter_instrs fn (fun _ i ->
+        match i.Ir.ik with
+        | Ir.Store (a, _) -> Hashtbl.replace tbl a.Ir.base ()
+        | _ -> ());
+    tbl
+
+  let has_calls_or_io (fn : Ir.fn) =
+    let found = ref false in
+    Ir.iter_instrs fn (fun _ i ->
+        match i.Ir.ik with
+        | Ir.Call _ | Ir.Input _ | Ir.Output _ -> found := true
+        | _ -> ());
+    !found
+
+  (** Local (per-block) CSE with redundant-load elimination. *)
+  let run_local ?(pure_calls = fun _ -> false) (fn : Ir.fn) =
+    let removed = ref 0 in
+    Ir.iter_blocks fn (fun b ->
+        let values = Hashtbl.create 32 in
+        let loads = Hashtbl.create 16 in
+        let subst = Hashtbl.create 8 in
+        let resolve o =
+          match o with
+          | Ir.Reg r -> (
+              match Hashtbl.find_opt subst r with Some o' -> o' | None -> o)
+          | Ir.Imm _ -> o
+        in
+        b.Ir.instrs <-
+          List.filter
+            (fun (i : Ir.instr) ->
+              i.Ir.ik <- Ir.subst_uses (fun r -> Hashtbl.find_opt subst r) i.Ir.ik;
+              ignore resolve;
+              match i.Ir.ik with
+              | Ir.Store (a, _) ->
+                  (* Conservative: any store invalidates remembered loads
+                     from the same base; unknown index kills the base. *)
+                  Hashtbl.iter
+                    (fun k (base, _) ->
+                      if base = a.Ir.base then Hashtbl.remove loads k)
+                    (Hashtbl.copy loads);
+                  true
+              | Ir.Call (_, f, _) when not (pure_calls f) ->
+                  Hashtbl.reset loads;
+                  true
+              | Ir.Load (d, a) -> (
+                  let k = addr_key a in
+                  match Hashtbl.find_opt loads k with
+                  | Some (_, prev) ->
+                      Hashtbl.replace subst d (Ir.Reg prev);
+                      incr removed;
+                      false
+                  | None ->
+                      Hashtbl.replace loads k (a.Ir.base, d);
+                      true)
+              | ik when Putil.pure_ikind ~pure_calls ik -> (
+                  match (value_key ik, Ir.def_of_ikind ik) with
+                  | Some key, [ d ] -> (
+                      match Hashtbl.find_opt values key with
+                      | Some prev ->
+                          Hashtbl.replace subst d (Ir.Reg prev);
+                          incr removed;
+                          false
+                      | None ->
+                          Hashtbl.replace values key d;
+                          true)
+                  | _ -> true)
+              | _ -> true)
+            b.Ir.instrs;
+        if Hashtbl.length subst > 0 then Putil.replace_uses fn subst);
+    !removed
+
+  (** Dominator-scoped value numbering. *)
+  let run_global ?(pure_calls = fun _ -> false) (fn : Ir.fn) =
+    Ir.prune_unreachable fn;
+    let removed = ref 0 in
+    let dom = Dom.compute fn in
+    let stored = stored_bases fn in
+    let impure_fn = has_calls_or_io fn in
+    let subst = Hashtbl.create 16 in
+    (* Scoped hash table: an association list stack per dominator path. *)
+    let rec walk label (scope : (string * Ir.reg) list) =
+      let b = Ir.block fn label in
+      let scope = ref scope in
+      b.Ir.instrs <-
+        List.filter
+          (fun (i : Ir.instr) ->
+            i.Ir.ik <- Ir.subst_uses (fun r -> Hashtbl.find_opt subst r) i.Ir.ik;
+            let numberable =
+              match i.Ir.ik with
+              | Ir.Load (_, a) ->
+                  (* Loads participate only when nothing in the function can
+                     change the loaded memory. *)
+                  (not (Hashtbl.mem stored a.Ir.base)) && not impure_fn
+              | Ir.Call (_, f, _) -> pure_calls f
+              | ik -> Putil.pure_ikind ~pure_calls:(fun _ -> false) ik
+            in
+            if not numberable then true
+            else
+              let key =
+                match i.Ir.ik with
+                | Ir.Load (_, a) -> Some ("load:" ^ addr_key a)
+                | Ir.Call (_, f, args) ->
+                    Some
+                      (Printf.sprintf "call:%s(%s)" f
+                         (String.concat "," (List.map Ir.operand_to_string args)))
+                | ik -> value_key ik
+              in
+              match (key, Ir.def_of_ikind i.Ir.ik) with
+              | Some key, [ d ] -> (
+                  match List.assoc_opt key !scope with
+                  | Some prev ->
+                      Hashtbl.replace subst d (Ir.Reg prev);
+                      incr removed;
+                      false
+                  | None ->
+                      scope := (key, d) :: !scope;
+                      true)
+              | _ -> true)
+          b.Ir.instrs;
+      b.Ir.term <- Ir.subst_term (fun r -> Hashtbl.find_opt subst r) b.Ir.term;
+      List.iter (fun c -> walk c !scope) (Dom.children dom label)
+    in
+    walk fn.Ir.entry [];
+    (* Phi arguments may still reference removed registers. *)
+    Putil.replace_uses fn subst;
+    !removed
+
+  let run_local_program ?pure_calls (p : Ir.program) =
+    Ir.iter_funcs (fun fn -> ignore (run_local ?pure_calls fn)) p
+
+  let run_global_program ?pure_calls (p : Ir.program) =
+    Ir.iter_funcs (fun fn -> ignore (run_global ?pure_calls fn)) p
+end
+
+module Jump_threading = struct
+  (** Jump threading that recomputes the dominator tree for every
+      (threadable block, predecessor) pair, scans the whole function for
+      each branch condition's comparison, and recomputes predecessors
+      before every dominating-fact query. *)
+
+  (* The comparison (if any) defining a block's branch condition. *)
+  let cond_cmp (fn : Ir.fn) (b : Ir.block) =
+    match b.Ir.term with
+    | Ir.Cbr (Ir.Reg r, _, _) ->
+        let found = ref None in
+        Ir.iter_instrs fn (fun _ i ->
+            match i.Ir.ik with
+            | Ir.Bin (op, d, Ir.Reg x, Ir.Imm c) when d = r ->
+                found := Some (op, x, c)
+            | _ -> ());
+        !found
+    | _ -> None
+
+  (* Walk [pred]'s dominator chain for a conditional branch on a
+     comparison of [x] with a constant whose taken edge dominates [pred]:
+     the strongest fact about [x] that necessarily holds on entry. *)
+  let dominating_fact (fn : Ir.fn) dom pred x =
+    (* A fact established on edge D->T holds at [pred] when T dominates
+       [pred] AND T's only predecessor is D — then every path to [pred]
+       entered T through that very edge. (T merely dominating [pred] is
+       not enough: T reachable from elsewhere would launder the fact.) *)
+    let edge_holds d t =
+      Dom.dominates dom t pred && (Ir.block fn t).Ir.preds = [ d ]
+    in
+    let rec up l =
+      match Dom.idom dom l with
+      | None -> None
+      | Some d -> (
+          let db = Ir.block fn d in
+          match (cond_cmp fn db, db.Ir.term) with
+          | Some (pop, px, pc), Ir.Cbr (_, pt, pf) when px = x && pt <> pf ->
+              if edge_holds d pt then Some (pop, pc, true)
+              else if edge_holds d pf then Some (pop, pc, false)
+              else up d
+          | _ -> up d)
+    in
+    Ir.recompute_preds fn;
+    up pred
+
+  (* What does entering [b] from [pred] tell us about [b]'s branch
+     condition? *)
+  let eval_cond_for_pred (fn : Ir.fn) dom (b : Ir.block) pred =
+    let phi_value r =
+      List.find_map
+        (fun (p : Ir.phi) ->
+          if p.Ir.p_dst = r then
+            match List.assoc_opt pred p.Ir.p_args with
+            | Some (Ir.Imm n) -> Some n
+            | _ -> None
+          else None)
+        b.Ir.phis
+    in
+    match b.Ir.term with
+    | Ir.Cbr (Ir.Imm n, _, _) -> Some n
+    | Ir.Cbr (Ir.Reg r, _, _) -> (
+        match phi_value r with
+        | Some n -> Some n
+        | None -> (
+            (* Through one comparison of a phi with a constant... *)
+            let via_phi_cmp =
+              match cond_cmp fn b with
+              | Some (op, x, c) -> (
+                  match phi_value x with
+                  | Some v -> Some (Ir.eval_binop op v c)
+                  | None -> None)
+              | None -> None
+            in
+            match via_phi_cmp with
+            | Some v -> Some v
+            | None -> (
+                (* ... or through a dominating condition on the same
+                   register: either the predecessor's own branch (the edge
+                   chooses), or any comparison on a dominator whose taken
+                   edge dominates the predecessor (the if-chain case). *)
+                match cond_cmp fn b with
+                | None -> None
+                | Some (op, x, c) -> (
+                    let apply (pop, pc, on_true) =
+                      if (on_true && pop = Ir.Ceq) || ((not on_true) && pop = Ir.Cne)
+                      then (* x = pc exactly *)
+                        Some (Ir.eval_binop op pc c)
+                      else if
+                        (* x known != pc: decides equality tests against
+                           that same constant. *)
+                        ((on_true && pop = Ir.Cne)
+                        || ((not on_true) && pop = Ir.Ceq))
+                        && op = Ir.Ceq && c = pc
+                      then Some 0
+                      else None
+                    in
+                    let via_pred_branch =
+                      match Ir.find_block fn pred with
+                      | Some pb -> (
+                          match (cond_cmp fn pb, pb.Ir.term) with
+                          | Some (pop, px, pc), Ir.Cbr (_, pt, pf)
+                            when px = x && pt <> pf ->
+                              if b.Ir.b_label = pt then apply (pop, pc, true)
+                              else if b.Ir.b_label = pf then apply (pop, pc, false)
+                              else None
+                          | _ -> None)
+                      | None -> None
+                    in
+                    match via_pred_branch with
+                    | Some v -> Some v
+                    | None -> (
+                        match dominating_fact fn dom pred x with
+                        | Some fact -> apply fact
+                        | None -> None)))))
+    | Ir.Br _ | Ir.Ret _ -> None
+
+  (* Threadable block shape: phis, debug bindings, and pure computations
+     feeding only the branch condition. *)
+  let threadable_block (b : Ir.block) counts =
+    List.for_all
+      (fun (i : Ir.instr) ->
+        match i.Ir.ik with
+        | Ir.Dbg _ -> true
+        | Ir.Bin (_, d, _, _) when Putil.pure_ikind i.Ir.ik ->
+            (match b.Ir.term with
+            | Ir.Cbr (Ir.Reg c, _, _) when c = d ->
+                Putil.use_count counts d = 1
+            | _ -> false)
+        | _ -> false)
+      b.Ir.instrs
+
+  (* Uses of [r] outside block [b], classified against [target]'s
+     pre-threading dominance region: `Inside (substitutable), `Keep (still
+     dominated by b's region, untouched), or `Unsafe. *)
+  let classify_uses (fn : Ir.fn) dom ~b_label ~target r =
+    let reachable_from_target =
+      let seen = Hashtbl.create 16 in
+      let rec go l =
+        if not (Hashtbl.mem seen l) then begin
+          Hashtbl.replace seen l ();
+          List.iter go (Ir.succs (Ir.block fn l).Ir.term)
+        end
+      in
+      go target;
+      seen
+    in
+    let unsafe = ref false in
+    let used_inside = ref false in
+    Ir.iter_blocks fn (fun ob ->
+        if ob.Ir.b_label <> b_label then begin
+          let classify_block ub =
+            if Dom.dominates dom target ub then used_inside := true
+            else if Hashtbl.mem reachable_from_target ub then unsafe := true
+          in
+          let check_in ub rr = if rr = r then classify_block ub in
+          List.iter
+            (fun (i : Ir.instr) ->
+              List.iter (check_in ob.Ir.b_label) (Ir.real_uses_of_ikind i.Ir.ik))
+            ob.Ir.instrs;
+          List.iter (check_in ob.Ir.b_label) (Ir.term_uses ob.Ir.term);
+          (* Phi-argument uses are attributed to the contributing pred. *)
+          List.iter
+            (fun (p : Ir.phi) ->
+              List.iter
+                (fun (pl, o) ->
+                  if pl <> b_label then
+                    List.iter (check_in pl) (Ir.operand_uses o))
+                p.Ir.p_args)
+            ob.Ir.phis
+        end);
+    if !unsafe then `Unsafe else if !used_inside then `Inside else `Keep
+
+  let run (fn : Ir.fn) =
+    Ir.prune_unreachable fn;
+    let threaded = ref 0 in
+    let counts = Putil.use_counts fn in
+    let labels = fn.Ir.layout in
+    List.iter
+      (fun l ->
+        match Ir.find_block fn l with
+        | None -> ()
+        | Some b -> (
+            match b.Ir.term with
+            | Ir.Cbr (_, t1, t2)
+              when l <> fn.Ir.entry && t1 <> l && t2 <> l
+                   && threadable_block b counts ->
+                Ir.recompute_preds fn;
+                List.iter
+                  (fun pred ->
+                    let dom = Dom.compute fn in
+                    match eval_cond_for_pred fn dom b pred with
+                    | Some v
+                      when pred <> l && Ir.mem_block fn pred
+                           && Ir.mem_block fn l -> (
+                        let target = if v <> 0 then t1 else t2 in
+                        let resolve_through o =
+                          match o with
+                          | Ir.Reg r -> (
+                              match
+                                List.find_map
+                                  (fun (p : Ir.phi) ->
+                                    if p.Ir.p_dst = r then
+                                      List.assoc_opt pred p.Ir.p_args
+                                    else None)
+                                  b.Ir.phis
+                              with
+                              | Some value -> value
+                              | None -> o)
+                          | Ir.Imm _ -> o
+                        in
+                        (* Values of b consumed below: phi dsts used outside
+                           b. The cond computation is consumed by the branch
+                           only (threadable_block). *)
+                        let escaped =
+                          List.filter
+                            (fun (p : Ir.phi) ->
+                              classify_uses fn dom ~b_label:l ~target p.Ir.p_dst
+                              <> `Keep)
+                            b.Ir.phis
+                        in
+                        let tb0 = Ir.block fn target in
+                        let already_edge0 = List.mem pred tb0.Ir.preds in
+                        let repairs_ok =
+                          target <> l
+                          (* A pre-existing direct edge from this pred can
+                             carry only one phi value; bail if a repair
+                             would need two. *)
+                          && (not (already_edge0 && escaped <> []))
+                          (* A repair phi's argument for a target pred
+                             other than the new edge is the escaped value
+                             itself, defined in [l] — only valid if [l]
+                             dominates that pred. The new edge
+                             pred->target can itself break that dominance
+                             (a path now bypasses [l]), so probe the CFG
+                             as it will be after retargeting. *)
+                          && (escaped = []
+                             || begin
+                                  let pb = Ir.block fn pred in
+                                  let saved = pb.Ir.term in
+                                  let redirect x = if x = l then target else x in
+                                  pb.Ir.term <-
+                                    (match saved with
+                                    | Ir.Br x -> Ir.Br (redirect x)
+                                    | Ir.Cbr (c, x, y) ->
+                                        Ir.Cbr (c, redirect x, redirect y)
+                                    | Ir.Ret _ as t -> t);
+                                  Ir.recompute_preds fn;
+                                  let dom2 = Dom.compute fn in
+                                  let ok =
+                                    List.for_all
+                                      (fun tp ->
+                                        tp = pred || Dom.dominates dom2 l tp)
+                                      (Ir.block fn target).Ir.preds
+                                  in
+                                  pb.Ir.term <- saved;
+                                  Ir.recompute_preds fn;
+                                  ok
+                                end)
+                          && List.for_all
+                               (fun (p : Ir.phi) ->
+                                 classify_uses fn dom ~b_label:l ~target
+                                   p.Ir.p_dst
+                                 <> `Unsafe)
+                               b.Ir.phis
+                          (* The repair phi needs one argument per
+                             existing pred of the target plus the new
+                             edge; target phis must not already have an
+                             edge from this pred with a different value. *)
+                          && (let tb = Ir.block fn target in
+                              (not (List.mem pred tb.Ir.preds))
+                              || List.for_all
+                                   (fun (p : Ir.phi) ->
+                                     match
+                                       ( List.assoc_opt pred p.Ir.p_args,
+                                         List.assoc_opt l p.Ir.p_args )
+                                     with
+                                     | Some existing, Some via_b ->
+                                         existing = resolve_through via_b
+                                     | _ -> true)
+                                   tb.Ir.phis)
+                        in
+                        if repairs_ok then begin
+                          let tb = Ir.block fn target in
+                          let already_edge = List.mem pred tb.Ir.preds in
+                          (* Extend the target's existing phis with the new
+                             edge's value. *)
+                          List.iter
+                            (fun (p : Ir.phi) ->
+                              match List.assoc_opt l p.Ir.p_args with
+                              | Some via_b ->
+                                  if not (List.mem_assoc pred p.Ir.p_args) then
+                                    p.Ir.p_args <-
+                                      (pred, resolve_through via_b) :: p.Ir.p_args
+                              | None -> ())
+                            tb.Ir.phis;
+                          (* Repair escaped values with new phis at the
+                             target. *)
+                          let subst = Hashtbl.create 4 in
+                          List.iter
+                            (fun (p : Ir.phi) ->
+                              let x = p.Ir.p_dst in
+                              let fresh = Ir.fresh_reg fn in
+                              let args =
+                                List.map
+                                  (fun tp ->
+                                    if tp = pred && not already_edge then
+                                      (tp, resolve_through (Ir.Reg x))
+                                    else (tp, Ir.Reg x))
+                                  tb.Ir.preds
+                              in
+                              let args =
+                                if already_edge then args
+                                else if List.mem_assoc pred args then args
+                                else (pred, resolve_through (Ir.Reg x)) :: args
+                              in
+                              tb.Ir.phis <-
+                                tb.Ir.phis @ [ { Ir.p_dst = fresh; p_args = args } ];
+                              Hashtbl.replace subst x (Ir.Reg fresh))
+                            escaped;
+                          (* Substitute escaped uses in target-dominated
+                             blocks. *)
+                          if Hashtbl.length subst > 0 then
+                            Ir.iter_blocks fn (fun ob ->
+                                let dominated ub = Dom.dominates dom target ub in
+                                if
+                                  ob.Ir.b_label <> l
+                                  && ob.Ir.b_label <> target
+                                  && dominated ob.Ir.b_label
+                                then begin
+                                  List.iter
+                                    (fun (i : Ir.instr) ->
+                                      i.Ir.ik <-
+                                        Ir.subst_uses (Hashtbl.find_opt subst)
+                                          i.Ir.ik)
+                                    ob.Ir.instrs;
+                                  ob.Ir.term <-
+                                    Ir.subst_term (Hashtbl.find_opt subst) ob.Ir.term
+                                end;
+                                (* Phi args contributed by dominated preds
+                                   (including the target itself, whose end
+                                   is past the repair phi) — except the
+                                   target's own entry phis, whose args from
+                                   non-dominated preds stay. *)
+                                List.iter
+                                  (fun (p : Ir.phi) ->
+                                    p.Ir.p_args <-
+                                      List.map
+                                        (fun (pl, o) ->
+                                          if pl <> l && dominated pl then
+                                            ( pl,
+                                              Ir.subst_operand
+                                                (Hashtbl.find_opt subst) o )
+                                          else (pl, o))
+                                        p.Ir.p_args)
+                                  ob.Ir.phis);
+                          (* Instructions in the target itself (after its
+                             phis) are dominated by it too. *)
+                          (if Hashtbl.length subst > 0 then begin
+                             List.iter
+                               (fun (i : Ir.instr) ->
+                                 i.Ir.ik <-
+                                   Ir.subst_uses (Hashtbl.find_opt subst) i.Ir.ik)
+                               tb.Ir.instrs;
+                             tb.Ir.term <-
+                               Ir.subst_term (Hashtbl.find_opt subst) tb.Ir.term
+                           end);
+                          (* Finally retarget the predecessor and drop its
+                             entries from the threaded block's phis. *)
+                          let pb = Ir.block fn pred in
+                          let redirect x = if x = l then target else x in
+                          pb.Ir.term <-
+                            (match pb.Ir.term with
+                            | Ir.Br x -> Ir.Br (redirect x)
+                            | Ir.Cbr (c, x, y) -> Ir.Cbr (c, redirect x, redirect y)
+                            | Ir.Ret _ as t -> t);
+                          List.iter
+                            (fun (p : Ir.phi) ->
+                              p.Ir.p_args <-
+                                List.filter (fun (pl, _) -> pl <> pred) p.Ir.p_args)
+                            b.Ir.phis;
+                          Ir.recompute_preds fn;
+                          incr threaded
+                        end)
+                    | _ -> ())
+                  b.Ir.preds
+            | _ -> ()))
+      labels;
+    if !threaded > 0 then begin
+      Ir.recompute_preds fn;
+      Cleanup.run fn
+    end;
+    !threaded
+
+  let run_program (p : Ir.program) = Ir.iter_funcs (fun fn -> ignore (run fn)) p
+end
+
+module Mach_passes = struct
+  (** Tail merging that always runs eight rounds, re-filters and
+      reverses both blocks' instructions for every pair, and compares
+      instructions by their printed form. *)
+
+  (* The printed instruction, with a vector op's lanes in full (the
+     printer shows only the operator and the width). *)
+  let tail_key (i : Mach.minstr) =
+    match i.Mach.mk with
+    | Mach.Mvec (op, lanes) ->
+        Printf.sprintf "vec.%s {%s}" (Ir.binop_name op)
+          (String.concat "; "
+             (Array.to_list
+                (Array.map
+                   (fun (d, a, b) ->
+                     Printf.sprintf "%s=%s,%s" (Mach.mloc_to_string d)
+                       (Mach.mval_to_string a) (Mach.mval_to_string b))
+                   lanes)))
+    | mk -> Mach.mkind_to_string mk
+
+  let tail_merge (m : Mach.mfn) =
+    (* Pairs of blocks with the same terminator whose instruction suffixes
+       coincide: move the common suffix into a fresh block both jump to.
+       The fresh block takes the FIRST block's lines; the second copy's
+       line entries are gone. *)
+    let same_term a b =
+      match (a, b) with
+      | Mach.Mjmp x, Mach.Mjmp y -> x = y
+      | Mach.Mret None, Mach.Mret None -> true
+      | Mach.Mret (Some x), Mach.Mret (Some y) -> x = y
+      | _ -> false
+    in
+    let labels = m.Mach.mf_layout in
+    let merged = ref false in
+    List.iteri
+      (fun ai a_l ->
+        List.iteri
+          (fun bi b_l ->
+            if (not !merged) && bi > ai then begin
+              match (Ir.Label_store.find_opt m.Mach.mf_blocks a_l,
+                     Ir.Label_store.find_opt m.Mach.mf_blocks b_l) with
+              | Some a, Some b when same_term a.Mach.mterm b.Mach.mterm ->
+                  let ra =
+                    List.rev
+                      (List.filter
+                         (fun (i : Mach.minstr) ->
+                           match i.Mach.mk with Mach.Mdbg _ -> false | _ -> true)
+                         a.Mach.mins)
+                  and rb =
+                    List.rev
+                      (List.filter
+                         (fun (i : Mach.minstr) ->
+                           match i.Mach.mk with Mach.Mdbg _ -> false | _ -> true)
+                         b.Mach.mins)
+                  in
+                  let rec common acc (xs : Mach.minstr list) (ys : Mach.minstr list)
+                      =
+                    match (xs, ys) with
+                    | x :: xs', y :: ys' when tail_key x = tail_key y ->
+                        common (x :: acc) xs' ys'
+                    | _ -> acc
+                  in
+                  let suffix = common [] ra rb in
+                  let k = List.length suffix in
+                  if k >= 2 then begin
+                    merged := true;
+                    (* New label reusing a fresh id. *)
+                    let fresh =
+                      1
+                      + Ir.Label_store.fold
+                          (fun l _ acc -> max l acc)
+                          m.Mach.mf_blocks 0
+                    in
+                    let nb =
+                      {
+                        Mach.mb_label = fresh;
+                        mins = suffix;
+                        mterm = a.Mach.mterm;
+                        mterm_line = a.Mach.mterm_line;
+                        mb_prob = 1.0;
+                        mb_freq = a.Mach.mb_freq +. b.Mach.mb_freq;
+                      }
+                    in
+                    Ir.Label_store.replace m.Mach.mf_blocks fresh nb;
+                    let chop (blk : Mach.mblock) =
+                      (* Remove the last k real instructions (and any Mdbg
+                         interleaved after the cut keeps its place). *)
+                      let rec drop n acc = function
+                        | [] -> List.rev acc
+                        | (i : Mach.minstr) :: rest -> (
+                            match i.Mach.mk with
+                            | Mach.Mdbg _ when n > 0 -> drop n acc rest
+                            | _ when n > 0 -> drop (n - 1) acc rest
+                            | _ -> drop 0 (i :: acc) rest)
+                      in
+                      blk.Mach.mins <- List.rev (drop k [] (List.rev blk.Mach.mins));
+                      blk.Mach.mterm <- Mach.Mjmp fresh
+                    in
+                    chop a;
+                    chop b;
+                    m.Mach.mf_layout <- m.Mach.mf_layout @ [ fresh ]
+                  end
+              | _ -> ()
+            end)
+          labels)
+      labels
+
+  let tail_merge_all (m : Mach.mfn) =
+    (* Iterate a few times; each call merges at most one pair. *)
+    for _ = 1 to 8 do
+      tail_merge m
+    done
+end
+
+module Snapshot = struct
+  (** The program digest over printed text: every function printed with
+      {!Ir.fn_to_string} plus the fields that printer omits, in name order,
+      then the globals. *)
+
+  let digest_program (p : Ir.program) : string =
+    let buf = Buffer.create 4096 in
+    List.iter
+      (fun n ->
+        let fn = Hashtbl.find p.Ir.funcs n in
+        Buffer.add_string buf
+          (Printf.sprintf "fn %s line=%d entry=L%d next=%d,%d,%d pure=%b ai=%b\n"
+             fn.Ir.f_name fn.Ir.f_line fn.Ir.entry fn.Ir.next_reg fn.Ir.next_label
+             fn.Ir.next_slot fn.Ir.is_pure fn.Ir.always_inline);
+        List.iter
+          (fun (s : Ir.slot) ->
+            Buffer.add_string buf
+              (Printf.sprintf "slot%d array=%b\n" s.Ir.s_id s.Ir.s_array))
+          fn.Ir.f_slots;
+        Buffer.add_string buf (Ir.fn_to_string fn);
+        List.iter
+          (fun l ->
+            let b = Ir.block fn l in
+            Buffer.add_string buf
+              (Printf.sprintf "L%d freq=%h prob=%h preds=%s\n" l b.Ir.freq b.Ir.prob
+                 (String.concat "," (List.map string_of_int b.Ir.preds))))
+          fn.Ir.layout)
+      (Ir.Snapshot.sorted_names p);
+    List.iter
+      (fun (g : Ir.global_def) ->
+        Buffer.add_string buf
+          (Printf.sprintf "global %s size=%d init=%d\n" g.Ir.g_name g.Ir.g_size
+             g.Ir.g_init))
+      p.Ir.prog_globals;
+    Digest.to_hex (Digest.string (Buffer.contents buf))
 end

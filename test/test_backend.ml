@@ -230,6 +230,81 @@ let test_icf_folds_identical_functions () =
   Alcotest.(check bool) "alias registered" true
     (Hashtbl.mem folded.Emit.fn_by_name "dup_b")
 
+(* Hand-built machine code: a vector op over two lanes whose second
+   lane adds [k], so two of them differ in one lane only. *)
+let vec k =
+  Mach.Mvec
+    ( Ir.Add,
+      [|
+        (Mach.Preg 1, Mach.Loc (Mach.Preg 2), Mach.Cst 1);
+        (Mach.Preg 3, Mach.Loc (Mach.Preg 4), Mach.Cst k);
+      |] )
+
+let mblock label mks mterm =
+  {
+    Mach.mb_label = label;
+    mins = List.map (fun mk -> { Mach.mk; mline = Some (label + 1) }) mks;
+    mterm;
+    mterm_line = None;
+    mb_prob = 0.5;
+    mb_freq = 1.0;
+  }
+
+let mfn name blocks =
+  let store = Ir.Label_store.create 4 in
+  List.iter
+    (fun (b : Mach.mblock) -> Ir.Label_store.replace store b.Mach.mb_label b)
+    blocks;
+  {
+    Mach.mf_name = name;
+    mf_line = 1;
+    mf_blocks = store;
+    mf_entry = (List.hd blocks).Mach.mb_label;
+    mf_layout = List.map (fun (b : Mach.mblock) -> b.Mach.mb_label) blocks;
+    mf_param_locs = [ Mach.Preg 0 ];
+    mf_frame = [];
+    mf_spill_words = 0;
+    mf_shrink_wrapped = false;
+  }
+
+(* Two arms ending in a vector op and a move before a common join:
+   their tails are one instruction longer when the vector ops agree. *)
+let diamond k1 k2 =
+  let arm label k =
+    mblock label [ vec k; Mach.Mmov (Mach.Preg 5, Mach.Cst 0) ] (Mach.Mjmp 3)
+  in
+  mfn "f"
+    [
+      mblock 0 [] (Mach.Mcbr (Mach.Loc (Mach.Preg 0), 1, 2));
+      arm 1 k1;
+      arm 2 k2;
+      mblock 3 [] (Mach.Mret (Some (Mach.Loc (Mach.Preg 5))));
+    ]
+
+let test_tail_merge_compares_vector_lanes () =
+  let same = diamond 2 2 and differ = diamond 2 9 in
+  Mach_passes.tail_merge_all same;
+  Mach_passes.tail_merge_all differ;
+  Alcotest.(check int) "equal vector ops: the two-instruction tail merges" 5
+    (List.length same.Mach.mf_layout);
+  Alcotest.(check (list int)) "a different lane: nothing merges" [ 0; 1; 2; 3 ]
+    differ.Mach.mf_layout;
+  Alcotest.(check int) "the arm keeps its vector op" 2
+    (List.length (Mach.mblock differ 2).Mach.mins)
+
+let test_icf_compares_vector_lanes () =
+  let one name k = mfn name [ mblock 0 [ vec k ] (Mach.Mret None) ] in
+  let emit fns =
+    Emit.emit ~icf:true { Mach.mfuncs = fns; mglobals = [] }
+  in
+  let index (bin : Emit.binary) name = Hashtbl.find bin.Emit.fn_by_name name in
+  let same = emit [ one "f" 2; one "g" 2 ] in
+  Alcotest.(check int) "equal vector ops fold" (index same "f") (index same "g");
+  let differ = emit [ one "f" 2; one "g" 9 ] in
+  Alcotest.(check bool) "a different lane does not fold" true
+    (index differ "f" <> index differ "g");
+  Alcotest.(check int) "both emitted" 2 (Array.length differ.Emit.funcs)
+
 let test_shrink_wrap_detection () =
   let src =
     "int f(int a) {\n\
@@ -387,6 +462,10 @@ let tests =
     Alcotest.test_case "schedule drops lines" `Quick test_schedule_drops_lines;
     Alcotest.test_case "tail merge" `Quick test_tail_merge_shrinks;
     Alcotest.test_case "icf folds" `Quick test_icf_folds_identical_functions;
+    Alcotest.test_case "tail merge compares vector lanes" `Quick
+      test_tail_merge_compares_vector_lanes;
+    Alcotest.test_case "icf compares vector lanes" `Quick
+      test_icf_compares_vector_lanes;
     Alcotest.test_case "shrink wrap detection" `Quick test_shrink_wrap_detection;
     Alcotest.test_case "fallthrough dropped" `Quick test_fallthrough_jumps_dropped;
     Alcotest.test_case "line table sorted" `Quick test_line_table_sorted_and_valid;

@@ -197,7 +197,45 @@ let test_digest_reads_decode_nothing () =
         ignore (ME.measure eng p o1);
         ignore (ME.bench_cost eng p.Ev.program o1 : int))
   in
-  Alcotest.(check int) "tier-2 hits" 0 unpacked
+  Alcotest.(check int) "tier-2 hits" 0 unpacked;
+  (* A warm [Compile] [Summary] reads the counts its tier-1 entry
+     carries: no decode, and the text the decoded binary renders. *)
+  let ctx = Api.create_ctx () and o2 = C.make C.Gcc C.O2 in
+  List.iter
+    (fun (p : Suite_types.sprogram) ->
+      let name = p.Suite_types.p_name in
+      let summary () =
+        Api.execute ctx
+          (Api.Request.Compile
+             {
+               c_subject = Api.Request.Named name;
+               c_config = o2;
+               c_profile = None;
+               c_sanitize = false;
+               c_view = Api.Request.Summary;
+             })
+      in
+      ignore (summary ());
+      let warm, unpacked = counting_unpacks summary in
+      Alcotest.(check int) (name ^ ": warm summary") 0 unpacked;
+      let bin = ME.compile ctx.Api.engine p o2 in
+      let rendered =
+        Printf.sprintf
+          "%s at %s\n\
+          \  code: %d instructions, %d functions\n\
+          \  line table: %d entries, %d steppable lines\n\
+          \  variables with location info: %d\n\
+          \  .text digest: %s\n"
+          name (C.name o2) (Array.length bin.Emit.code)
+          (Array.length bin.Emit.funcs)
+          (List.length bin.Emit.debug.Dwarfish.line_table)
+          (List.length (Dwarfish.steppable_lines bin.Emit.debug))
+          (List.length bin.Emit.debug.Dwarfish.vars)
+          bin.Emit.text_digest
+      in
+      Alcotest.(check string) (name ^ ": summary text") rendered
+        warm.Api.Response.text)
+    Programs.all
 
 (* Costs key on what the VM executes, not on [.text] alone: libpng at
    gcc-O1 with and without shrink-wrap shares one [.text] but not its
