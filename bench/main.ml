@@ -209,9 +209,9 @@ let vm_scenario () =
   let entry = "main" in
   let input = [] in
   let prog =
-    match Vm.Decode.get bin with
-    | Some p -> p
-    | None -> failwith "vm scenario: binary not supported by the fast core"
+    try Vm.Decode.decode bin
+    with Vm.Decode.Unsupported ->
+      failwith "vm scenario: binary not supported by the fast core"
   in
   let run_ref () = Vm.Reference.run bin ~entry ~input Vm.default_opts in
   let run_fast () = Vm.Fast.run prog bin ~entry ~args:[] ~input Vm.default_opts in
@@ -545,6 +545,8 @@ let micro_tests () =
       ~config:(Debugtuner.Config.make Debugtuner.Config.Gcc Debugtuner.Config.O2)
       ~roots
   in
+  (* Loaded outside the staged closures, so the cases time execution. *)
+  let prog = Vm.load bin in
   [
     Test.make ~name:"parse+check libpng"
       (Staged.stage (fun () -> ignore (Minic.Typecheck.parse_and_check src)));
@@ -557,13 +559,13 @@ let micro_tests () =
     Test.make ~name:"vm run libpng/defilter"
       (Staged.stage (fun () ->
            ignore
-             (Vm.run bin ~entry:"fuzz_defilter"
+             (Vm.exec prog ~entry:"fuzz_defilter"
                 ~input:[ 2; 0; 10; 20; 30; 40; 1; 5; 5; 5; 5 ]
                 Vm.default_opts)));
     Test.make ~name:"debugger trace libpng"
       (Staged.stage (fun () ->
            ignore
-             (Debugger.trace bin ~entry:"fuzz_defilter"
+             (Debugger.trace prog ~entry:"fuzz_defilter"
                 ~inputs:[ [ 2; 0; 10; 20; 30; 40; 1; 5 ] ])));
   ]
 

@@ -75,6 +75,24 @@ DEBUGTUNER_VM=reference dune exec bin/debugtuner_cli.exe -- \
 ci_diff "$scratch/corpus-fast.out" "$scratch/corpus-reference.out" \
   "DEBUGTUNER_VM=reference dune exec bin/debugtuner_cli.exe -- experiments --corpus 24 --seed 1 --no-cache"
 
+echo "== examples (fast and reference core, byte-identical stdout) =="
+# The example programs walk the public API: compile, VM runs, debug
+# traces, fuzzing, minimization, pruning, AutoFDO and the disassembler.
+# Each must run to completion and print the same bytes on both cores
+# (any DEBUGTUNER_VM value but "reference" selects the fast core).
+for ex in quickstart rank_passes autofdo_demo fuzz_corpus debug_session inspect_binary; do
+  for core in fast reference; do
+    DEBUGTUNER_VM=$core "_build/default/examples/$ex.exe" \
+      > "$scratch/example-$ex-$core.out" 2> "$scratch/example-$ex-$core.err" || {
+      tail -5 "$scratch/example-$ex-$core.err" >&2
+      echo "examples: $ex failed on the $core core" >&2
+      exit 1
+    }
+  done
+  ci_diff "$scratch/example-$ex-fast.out" "$scratch/example-$ex-reference.out" \
+    "DEBUGTUNER_VM=reference dune exec examples/$ex.exe"
+done
+
 # The repository benchmark checks its own outputs: sampled (program,
 # config) pairs through Diff_oracle against the Minic.Interp reference,
 # byte identity across repetitions of the same inputs and, for search,

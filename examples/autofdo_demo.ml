@@ -25,8 +25,8 @@ let () =
   let describe tag (profiling_config : C.t) =
     let profiling_bin = T.compile ast ~config:profiling_config ~roots in
     let coll =
-      A.collect profiling_bin ~entry:"main" ~workloads:[ [] ] ~period:211
-        ~seed:7
+      A.collect (Vm.load profiling_bin) ~entry:"main" ~workloads:[ [] ]
+        ~period:211 ~seed:7
     in
     Printf.printf
       "%-8s profiling binary: %d steppable lines; %d samples, %d lost (%.1f%%)\n"

@@ -14,7 +14,8 @@ let () =
   let program = Programs.find "zydis" in
   let ast = Suite_types.ast program in
   let roots = Suite_types.roots program in
-  let o0 = T.compile ast ~config:(C.make C.Gcc C.O0) ~roots in
+  (* One load of the O0 binary serves every run below. *)
+  let o0 = Vm.load (T.compile ast ~config:(C.make C.Gcc C.O0) ~roots) in
   List.iter
     (fun (h : Suite_types.harness) ->
       let entry = h.Suite_types.h_entry in

@@ -58,8 +58,8 @@ let () =
     (float_of_int r0.Vm.cost /. float_of_int r2.Vm.cost);
 
   (* 4. Debug sessions: temporary breakpoint on every line-table line. *)
-  let t0 = Debugger.trace o0 ~entry:"main" ~inputs:[ input ] in
-  let t2 = Debugger.trace o2 ~entry:"main" ~inputs:[ input ] in
+  let t0 = Debugger.trace (Vm.load o0) ~entry:"main" ~inputs:[ input ] in
+  let t2 = Debugger.trace (Vm.load o2) ~entry:"main" ~inputs:[ input ] in
   Printf.printf "debugger stepped %d lines at O0, %d at O2\n"
     (List.length (Debugger.stepped_lines t0))
     (List.length (Debugger.stepped_lines t2));

@@ -952,7 +952,7 @@ let exec_pass_trace b (p : Suite_types.sprogram) cfg =
 
 let exec_trace (p : Suite_types.sprogram) bin entry input =
   let entry = default_entry p entry in
-  let t = Debugger.trace bin ~entry ~inputs:[ input ] in
+  let t = Debugger.trace (Vm.load bin) ~entry ~inputs:[ input ] in
   Trace_json.to_string t
 
 let exec_debug b (p : Suite_types.sprogram) bin entry commands =
@@ -969,7 +969,7 @@ let exec_sample b (p : Suite_types.sprogram) cfg bin entry period =
   let workloads =
     List.concat_map (fun h -> h.Suite_types.h_seeds) p.Suite_types.p_harnesses
   in
-  let coll = Autofdo.collect bin ~entry ~workloads ~period ~seed:7 in
+  let coll = Autofdo.collect (Vm.load bin) ~entry ~workloads ~period ~seed:7 in
   let text = Autofdo.profile_to_string coll.Autofdo.profile in
   bpf b
     "profiled %s at %s: %d samples taken, %d lost (%.1f%%) to missing line \

@@ -200,7 +200,12 @@ let mkind_to_string = function
       Printf.sprintf "%s = select %s ? %s : %s" (mloc_to_string d)
         (mval_to_string c) (mval_to_string a) (mval_to_string b)
   | Mvec (op, lanes) ->
-      Printf.sprintf "vec.%s x%d" (Ir.binop_name op) (Array.length lanes)
+      let lane (d, a, b) =
+        Printf.sprintf "%s=%s,%s" (mloc_to_string d) (mval_to_string a)
+          (mval_to_string b)
+      in
+      Printf.sprintf "vec.%s {%s}" (Ir.binop_name op)
+        (String.concat "; " (Array.to_list (Array.map lane lanes)))
   | Mdbg (v, Some (Dloc l)) ->
       Printf.sprintf "dbg %s = %s" (Ir.var_to_string v) (mloc_to_string l)
   | Mdbg (v, Some (Dconst n)) ->

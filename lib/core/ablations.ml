@@ -30,12 +30,14 @@ let breakpoint_policy ~engine (prepared : Evaluation.prepared list)
   let rows =
     List.map
       (fun (p : Evaluation.prepared) ->
-        let bin = Measure_engine.compile engine p.Evaluation.program config in
+        let prog =
+          Vm.load (Measure_engine.compile engine p.Evaluation.program config)
+        in
         let lc all_locations =
           let traces =
             List.map
               (fun (hc : Evaluation.harness_corpus) ->
-                Debugger.trace ~all_locations bin
+                Debugger.trace ~all_locations prog
                   ~entry:hc.Evaluation.hc_harness.Suite_types.h_entry
                   ~inputs:hc.Evaluation.hc_inputs)
               p.Evaluation.corpora

@@ -22,16 +22,17 @@ type collection = {
   samples_lost : int;  (** sampled addresses with no line attribution *)
 }
 
-(** [collect bin ~entry ~workloads ~period ~seed] runs the profiling
-    binary over the workloads with sampling on. *)
-let collect (bin : Emit.binary) ~entry ~(workloads : int list list) ~period
+(** [collect prog ~entry ~workloads ~period ~seed] runs the loaded
+    profiling binary over the workloads with sampling on. *)
+let collect (prog : Vm.loaded) ~entry ~(workloads : int list list) ~period
     ~seed : collection =
+  let bin = prog.Vm.binary in
   let line_counts = Hashtbl.create 256 in
   let taken = ref 0 and lost = ref 0 in
   List.iteri
     (fun i input ->
       let res =
-        Vm.run bin ~entry ~input
+        Vm.exec prog ~entry ~input
           { Vm.default_opts with sample_period = Some period; seed = seed + i }
       in
       List.iter
@@ -61,6 +62,12 @@ type outcome = {
   steppable_lines : int;  (** of the profiling binary (Table XV proxy) *)
 }
 
+(** Total VM cost of a loaded binary over the workloads. *)
+let workload_cost (prog : Vm.loaded) ~entry workloads =
+  List.fold_left
+    (fun acc input -> acc + (Vm.exec prog ~entry ~input Vm.default_opts).Vm.cost)
+    0 workloads
+
 (** [run_autofdo src ~roots ~entry ~workloads ~profiling_config
     ~final_config] performs one full AutoFDO iteration and measures the
     final binary on the same workloads. *)
@@ -68,26 +75,15 @@ let run_autofdo (src : Minic.Ast.program) ~roots ~entry ~workloads
     ~(profiling_config : Config.t) ~(final_config : Config.t) ?(period = 211)
     ?(seed = 7) () : outcome =
   let profiling_bin = Toolchain.compile src ~config:profiling_config ~roots in
-  let coll = collect profiling_bin ~entry ~workloads ~period ~seed in
+  let profiling = Vm.load profiling_bin in
+  let coll = collect profiling ~entry ~workloads ~period ~seed in
   let final_bin =
     Toolchain.compile
       ~options:(Toolchain.Options.make ~profile:coll.profile ())
       src ~config:final_config ~roots
   in
-  let total_cost =
-    List.fold_left
-      (fun acc input ->
-        let r = Vm.run final_bin ~entry ~input Vm.default_opts in
-        acc + r.Vm.cost)
-      0 workloads
-  in
-  let profiling_cost =
-    List.fold_left
-      (fun acc input ->
-        let r = Vm.run profiling_bin ~entry ~input Vm.default_opts in
-        acc + r.Vm.cost)
-      0 workloads
-  in
+  let total_cost = workload_cost (Vm.load final_bin) ~entry workloads in
+  let profiling_cost = workload_cost profiling ~entry workloads in
   {
     final_cost = total_cost;
     profiling_cost;

@@ -33,19 +33,22 @@ type prepared = {
 }
 
 (* Merge traces of several harness sessions into one program-level
-   trace (first binding of a line wins, like one long session). *)
+   trace, as one long session would record it: the first binding of a
+   line wins, and lines keep session order, each at its first hit. *)
 let merge_traces (traces : Debugger.trace list) : Debugger.trace =
   let stepped = Hashtbl.create 128 in
   let steppable = ref [] in
   let hit_order = ref [] in
   List.iter
     (fun (t : Debugger.trace) ->
-      Hashtbl.iter
-        (fun line vars ->
-          if not (Hashtbl.mem stepped line) then Hashtbl.replace stepped line vars)
-        t.Debugger.stepped;
-      steppable := t.Debugger.steppable @ !steppable;
-      hit_order := t.Debugger.hit_order @ !hit_order)
+      List.iter
+        (fun line ->
+          if not (Hashtbl.mem stepped line) then begin
+            Hashtbl.replace stepped line (Debugger.vars_at t line);
+            hit_order := line :: !hit_order
+          end)
+        t.Debugger.hit_order;
+      steppable := t.Debugger.steppable @ !steppable)
     traces;
   {
     Debugger.stepped;
@@ -54,16 +57,17 @@ let merge_traces (traces : Debugger.trace list) : Debugger.trace =
     per_input_lines = [||];
   }
 
-let trace_with_corpora (corpora : harness_corpus list) (bin : Emit.binary) =
+(* One session per harness, every one on the same load. *)
+let trace_with_corpora (corpora : harness_corpus list) (prog : Vm.loaded) =
   merge_traces
     (List.map
        (fun hc ->
-         Debugger.trace bin ~entry:hc.hc_harness.Suite_types.h_entry
+         Debugger.trace prog ~entry:hc.hc_harness.Suite_types.h_entry
            ~inputs:hc.hc_inputs)
        corpora)
 
 let trace_config_bin (prepared : prepared) (bin : Emit.binary) =
-  trace_with_corpora prepared.corpora bin
+  trace_with_corpora prepared.corpora (Vm.load bin)
 
 (** [prepare_key program] — content address of what {!prepare} would
     build: the compile inputs plus every parameter the corpus depends
@@ -82,7 +86,8 @@ let prepare_key ?(fuzz_budget = 700) ?(seed = 42)
           []))
 
 (** [prepare ?fuzz_budget program] builds the corpus (fuzz + afl-cmin
-    analog + debug-trace pruning) and the O0 baseline. *)
+    analog + debug-trace pruning) and the O0 baseline, every step on
+    one load of the O0 binary. *)
 let prepare ?(fuzz_budget = 700) ?(seed = 42) (program : Suite_types.sprogram) :
     prepared =
   let ast = Suite_types.ast program in
@@ -90,20 +95,21 @@ let prepare ?(fuzz_budget = 700) ?(seed = 42) (program : Suite_types.sprogram) :
   let defranges = Minic.Defranges.analyze ast in
   let o0_config = Config.make Config.Gcc Config.O0 in
   let o0_bin = Toolchain.compile ast ~config:o0_config ~roots in
+  let o0 = Vm.load o0_bin in
   let corpora =
     List.mapi
       (fun i (h : Suite_types.harness) ->
         let entry = h.Suite_types.h_entry in
         let fuzzed =
-          Fuzzer.fuzz o0_bin ~entry ~seeds:h.Suite_types.h_seeds
+          Fuzzer.fuzz o0 ~entry ~seeds:h.Suite_types.h_seeds
             ~budget:fuzz_budget ~seed:(seed + (i * 1000))
         in
         let raw =
           h.Suite_types.h_seeds
           @ List.map (fun (c : Fuzzer.corpus_entry) -> c.Fuzzer.data) fuzzed.Fuzzer.corpus
         in
-        let minimized = Cmin.minimize o0_bin ~entry raw in
-        let pruned = Trace_prune.prune o0_bin ~entry minimized.Cmin.kept in
+        let minimized = Cmin.minimize o0 ~entry raw in
+        let pruned = Trace_prune.prune o0 ~entry minimized.Cmin.kept in
         {
           hc_harness = h;
           hc_inputs = pruned;
@@ -112,7 +118,7 @@ let prepare ?(fuzz_budget = 700) ?(seed = 42) (program : Suite_types.sprogram) :
         })
       program.Suite_types.p_harnesses
   in
-  let o0_trace = trace_with_corpora corpora o0_bin in
+  let o0_trace = trace_with_corpora corpora o0 in
   let digest_of v = Digest.to_hex (Digest.string (Marshal.to_string v [])) in
   let ast_digest = digest_of (ast, roots) in
   let content_digest =

@@ -38,11 +38,12 @@ type prepared = {
 
 val merge_traces : Debugger.trace list -> Debugger.trace
 (** Merge traces of several harness sessions into one program-level
-    trace (first binding of a line wins, like one long session). *)
+    trace, like one long session: the first binding of a line wins, and
+    [hit_order] keeps session order with each line at its first hit. *)
 
 val trace_config_bin : prepared -> Emit.binary -> Debugger.trace
 (** Trace a configuration's binary over the prepared corpora (the
-    engine's trace primitive). *)
+    engine's trace primitive): one load, one session per harness. *)
 
 val prepare_key :
   ?fuzz_budget:int -> ?seed:int -> Suite_types.sprogram -> string

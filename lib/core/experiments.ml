@@ -644,14 +644,9 @@ let autofdo_data ctx =
           ~final_config:base_cfg ()
       in
       let baseline = run_with base_cfg in
-      let plain_o2_cost =
-        let bin = Toolchain.compile ast ~config:base_cfg ~roots in
-        List.fold_left
-          (fun acc input ->
-            let r = Vm.run bin ~entry ~input Vm.default_opts in
-            acc + r.Vm.cost)
-          0 workloads
-      in
+      (* The baseline profiles the plain O2 build over these workloads,
+         so its profiling cost is plain O2's cost. *)
+      let plain_o2_cost = baseline.Autofdo.profiling_cost in
       let dy =
         List.map
           (fun y ->
@@ -892,10 +887,9 @@ let fig4 ctx =
       ~profiling_config ~final_config:base_cfg ~period:431 ()
   in
   let baseline = run_with base_cfg in
-  let plain_bin = Toolchain.compile ast ~config:base_cfg ~roots in
-  let plain_cost =
-    (Vm.run plain_bin ~entry:"main" ~input:workload Vm.default_opts).Vm.cost
-  in
+  (* The baseline profiles the plain O3 build over the workload, so its
+     profiling cost is plain O3's cost. *)
+  let plain_cost = baseline.Autofdo.profiling_cost in
   let rows =
     List.map
       (fun y ->

@@ -102,18 +102,15 @@ let iterative_autofdo (src : Minic.Ast.program) ~roots ~entry ~workloads
               ~options:(Toolchain.Options.make ~profile:p ())
               src ~config ~roots
       in
-      let coll = Autofdo.collect bin ~entry ~workloads ~period ~seed:(seed + i) in
+      let coll =
+        Autofdo.collect (Vm.load bin) ~entry ~workloads ~period ~seed:(seed + i)
+      in
       let optimized =
         Toolchain.compile
           ~options:(Toolchain.Options.make ~profile:coll.Autofdo.profile ())
           src ~config ~roots
       in
-      let cost =
-        List.fold_left
-          (fun acc input ->
-            acc + (Vm.run optimized ~entry ~input Vm.default_opts).Vm.cost)
-          0 workloads
-      in
+      let cost = Autofdo.workload_cost (Vm.load optimized) ~entry workloads in
       let lost =
         if coll.Autofdo.samples_taken = 0 then 0.0
         else

@@ -25,14 +25,15 @@ type trace = {
       (** lines newly observed per input, for corpus pruning *)
 }
 
-(** [trace bin ~entry ~inputs] runs one debug session over [inputs].
+(** [trace prog ~entry ~inputs] runs one debug session over [inputs].
     [all_locations] (default, gdb's behaviour) arms every code location
     of a line; [false] arms only the lowest address — the older
     single-location policy kept for the ablation study, under which a
     line duplicated by inlining is missed whenever the armed copy sits on
     a cold path. *)
-let trace ?(all_locations = true) (bin : Emit.binary) ~entry
+let trace ?(all_locations = true) (prog : Vm.loaded) ~entry
     ~(inputs : int list list) : trace =
+  let bin = prog.Vm.binary in
   let bps = Array.make (Array.length bin.Emit.code) false in
   let line_at = Hashtbl.create 64 in
   List.iter
@@ -52,7 +53,7 @@ let trace ?(all_locations = true) (bin : Emit.binary) ~entry
   List.iteri
     (fun idx input ->
       let res =
-        Vm.run bin ~entry ~input
+        Vm.exec prog ~entry ~input
           { Vm.default_opts with breakpoints = Some bps }
       in
       let new_lines =

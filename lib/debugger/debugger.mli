@@ -15,11 +15,12 @@ type trace = {
 
 val trace :
   ?all_locations:bool ->
-  Emit.binary ->
+  Vm.loaded ->
   entry:string ->
   inputs:int list list ->
   trace
-(** [trace bin ~entry ~inputs] runs one debug session. [all_locations]
+(** [trace prog ~entry ~inputs] runs one debug session over the loaded
+    binary: every input runs the same decode. [all_locations]
     (default [true], gdb's behaviour) arms every code location carrying a
     line; [false] arms only the lowest address (the ablation policy). *)
 

@@ -46,11 +46,11 @@ let shrink_list ~(still_interesting : 'a list -> bool) (items : 'a list) :
 
 type stats = { kept : int list list; original : int; reduction_pct : float }
 
-let minimize (bin : Emit.binary) ~entry (corpus : int list list) : stats =
+let minimize (prog : Vm.loaded) ~entry (corpus : int list list) : stats =
   let with_cov =
     List.map
       (fun input ->
-        let res = Fuzzer.run_input bin ~entry input in
+        let res = Fuzzer.run_input prog ~entry input in
         (input, Fuzzer.edges_of res))
       corpus
   in
@@ -59,7 +59,7 @@ let minimize (bin : Emit.binary) ~entry (corpus : int list list) : stats =
       (fun (_, a) (_, b) -> compare (List.length b) (List.length a))
       with_cov
   in
-  let covered = Array.make (Array.length (Vm.edge_table bin)) false in
+  let covered = Array.make (Array.length (Vm.edge_table prog.Vm.binary)) false in
   let kept =
     List.filter_map
       (fun (input, edges) ->

@@ -31,8 +31,8 @@ type result = {
   edges_found : int;
 }
 
-let run_input bin ~entry input =
-  Vm.run bin ~entry ~input
+let run_input prog ~entry input =
+  Vm.exec prog ~entry ~input
     { Vm.default_opts with coverage = true; max_instrs = 300_000 }
 
 (** The ids of the edges a coverage run hit, ascending — which is the
@@ -89,18 +89,19 @@ let mutate rng (data : int list) =
         (fun x -> if Util.Rng.chance rng 1 3 then pick_value () else x)
         l
 
-(** [fuzz bin ~entry ~seeds ~budget ~seed] runs [budget] executions. *)
-let fuzz (bin : Emit.binary) ~entry ~(seeds : int list list) ~budget ~seed =
+(** [fuzz prog ~entry ~seeds ~budget ~seed] runs [budget] executions of
+    the loaded binary. *)
+let fuzz (prog : Vm.loaded) ~entry ~(seeds : int list list) ~budget ~seed =
   let rng = Util.Rng.create seed in
   (* Per edge id, the buckets its hit count has reached in any run so
      far; nonzero exactly when the edge has been seen. *)
-  let reached = Array.make (Array.length (Vm.edge_table bin)) 0 in
+  let reached = Array.make (Array.length (Vm.edge_table prog.Vm.binary)) 0 in
   let edges_found = ref 0 in
   let corpus = ref [] in
   let execs = ref 0 in
   let try_input data =
     incr execs;
-    let counts = (run_input bin ~entry data).Vm.edges in
+    let counts = (run_input prog ~entry data).Vm.edges in
     let novel = ref false and hit = ref 0 in
     for id = 0 to Array.length counts - 1 do
       let n = counts.(id) in

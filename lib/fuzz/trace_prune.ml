@@ -1,13 +1,14 @@
 (** Debug-trace pruning (Section IV): after [afl-cmin]-style
     minimization, drop inputs that step no source line not already
     stepped by inputs processed before them. Inputs with the most unique
-    stepped lines go first — the paper's fast set-cover approximation. *)
+    stepped lines go first — the paper's fast set-cover approximation.
+    Each input runs in a session of its own, all on the one load. *)
 
-let prune (bin : Emit.binary) ~entry (corpus : int list list) =
+let prune (prog : Vm.loaded) ~entry (corpus : int list list) =
   let with_lines =
     List.map
       (fun input ->
-        let t = Debugger.trace bin ~entry ~inputs:[ input ] in
+        let t = Debugger.trace prog ~entry ~inputs:[ input ] in
         (input, Debugger.stepped_lines t))
       corpus
   in

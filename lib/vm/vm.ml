@@ -29,13 +29,17 @@
     tree-walking interpreter over [Emit.eop]; it is the executable
     specification, and remains the engine behind the stepwise
     ({!step}/{!state}) API used by the debugger. The fast core decodes a
-    binary once ({!Decode}) into flat instruction arrays with resolved
+    binary ({!Decode}) into flat instruction arrays with resolved
     frame-slot offsets, precomputed hazard bitsets and static costs, and
     fused superinstructions, then executes with an array-based frame
     stack and no per-instruction allocation; a short run's whole state
-    fits the minor heap. [run] dispatches to the fast core when the
-    binary is decodable and falls back to {!Reference} otherwise (or
-    when [DEBUGTUNER_VM=reference] is set).
+    fits the minor heap. {!load} decodes a binary once and {!exec} runs
+    what it returns, on the fast core when the binary is decodable and
+    on {!Reference} otherwise (or when [DEBUGTUNER_VM=reference] is
+    set); {!run} is one load and one exec. The VM keeps no state
+    between calls: a caller that runs one binary many times (a debug
+    session over a corpus, a fuzzing campaign, a cost loop) loads it
+    once and drops it when it returns.
     The conformance suite pins the two cores to byte-identical
     {!result}s. *)
 
@@ -491,10 +495,9 @@ end
     [15 + i]; binaries whose spill indices do not fit (i > 47), or with
     degenerate layouts the checks below reject (among them control that
     leaves a function other than by call and return, which edge ids
-    rule out), decode to [None] and run on {!Reference}. Decoded
-    programs are immutable (all mutable per-run state lives in the fast
-    core's own state record), so the digest-keyed cache can be shared
-    across domains behind its mutex. *)
+    rule out), raise [Unsupported] and run on {!Reference}. Decoded
+    programs are immutable: all mutable per-run state lives in the fast
+    core's own state record, so one decode serves any number of runs. *)
 module Decode = struct
   exception Unsupported
 
@@ -999,43 +1002,6 @@ module Decode = struct
       p_max_params = !max_params;
       p_max_lanes = !max_lanes;
     }
-
-  (* Digest-keyed decode cache, shared across the engine's domains. The
-     table is bounded; decoding outside the lock means a race decodes
-     twice, which is benign (programs are immutable). A decode is a
-     [vm:decode] span of its own. *)
-  let cache : (string, program option) Hashtbl.t = Hashtbl.create 64
-  let cache_mu = Mutex.create ()
-
-  let get (bin : Emit.binary) : program option =
-    Mutex.lock cache_mu;
-    let cached = Hashtbl.find_opt cache bin.Emit.full_digest in
-    Mutex.unlock cache_mu;
-    match cached with
-    | Some p -> p
-    | None ->
-        let p =
-          Obs.Span.wrap "vm:decode"
-            ~args:[ ("binary", bin.Emit.full_digest) ]
-            (fun () -> try Some (decode bin) with Unsupported -> None)
-        in
-        Mutex.lock cache_mu;
-        if Hashtbl.length cache > 192 then Hashtbl.reset cache;
-        Hashtbl.replace cache bin.Emit.full_digest p;
-        Mutex.unlock cache_mu;
-        p
-
-  (** Forget every cached decode: the next run of each binary decodes
-      it again. *)
-  let clear () =
-    Mutex.lock cache_mu;
-    Hashtbl.reset cache;
-    Mutex.unlock cache_mu
-
-  (** Whether the fast core can execute this binary (decode succeeded).
-      The conformance suite asserts this for every generated binary, so
-      the fast path provably engages. *)
-  let supported bin = get bin <> None
 end
 
 (** The pre-decoded execution core: flat {!Decode} arrays, an array-based
@@ -1684,27 +1650,47 @@ let use_reference =
     cached verdicts never cross cores. *)
 let active_core () = if use_reference then "reference" else "fast"
 
-let decoded bin = if use_reference then None else Decode.get bin
+(** A binary made ready to run: decoded for the fast core, or not
+    decoded when the reference core runs it ([DEBUGTUNER_VM=reference],
+    or a binary the decoder rejects). It carries its binary, whose line
+    table and debug info a caller reads alongside the runs. A caller
+    that runs one binary many times loads it once and drops it when it
+    returns; nothing else holds it. *)
+type loaded = { binary : Emit.binary; fast : Decode.program option }
 
-let run_decoded decoded bin ~entry ~args ~input opts =
-  match decoded with
-  | Some p -> Fast.run p bin ~entry ~args ~input opts
-  | None -> Reference.run bin ~entry ~args ~input opts
+(** Decode [bin] once, in a [vm:decode] span of its own carrying the
+    binary's digest. *)
+let load (bin : Emit.binary) : loaded =
+  let fast =
+    if use_reference then None
+    else
+      Obs.Span.wrap "vm:decode"
+        ~args:[ ("binary", bin.Emit.full_digest) ]
+        (fun () -> try Some (Decode.decode bin) with Decode.Unsupported -> None)
+  in
+  { binary = bin; fast }
+
+let exec_unobserved l ~entry ~args ~input opts =
+  match l.fast with
+  | Some p -> Fast.run p l.binary ~entry ~args ~input opts
+  | None -> Reference.run l.binary ~entry ~args ~input opts
 
 (* The [Obs.enabled] guard keeps the disabled path free of the span
    machinery (and of the args-list allocation) — executions dominate
-   every experiment's inner loop. A traced run decodes before it opens
-   [vm:run], so a first run's decode stays in its [vm:decode] span. *)
-let run bin ~entry ?(args = []) ~input opts : result =
-  if not (Obs.enabled ()) then
-    run_decoded (decoded bin) bin ~entry ~args ~input opts
+   every experiment's inner loop. *)
+let exec (l : loaded) ~entry ?(args = []) ~input opts : result =
+  if not (Obs.enabled ()) then exec_unobserved l ~entry ~args ~input opts
   else
-    let d = decoded bin in
     Obs.Span.wrap "vm:run"
       ~args:[ ("entry", entry) ]
       (fun () ->
-        let r = run_decoded d bin ~entry ~args ~input opts in
+        let r = exec_unobserved l ~entry ~args ~input opts in
         Obs.count "vm/runs";
         Obs.count ~n:r.instrs "vm/instrs";
         Obs.count ~n:r.cost "vm/cost";
         r)
+
+(** One run of [bin]: {!load} then {!exec}, so the decode stays in its
+    own span, before [vm:run] opens. *)
+let run bin ~entry ?args ~input opts : result =
+  exec (load bin) ~entry ?args ~input opts

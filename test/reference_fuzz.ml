@@ -19,17 +19,17 @@ let bucket n =
   else 128
 
 (* One coverage run's hit counts, keyed by (src, dst). *)
-let edge_counts table bin ~entry input =
-  let res = Fuzzer.run_input bin ~entry input in
+let edge_counts table prog ~entry input =
+  let res = Fuzzer.run_input prog ~entry input in
   let edges = Hashtbl.create 256 in
   Array.iteri
     (fun id n -> if n > 0 then Hashtbl.replace edges table.(id) n)
     res.Vm.edges;
   edges
 
-let fuzz (bin : Emit.binary) ~entry ~(seeds : int list list) ~budget ~seed :
+let fuzz (prog : Vm.loaded) ~entry ~(seeds : int list list) ~budget ~seed :
     Fuzzer.result =
-  let table = Vm.edge_table bin in
+  let table = Vm.edge_table prog.Vm.binary in
   let rng = Util.Rng.create seed in
   let global_edges : (int * int, unit) Hashtbl.t = Hashtbl.create 1024 in
   let global_buckets : (int * int * int, unit) Hashtbl.t = Hashtbl.create 2048 in
@@ -37,7 +37,7 @@ let fuzz (bin : Emit.binary) ~entry ~(seeds : int list list) ~budget ~seed :
   let execs = ref 0 in
   let try_input data =
     incr execs;
-    let edges = edge_counts table bin ~entry data in
+    let edges = edge_counts table prog ~entry data in
     let novel = ref false in
     Hashtbl.iter
       (fun ((src, dst) as e) count ->
@@ -71,12 +71,12 @@ let fuzz (bin : Emit.binary) ~entry ~(seeds : int list list) ~budget ~seed :
     edges_found = Hashtbl.length global_edges;
   }
 
-let minimize (bin : Emit.binary) ~entry (corpus : int list list) : Cmin.stats =
-  let table = Vm.edge_table bin in
+let minimize (prog : Vm.loaded) ~entry (corpus : int list list) : Cmin.stats =
+  let table = Vm.edge_table prog.Vm.binary in
   let with_cov =
     List.map
       (fun input ->
-        let edges = edge_counts table bin ~entry input in
+        let edges = edge_counts table prog ~entry input in
         (input, List.sort compare (Hashtbl.fold (fun e _ acc -> e :: acc) edges [])))
       corpus
   in

@@ -11,7 +11,9 @@ let test_collect_maps_samples () =
   let p = Lazy.force bench in
   let ast = Suite_types.ast p in
   let bin = T.compile ast ~config:(C.make C.Clang C.O2) ~roots:[ "main" ] in
-  let coll = A.collect bin ~entry:"main" ~workloads:[ [] ] ~period:211 ~seed:1 in
+  let coll =
+    A.collect (Vm.load bin) ~entry:"main" ~workloads:[ [] ] ~period:211 ~seed:1
+  in
   Alcotest.(check bool) "samples taken" true (coll.A.samples_taken > 50);
   Alcotest.(check bool) "most samples mapped" true
     (coll.A.samples_lost * 2 < coll.A.samples_taken);
@@ -24,7 +26,9 @@ let test_hot_loop_is_hottest () =
   let p = Lazy.force bench in
   let ast = Suite_types.ast p in
   let bin = T.compile ast ~config:(C.make C.Gcc C.O0) ~roots:[ "main" ] in
-  let coll = A.collect bin ~entry:"main" ~workloads:[ [] ] ~period:101 ~seed:2 in
+  let coll =
+    A.collect (Vm.load bin) ~entry:"main" ~workloads:[ [] ] ~period:101 ~seed:2
+  in
   let hottest =
     Hashtbl.fold
       (fun line count (bl, bc) -> if count > bc then (line, count) else (bl, bc))
@@ -49,7 +53,9 @@ let test_profile_guided_build_valid () =
   let r_plain = Vm.run plain ~entry:"main" ~input:[] Vm.default_opts in
   let bin2 = T.compile ast ~config:cfg ~roots:[ "main" ] in
   ignore bin2;
-  let coll = A.collect plain ~entry:"main" ~workloads:[ [] ] ~period:211 ~seed:7 in
+  let coll =
+    A.collect (Vm.load plain) ~entry:"main" ~workloads:[ [] ] ~period:211 ~seed:7
+  in
   let fdo =
     T.compile
       ~options:(T.Options.make ~profile:coll.A.profile ())
@@ -83,7 +89,9 @@ let test_profile_text_roundtrip () =
   let p = Lazy.force bench in
   let ast = Suite_types.ast p in
   let bin = T.compile ast ~config:(C.make C.Clang C.O2) ~roots:[ "main" ] in
-  let coll = A.collect bin ~entry:"main" ~workloads:[ [] ] ~period:211 ~seed:1 in
+  let coll =
+    A.collect (Vm.load bin) ~entry:"main" ~workloads:[ [] ] ~period:211 ~seed:1
+  in
   let prof = coll.A.profile in
   let text = A.profile_to_string prof in
   let prof' = A.profile_of_string text in

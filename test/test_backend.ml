@@ -305,6 +305,37 @@ let test_icf_compares_vector_lanes () =
     (index differ "f" <> index differ "g");
   Alcotest.(check int) "both emitted" 2 (Array.length differ.Emit.funcs)
 
+(* The listing names every lane, so two vector ops of the same width
+   that differ in one lane print as two different instructions. *)
+let test_disasm_prints_vector_lanes () =
+  let bin =
+    Emit.emit
+      {
+        Mach.mfuncs = [ mfn "f" [ mblock 0 [ vec 2; vec 9 ] (Mach.Mret None) ] ];
+        mglobals = [];
+      }
+  in
+  let vec_rows =
+    List.filter_map
+      (fun row ->
+        match String.index_opt row ':' with
+        | Some i ->
+            let text =
+              String.trim (String.sub row (i + 1) (String.length row - i - 1))
+            in
+            if String.starts_with ~prefix:"vec." text then Some text else None
+        | None -> None)
+      (String.split_on_char '\n' (Objdump.disassemble bin))
+  in
+  match vec_rows with
+  | [ a; b ] ->
+      Alcotest.(check bool) "they differ" true (a <> b);
+      Alcotest.(check bool) ("lanes of " ^ a) true
+        (String.starts_with ~prefix:"vec.add {R1=R2,1; R3=R4,2}" a);
+      Alcotest.(check bool) ("lanes of " ^ b) true
+        (String.starts_with ~prefix:"vec.add {R1=R2,1; R3=R4,9}" b)
+  | rows -> Alcotest.failf "%d vector rows, expected 2" (List.length rows)
+
 let test_shrink_wrap_detection () =
   let src =
     "int f(int a) {\n\
@@ -466,6 +497,8 @@ let tests =
       test_tail_merge_compares_vector_lanes;
     Alcotest.test_case "icf compares vector lanes" `Quick
       test_icf_compares_vector_lanes;
+    Alcotest.test_case "disasm prints vector lanes" `Quick
+      test_disasm_prints_vector_lanes;
     Alcotest.test_case "shrink wrap detection" `Quick test_shrink_wrap_detection;
     Alcotest.test_case "fallthrough dropped" `Quick test_fallthrough_jumps_dropped;
     Alcotest.test_case "line table sorted" `Quick test_line_table_sorted_and_valid;

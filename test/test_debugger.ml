@@ -26,7 +26,7 @@ let o0 = lazy (compile (C.make C.Gcc C.O0))
 
 let test_trace_steps_executed_lines () =
   let bin = Lazy.force o0 in
-  let t = Debugger.trace bin ~entry:"main" ~inputs:[ [ 20 ] ] in
+  let t = Debugger.trace (Vm.load bin) ~entry:"main" ~inputs:[ [ 20 ] ] in
   let stepped = Debugger.stepped_lines t in
   (* The then-branch (line 5) runs; the else (line 7) does not. *)
   Alcotest.(check bool) "line 5 stepped" true (List.mem 5 stepped);
@@ -34,14 +34,14 @@ let test_trace_steps_executed_lines () =
 
 let test_trace_accumulates_inputs () =
   let bin = Lazy.force o0 in
-  let t = Debugger.trace bin ~entry:"main" ~inputs:[ [ 20 ]; [ 1 ] ] in
+  let t = Debugger.trace (Vm.load bin) ~entry:"main" ~inputs:[ [ 20 ]; [ 1 ] ] in
   let stepped = Debugger.stepped_lines t in
   Alcotest.(check bool) "both branches covered" true
     (List.mem 5 stepped && List.mem 7 stepped)
 
 let test_trace_vars_at_o0 () =
   let bin = Lazy.force o0 in
-  let t = Debugger.trace bin ~entry:"main" ~inputs:[ [ 20 ] ] in
+  let t = Debugger.trace (Vm.load bin) ~entry:"main" ~inputs:[ [ 20 ] ] in
   let vars = Debugger.vars_at t 9 in
   List.iter
     (fun name ->
@@ -53,16 +53,39 @@ let test_trace_vars_at_o0 () =
 
 let test_trace_temporary_breakpoints () =
   let bin = Lazy.force o0 in
-  let t = Debugger.trace bin ~entry:"main" ~inputs:[ [ 20 ]; [ 21 ] ] in
+  let t = Debugger.trace (Vm.load bin) ~entry:"main" ~inputs:[ [ 20 ]; [ 21 ] ] in
   (* hit_order never repeats a line. *)
   let sorted = List.sort_uniq compare t.Debugger.hit_order in
   Alcotest.(check int) "lines recorded once"
     (List.length t.Debugger.hit_order)
     (List.length sorted)
 
+(* Merging harness sessions keeps [trace]'s contract: lines in session
+   order, each at its first hit, never repeated. *)
+let test_merged_traces_keep_first_hit_order () =
+  let session hit_order =
+    let stepped = Hashtbl.create 8 in
+    List.iter
+      (fun l -> Hashtbl.replace stepped l Debugger.Var_set.empty)
+      hit_order;
+    {
+      Debugger.stepped;
+      steppable = hit_order;
+      hit_order;
+      per_input_lines = [||];
+    }
+  in
+  let merged =
+    Debugtuner.Evaluation.merge_traces [ session [ 5; 3; 9 ]; session [ 3; 7 ] ]
+  in
+  Alcotest.(check (list int))
+    "hit order" [ 5; 3; 9; 7 ] merged.Debugger.hit_order;
+  Alcotest.(check (list int))
+    "stepped" [ 3; 5; 7; 9 ] (Debugger.stepped_lines merged)
+
 let test_steppable_superset_of_stepped () =
   let bin = compile (C.make C.Gcc C.O2) in
-  let t = Debugger.trace bin ~entry:"main" ~inputs:[ [ 20 ]; [ 1 ] ] in
+  let t = Debugger.trace (Vm.load bin) ~entry:"main" ~inputs:[ [ 20 ]; [ 1 ] ] in
   List.iter
     (fun l ->
       Alcotest.(check bool) "stepped is steppable" true
@@ -78,8 +101,8 @@ let measure config =
   let unopt = Lazy.force o0 in
   let opt = compile config in
   let inputs = [ [ 20 ]; [ 1 ] ] in
-  let unopt_trace = Debugger.trace unopt ~entry:"main" ~inputs in
-  let opt_trace = Debugger.trace opt ~entry:"main" ~inputs in
+  let unopt_trace = Debugger.trace (Vm.load unopt) ~entry:"main" ~inputs in
+  let opt_trace = Debugger.trace (Vm.load opt) ~entry:"main" ~inputs in
   Metrics.all
     { Metrics.defranges; unopt_trace; opt_trace; unopt_bin = unopt; opt_bin = opt }
 
@@ -136,6 +159,8 @@ let tests =
     Alcotest.test_case "trace vars at O0" `Quick test_trace_vars_at_o0;
     Alcotest.test_case "temporary breakpoints" `Quick test_trace_temporary_breakpoints;
     Alcotest.test_case "steppable superset" `Quick test_steppable_superset_of_stepped;
+    Alcotest.test_case "merged traces keep first-hit order" `Quick
+      test_merged_traces_keep_first_hit_order;
     Alcotest.test_case "metrics identity at O0" `Quick test_metrics_identity_at_o0;
     Alcotest.test_case "metrics bounded" `Quick test_metrics_bounded;
     Alcotest.test_case "hybrid corrects dynamic" `Quick test_hybrid_corrects_dynamic;

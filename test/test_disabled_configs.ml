@@ -65,8 +65,8 @@ let test_profile_guided_configs () =
   let cfg = C.make C.Clang C.O2 in
   let bin = T.compile ast ~config:cfg ~roots in
   let coll =
-    Debugtuner.Autofdo.collect bin ~entry:"main" ~workloads:[ [] ] ~period:211
-      ~seed:3
+    Debugtuner.Autofdo.collect (Vm.load bin) ~entry:"main" ~workloads:[ [] ]
+      ~period:211 ~seed:3
   in
   let fdo =
     T.compile

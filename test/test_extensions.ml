@@ -72,12 +72,12 @@ let test_iterative_autofdo_rounds () =
 let test_breakpoint_policy_ablation () =
   (* The all-locations policy can only step at least as many lines. *)
   let p = List.hd (Lazy.force prepared) in
-  let bin = E.compile p (C.make C.Gcc C.O2) in
+  let prog = Vm.load (E.compile p (C.make C.Gcc C.O2)) in
   let hc = List.hd p.E.corpora in
   let entry = hc.E.hc_harness.Suite_types.h_entry in
   let inputs = hc.E.hc_inputs in
-  let all = Debugger.trace ~all_locations:true bin ~entry ~inputs in
-  let lowest = Debugger.trace ~all_locations:false bin ~entry ~inputs in
+  let all = Debugger.trace ~all_locations:true prog ~entry ~inputs in
+  let lowest = Debugger.trace ~all_locations:false prog ~entry ~inputs in
   Alcotest.(check bool) "all >= lowest" true
     (List.length (Debugger.stepped_lines all)
     >= List.length (Debugger.stepped_lines lowest))

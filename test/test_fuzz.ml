@@ -6,7 +6,7 @@ module T = Debugtuner.Toolchain
 
 let branchy =
   lazy
-    (T.compile_source
+    (Vm.load @@ T.compile_source
        "int classify(int x) {\n\
         if (x < 0) { return 0; }\n\
         if (x == 42) { return 1; }\n\
@@ -24,16 +24,16 @@ let branchy =
        ~roots:[ "main" ])
 
 let test_fuzzer_deterministic () =
-  let bin = Lazy.force branchy in
-  let go () = Fuzzer.fuzz bin ~entry:"main" ~seeds:[ [ 1 ] ] ~budget:150 ~seed:5 in
+  let prog = Lazy.force branchy in
+  let go () = Fuzzer.fuzz prog ~entry:"main" ~seeds:[ [ 1 ] ] ~budget:150 ~seed:5 in
   let a = go () and b = go () in
   Alcotest.(check int) "same corpus size" (List.length a.Fuzzer.corpus)
     (List.length b.Fuzzer.corpus);
   Alcotest.(check int) "same edges" a.Fuzzer.edges_found b.Fuzzer.edges_found
 
 let test_fuzzer_finds_branches () =
-  let bin = Lazy.force branchy in
-  let r = Fuzzer.fuzz bin ~entry:"main" ~seeds:[ [ 1 ] ] ~budget:400 ~seed:7 in
+  let prog = Lazy.force branchy in
+  let r = Fuzzer.fuzz prog ~entry:"main" ~seeds:[ [ 1 ] ] ~budget:400 ~seed:7 in
   Alcotest.(check bool) "budget respected" true (r.Fuzzer.total_execs <= 401);
   (* The corpus should grow beyond the seed: several classify branches
      are reachable with cheap mutations. *)
@@ -47,10 +47,10 @@ let test_fuzzer_mutation_shapes () =
   done
 
 let test_cmin_preserves_edges () =
-  let bin = Lazy.force branchy in
-  let fz = Fuzzer.fuzz bin ~entry:"main" ~seeds:[ [ 1 ] ] ~budget:300 ~seed:3 in
+  let prog = Lazy.force branchy in
+  let fz = Fuzzer.fuzz prog ~entry:"main" ~seeds:[ [ 1 ] ] ~budget:300 ~seed:3 in
   let corpus = List.map (fun (c : Fuzzer.corpus_entry) -> c.Fuzzer.data) fz.Fuzzer.corpus in
-  let st = Cmin.minimize bin ~entry:"main" corpus in
+  let st = Cmin.minimize prog ~entry:"main" corpus in
   Alcotest.(check bool) "kept <= original" true
     (List.length st.Cmin.kept <= st.Cmin.original);
   (* Edge coverage of kept equals edge coverage of the full corpus. *)
@@ -58,7 +58,7 @@ let test_cmin_preserves_edges () =
     let tbl = Hashtbl.create 64 in
     List.iter
       (fun input ->
-        let r = Fuzzer.run_input bin ~entry:"main" input in
+        let r = Fuzzer.run_input prog ~entry:"main" input in
         List.iter (fun e -> Hashtbl.replace tbl e ()) (Fuzzer.edges_of r))
       inputs;
     Hashtbl.length tbl
@@ -66,11 +66,11 @@ let test_cmin_preserves_edges () =
   Alcotest.(check int) "coverage preserved" (edges corpus) (edges st.Cmin.kept)
 
 let test_trace_prune_preserves_lines () =
-  let bin = Lazy.force branchy in
+  let prog = Lazy.force branchy in
   let corpus = [ [ 1 ]; [ 2 ]; [ 42 ]; [ -5 ]; [ 2000 ]; [ 1; 2; 42 ] ] in
-  let pruned = Trace_prune.prune bin ~entry:"main" corpus in
+  let pruned = Trace_prune.prune prog ~entry:"main" corpus in
   let lines inputs =
-    let t = Debugger.trace bin ~entry:"main" ~inputs in
+    let t = Debugger.trace prog ~entry:"main" ~inputs in
     Debugger.stepped_lines t
   in
   Alcotest.(check (list int)) "stepped lines preserved" (lines corpus)
@@ -82,20 +82,20 @@ let test_edges_sorted () =
   (* Regression: edges_of folded a Hashtbl directly, so the edge list —
      and everything keyed off it — depended on the table's layout.
      It must come back sorted, and byte-identically across runs. *)
-  let bin = Lazy.force branchy in
-  let r = Fuzzer.run_input bin ~entry:"main" [ 1; 2; 42; 2000; -5 ] in
+  let prog = Lazy.force branchy in
+  let r = Fuzzer.run_input prog ~entry:"main" [ 1; 2; 42; 2000; -5 ] in
   let e = Fuzzer.edges_of r in
   Alcotest.(check bool) "non-empty" true (e <> []);
   Alcotest.(check bool) "sorted" true (List.sort compare e = e);
-  let r2 = Fuzzer.run_input bin ~entry:"main" [ 1; 2; 42; 2000; -5 ] in
+  let r2 = Fuzzer.run_input prog ~entry:"main" [ 1; 2; 42; 2000; -5 ] in
   Alcotest.(check bool) "reproducible" true (Fuzzer.edges_of r2 = e)
 
 let test_fuzz_byte_reproducible () =
   (* Stronger than test_fuzzer_deterministic: the corpora must match
      entry for entry, not just in size. *)
-  let bin = Lazy.force branchy in
+  let prog = Lazy.force branchy in
   let go () =
-    Fuzzer.fuzz bin ~entry:"main" ~seeds:[ [ 1 ] ] ~budget:200 ~seed:9
+    Fuzzer.fuzz prog ~entry:"main" ~seeds:[ [ 1 ] ] ~budget:200 ~seed:9
   in
   let data r =
     List.map (fun (c : Fuzzer.corpus_entry) -> c.Fuzzer.data) r.Fuzzer.corpus
@@ -128,6 +128,7 @@ let check_against_reference ~budget (program : Suite_types.sprogram) =
     T.compile (Suite_types.ast program) ~config:(C.make C.Gcc C.O0)
       ~roots:(Suite_types.roots program)
   in
+  let prog = Vm.load bin in
   List.iteri
     (fun i (h : Suite_types.harness) ->
       let what =
@@ -135,8 +136,8 @@ let check_against_reference ~budget (program : Suite_types.sprogram) =
       in
       let entry = h.Suite_types.h_entry and seeds = h.Suite_types.h_seeds in
       let seed = 42 + (i * 1000) in
-      let lib = Fuzzer.fuzz bin ~entry ~seeds ~budget ~seed in
-      let old = Reference_fuzz.fuzz bin ~entry ~seeds ~budget ~seed in
+      let lib = Fuzzer.fuzz prog ~entry ~seeds ~budget ~seed in
+      let old = Reference_fuzz.fuzz prog ~entry ~seeds ~budget ~seed in
       let entries (r : Fuzzer.result) =
         List.map
           (fun (c : Fuzzer.corpus_entry) -> (c.Fuzzer.data, c.Fuzzer.edge_count))
@@ -151,15 +152,15 @@ let check_against_reference ~budget (program : Suite_types.sprogram) =
       let raw = seeds @ List.map fst (entries lib) in
       Alcotest.(check (list (list int)))
         (what ^ " cmin kept")
-        (Reference_fuzz.minimize bin ~entry raw).Cmin.kept
-        (Cmin.minimize bin ~entry raw).Cmin.kept;
+        (Reference_fuzz.minimize prog ~entry raw).Cmin.kept
+        (Cmin.minimize prog ~entry raw).Cmin.kept;
       List.iter
         (fun input ->
           let opts = { Vm.default_opts with coverage = true; max_instrs = 300_000 } in
           Alcotest.(check (array int))
             (what ^ " edge profile")
             (Vm.Reference.run bin ~entry ~input opts).Vm.edges
-            (Fuzzer.run_input bin ~entry input).Vm.edges)
+            (Fuzzer.run_input prog ~entry input).Vm.edges)
         raw)
     program.Suite_types.p_harnesses
 

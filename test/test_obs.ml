@@ -288,10 +288,26 @@ let test_cleanup_row () =
 (* ------------------------------------------------------------------ *)
 (* Decoding spans                                                      *)
 
-(* A binary's first-run decode is a [vm:decode] span of its own, outside
-   [vm:run]: a traced cold Measure view of zlib at gcc-O2 decodes each
-   binary it runs exactly once (the O0 build its preparation fuzzes and
-   the gcc-O2 build it traces), and a repeat of the request decodes
+let decoded_binaries s =
+  List.sort compare
+    (List.filter_map
+       (fun e ->
+         if e.Obs.ev_name = "vm:decode" then
+           List.assoc_opt "binary" e.Obs.ev_args
+         else None)
+       (Obs.events s))
+
+let traced ctx req =
+  with_session (fun () ->
+      let r = Api.execute ctx req in
+      (r, stop_exn ()))
+
+(* A decode is a [vm:decode] span of its own, outside [vm:run], and a
+   decoded program lives only as long as the call that runs it: a traced
+   cold Measure view of zlib at gcc-O2 decodes the two binaries it runs
+   (the O0 build its preparation fuzzes and the gcc-O2 build it traces)
+   on each of two fresh contexts, after an untraced run of the same
+   request in the same process, and a repeat on one context decodes
    nothing. Tracing leaves the response alone, [obs/] rows aside. *)
 let test_decode_spans () =
   let module ME = Debugtuner.Measure_engine in
@@ -307,41 +323,66 @@ let test_decode_spans () =
       }
   in
   let untraced = Api.execute (Api.create_ctx ()) req in
-  Vm.Decode.clear ();
-  let ctx = Api.create_ctx () in
-  let traced () =
-    with_session (fun () ->
-        let r = Api.execute ctx req in
-        (r, stop_exn ()))
+  List.iter
+    (fun what ->
+      let ctx = Api.create_ctx () in
+      let cold, s = traced ctx req in
+      let eng = ctx.Api.engine in
+      Alcotest.(check (list string))
+        (what ^ ": one vm:decode per distinct binary")
+        (List.sort compare
+           [
+             (ME.prepare eng zlib).Debugtuner.Evaluation.o0_bin.Emit.full_digest;
+             (ME.compile_packed eng zlib config).ME.pk_full_digest;
+           ])
+        (decoded_binaries s);
+      let _, s = traced ctx req in
+      Alcotest.(check (list string))
+        (what ^ ": a repeat decodes nothing") [] (decoded_binaries s);
+      Alcotest.(check string) "same text" untraced.Api.Response.text
+        cold.Api.Response.text;
+      Alcotest.(check (list (pair string int)))
+        "same rows, obs/ aside" untraced.Api.Response.stats
+        (List.filter
+           (fun (n, _) -> not (String.starts_with ~prefix:"obs/" n))
+           cold.Api.Response.stats))
+    [ "first context"; "second context" ]
+
+(* Each engine job that runs binaries loads each of them once: a cold
+   request decodes exactly as many binaries as it prepares, measures
+   and costs, however many inputs each one runs. A cold corpus job, run
+   twice on fresh store-less contexts, and a cold [Bench Cost]. *)
+let test_decodes_per_job () =
+  let job =
+    Api.Request.Experiments
+      {
+        e_job =
+          Api.Job.make ~configs:[ C.make C.Gcc C.O2 ] ~seed:5 ~corpus:6 ();
+      }
+  and cost =
+    Api.Request.Bench
+      {
+        b_subject = Api.Request.Named "zlib";
+        b_config = C.make C.Gcc C.O2;
+        b_action = Api.Request.Cost;
+      }
   in
-  let decoded s =
-    List.sort compare
-      (List.filter_map
-         (fun e ->
-           if e.Obs.ev_name = "vm:decode" then
-             List.assoc_opt "binary" e.Obs.ev_args
-           else None)
-         (Obs.events s))
-  in
-  let cold, s = traced () in
-  let eng = ctx.Api.engine in
-  Alcotest.(check (list string))
-    "one vm:decode per distinct binary"
-    (List.sort compare
-       [
-         (ME.prepare eng zlib).Debugtuner.Evaluation.o0_bin.Emit.full_digest;
-         (ME.compile_packed eng zlib config).ME.pk_full_digest;
-       ])
-    (decoded s);
-  let _, s = traced () in
-  Alcotest.(check (list string)) "a repeat decodes nothing" [] (decoded s);
-  Alcotest.(check string) "same text" untraced.Api.Response.text
-    cold.Api.Response.text;
-  Alcotest.(check (list (pair string int)))
-    "same rows, obs/ aside" untraced.Api.Response.stats
-    (List.filter
-       (fun (n, _) -> not (String.starts_with ~prefix:"obs/" n))
-       cold.Api.Response.stats)
+  List.iter
+    (fun (what, req) ->
+      let r, s = traced (Api.create_ctx ()) req in
+      let row name =
+        Option.value ~default:0 (List.assoc_opt name r.Api.Response.stats)
+      in
+      let jobs =
+        row "engine/prepare/misses" + row "engine/measure/misses"
+        + row "engine/bench-cost/misses"
+      in
+      Alcotest.(check bool) (what ^ " ran jobs") true (jobs > 0);
+      Alcotest.(check int)
+        (what ^ ": vm:decode spans = prepare + measure + bench-cost misses")
+        jobs
+        (List.length (decoded_binaries s)))
+    [ ("corpus job", job); ("corpus job again", job); ("bench cost", cost) ]
 
 let tests =
   [
@@ -361,4 +402,5 @@ let tests =
     Alcotest.test_case "vm counters" `Quick test_vm_counters;
     Alcotest.test_case "cleanup is its own row" `Quick test_cleanup_row;
     Alcotest.test_case "decoding is its own span" `Quick test_decode_spans;
+    Alcotest.test_case "one decode per engine job" `Quick test_decodes_per_job;
   ]

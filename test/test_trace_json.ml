@@ -8,7 +8,7 @@ let make_trace cfg =
   let p = Programs.find "zlib" in
   let ast = Suite_types.ast p in
   let bin = T.compile ast ~config:cfg ~roots:(Suite_types.roots p) in
-  Debugger.trace bin ~entry:"fuzz_deflate" ~inputs:[ [ 1; 2; 3; 1; 2; 3 ] ]
+  Debugger.trace (Vm.load bin) ~entry:"fuzz_deflate" ~inputs:[ [ 1; 2; 3; 1; 2; 3 ] ]
 
 let trace_equal (a : Debugger.trace) (b : Debugger.trace) =
   List.sort compare a.Debugger.steppable = List.sort compare b.Debugger.steppable
@@ -97,7 +97,7 @@ let qcheck_roundtrip_random_programs =
       let src = Synth.generate ~seed in
       let ast = Minic.Typecheck.parse_and_check src in
       let bin = T.compile ast ~config:(C.make C.Clang C.O2) ~roots:[ "main" ] in
-      let t = Debugger.trace bin ~entry:"main" ~inputs:[ [] ] in
+      let t = Debugger.trace (Vm.load bin) ~entry:"main" ~inputs:[ [] ] in
       trace_equal t (Trace_json.of_string (Trace_json.to_string t)))
 
 let tests =

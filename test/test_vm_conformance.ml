@@ -36,10 +36,14 @@ let check_same what (ref_r : Vm.result) (fast_r : Vm.result) =
     fast_r.Vm.samples;
   Alcotest.(check (array int)) (what ^ " edges") ref_r.Vm.edges fast_r.Vm.edges
 
+(* The fast core, forced: a binary the decoder rejects fails the test. *)
+let decode what bin =
+  try Vm.Decode.decode bin
+  with Vm.Decode.Unsupported ->
+    Alcotest.fail (what ^ ": binary rejected by the fast-core decoder")
+
 let run_fast bin ~entry ~args ~input opts =
-  match Vm.Decode.get bin with
-  | Some p -> Vm.Fast.run p bin ~entry ~args ~input opts
-  | None -> Alcotest.fail "binary rejected by the fast-core decoder"
+  Vm.Fast.run (decode entry bin) bin ~entry ~args ~input opts
 
 (* The opts grid. Breakpoint arrays are mutated by the run (first-hit
    clearing), so each core gets its own fresh copy. *)
@@ -67,13 +71,11 @@ let opts_grid code_len : (string * (unit -> Vm.run_opts)) list =
   ]
 
 let conform ?(args = []) ~what bin ~entry ~input () =
-  Alcotest.(check bool)
-    (what ^ " decodable") true
-    (Vm.Decode.supported bin);
+  let p = decode what bin in
   List.iter
     (fun (oname, mk_opts) ->
       let r_ref = Vm.Reference.run bin ~entry ~args ~input (mk_opts ()) in
-      let r_fast = run_fast bin ~entry ~args ~input (mk_opts ()) in
+      let r_fast = Vm.Fast.run p bin ~entry ~args ~input (mk_opts ()) in
       check_same (what ^ " [" ^ oname ^ "]") r_ref r_fast)
     (opts_grid (Array.length bin.Emit.code))
 
