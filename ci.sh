@@ -132,8 +132,8 @@ perfbench_smoke corpus-cold e39beae1271fb4146f451801dc4aecf6
 perfbench_smoke search fe167bfdcab2ba2aa6dfe54deea018fe
 
 echo "== observability smoke (profile zlib at O2, validate trace) =="
-# `profile --trace` self-validates the written document (balanced B/E
-# nesting, >= 1 span per executed pass) and exits non-zero on failure.
+# `profile --trace` self-validates the written document (well-formed
+# spans, >= 1 span per executed pass) and exits non-zero on failure.
 # Its stdout is a wall-time table (inherently run-dependent), so it
 # goes to the scratch dir, keeping this script's output diffable.
 dune exec bin/debugtuner_cli.exe -- profile -p zlib -O2 --pipeline gcc \
@@ -342,5 +342,44 @@ ci_diff "$scratch/bench-cold.flat" "$scratch/bench-warm.flat" \
   "dune exec bench/main.exe -- --only table1 ranking serve vm shard search --cache-dir DIR (twice)"
 dune exec bench/compare.exe -- BENCH_baseline.json \
   "$scratch/bench-cold.json" "$scratch/bench-warm.json"
+
+echo "== stale store (a code change invalidates a warm store) =="
+# Every store entry is stamped with the build: an MD5 of the code under
+# lib/ (stamp/gen.ml). A copy of this tree whose clang scheduler drops
+# displaced lines (one sed) must read the store the gate above filled
+# as stale: its warm table1 reports store/compile/stale rows and prints
+# exactly its own --no-cache tables, which differ from this build's.
+edited="$scratch/edited"
+mkdir "$edited"
+tar -cf - --exclude=./_build --exclude=./_cache --exclude=./.git \
+  --exclude=./.perfbench-run . | tar -xf - -C "$edited"
+sed 's/sched_keep_lines = true;/sched_keep_lines = false;/' \
+  lib/core/toolchain.ml > "$edited/lib/core/toolchain.ml"
+if cmp -s lib/core/toolchain.ml "$edited/lib/core/toolchain.ml"; then
+  echo "stale store: the sed left lib/core/toolchain.ml unchanged" >&2
+  exit 1
+fi
+(cd "$edited" && dune build ./bench/main.exe)
+(cd "$edited" && ./_build/default/bench/main.exe --only table1 \
+  --cache-dir "$scratch/bench-cache" --json "$scratch/edited-warm.json") \
+  > "$scratch/edited-warm.out"
+(cd "$edited" && ./_build/default/bench/main.exe --only table1 --no-cache) \
+  > "$scratch/edited-cold.out"
+dune exec bench/main.exe -- --only table1 --no-cache > "$scratch/table1-cold.out"
+for run in edited-warm edited-cold table1-cold; do
+  grep -v '^\[' "$scratch/$run.out" > "$scratch/$run.flat"
+done
+ci_diff "$scratch/edited-cold.flat" "$scratch/edited-warm.flat" \
+  "edited tree: bench/main.exe --only table1 --no-cache vs --cache-dir DIR (DIR filled by this tree)"
+stale="$(sed -n 's#.*"name": "store/compile/stale", "value": \([0-9][0-9]*\).*#\1#p' \
+  "$scratch/edited-warm.json")"
+[ -n "$stale" ] && [ "$stale" -gt 0 ] || {
+  echo "stale store: the edited tree's warm table1 reported no store/compile/stale rows" >&2
+  exit 1
+}
+if cmp -s "$scratch/table1-cold.flat" "$scratch/edited-cold.flat"; then
+  echo "stale store: the edit left table1 unchanged" >&2
+  exit 1
+fi
 
 echo "== ci green =="

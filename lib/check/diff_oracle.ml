@@ -130,8 +130,7 @@ let verdict_key tag payload =
             (* Verdicts must never cross VM cores: a cached verdict
                computed by one core could otherwise mask a divergence in
                the other. *)
-            Vm.active_core (),
-            "oracle-v3" )
+            Vm.active_core () )
           []))
 
 let cached store ~key (f : unit -> 'a) : 'a =

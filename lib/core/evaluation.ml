@@ -81,8 +81,7 @@ let prepare_key ?(fuzz_budget = 700) ?(seed = 42)
           ( program.Suite_types.p_source,
             program.Suite_types.p_harnesses,
             fuzz_budget,
-            seed,
-            "prepare-v1" )
+            seed )
           []))
 
 (** [prepare ?fuzz_budget program] builds the corpus (fuzz + afl-cmin

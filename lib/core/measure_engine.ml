@@ -249,12 +249,12 @@ let obs_span name args f =
 let () =
   Engine.Disk_store.set_io_wrap (Some { Engine.Disk_store.wrap = obs_span })
 
-(* The serialization schema stamp: [Marshal] is type-unsafe, so any
-   change to the marshalled value layouts (or the compiler that decides
-   them) must read as "stale entry, recompute". Bump the leading tag
-   whenever a persisted type changes shape: [v2] persists the compile
-   cache as packed entries, [v3] adds their summary counts. *)
-let cache_schema = "debugtuner-v3/" ^ Sys.ocaml_version
+(* The serialization schema stamp: the build stamp (an MD5 of every
+   source file under lib/) and the compiler version. An entry written
+   by any other build reads as "stale entry, recompute": [Marshal] is
+   type-unsafe, and a change anywhere in the code may change what a
+   value would be. *)
+let cache_schema = Build_stamp.digest ^ "/" ^ Sys.ocaml_version
 
 let cache_dir_of ?dir () =
   match dir with

@@ -34,9 +34,12 @@ val create : ?workers:int -> ?store:Engine.Disk_store.t -> unit -> t
 
 val cache_schema : string
 (** The serialization schema stamp written into every persistent cache
-    entry: ["debugtuner-v3/" ^ Sys.ocaml_version]. Entries written under
-    any other stamp are stale — evicted and recomputed, never decoded
-    ([Marshal] is type-unsafe). *)
+    entry: the build stamp (an MD5 over the path and content of every
+    [.ml], [.mli] and [dune] file under [lib/], generated by
+    [stamp/gen.ml]), a slash and [Sys.ocaml_version]. An entry written
+    by any other build is stale — counted in [store/<cache>/stale],
+    evicted and recomputed, never decoded ([Marshal] is type-unsafe, and
+    other code may compute other values). *)
 
 val open_store :
   ?dir:string -> ?max_bytes:int -> unit -> Engine.Disk_store.t

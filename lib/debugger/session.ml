@@ -132,21 +132,24 @@ let visible_vars (s : t) (st : Vm.state) =
   in
   List.map (fun (v, where) -> (v, where, is_array v)) avail
 
-(* The value a debugger would display for [name] here: the in-scope
-   candidate's materialization, or a placeholder when the location lists
-   do not cover this address. Used by print and by (software)
-   watchpoints, which re-sample after every instruction. *)
-let sample_value (s : t) (st : Vm.state) name =
+(* The in-scope candidate a debugger shows for [name] here: the current
+   function's own variable of that name, else the first visible one;
+   [None] when the location lists do not cover this address. *)
+let pick_visible (s : t) (st : Vm.state) name =
   let fn = cur_func s st in
   let candidates =
     List.filter (fun (v, _, _) -> v.Ir.name = name) (visible_vars s st)
   in
-  let pick =
-    match List.find_opt (fun (v, _, _) -> v.Ir.origin = fn) candidates with
-    | Some c -> Some c
-    | None -> ( match candidates with c :: _ -> Some c | [] -> None)
-  in
-  match pick with
+  match List.find_opt (fun (v, _, _) -> v.Ir.origin = fn) candidates with
+  | Some c -> Some c
+  | None -> ( match candidates with c :: _ -> Some c | [] -> None)
+
+(* The value a debugger would display for [name] here: the in-scope
+   candidate's materialization, or a placeholder. Used by conditions
+   and by (software) watchpoints, which re-sample after every
+   instruction. *)
+let sample_value (s : t) (st : Vm.state) name =
+  match pick_visible s st name with
   | Some (_, where, is_array) -> materialize st where ~is_array
   | None -> "<not visible>"
 
@@ -227,6 +230,16 @@ let hit_breakpoint (s : t) (st : Vm.state) pc =
                       c.c_var c.c_op c.c_value c.c_var
                       (sample_value s st c.c_var)))))
 
+(* The lines a breakpoint stop prints, wherever it is hit: the
+   condition note, if any, then the stop. *)
+let breakpoint_report (s : t) (st : Vm.state) (b, note) =
+  Option.to_list note
+  @ [
+      Printf.sprintf "%s %d, %s"
+        (if b.bp_temporary then "temporary breakpoint" else "breakpoint")
+        b.bp_line (stop_report s st);
+    ]
+
 (* Run until [stop_here] says stop, a breakpoint is hit, or the program
    exits. [skip_bp_line] suppresses breakpoint stops while still on that
    source line, so stepping off a breakpointed multi-location line does
@@ -249,16 +262,7 @@ let resume ?skip_bp_line (s : t) (st : Vm.state) ~stop_here =
         && List.length st.Vm.frames <= depth0
       then armed := true;
       (match if !armed then hit_breakpoint s st st.Vm.pc else None with
-      | Some (b, note) ->
-          raise
-            (Stop
-               ((match note with Some n -> [ n ] | None -> [])
-               @ [
-                   Printf.sprintf "%s %d, %s"
-                     (if b.bp_temporary then "temporary breakpoint"
-                      else "breakpoint")
-                     b.bp_line (stop_report s st);
-                 ]))
+      | Some hit -> raise (Stop (breakpoint_report s st hit))
       | None -> ());
       (* Software watchpoints: re-sample after every instruction, like
          gdb without hardware debug registers. Sampling is frame-scoped:
@@ -406,10 +410,7 @@ let cmd_run (s : t) input =
     s.watchpoints;
   (* Stop before executing the entry address if it carries a breakpoint. *)
   match hit_breakpoint s st st.Vm.pc with
-  | Some (b, _) ->
-      [
-        Printf.sprintf "breakpoint %d, %s" b.bp_line (stop_report s st);
-      ]
+  | Some hit -> breakpoint_report s st hit
   | None -> finish_stop s st (resume s st ~stop_here:(fun _ -> false))
 
 let cmd_continue (s : t) =
@@ -440,18 +441,7 @@ let cmd_finish (s : t) =
 
 let cmd_print (s : t) name =
   require_running s (fun st ->
-      let fn = cur_func s st in
-      let candidates =
-        List.filter (fun (v, _, _) -> v.Ir.name = name) (visible_vars s st)
-      in
-      let pick =
-        match
-          List.find_opt (fun (v, _, _) -> v.Ir.origin = fn) candidates
-        with
-        | Some c -> Some c
-        | None -> ( match candidates with c :: _ -> Some c | [] -> None)
-      in
-      match pick with
+      match pick_visible s st name with
       | Some (v, where, is_array) ->
           [
             Printf.sprintf "%s = %s" v.Ir.name

@@ -1,8 +1,8 @@
 (** Zero-cost-when-disabled tracing for the whole stack.
 
     A recording session is installed process-wide with {!start};
-    while one is active, {!Span.wrap}/{!Span.start}/{!count} append
-    events and counters to it, and {!pipeline_instrument} turns the
+    while one is active, {!Span.wrap} and {!count} append spans and
+    counters to it, and {!pipeline_instrument} turns the
     toolchain's {!Instrument.t} stream into per-pass spans and profiles
     (wall time plus IR/debug-info deltas). With no session installed,
     every entry point is a single [match] on [!current] returning
@@ -26,15 +26,12 @@ end
 (* ------------------------------------------------------------------ *)
 (* Events and sessions                                                 *)
 
-type kind =
-  | Begin  (** Chrome [ph:"B"] — opens a named interval *)
-  | End  (** Chrome [ph:"E"] — closes the innermost [Begin] *)
-  | Complete of int64  (** Chrome [ph:"X"] with a duration in ns *)
-
+(* Every event is a complete span (Chrome [ph:"X"]), recorded when it
+   closes. *)
 type event = {
   ev_name : string;
-  ev_kind : kind;
-  ev_ts : int64;  (** ns since the session started *)
+  ev_dur : int64;  (** duration in ns *)
+  ev_ts : int64;  (** start, in ns since the session started *)
   ev_tid : int;  (** recording domain — engine workers get own lanes *)
   ev_args : (string * string) list;
 }
@@ -113,11 +110,11 @@ let outermost_since s ~tid ~since =
   let rec collect acc = function
     | l when l == since -> acc
     | [] -> acc
-    | e :: rest -> (
-        match e.ev_kind with
-        | Complete d when e.ev_tid = tid ->
-            collect ((e.ev_ts, d, e.ev_name) :: acc) rest
-        | _ -> collect acc rest)
+    | e :: rest ->
+        collect
+          (if e.ev_tid = tid then (e.ev_ts, e.ev_dur, e.ev_name) :: acc
+           else acc)
+          rest
   in
   let rec outermost = function
     | [] -> []
@@ -148,40 +145,12 @@ module Span = struct
             emit s
               {
                 ev_name = name;
-                ev_kind = Complete (Int64.sub t1 t0);
+                ev_dur = Int64.sub t1 t0;
                 ev_ts = rel s t0;
                 ev_tid = tid ();
                 ev_args = args;
               })
           f
-
-  (** Explicitly bracketed span ([B]/[E] pair). [finish] closes the
-      innermost open [start] of the same domain; keep them balanced. *)
-  let start ?(args = []) name =
-    match !current with
-    | None -> ()
-    | Some s ->
-        emit s
-          {
-            ev_name = name;
-            ev_kind = Begin;
-            ev_ts = rel s (Clock.now_ns ());
-            ev_tid = tid ();
-            ev_args = args;
-          }
-
-  let finish name =
-    match !current with
-    | None -> ()
-    | Some s ->
-        emit s
-          {
-            ev_name = name;
-            ev_kind = End;
-            ev_ts = rel s (Clock.now_ns ());
-            ev_tid = tid ();
-            ev_args = [];
-          }
 end
 
 (** [count name ~n] bumps the session's [obs/<name>] counter (and with
@@ -195,8 +164,8 @@ let count ?n name =
 (* ------------------------------------------------------------------ *)
 (* Session accessors                                                   *)
 
-(** Events in emission order (roughly timestamp order; [Complete] spans
-    are appended when they close). *)
+(** Events in emission order (spans are appended when they close, so a
+    span follows the spans nested in it). *)
 let events (s : session) = List.rev s.evs
 
 (* The table holds [obs/<name>] rows, the names request sinks see. *)
@@ -233,9 +202,9 @@ let profiles (s : session) : pass_profile list =
 
 (** [pipeline_instrument ()] is the tracer's view of one compilation:
     [Some] only while a session is active (so the disabled path costs
-    one [match] in [Toolchain.compile]). Phases become [B]/[E] events
-    named ["phase:<name>"]; each pass becomes a [Complete] span whose
-    interval runs from the previous boundary event to the pass's own
+    one [match] in [Toolchain.compile]). Each phase becomes a span named
+    ["phase:<name>"], emitted when the phase ends; each pass becomes a
+    span whose interval runs from the previous boundary to the pass's own
     boundary, which makes span time self time by construction (the
     pipeline is sequential within a compile). Pass spans also accumulate
     into the session's per-pass profiles, with IR/debug-info deltas
@@ -289,26 +258,21 @@ let pipeline_instrument () =
         last := Clock.now_ns ();
         seen := newest s
       in
+      (* Phases never nest: one start time is enough. *)
+      let phase_t0 = ref 0L in
       Some
         {
           Instrument.on_phase_start =
-            (fun name ->
-              emit s
-                {
-                  ev_name = "phase:" ^ name;
-                  ev_kind = Begin;
-                  ev_ts = rel s (Clock.now_ns ());
-                  ev_tid = my_tid;
-                  ev_args = [];
-                };
-              mark ());
+            (fun _ ->
+              mark ();
+              phase_t0 := !last);
           on_phase_end =
             (fun name ->
               emit s
                 {
                   ev_name = "phase:" ^ name;
-                  ev_kind = End;
-                  ev_ts = rel s (Clock.now_ns ());
+                  ev_dur = Int64.sub (Clock.now_ns ()) !phase_t0;
+                  ev_ts = rel s !phase_t0;
                   ev_tid = my_tid;
                   ev_args = [];
                 });
@@ -347,7 +311,7 @@ let pipeline_instrument () =
               emit s
                 {
                   ev_name = name;
-                  ev_kind = Complete dur;
+                  ev_dur = dur;
                   ev_ts = rel s !last;
                   ev_tid = my_tid;
                   ev_args =
@@ -382,9 +346,8 @@ let us_of_ns ns = Int64.to_float ns /. 1000.0
     separate [tid] lane. *)
 let to_chrome_json (s : session) =
   let evs =
-    (* Stable-sort by timestamp: B/E pairs stay correctly ordered per
-       tid (they were emitted in real-time order), and viewers that
-       process sequentially see a monotonic stream. *)
+    (* Sorted by start, so viewers that process sequentially see a
+       monotonic stream. *)
     List.stable_sort
       (fun a b -> Int64.compare a.ev_ts b.ev_ts)
       (events s)
@@ -397,18 +360,11 @@ let to_chrome_json (s : session) =
   List.iter
     (fun ev ->
       Buffer.add_string b ",\n";
-      let ph, dur =
-        match ev.ev_kind with
-        | Begin -> ("B", None)
-        | End -> ("E", None)
-        | Complete d -> ("X", Some d)
-      in
       Buffer.add_string b
-        (Printf.sprintf "{\"name\":\"%s\",\"ph\":\"%s\",\"pid\":1,\"tid\":%d,\"ts\":%.3f"
-           (Util.Json.escape ev.ev_name) ph ev.ev_tid (us_of_ns ev.ev_ts));
-      (match dur with
-      | Some d -> Buffer.add_string b (Printf.sprintf ",\"dur\":%.3f" (us_of_ns d))
-      | None -> ());
+        (Printf.sprintf
+           "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f"
+           (Util.Json.escape ev.ev_name) ev.ev_tid (us_of_ns ev.ev_ts)
+           (us_of_ns ev.ev_dur));
       if ev.ev_args <> [] then begin
         Buffer.add_string b ",\"args\":{";
         List.iteri
@@ -427,39 +383,6 @@ let to_chrome_json (s : session) =
 (* ------------------------------------------------------------------ *)
 (* Self-time report                                                    *)
 
-(* Spans as closed intervals: Complete events directly, B/E pairs
-   matched with a per-tid stack over the timestamp-sorted stream. *)
-let intervals (s : session) =
-  let evs =
-    List.stable_sort (fun a b -> Int64.compare a.ev_ts b.ev_ts) (events s)
-  in
-  let out = ref [] in
-  let stacks : (int, (string * int64) list ref) Hashtbl.t = Hashtbl.create 8 in
-  let stack tid =
-    match Hashtbl.find_opt stacks tid with
-    | Some st -> st
-    | None ->
-        let st = ref [] in
-        Hashtbl.replace stacks tid st;
-        st
-  in
-  List.iter
-    (fun ev ->
-      match ev.ev_kind with
-      | Complete d -> out := (ev.ev_name, ev.ev_tid, ev.ev_ts, d) :: !out
-      | Begin ->
-          let st = stack ev.ev_tid in
-          st := (ev.ev_name, ev.ev_ts) :: !st
-      | End -> (
-          let st = stack ev.ev_tid in
-          match !st with
-          | (name, t0) :: rest ->
-              st := rest;
-              out := (name, ev.ev_tid, t0, Int64.sub ev.ev_ts t0) :: !out
-          | [] -> () (* unbalanced End: drop *)))
-    evs;
-  !out
-
 type self_row = {
   sr_name : string;
   sr_calls : int;
@@ -471,16 +394,15 @@ type self_row = {
     spans nested directly inside it (same tid, contained interval),
     aggregated by name and sorted by self time, descending. *)
 let self_times (s : session) : self_row list =
-  let ivs = intervals s in
   (* Group by tid, sort by (start asc, end desc) so parents precede
      their children; a containment stack then attributes each span's
      duration to its direct parent's child-total. *)
   let by_tid = Hashtbl.create 8 in
   List.iter
-    (fun (name, tid, t0, dur) ->
-      let l = try Hashtbl.find by_tid tid with Not_found -> [] in
-      Hashtbl.replace by_tid tid ((name, t0, dur) :: l))
-    ivs;
+    (fun e ->
+      let l = try Hashtbl.find by_tid e.ev_tid with Not_found -> [] in
+      Hashtbl.replace by_tid e.ev_tid ((e.ev_name, e.ev_ts, e.ev_dur) :: l))
+    (events s);
   let rows : (string, int * int64 * int64) Hashtbl.t = Hashtbl.create 32 in
   let add name dur self =
     let calls, total, selft =

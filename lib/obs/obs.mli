@@ -13,15 +13,11 @@ end
 
 (** {1 Sessions} *)
 
-type kind =
-  | Begin  (** Chrome [ph:"B"] — opens a named interval *)
-  | End  (** Chrome [ph:"E"] — closes the innermost [Begin] *)
-  | Complete of int64  (** Chrome [ph:"X"] with a duration in ns *)
-
+(** A complete span (Chrome [ph:"X"]), recorded when it closes. *)
 type event = {
   ev_name : string;
-  ev_kind : kind;
-  ev_ts : int64;  (** ns since the session started *)
+  ev_dur : int64;  (** duration in ns *)
+  ev_ts : int64;  (** start, in ns since the session started *)
   ev_tid : int;  (** recording domain — engine workers get own lanes *)
   ev_args : (string * string) list;  (** per-span key/value attributes *)
 }
@@ -40,14 +36,8 @@ val enabled : unit -> bool
 
 module Span : sig
   val wrap : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
-  (** [wrap name f] runs [f] inside a complete span ([X] event),
-      recorded even when [f] raises. Disabled: exactly [f ()]. *)
-
-  val start : ?args:(string * string) list -> string -> unit
-  (** Open a bracketed span ([B] event). Balance with {!finish}. *)
-
-  val finish : string -> unit
-  (** Close the innermost open {!start} of this domain ([E] event). *)
+  (** [wrap name f] runs [f] inside a span, recorded even when [f]
+      raises. Disabled: exactly [f ()]. *)
 end
 
 val count : ?n:int -> string -> unit
@@ -57,10 +47,11 @@ val count : ?n:int -> string -> unit
 
 val pipeline_instrument : unit -> Instrument.t option
 (** The tracer's view of one compilation — [Some] only while a session
-    is active. Phases become [B]/[E] events named ["phase:<name>"]; each
-    pass becomes a complete span (self time by construction: the span
-    runs from the previous boundary to this one) and accumulates into
-    the session's per-pass profiles with IR/debug-info deltas. A span
+    is active. Each phase becomes a span named ["phase:<name>"], emitted
+    when the phase ends; each pass becomes a span (self time by
+    construction: the span runs from the previous boundary to this one)
+    and accumulates into the session's per-pass profiles with
+    IR/debug-info deltas. A span
     the compiling domain completes between two boundaries ([Toolchain]'s
     ["cleanup"]) becomes a profile row of its own, with zero deltas, and
     its time leaves the pass's row. Create one per compile: the closure
@@ -69,7 +60,7 @@ val pipeline_instrument : unit -> Instrument.t option
 (** {1 Session contents} *)
 
 val events : session -> event list
-(** Events in emission order. *)
+(** Spans in emission order: a span follows the spans nested in it. *)
 
 val counters : session -> (string * int) list
 (** Session counters (without the [obs/] prefix), sorted by name. *)

@@ -31,17 +31,16 @@
     ({!step}/{!state}) API used by the debugger. The fast core decodes a
     binary ({!Decode}) into flat instruction arrays with resolved
     frame-slot offsets, precomputed hazard bitsets and static costs, and
-    fused superinstructions, then executes with an array-based frame
-    stack and no per-instruction allocation; a short run's whole state
-    fits the minor heap. {!load} decodes a binary once and {!exec} runs
-    what it returns, on the fast core when the binary is decodable and
-    on {!Reference} otherwise (or when [DEBUGTUNER_VM=reference] is
-    set); {!run} is one load and one exec. The VM keeps no state
-    between calls: a caller that runs one binary many times (a debug
-    session over a corpus, a fuzzing campaign, a cost loop) loads it
-    once and drops it when it returns.
-    The conformance suite pins the two cores to byte-identical
-    {!result}s. *)
+    fused superinstructions, then executes every run in one loop, with
+    an array-based frame stack and no per-instruction allocation; a
+    short run's whole state fits the minor heap. {!load} decodes a
+    binary once and {!exec} runs what it returns, on the fast core when
+    the binary is decodable and on {!Reference} otherwise (or when
+    [DEBUGTUNER_VM=reference] is set); {!run} is one load and one exec.
+    The VM keeps no state between calls: a caller that runs one binary
+    many times (a debug session over a corpus, a fuzzing campaign, a
+    cost loop) loads it once and drops it when it returns. The
+    conformance suite pins the two cores to byte-identical {!result}s. *)
 
 exception Budget_exhausted
 exception Runtime_error of string
@@ -70,6 +69,19 @@ let default_opts =
     sample_period = None;
     seed = 1;
   }
+
+(** The sampler [opts] asks for, shared by both cores so their jitter
+    streams agree. *)
+let make_sampler (opts : run_opts) =
+  Option.map
+    (fun period ->
+      {
+        period;
+        next_at = period;
+        samples = [];
+        rng = Util.Rng.create (opts.seed + 77);
+      })
+    opts.sample_period
 
 type result = {
   output : int list;
@@ -449,17 +461,7 @@ module Reference = struct
       in
       find first.(src)
     in
-    let sampler =
-      Option.map
-        (fun period ->
-          {
-            period;
-            next_at = period;
-            samples = [];
-            rng = Util.Rng.create (opts.seed + 77);
-          })
-        opts.sample_period
-    in
+    let sampler = make_sampler opts in
     let timed_out = ref false in
     (try
        while not st.halted do
@@ -1008,11 +1010,11 @@ end
     frame stack (frame words, saved register windows and return records
     all live in growable flat arrays), and unsafe indexing everywhere a
     bound was established at decode time. A run starts its state at
-    sizes that fit the minor heap and grows it on demand. Two loops
-    share the state: the plain loop runs the fused code with zero
-    instrumentation overhead, the instrumented loop counts edges and
-    keeps the exact per-instruction breakpoint/sampler semantics of
-    {!step}. *)
+    sizes that fit the minor heap and grows it on demand. One loop runs
+    every kind of run: it counts edges and keeps the exact
+    per-instruction breakpoint/sampler semantics of {!step}, and runs
+    the fused code whenever a run asks for neither breakpoints nor
+    samples. *)
 module Fast = struct
   open Decode
 
@@ -1131,20 +1133,59 @@ module Fast = struct
     | Aglobal (g, s) ->
         Array.unsafe_set (Array.unsafe_get st.g_mem g) (wrap idx s) v
 
-  (* The uninstrumented loop over the fused code: no breakpoints, no
-     edges, no sampler — callers guarantee the options ask for none. *)
-  let exec_plain (p : program) st max_instrs start =
-    let code = p.p_plain in
+  (* The loop's three hooks. Each keeps the loop body small, which
+     measurably speeds up the runs that use none of them: [bump] is a
+     top-level function so that it inlines, the other two stay out of
+     line. *)
+
+  (* Count edge [e] (ids are bounded by the decoder's closure check). *)
+  let[@inline] bump coverage counts e =
+    if coverage then Array.unsafe_set counts e (Array.unsafe_get counts e + 1)
+
+  (* A first-hit temporary breakpoint at [pc0], cleared when hit. *)
+  let record_bp st bps pc0 =
+    if bps.(pc0) then begin
+      bps.(pc0) <- false;
+      st.bp_hits_rev <- pc0 :: st.bp_hits_rev
+    end
+
+  (* The cost-driven sampler after instruction [ins], with [pc] the next
+     address. It skips a call, exactly like the reference core's [Exit]
+     shortcut skips the bottom of [step]. *)
+  let sample st s ins pc =
+    match ins with
+    | Icall _ -> ()
+    | _ ->
+        while st.cost >= s.next_at do
+          s.samples <- pc :: s.samples;
+          s.next_at <-
+            s.next_at + s.period + Util.Rng.int s.rng (max 1 (s.period / 8))
+        done
+
+  (* The one execution loop, for every kind of run. Breakpoints and
+     samples need every instruction boundary, so they run the unfused
+     code; every other run (plain or coverage-only) runs the fused
+     code. *)
+  let loop (p : program) st (opts : run_opts) sampler counts start =
+    let breakpoints = opts.breakpoints in
+    let code =
+      match (breakpoints, sampler) with
+      | None, None -> p.p_plain
+      | _ -> p.p_code
+    in
     let len = Array.length code in
     let funcs = p.p_funcs in
+    let coverage = opts.coverage in
+    let max_instrs = opts.max_instrs in
     let pc = ref start in
     let running = ref true in
     while !running do
       let pc0 = !pc in
       if pc0 < 0 || pc0 >= len then raise (Runtime_error "pc out of range");
+      (match breakpoints with Some bps -> record_bp st bps pc0 | None -> ());
       st.icount <- st.icount + 1;
       if st.icount > max_instrs then raise Budget_exhausted;
-      match Array.unsafe_get code pc0 with
+      (match Array.unsafe_get code pc0 with
       | Ibin { op; d; a; b; c; rb; wb; tf } ->
           st.cost <- st.cost + c + haz st rb;
           charge st tf;
@@ -1264,236 +1305,15 @@ module Fast = struct
           st.cost <- st.cost + 1;
           st.last_bits <- 0;
           pc := pc0 + 1
-      | Ijmp { t; c; _ } ->
-          st.cost <- st.cost + c;
-          st.last_bits <- 0;
-          pc := t
-      | Icbr { cnd; t1; t2; x1; x2; c; rb; _ } ->
-          st.cost <- st.cost + c + haz st rb;
-          let t, x = if rdo st cnd <> 0 then (t1, x1) else (t2, x2) in
-          st.cost <- st.cost + x;
-          st.last_bits <- 0;
-          st.hp <- 2;
-          pc := t
-      | Iret { v; c; _ } ->
-          st.cost <- st.cost + c;
-          let value = rdo st v in
-          let d = st.depth - 1 in
-          Array.blit st.rsave (d * nregs) st.regs 0 nregs;
-          st.sp <- st.f_fp.(d);
-          st.depth <- d;
-          if d = 0 then running := false
-          else begin
-            st.fp <- st.f_fp.(d - 1);
-            st.cur_paid <- st.f_paid.(d - 1);
-            st.cur_words <- st.f_words.(d - 1);
-            (match st.f_ret_mode.(d) with
-            | 1 -> Array.unsafe_set st.regs st.f_ret_idx.(d) value
-            | 2 ->
-                st.cost <- st.cost + 1;
-                Array.unsafe_set st.stk (st.fp + st.f_ret_idx.(d)) value
-            | _ -> ());
-            let rp = st.f_ret_pc.(d) in
-            if rp <> pc0 + 1 then st.cost <- st.cost + 3;
-            st.last_bits <- 0;
-            st.hp <- 2;
-            pc := rp
-          end
-      | Ifail msg -> raise (Runtime_error msg)
-      | Icmp_cbr { op; d; a; b; c1; rb; tf; cnd; t1; t2; x1; x2; c2; _ } ->
-          st.cost <- st.cost + c1 + haz st rb;
-          charge st tf;
-          wrd st d (Ir.eval_binop op (rdo st a) (rdo st b));
-          (* The branch is its own instruction for the budget, and its
-             pair hazard against the compare is already static in c2. *)
-          st.icount <- st.icount + 1;
-          if st.icount > max_instrs then raise Budget_exhausted;
-          st.cost <- st.cost + c2;
-          let t, x = if rdo st cnd <> 0 then (t1, x1) else (t2, x2) in
-          st.cost <- st.cost + x;
-          st.last_bits <- 0;
-          st.hp <- 2;
-          pc := t
-      | Iload_bin { d; ad; ix; c1; rb1; tf1; op; d2; a; b; c2; wb2; tf2 } ->
-          st.cost <- st.cost + c1 + haz st rb1;
-          charge st tf1;
-          wrd st d (mem_get st ad (rdo st ix));
-          st.icount <- st.icount + 1;
-          if st.icount > max_instrs then raise Budget_exhausted;
-          st.cost <- st.cost + c2;
-          charge st tf2;
-          wrd st d2 (Ir.eval_binop op (rdo st a) (rdo st b));
-          st.last_bits <- wb2;
-          st.hp <- 2;
-          pc := pc0 + 2
-    done
-
-  (* The instrumented loop: per-instruction breakpoint recording, edge
-     counting on transfers (into [counts], indexed by the decoded edge
-     ids; the decoder's closure check bounds every id), and the
-     cost-driven sampler (skipped after calls, exactly like the
-     reference core's [Exit] shortcut skips the bottom of [step]).
-     Breakpoints and samples need every instruction boundary, so they
-     run the unfused code; a coverage-only run counts edges on the fused
-     code, as fast as the plain loop. *)
-  let exec_instr (p : program) st (opts : run_opts) sampler counts start =
-    let code =
-      match (opts.breakpoints, sampler) with
-      | None, None -> p.p_plain
-      | _ -> p.p_code
-    in
-    let len = Array.length code in
-    let funcs = p.p_funcs in
-    let coverage = opts.coverage in
-    let max_instrs = opts.max_instrs in
-    let bump e =
-      if coverage then
-        Array.unsafe_set counts e (Array.unsafe_get counts e + 1)
-    in
-    let pc = ref start in
-    let running = ref true in
-    let skip = ref false in
-    while !running do
-      let pc0 = !pc in
-      if pc0 < 0 || pc0 >= len then raise (Runtime_error "pc out of range");
-      (match opts.breakpoints with
-      | Some bps when bps.(pc0) ->
-          bps.(pc0) <- false;
-          st.bp_hits_rev <- pc0 :: st.bp_hits_rev
-      | _ -> ());
-      st.icount <- st.icount + 1;
-      if st.icount > max_instrs then raise Budget_exhausted;
-      skip := false;
-      (match Array.unsafe_get code pc0 with
-      | Ibin { op; d; a; b; c; rb; wb; tf } ->
-          st.cost <- st.cost + c + haz st rb;
-          charge st tf;
-          wrd st d (Ir.eval_binop op (rdo st a) (rdo st b));
-          st.last_bits <- wb;
-          st.hp <- 2;
-          pc := pc0 + 1
-      | Iun { op; d; a; c; rb; wb; tf } ->
-          st.cost <- st.cost + c + haz st rb;
-          charge st tf;
-          wrd st d (Ir.eval_unop op (rdo st a));
-          st.last_bits <- wb;
-          st.hp <- 2;
-          pc := pc0 + 1
-      | Imov { d; a; c; rb; wb; tf } ->
-          st.cost <- st.cost + c + haz st rb;
-          charge st tf;
-          wrd st d (rdo st a);
-          st.last_bits <- wb;
-          st.hp <- 2;
-          pc := pc0 + 1
-      | Iload { d; ad; ix; c; rb; wb; tf } ->
-          st.cost <- st.cost + c + haz st rb;
-          charge st tf;
-          wrd st d (mem_get st ad (rdo st ix));
-          st.last_bits <- wb;
-          st.hp <- 4;
-          pc := pc0 + 1
-      | Istore { ad; ix; v; c; rb; tf } ->
-          st.cost <- st.cost + c + haz st rb;
-          charge st tf;
-          let value = rdo st v in
-          mem_set st ad (rdo st ix) value;
-          st.last_bits <- 0;
-          st.hp <- 2;
-          pc := pc0 + 1
-      | Icall { fx; srcs; ret_mode; ret_idx; c; rb; tf } ->
-          st.cost <- st.cost + c + haz st rb;
-          charge st tf;
-          let n = Array.length srcs in
-          let ps = st.pscratch in
-          for i = 0 to n - 1 do
-            Array.unsafe_set ps i (rdo st (Array.unsafe_get srcs i))
-          done;
-          let df = Array.unsafe_get funcs fx in
-          push_frame st df ~ret_pc:(pc0 + 1) ~ret_mode ~ret_idx;
-          let params = df.df_params in
-          for i = 0 to n - 1 do
-            wrd st (Array.unsafe_get params i) (Array.unsafe_get ps i)
-          done;
-          st.last_bits <- 0;
-          st.hp <- 2;
-          pc := df.df_entry;
-          skip := true
-      | Iinput { d; c; wb; tf } ->
-          st.cost <- st.cost + c;
-          charge st tf;
-          let v =
-            if st.input_pos < Array.length st.input then begin
-              let v = Array.unsafe_get st.input st.input_pos in
-              st.input_pos <- st.input_pos + 1;
-              v
-            end
-            else 0
-          in
-          wrd st d v;
-          st.last_bits <- wb;
-          st.hp <- 2;
-          pc := pc0 + 1
-      | Ieof { d; c; wb; tf } ->
-          st.cost <- st.cost + c;
-          charge st tf;
-          wrd st d (if st.input_pos >= Array.length st.input then 1 else 0);
-          st.last_bits <- wb;
-          st.hp <- 2;
-          pc := pc0 + 1
-      | Ioutput { v; c; rb; tf } ->
-          st.cost <- st.cost + c + haz st rb;
-          charge st tf;
-          st.out_rev <- rdo st v :: st.out_rev;
-          st.last_bits <- 0;
-          st.hp <- 2;
-          pc := pc0 + 1
-      | Iselect { d; cnd; a; b; xa; xb; c; rb; wb; tf } ->
-          st.cost <- st.cost + c + haz st rb;
-          charge st tf;
-          let v =
-            if rdo st cnd <> 0 then begin
-              st.cost <- st.cost + xa;
-              rdo st a
-            end
-            else begin
-              st.cost <- st.cost + xb;
-              rdo st b
-            end
-          in
-          wrd st d v;
-          st.last_bits <- wb;
-          st.hp <- 2;
-          pc := pc0 + 1
-      | Ivec { op; lanes; c; rb; wb; tf } ->
-          st.cost <- st.cost + c + haz st rb;
-          charge st tf;
-          let n = Array.length lanes in
-          let vs = st.vscratch in
-          for i = 0 to n - 1 do
-            let _, a, b = Array.unsafe_get lanes i in
-            Array.unsafe_set vs i (Ir.eval_binop op (rdo st a) (rdo st b))
-          done;
-          for i = 0 to n - 1 do
-            let d, _, _ = Array.unsafe_get lanes i in
-            wrd st d (Array.unsafe_get vs i)
-          done;
-          st.last_bits <- wb;
-          st.hp <- 2;
-          pc := pc0 + 1
-      | Inop ->
-          st.cost <- st.cost + 1;
-          st.last_bits <- 0;
-          pc := pc0 + 1
       | Ijmp { t; c; e } ->
           st.cost <- st.cost + c;
           st.last_bits <- 0;
-          bump e;
+          bump coverage counts e;
           pc := t
       | Icbr { cnd; t1; t2; x1; x2; c; rb; e1; e2 } ->
           st.cost <- st.cost + c + haz st rb;
           let t, x, e = if rdo st cnd <> 0 then (t1, x1, e1) else (t2, x2, e2) in
-          bump e;
+          bump coverage counts e;
           st.cost <- st.cost + x;
           st.last_bits <- 0;
           st.hp <- 2;
@@ -1517,7 +1337,7 @@ module Fast = struct
                 Array.unsafe_set st.stk (st.fp + st.f_ret_idx.(d)) value
             | _ -> ());
             let rp = st.f_ret_pc.(d) in
-            bump (e + Array.unsafe_get p.p_ret_rank rp);
+            bump coverage counts (e + Array.unsafe_get p.p_ret_rank rp);
             if rp <> pc0 + 1 then st.cost <- st.cost + 3;
             st.last_bits <- 0;
             st.hp <- 2;
@@ -1532,7 +1352,7 @@ module Fast = struct
           if st.icount > max_instrs then raise Budget_exhausted;
           st.cost <- st.cost + c2;
           let t, x, e = if rdo st cnd <> 0 then (t1, x1, e1) else (t2, x2, e2) in
-          bump e;
+          bump coverage counts e;
           st.cost <- st.cost + x;
           st.last_bits <- 0;
           st.hp <- 2;
@@ -1550,13 +1370,8 @@ module Fast = struct
           st.hp <- 2;
           pc := pc0 + 2);
       match sampler with
-      | Some s when not !skip ->
-          while st.cost >= s.next_at do
-            s.samples <- !pc :: s.samples;
-            s.next_at <-
-              s.next_at + s.period + Util.Rng.int s.rng (max 1 (s.period / 8))
-          done
-      | _ -> ()
+      | Some s -> sample st s (Array.unsafe_get code pc0) !pc
+      | None -> ()
     done
 
   let run (p : program) (bin : Emit.binary) ~entry ~args ~input
@@ -1605,27 +1420,10 @@ module Fast = struct
         let v = match List.nth_opt args i with Some v -> v | None -> 0 in
         wrd st d v)
       df.df_params;
-    let sampler =
-      Option.map
-        (fun period ->
-          {
-            period;
-            next_at = period;
-            samples = [];
-            rng = Util.Rng.create (opts.seed + 77);
-          })
-        opts.sample_period
-    in
+    let sampler = make_sampler opts in
     let counts = if opts.coverage then Array.make p.p_edges 0 else [||] in
     let timed_out = ref false in
-    let plain =
-      (match opts.breakpoints with None -> true | Some _ -> false)
-      && (not opts.coverage)
-      && opts.sample_period = None
-    in
-    (try
-       if plain then exec_plain p st opts.max_instrs df.df_entry
-       else exec_instr p st opts sampler counts df.df_entry
+    (try loop p st opts sampler counts df.df_entry
      with Budget_exhausted -> timed_out := true);
     {
       output = List.rev st.out_rev;

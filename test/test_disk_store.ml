@@ -174,6 +174,43 @@ let test_stale_schema_mismatch () =
   Alcotest.(check int) "counted stale" 1 (counter s "c/stale");
   Alcotest.(check (list string)) "evicted" [] (entry_files d)
 
+(* The schema stamp is the build stamp: recomputed here from the files
+   the stamp rule reads (test/dune declares the same globs as deps, so
+   dune copies them to ../lib from this executable's directory), under
+   the same paths, in the same order and framing as stamp/gen.ml. *)
+let test_schema_is_build_stamp () =
+  let lib = Filename.concat (Filename.dirname Sys.executable_name) "../lib" in
+  let rec walk rel =
+    List.concat_map
+      (fun name ->
+        let rel = rel ^ "/" ^ name in
+        let path = Filename.concat lib rel in
+        if Sys.is_directory path then
+          if name.[0] = '.' then [] else walk rel
+        else if
+          name = "dune"
+          || Filename.check_suffix name ".ml"
+          || Filename.check_suffix name ".mli"
+        then [ ("../lib" ^ rel, path) ]
+        else [])
+      (Array.to_list (Sys.readdir (Filename.concat lib rel)))
+  in
+  let files = List.sort compare (walk "") in
+  let b = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun (name, path) ->
+      let text = read_file path in
+      Printf.bprintf b "%s\n%d\n%s" name (String.length text) text)
+    files;
+  Alcotest.(check bool) "reads lib/vm/vm.ml and lib/core/dune" true
+    (List.mem_assoc "../lib/vm/vm.ml" files
+    && List.mem_assoc "../lib/core/dune" files);
+  Alcotest.(check string) "stamp of lib/"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+    Build_stamp.digest;
+  Alcotest.(check string) "schema" (Build_stamp.digest ^ "/" ^ Sys.ocaml_version)
+    ME.cache_schema
+
 let test_garbage_entry_is_miss () =
   with_dir @@ fun d ->
   let s = DS.create ~schema:"s" ~dir:d () in
@@ -499,6 +536,8 @@ let tests =
     Alcotest.test_case "stale: version bump" `Quick test_stale_version_bump;
     Alcotest.test_case "stale: schema mismatch" `Quick
       test_stale_schema_mismatch;
+    Alcotest.test_case "schema is the build stamp" `Quick
+      test_schema_is_build_stamp;
     Alcotest.test_case "garbage entries are misses" `Quick
       test_garbage_entry_is_miss;
     Alcotest.test_case "LRU eviction under a size bound" `Quick

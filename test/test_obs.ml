@@ -36,16 +36,12 @@ let test_span_nesting () =
   Obs.Span.wrap "outer" (fun () ->
       spin ();
       Obs.Span.wrap "inner" (fun () -> spin ()));
-  Obs.Span.start "bracketed";
-  spin ();
-  Obs.Span.finish "bracketed";
   let s = stop_exn () in
   let evs = Obs.events s in
-  Alcotest.(check int) "four events" 4 (List.length evs);
+  Alcotest.(check int) "two events" 2 (List.length evs);
   let names = List.map (fun e -> e.Obs.ev_name) evs in
   (* wrap records at completion: inner closes before outer. *)
-  Alcotest.(check (list string))
-    "emission order" [ "inner"; "outer"; "bracketed"; "bracketed" ] names;
+  Alcotest.(check (list string)) "emission order" [ "inner"; "outer" ] names;
   (* Timestamps are monotone relative to session start. *)
   List.iter
     (fun e -> Alcotest.(check bool) "ts >= 0" true (e.Obs.ev_ts >= 0L))
@@ -152,7 +148,7 @@ let test_chrome_roundtrip () =
           | Some n when n >= 1 -> ()
           | _ -> Alcotest.failf "no span for pass %s" pr.Obs.pr_pass)
         (Obs.profiles s);
-      (* Phases bracket as B/E pairs and survive validation too. *)
+      (* Phases are spans of their own and survive validation too. *)
       List.iter
         (fun phase ->
           match List.assoc_opt ("phase:" ^ phase) v.Obs.v_spans with
@@ -272,13 +268,14 @@ let test_cleanup_row () =
   in
   Alcotest.(check int) "profile row calls" expected cleanup.Obs.pr_calls;
   (* Cleanup's time left the passes it ran after: the pass spans cover
-     exactly the pass rows plus the cleanup row. *)
+     exactly the pass rows plus the cleanup row. A phase span contains
+     its passes, so it is left out too. *)
   let span_ns =
     List.fold_left
       (fun acc e ->
-        match e.Obs.ev_kind with
-        | Obs.Complete d when e.Obs.ev_name <> "cleanup" -> Int64.add acc d
-        | _ -> acc)
+        let name = e.Obs.ev_name in
+        if name = "cleanup" || String.starts_with ~prefix:"phase:" name then acc
+        else Int64.add acc e.Obs.ev_dur)
       0L (Obs.events s)
   in
   let profile_ns = List.fold_left (fun acc pr -> Int64.add acc pr.Obs.pr_ns) 0L profs in

@@ -284,6 +284,52 @@ let test_conditional_breakpoint_ops () =
      let rec go i = i + n <= m && (String.sub info i n = affix || go (i + 1)) in
      go 0)
 
+(* A main whose line 2 is the entry address: a stop there, before the
+   first instruction runs, reads like a stop anywhere else. *)
+let entry_src =
+  String.concat "\n"
+    [
+      "int main() {" (* 1 *);
+      "  int a = 5;" (* 2: address 0 *);
+      "  output(a);" (* 3 *);
+      "  return 0;" (* 4 *);
+      "}";
+    ]
+
+let entry_session () =
+  let ast = Minic.Typecheck.parse_and_check entry_src in
+  let bin = T.compile ast ~config:(C.make C.Gcc C.O0) ~roots:[ "main" ] in
+  Alcotest.(check (option int)) "line 2 is the entry address" (Some 2)
+    bin.Emit.line_of.(0);
+  Session.create bin ~entry:"main"
+
+let test_tbreak_at_entry () =
+  let s = entry_session () in
+  ignore (Session.exec s "tbreak 2");
+  Alcotest.(check (list string)) "entry stop names the temporary breakpoint"
+    [ "temporary breakpoint 2, stopped at main, line 2" ]
+    (Session.exec s "run");
+  Alcotest.(check string) "cleared on its hit" "no breakpoints"
+    (one s "info breakpoints");
+  let s = entry_session () in
+  ignore (Session.exec s "tbreak 3");
+  Alcotest.(check (list string)) "as it does past the entry"
+    [ "temporary breakpoint 3, stopped at main, line 3" ]
+    (Session.exec s "run")
+
+let test_unevaluable_condition_at_entry () =
+  let note = "note: condition zz > 1 could not be evaluated (zz = <not visible>)" in
+  let s = entry_session () in
+  ignore (Session.exec s "break 2 if zz > 1");
+  Alcotest.(check (list string)) "entry stop keeps the note"
+    [ note; "breakpoint 2, stopped at main, line 2" ]
+    (Session.exec s "run");
+  let s = entry_session () in
+  ignore (Session.exec s "break 3 if zz > 1");
+  Alcotest.(check (list string)) "as it does past the entry"
+    [ note; "breakpoint 3, stopped at main, line 3" ]
+    (Session.exec s "run")
+
 let tests =
   [
     Alcotest.test_case "break, run, print" `Quick test_break_run_print;
@@ -308,4 +354,8 @@ let tests =
       test_conditional_breakpoint;
     Alcotest.test_case "conditional breakpoint ops" `Quick
       test_conditional_breakpoint_ops;
+    Alcotest.test_case "tbreak at the entry address" `Quick
+      test_tbreak_at_entry;
+    Alcotest.test_case "unevaluable condition at the entry address" `Quick
+      test_unevaluable_condition_at_entry;
   ]
