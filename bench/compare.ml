@@ -180,10 +180,11 @@ let () =
   | _ ->
       verdict false serve_what
         "serve timing rows missing from cold json (include `serve` in --only)");
-  (* VM core gate: the pre-decoded direct-threaded interpreter must
-     beat the reference core by a wide margin on the hot-kernel
-     scenario (both rows time the same fixed iteration count, so the
-     ratio is the per-run speedup). *)
+  (* VM core gate: the pre-decoded fast core, one [match] over
+     pre-decoded instruction arrays, must beat the reference core by a
+     wide margin on the hot-kernel scenario (both rows are medians of
+     per-round CPU times of the same run count, so the ratio is the
+     per-run speedup). *)
   let vm_what =
     Printf.sprintf "vm fast core at least %.0fx faster than reference"
       vm_floor

@@ -155,14 +155,18 @@ let serve_scenario () =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* VM core scenario (DESIGN.md "VM core"): the same hot workload —
-   libpng's fuzz_defilter harness at gcc-O2 — run for a fixed number of
-   iterations under the reference interpreter and under the pre-decoded
-   direct-threaded core. The two timing rows pushed here
-   ("vm-reference", "vm-fast") feed compare.ml's vm gate: the fast core
-   must be at least 5x faster. The table (cost / instrs / output
-   checksum, byte-identical across cores) is deterministic; wall-clock
-   and the speedup go on a bracketed line. *)
+(* VM core scenario (DESIGN.md "VM core"): the same hot kernel run
+   under the reference interpreter and under the fast core, which
+   dispatches with one [match] over pre-decoded instruction arrays. The
+   cores are timed in [vm_rounds] rounds in this one process, each round
+   timing [vm_per_round] runs of each core by CPU time, the core that
+   goes first alternating, so load on the box moves both cores' times
+   of a round together. The two timing rows pushed here ("vm-reference",
+   "vm-fast") are the medians of the per-round times and feed
+   compare.ml's vm gate: the fast core must be at least 5x faster. The
+   table (cost / instrs / output checksum, byte-identical across cores)
+   is deterministic; the times and the median per-round speedup with
+   its quartiles go on a bracketed line. *)
 
 (* A deliberately hot kernel (~350k executed instructions per run):
    per-run setup amortises away, so the row ratio measures the two
@@ -199,6 +203,9 @@ int main() {
 }
 |}
 
+let vm_rounds = 9
+let vm_per_round = 3
+
 let vm_scenario () =
   let ast = Minic.Typecheck.parse_and_check vm_hot_src in
   let bin =
@@ -221,22 +228,39 @@ let vm_scenario () =
     && r_ref.Vm.cost = r_fast.Vm.cost
     && r_ref.Vm.instrs = r_fast.Vm.instrs
   in
-  let iters = 20 in
   let time f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
+    let t0 = Sys.time () in
+    for _ = 1 to vm_per_round do
       ignore (f ())
     done;
-    Unix.gettimeofday () -. t0
+    Sys.time () -. t0
   in
-  let dt_ref = time run_ref in
-  let dt_fast = time run_fast in
+  let rounds =
+    List.init vm_rounds (fun r ->
+        if r mod 2 = 0 then
+          let dt_ref = time run_ref in
+          (dt_ref, time run_fast)
+        else
+          let dt_fast = time run_fast in
+          (time run_ref, dt_fast))
+  in
+  let dt_ref = Util.Stats.median (List.map fst rounds) in
+  let dt_fast = Util.Stats.median (List.map snd rounds) in
   timings := ("vm-reference", dt_ref) :: !timings;
   timings := ("vm-fast", dt_fast) :: !timings;
-  let speedup = if dt_fast > 0.0 then dt_ref /. dt_fast else infinity in
+  let speedups =
+    Array.of_list
+      (List.sort compare
+         (List.map
+            (fun (r, f) -> if f > 0.0 then r /. f else infinity)
+            rounds))
+  in
+  let quartile q = speedups.(q * (vm_rounds - 1) / 4) in
   Printf.printf
-    "[vm: reference %.3fs, fast %.3fs over %d runs, speedup %.1fx]\n\n%!"
-    dt_ref dt_fast iters speedup;
+    "[vm: reference %.4fs, fast %.4fs CPU per %d runs (medians of %d \
+     rounds), speedup %.1fx [%.1f, %.1f]]\n\n%!"
+    dt_ref dt_fast vm_per_round vm_rounds (quartile 2) (quartile 1)
+    (quartile 3);
   let checksum r =
     List.fold_left (fun a v -> (a * 31) + v) (List.length r.Vm.output) r.Vm.output
   in

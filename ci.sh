@@ -323,7 +323,7 @@ echo "== benchmark regression gate (table1+ranking+serve+vm+shard+search cold+wa
 # several times faster with a high disk hit rate, the cold run must not
 # regress past the committed baseline, the cold ranking sweep must
 # engage the pass-prefix planner, the vm scenario must show the
-# direct-threaded core beating the reference interpreter, and the
+# pre-decoded fast core beating the reference interpreter, and the
 # shard scenario's 2-process critical path must be well under the
 # single-process run, and the searched Pareto front must weakly
 # dominate every greedy dy point, and the serve scenario's warm

@@ -89,8 +89,20 @@ let mutate rng (data : int list) =
         (fun x -> if Util.Rng.chance rng 1 3 then pick_value () else x)
         l
 
-(** [fuzz prog ~entry ~seeds ~budget ~seed] runs [budget] executions of
-    the loaded binary. *)
+(* Inputs keyed by their whole contents: [Hashtbl.hash] reads only a
+   list's first few elements, and a campaign's mutants share prefixes. *)
+module Inputs = Hashtbl.Make (struct
+  type t = int list
+
+  let equal = List.equal Int.equal
+  let hash l = List.fold_left (fun h x -> (h * 31) + x) 17 l land max_int
+end)
+
+(** [fuzz prog ~entry ~seeds ~budget ~seed] tries [budget] candidate
+    inputs on the loaded binary ([total_execs] counts them). A candidate
+    the campaign has already tried is not run again: a run is a pure
+    function of its input, so a repeat reaches no new bucket. The table
+    of tried inputs lives for one campaign. *)
 let fuzz (prog : Vm.loaded) ~entry ~(seeds : int list list) ~budget ~seed =
   let rng = Util.Rng.create seed in
   (* Per edge id, the buckets its hit count has reached in any run so
@@ -99,8 +111,8 @@ let fuzz (prog : Vm.loaded) ~entry ~(seeds : int list list) ~budget ~seed =
   let edges_found = ref 0 in
   let corpus = ref [] in
   let execs = ref 0 in
-  let try_input data =
-    incr execs;
+  let tried = Inputs.create 1024 in
+  let run data =
     let counts = (run_input prog ~entry data).Vm.edges in
     let novel = ref false and hit = ref 0 in
     for id = 0 to Array.length counts - 1 do
@@ -116,6 +128,13 @@ let fuzz (prog : Vm.loaded) ~entry ~(seeds : int list list) ~budget ~seed =
       end
     done;
     if !novel then corpus := { data; edge_count = !hit } :: !corpus
+  in
+  let try_input data =
+    incr execs;
+    if not (Inputs.mem tried data) then begin
+      Inputs.add tried data ();
+      run data
+    end
   in
   let base_seeds = if seeds = [] then [ []; [ 0 ]; [ 1; 2; 3 ] ] else seeds in
   List.iter try_input base_seeds;

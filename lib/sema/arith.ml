@@ -4,7 +4,15 @@
 
     All operations are total: division/remainder by zero yield 0, shift
     amounts are taken modulo 64 with word-size-or-more shifts saturating
-    to 0 (or the sign for arithmetic right shifts). *)
+    to 0 (or the sign for arithmetic right shifts).
+
+    One copy lives outside this module: the VM's fast core evaluates
+    the binary and unary operators inline ([Vm.Fast.binop] and
+    [Vm.Fast.unop]), because a call into this module through
+    [Ir.eval_binop] costs more than the operation. The conformance case
+    "every binary operator at the edge operands"
+    ([test/test_vm_conformance.ml]) pins that copy to [Ir.eval_binop]
+    over 0, ±1, ±2, 62–65, [max_int] and [min_int]. *)
 
 let add = ( + )
 let sub = ( - )

@@ -30,9 +30,11 @@
     specification, and remains the engine behind the stepwise
     ({!step}/{!state}) API used by the debugger. The fast core decodes a
     binary ({!Decode}) into flat instruction arrays with resolved
-    frame-slot offsets, precomputed hazard bitsets and static costs, and
-    fused superinstructions, then executes every run in one loop, with
-    an array-based frame stack and no per-instruction allocation; a
+    frame-slot offsets and constant-index addresses, precomputed hazard
+    bitsets and static costs, variants specialized to the hot operand
+    shapes, and fused superinstructions, then executes every run in one
+    loop, a [match] over those arrays that evaluates operators inline,
+    with an array-based frame stack and no per-instruction allocation; a
     short run's whole state fits the minor heap. {!load} decodes a
     binary once and {!exec} runs what it returns, on the fast core when
     the binary is decodable and on {!Reference} otherwise (or when
@@ -131,8 +133,6 @@ let global_mem st g =
   | Some a -> a
   | None -> raise (Runtime_error ("unknown global " ^ g))
 
-let wrap_index i size = if size <= 0 then 0 else ((i mod size) + size) mod size
-
 (* Operand resolution, charging the frame-word cost. *)
 let read_loc st = function
   | Mach.Preg k -> st.pregs.(k)
@@ -163,10 +163,10 @@ let resolve_addr st (a : Mach.maddr) =
         | Some (_, o, s) -> (o, s)
         | None -> raise (Runtime_error "bad frame slot")
       in
-      (f.fr_mem, offset + wrap_index idx size)
+      (f.fr_mem, offset + Arith.wrap_index idx size)
   | Mach.Mglobal g ->
       let mem = global_mem st g in
-      (mem, wrap_index idx (Array.length mem))
+      (mem, Arith.wrap_index idx (Array.length mem))
 
 (* Frame-activation cost for shrink-wrapped functions. *)
 let charge_frame st =
@@ -487,11 +487,17 @@ end
 
 (** One-time flattening of an [Emit.binary] into the fast core's
     pre-decoded form: operands carry resolved absolute frame-word
-    indices, every instruction carries its static cost, its hazard
-    read/write bitsets and its touches-frame flag, every control
-    transfer carries its {!edge_table} ids, and adjacent cmp+cbr /
-    load+use pairs are fused into superinstructions on a second code
-    array, the one plain and coverage-only runs execute.
+    indices, a memory operand at a constant index carries the word it
+    resolves to, every instruction carries its static cost, its hazard
+    read/write bitsets and its touches-frame flag, and every control
+    transfer carries its {!edge_table} ids. The hot operand shapes get
+    variants of their own (registers and constants only, or a frame word
+    at a constant index). Adjacent cmp+cbr and load+use pairs, the O0
+    loop test (load, compare with a constant, branch) and the O0 loop
+    latch (store, jump; with the increment before it, load, add, store,
+    jump) are fused into superinstructions on a second code array, the
+    one plain and coverage-only runs execute. One descending pass over
+    the code builds both arrays.
 
     Hazard bitsets pack [Preg k] as bit [k] and [Pslot i] as bit
     [15 + i]; binaries whose spill indices do not fit (i > 47), or with
@@ -517,6 +523,10 @@ module Decode = struct
   type daddr =
     | Aframe of int * int  (** offset, size — both decode-checked *)
     | Aglobal of int * int  (** global table index, size *)
+    | Aframe_k of int
+        (** a constant index, resolved: the absolute frame word *)
+    | Aglobal_k of int * int
+        (** a constant index, resolved: global table index, element *)
 
   (* Per-instruction static fields: [c] the precomputed cost (base +
      op extras + frame-word operand charges + any statically-known
@@ -647,6 +657,103 @@ module Decode = struct
         wb2 : int;
         tf2 : bool;
       }
+    (* The hot operand shapes, specialized from the generic variants
+       above: registers are register numbers, [i] an absolute frame word
+       and [k] a constant. None touches the frame through a register
+       operand, so only the frame loads and stores charge the
+       shrink-wrap cost, and a load at a constant index reads nothing,
+       so it pays no hazard. *)
+    | Ibin_rrr of {
+        op : Ir.binop;
+        d : int;
+        a : int;
+        b : int;
+        c : int;
+        rb : int;
+        wb : int;
+      }
+    | Ibin_rrc of {
+        op : Ir.binop;
+        d : int;
+        a : int;
+        k : int;
+        c : int;
+        rb : int;
+        wb : int;
+      }
+    | Ild_rk of { d : int; i : int; c : int; wb : int }
+    | Ist_kr of { i : int; v : int; c : int; rb : int }
+    | Icbr_r of {
+        r : int;
+        t1 : int;
+        t2 : int;
+        x1 : int;
+        x2 : int;
+        c : int;
+        rb : int;
+        e1 : int;
+        e2 : int;
+      }
+    | Ild_bin_rc of {
+        (* fused Ild_rk ; Ibin_rrc — the load-use hazard is static in c2 *)
+        d : int;
+        i : int;
+        c1 : int;
+        op : Ir.binop;
+        d2 : int;
+        a : int;
+        k : int;
+        c2 : int;
+        wb2 : int;
+      }
+    | Ild_bin_rc_cbr of {
+        (* fused Ild_rk ; Ibin_rrc ; Icbr_r, the O0 loop test — both
+           pair hazards are static, in c2 and c3 *)
+        d : int;
+        i : int;
+        c1 : int;
+        op : Ir.binop;
+        d2 : int;
+        a : int;
+        k : int;
+        c2 : int;
+        r : int;
+        t1 : int;
+        t2 : int;
+        x1 : int;
+        x2 : int;
+        c3 : int;
+        e1 : int;
+        e2 : int;
+      }
+    | Ild_bin_rc_st_jmp of {
+        (* fused Ild_bin_rc ; Ist_kr_jmp, the O0 loop's increment and
+           latch — the store's hazard is static in c3 *)
+        d : int;
+        i : int;
+        c1 : int;
+        op : Ir.binop;
+        d2 : int;
+        a : int;
+        k : int;
+        c2 : int;
+        j : int;  (** the frame word stored to *)
+        v : int;
+        c3 : int;
+        t : int;
+        c4 : int;
+        e : int;
+      }
+    | Ist_kr_jmp of {
+        (* fused Ist_kr ; Ijmp, the O0 loop latch — a jump reads nothing *)
+        i : int;
+        v : int;
+        c1 : int;
+        rb : int;
+        t : int;
+        c2 : int;
+        e : int;
+      }
 
   type dfunc = {
     df_entry : int;
@@ -681,6 +788,20 @@ module Decode = struct
   (* The +1 frame-word charge of an operand, statically. *)
   let loc_cost = function Mach.Preg _ -> 0 | Mach.Pslot _ -> 1
   let val_cost = function Mach.Loc l -> loc_cost l | Mach.Cst _ -> 0
+
+  (* The hot operand shapes of a generic instruction; every other
+     instruction stays generic. An [Ibin] over registers and constants
+     never touches the frame; a load at a constant index reads nothing. *)
+  let specialize = function
+    | Ibin { op; d = Dreg d; a = Oreg a; b = Oreg b; c; rb; wb; tf = _ } ->
+        Ibin_rrr { op; d; a; b; c; rb; wb }
+    | Ibin { op; d = Dreg d; a = Oreg a; b = Ocst k; c; rb; wb; tf = _ } ->
+        Ibin_rrc { op; d; a; k; c; rb; wb }
+    | Iload { d = Dreg d; ad = Aframe_k i; c; wb; _ } -> Ild_rk { d; i; c; wb }
+    | Istore { ad = Aframe_k i; v = Oreg v; c; rb; _ } -> Ist_kr { i; v; c; rb }
+    | Icbr { cnd = Oreg r; t1; t2; x1; x2; c; rb; e1; e2 } ->
+        Icbr_r { r; t1; t2; x1; x2; c; rb; e1; e2 }
+    | ins -> ins
 
   let decode (bin : Emit.binary) : program =
     let funcs = bin.Emit.funcs in
@@ -768,8 +889,10 @@ module Decode = struct
             if i < 0 || i > 47 || dw + i >= fw then raise Unsupported;
             Oslot (dw + i)
       in
-      (* Resolve a memory base; [Error msg] decodes to [Ifail msg] so the
-         run raises exactly what the reference core raises on execution. *)
+      (* Resolve a memory base, and a constant index with it, wrapped as
+         the reference core wraps it; [Error msg] decodes to [Ifail msg]
+         so the run raises exactly what the reference core raises on
+         execution. *)
       let addr_of (a : Mach.maddr) =
         match a.Mach.mbase with
         | Mach.Mframe slot -> (
@@ -779,16 +902,20 @@ module Decode = struct
                 (fun (id, _, _) -> id = slot)
                 fi.Emit.fi_slot_offset
             with
-            | Some (_, o, s) ->
+            | Some (_, o, s) -> (
                 if o < 0 || s < 1 || o + s > fw then raise Unsupported;
-                Ok (Aframe (o, s))
+                match a.Mach.mindex with
+                | Mach.Cst n -> Ok (Aframe_k (o + Arith.wrap_index n s))
+                | Mach.Loc _ -> Ok (Aframe (o, s)))
             | None -> Error "bad frame slot")
         | Mach.Mglobal g -> (
             match Hashtbl.find_opt gindex g with
-            | Some i ->
+            | Some i -> (
                 let size = globals.(i).Ir.g_size in
                 if size < 1 then raise Unsupported;
-                Ok (Aglobal (i, size))
+                match a.Mach.mindex with
+                | Mach.Cst n -> Ok (Aglobal_k (i, Arith.wrap_index n size))
+                | Mach.Loc _ -> Ok (Aglobal (i, size)))
             | None -> Error ("unknown global " ^ g))
       in
       match code.(pc) with
@@ -938,64 +1065,91 @@ module Decode = struct
           in
           Iret { v = rv; c = 2 + rc; e = first.(pc) }
     in
-    let d_code = Array.init len dec in
-    (* Superinstruction pass: fuse straight-line pairs on a copy. The
-       second address keeps its unfused instruction so jumps into the
-       middle of a pair still work, and the unfused array keeps the
-       per-instruction breakpoint and sample semantics exact. *)
-    let d_plain = Array.copy d_code in
-    for pc = 0 to len - 2 do
-      if bin.Emit.fn_of_addr.(pc) = bin.Emit.fn_of_addr.(pc + 1) then
-        match (d_code.(pc), d_code.(pc + 1)) with
-        | Ibin { op; d; a; b; c; rb; wb; tf }, Icbr cb ->
-            (* Part 2's hazard is against part 1's writes exactly: +2
-               when the branch condition reads the compare's result. *)
-            let c2 = cb.c + (if cb.rb land wb <> 0 then 2 else 0) in
-            d_plain.(pc) <-
-              Icmp_cbr
-                {
-                  op;
-                  d;
-                  a;
-                  b;
-                  c1 = c;
-                  rb;
-                  tf;
-                  cnd = cb.cnd;
-                  t1 = cb.t1;
-                  t2 = cb.t2;
-                  x1 = cb.x1;
-                  x2 = cb.x2;
-                  c2;
-                  e1 = cb.e1;
-                  e2 = cb.e2;
-                }
+    let p_code = Array.make len Inop and p_plain = Array.make len Inop in
+    (* The superinstruction at [pc], from the generic decodes of [pc] and
+       [pc + 1] and the plain code already built past [pc], or [s0], the
+       specialized [g0]. Parts fuse only inside one function. Each part
+       after the first pays its hazard against the part before it,
+       statically: +4 when a consumer reads the load's destination, +2
+       when a branch or a store reads the result before it. *)
+    let fuse pc g0 g1 s0 =
+      let fx = bin.Emit.fn_of_addr.(pc) in
+      let same k = pc + k < len && bin.Emit.fn_of_addr.(pc + k) = fx in
+      if not (same 1) then s0
+      else
+        match (g0, g1) with
+        | ( Iload { d = Dreg d; ad = Aframe_k i; c = c1; wb; _ },
+            Ibin { op; d = Dreg d2; a = Oreg a; b = Ocst k; c; rb; wb = wb2; _ }
+          ) -> (
+            let c2 = c + if rb land wb <> 0 then 4 else 0 in
+            match (p_plain.(pc + 1), if same 2 then p_plain.(pc + 2) else Inop) with
+            | Icmp_cbr { cnd = Oreg r; t1; t2; x1; x2; c2 = c3; e1; e2; _ }, _ ->
+                Ild_bin_rc_cbr
+                  { d; i; c1; op; d2; a; k; c2; r; t1; t2; x1; x2; c3; e1; e2 }
+            | _, Ist_kr_jmp { i = j; v; c1 = c3; rb; t; c2 = c4; e } ->
+                let c3 = c3 + if rb land wb2 <> 0 then 2 else 0 in
+                Ild_bin_rc_st_jmp
+                  { d; i; c1; op; d2; a; k; c2; j; v; c3; t; c4; e }
+            | _ -> Ild_bin_rc { d; i; c1; op; d2; a; k; c2; wb2 })
         | Iload { d; ad; ix; c; rb; wb; tf }, Ibin b2 ->
-            (* Load-use: the consumer pays the 4-cycle penalty when it
-               reads the load's destination. *)
-            let c2 = b2.c + (if b2.rb land wb <> 0 then 4 else 0) in
-            d_plain.(pc) <-
-              Iload_bin
-                {
-                  d;
-                  ad;
-                  ix;
-                  c1 = c;
-                  rb1 = rb;
-                  tf1 = tf;
-                  op = b2.op;
-                  d2 = b2.d;
-                  a = b2.a;
-                  b = b2.b;
-                  c2;
-                  wb2 = b2.wb;
-                  tf2 = b2.tf;
-                }
-        | _ -> ()
+            let c2 = b2.c + if b2.rb land wb <> 0 then 4 else 0 in
+            Iload_bin
+              {
+                d;
+                ad;
+                ix;
+                c1 = c;
+                rb1 = rb;
+                tf1 = tf;
+                op = b2.op;
+                d2 = b2.d;
+                a = b2.a;
+                b = b2.b;
+                c2;
+                wb2 = b2.wb;
+                tf2 = b2.tf;
+              }
+        | Ibin { op; d; a; b; c; rb; wb; tf }, Icbr cb ->
+            let c2 = cb.c + if cb.rb land wb <> 0 then 2 else 0 in
+            Icmp_cbr
+              {
+                op;
+                d;
+                a;
+                b;
+                c1 = c;
+                rb;
+                tf;
+                cnd = cb.cnd;
+                t1 = cb.t1;
+                t2 = cb.t2;
+                x1 = cb.x1;
+                x2 = cb.x2;
+                c2;
+                e1 = cb.e1;
+                e2 = cb.e2;
+              }
+        | Istore { ad = Aframe_k i; v = Oreg v; c = c1; rb; _ }, Ijmp { t; c = c2; e }
+          ->
+            Ist_kr_jmp { i; v; c1; rb; t; c2; e }
+        | _ -> s0
+    in
+    (* One descending pass decodes, specializes and fuses: [g1] holds
+       the generic decode of the next address. A later part keeps its
+       own instruction at its own address, so jumps into the middle of a
+       superinstruction still work, and the unfused array keeps the
+       per-instruction breakpoint and sample semantics exact. *)
+    let g1 = ref Inop in
+    for pc = len - 1 downto 0 do
+      let g0 = dec pc in
+      let s0 = specialize g0 in
+      p_code.(pc) <- s0;
+      p_plain.(pc) <- fuse pc g0 !g1 s0;
+      g1 := g0
     done;
     {
-      p_code = d_code;
-      p_plain = d_plain;
+      p_code;
+      p_plain;
       p_edges = Array.length edges;
       p_ret_rank = rank;
       p_funcs = dfuncs;
@@ -1014,7 +1168,9 @@ end
     every kind of run: it counts edges and keeps the exact
     per-instruction breakpoint/sampler semantics of {!step}, and runs
     the fused code whenever a run asks for neither breakpoints nor
-    samples. *)
+    samples. A superinstruction re-checks the instruction budget before
+    each later part, so a run cut inside one stops where {!Reference}
+    stops. *)
 module Fast = struct
   open Decode
 
@@ -1038,7 +1194,10 @@ module Fast = struct
     mutable cost : int;
     mutable icount : int;
     mutable last_bits : int;  (** write bitset of the previous instruction *)
-    mutable hp : int;  (** hazard penalty of the previous writer: 2 or 4 *)
+    mutable hp : int;
+        (** hazard penalty of the previous writer, 2 or 4: read only while
+            [last_bits] is nonzero, so an instruction that clears
+            [last_bits] need not set it *)
     mutable cur_paid : bool;  (** shrink-wrap charge state of the top frame *)
     mutable cur_words : int;
     mutable bp_hits_rev : int list;
@@ -1109,6 +1268,8 @@ module Fast = struct
     | Dreg k -> Array.unsafe_set st.regs k v
     | Dslot i -> Array.unsafe_set st.stk (st.fp + i) v
 
+  (* [Arith.wrap_index] for the sizes the decoder admits ([s >= 1]),
+     inline: a register index wraps at run time. *)
   let[@inline] wrap i s =
     let r = i mod s in
     if r < 0 then r + s else r
@@ -1126,12 +1287,46 @@ module Fast = struct
     | Aframe (o, s) -> Array.unsafe_get st.stk (st.fp + o + wrap idx s)
     | Aglobal (g, s) ->
         Array.unsafe_get (Array.unsafe_get st.g_mem g) (wrap idx s)
+    | Aframe_k i -> Array.unsafe_get st.stk (st.fp + i)
+    | Aglobal_k (g, i) -> Array.unsafe_get (Array.unsafe_get st.g_mem g) i
 
   let[@inline] mem_set st ad idx v =
     match ad with
     | Aframe (o, s) -> Array.unsafe_set st.stk (st.fp + o + wrap idx s) v
     | Aglobal (g, s) ->
         Array.unsafe_set (Array.unsafe_get st.g_mem g) (wrap idx s) v
+    | Aframe_k i -> Array.unsafe_set st.stk (st.fp + i) v
+    | Aglobal_k (g, i) -> Array.unsafe_set (Array.unsafe_get st.g_mem g) i v
+
+  (* The operators, inline: [Ir.eval_binop] is two calls away in another
+     module, which costs more than the operation. This is [Arith]'s
+     semantics case for case; the conformance case "every binary operator
+     at the edge operands" pins it to [Ir.eval_binop]. *)
+  let[@inline] binop op (a : int) (b : int) =
+    match op with
+    | Ir.Add -> a + b
+    | Ir.Sub -> a - b
+    | Ir.Mul -> a * b
+    | Ir.Div -> if b = 0 then 0 else a / b
+    | Ir.Rem -> if b = 0 then 0 else a mod b
+    | Ir.And -> a land b
+    | Ir.Or -> a lor b
+    | Ir.Xor -> a lxor b
+    | Ir.Shl ->
+        let s = b land 63 in
+        if s >= 63 then 0 else a lsl s
+    | Ir.Shr ->
+        let s = b land 63 in
+        if s >= 63 then if a < 0 then -1 else 0 else a asr s
+    | Ir.Ceq -> if a = b then 1 else 0
+    | Ir.Cne -> if a <> b then 1 else 0
+    | Ir.Clt -> if a < b then 1 else 0
+    | Ir.Cle -> if a <= b then 1 else 0
+    | Ir.Cgt -> if a > b then 1 else 0
+    | Ir.Cge -> if a >= b then 1 else 0
+
+  let[@inline] unop op (a : int) =
+    match op with Ir.Neg -> -a | Ir.Lnot -> if a = 0 then 1 else 0 | Ir.Bnot -> lnot a
 
   (* The loop's three hooks. Each keeps the loop body small, which
      measurably speeds up the runs that use none of them: [bump] is a
@@ -1189,14 +1384,14 @@ module Fast = struct
       | Ibin { op; d; a; b; c; rb; wb; tf } ->
           st.cost <- st.cost + c + haz st rb;
           charge st tf;
-          wrd st d (Ir.eval_binop op (rdo st a) (rdo st b));
+          wrd st d (binop op (rdo st a) (rdo st b));
           st.last_bits <- wb;
           st.hp <- 2;
           pc := pc0 + 1
       | Iun { op; d; a; c; rb; wb; tf } ->
           st.cost <- st.cost + c + haz st rb;
           charge st tf;
-          wrd st d (Ir.eval_unop op (rdo st a));
+          wrd st d (unop op (rdo st a));
           st.last_bits <- wb;
           st.hp <- 2;
           pc := pc0 + 1
@@ -1292,7 +1487,7 @@ module Fast = struct
           let vs = st.vscratch in
           for i = 0 to n - 1 do
             let _, a, b = Array.unsafe_get lanes i in
-            Array.unsafe_set vs i (Ir.eval_binop op (rdo st a) (rdo st b))
+            Array.unsafe_set vs i (binop op (rdo st a) (rdo st b))
           done;
           for i = 0 to n - 1 do
             let d, _, _ = Array.unsafe_get lanes i in
@@ -1347,7 +1542,7 @@ module Fast = struct
       | Icmp_cbr { op; d; a; b; c1; rb; tf; cnd; t1; t2; x1; x2; c2; e1; e2 } ->
           st.cost <- st.cost + c1 + haz st rb;
           charge st tf;
-          wrd st d (Ir.eval_binop op (rdo st a) (rdo st b));
+          wrd st d (binop op (rdo st a) (rdo st b));
           st.icount <- st.icount + 1;
           if st.icount > max_instrs then raise Budget_exhausted;
           st.cost <- st.cost + c2;
@@ -1365,10 +1560,117 @@ module Fast = struct
           if st.icount > max_instrs then raise Budget_exhausted;
           st.cost <- st.cost + c2;
           charge st tf2;
-          wrd st d2 (Ir.eval_binop op (rdo st a) (rdo st b));
+          wrd st d2 (binop op (rdo st a) (rdo st b));
           st.last_bits <- wb2;
           st.hp <- 2;
-          pc := pc0 + 2);
+          pc := pc0 + 2
+      | Ibin_rrr { op; d; a; b; c; rb; wb } ->
+          st.cost <- st.cost + c + haz st rb;
+          let regs = st.regs in
+          Array.unsafe_set regs d
+            (binop op (Array.unsafe_get regs a) (Array.unsafe_get regs b));
+          st.last_bits <- wb;
+          st.hp <- 2;
+          pc := pc0 + 1
+      | Ibin_rrc { op; d; a; k; c; rb; wb } ->
+          st.cost <- st.cost + c + haz st rb;
+          let regs = st.regs in
+          Array.unsafe_set regs d (binop op (Array.unsafe_get regs a) k);
+          st.last_bits <- wb;
+          st.hp <- 2;
+          pc := pc0 + 1
+      | Ild_rk { d; i; c; wb } ->
+          st.cost <- st.cost + c;
+          charge st true;
+          Array.unsafe_set st.regs d (Array.unsafe_get st.stk (st.fp + i));
+          st.last_bits <- wb;
+          st.hp <- 4;
+          pc := pc0 + 1
+      | Ist_kr { i; v; c; rb } ->
+          st.cost <- st.cost + c + haz st rb;
+          charge st true;
+          Array.unsafe_set st.stk (st.fp + i) (Array.unsafe_get st.regs v);
+          st.last_bits <- 0;
+          pc := pc0 + 1
+      | Icbr_r { r; t1; t2; x1; x2; c; rb; e1; e2 } ->
+          st.cost <- st.cost + c + haz st rb;
+          st.last_bits <- 0;
+          if Array.unsafe_get st.regs r <> 0 then begin
+            bump coverage counts e1;
+            st.cost <- st.cost + x1;
+            pc := t1
+          end
+          else begin
+            bump coverage counts e2;
+            st.cost <- st.cost + x2;
+            pc := t2
+          end
+      | Ild_bin_rc { d; i; c1; op; d2; a; k; c2; wb2 } ->
+          st.cost <- st.cost + c1;
+          charge st true;
+          let regs = st.regs in
+          Array.unsafe_set regs d (Array.unsafe_get st.stk (st.fp + i));
+          st.icount <- st.icount + 1;
+          if st.icount > max_instrs then raise Budget_exhausted;
+          st.cost <- st.cost + c2;
+          Array.unsafe_set regs d2 (binop op (Array.unsafe_get regs a) k);
+          st.last_bits <- wb2;
+          st.hp <- 2;
+          pc := pc0 + 2
+      | Ild_bin_rc_cbr
+          { d; i; c1; op; d2; a; k; c2; r; t1; t2; x1; x2; c3; e1; e2 } ->
+          st.cost <- st.cost + c1;
+          charge st true;
+          let regs = st.regs in
+          Array.unsafe_set regs d (Array.unsafe_get st.stk (st.fp + i));
+          st.icount <- st.icount + 1;
+          if st.icount > max_instrs then raise Budget_exhausted;
+          st.cost <- st.cost + c2;
+          Array.unsafe_set regs d2 (binop op (Array.unsafe_get regs a) k);
+          st.icount <- st.icount + 1;
+          if st.icount > max_instrs then raise Budget_exhausted;
+          st.cost <- st.cost + c3;
+          st.last_bits <- 0;
+          if Array.unsafe_get regs r <> 0 then begin
+            bump coverage counts e1;
+            st.cost <- st.cost + x1;
+            pc := t1
+          end
+          else begin
+            bump coverage counts e2;
+            st.cost <- st.cost + x2;
+            pc := t2
+          end
+      | Ild_bin_rc_st_jmp { d; i; c1; op; d2; a; k; c2; j; v; c3; t; c4; e } ->
+          st.cost <- st.cost + c1;
+          charge st true;
+          let regs = st.regs in
+          Array.unsafe_set regs d (Array.unsafe_get st.stk (st.fp + i));
+          st.icount <- st.icount + 1;
+          if st.icount > max_instrs then raise Budget_exhausted;
+          st.cost <- st.cost + c2;
+          Array.unsafe_set regs d2 (binop op (Array.unsafe_get regs a) k);
+          st.icount <- st.icount + 1;
+          if st.icount > max_instrs then raise Budget_exhausted;
+          (* part 1 paid the frame charge *)
+          st.cost <- st.cost + c3;
+          Array.unsafe_set st.stk (st.fp + j) (Array.unsafe_get regs v);
+          st.icount <- st.icount + 1;
+          if st.icount > max_instrs then raise Budget_exhausted;
+          st.cost <- st.cost + c4;
+          st.last_bits <- 0;
+          bump coverage counts e;
+          pc := t
+      | Ist_kr_jmp { i; v; c1; rb; t; c2; e } ->
+          st.cost <- st.cost + c1 + haz st rb;
+          charge st true;
+          Array.unsafe_set st.stk (st.fp + i) (Array.unsafe_get st.regs v);
+          st.icount <- st.icount + 1;
+          if st.icount > max_instrs then raise Budget_exhausted;
+          st.cost <- st.cost + c2;
+          st.last_bits <- 0;
+          bump coverage counts e;
+          pc := t);
       match sampler with
       | Some s -> sample st s (Array.unsafe_get code pc0) !pc
       | None -> ()

@@ -173,6 +173,45 @@ let test_corpus_matches_reference () =
       check_against_reference ~budget:e.Corpus.e_fuzz_budget e.Corpus.e_program)
     (Corpus.generate ~seed:1 ~n:24)
 
+(* A campaign runs each distinct input once. Over the 17 campaigns
+   [Evaluation.prepare] makes (budget 700, harness [i] at seed
+   42 + 1000 i, on the gcc-O0 binary), the 11,900 candidates hold
+   10,274 distinct inputs, and the VM runs exactly those. *)
+let test_suite_runs_each_input_once () =
+  let loaded =
+    List.map
+      (fun (p : Suite_types.sprogram) ->
+        ( p,
+          Vm.load
+            (T.compile (Suite_types.ast p) ~config:(C.make C.Gcc C.O0)
+               ~roots:(Suite_types.roots p)) ))
+      Programs.all
+  in
+  ignore (Obs.stop ());
+  Obs.start ();
+  let candidates =
+    Fun.protect
+      ~finally:(fun () -> ignore (Obs.stop ()))
+      (fun () ->
+        let n = ref 0 in
+        List.iter
+          (fun ((p : Suite_types.sprogram), prog) ->
+            List.iteri
+              (fun i (h : Suite_types.harness) ->
+                let r =
+                  Fuzzer.fuzz prog ~entry:h.Suite_types.h_entry
+                    ~seeds:h.Suite_types.h_seeds ~budget:700
+                    ~seed:(42 + (i * 1000))
+                in
+                n := !n + r.Fuzzer.total_execs)
+              p.Suite_types.p_harnesses)
+          loaded;
+        let runs = List.assoc_opt "vm/runs" (Obs.current_counters ()) in
+        (!n, runs))
+  in
+  Alcotest.(check (pair int (option int)))
+    "candidates, vm/runs" (11_900, Some 10_274) candidates
+
 let tests =
   [
     Alcotest.test_case "fuzzer deterministic" `Quick test_fuzzer_deterministic;
@@ -189,4 +228,6 @@ let tests =
       test_suite_matches_reference;
     Alcotest.test_case "corpus fuzzing matches the hash-keyed loop" `Quick
       test_corpus_matches_reference;
+    Alcotest.test_case "suite campaigns run each input once" `Quick
+      test_suite_runs_each_input_once;
   ]

@@ -108,6 +108,83 @@ let test_suite_conformance () =
         configs)
     suite_subjects
 
+(* Every budget from 1 to 400 on the first seed input of every suite
+   harness, plain and coverage, at gcc-O0 and gcc-O2: a superinstruction
+   re-checks the budget before each later part, and this cuts every
+   fused instruction the short runs reach at every part. *)
+let test_budget_sweep () =
+  List.iter
+    (fun (p : Suite_types.sprogram) ->
+      let ast = Suite_types.ast p and roots = Suite_types.roots p in
+      List.iter
+        (fun config ->
+          let bin = T.compile ast ~config ~roots in
+          let prog = decode p.Suite_types.p_name bin in
+          List.iter
+            (fun (h : Suite_types.harness) ->
+              let entry = h.Suite_types.h_entry in
+              let input =
+                match h.Suite_types.h_seeds with s :: _ -> s | [] -> []
+              in
+              List.iter
+                (fun coverage ->
+                  for max_instrs = 1 to 400 do
+                    let opts = { Vm.default_opts with max_instrs; coverage } in
+                    check_same
+                      (Printf.sprintf "%s/%s@%s budget %d%s" p.Suite_types.p_name
+                         h.Suite_types.h_name (C.name config) max_instrs
+                         (if coverage then " coverage" else ""))
+                      (Vm.Reference.run bin ~entry ~input opts)
+                      (Vm.Fast.run prog bin ~entry ~args:[] ~input opts)
+                  done)
+                [ false; true ])
+            p.Suite_types.p_harnesses)
+        [ C.make C.Gcc C.O0; C.make C.Gcc C.O2 ])
+    Programs.all
+
+(* Every binary operator over every pair of edge operands, read from the
+   input so no pass folds them: the fast core evaluates operators
+   inline, and this pins that evaluator to [Ir.eval_binop]. *)
+let operators_src =
+  "int main() {\n\
+   while (!eof()) {\n\
+   int a = input();\n\
+   int b = input();\n\
+   output(a + b); output(a - b); output(a * b); output(a / b);\n\
+   output(a % b); output(a & b); output(a | b); output(a ^ b);\n\
+   output(a << b); output(a >> b); output(a == b); output(a != b);\n\
+   output(a < b); output(a <= b); output(a > b); output(a >= b);\n\
+   }\n\
+   return 0;\n\
+   }"
+
+let test_operator_grid () =
+  let edge = [ 0; 1; -1; 2; -2; 62; 63; 64; 65; max_int; min_int ] in
+  let pairs = List.concat_map (fun a -> List.map (fun b -> (a, b)) edge) edge in
+  let input = List.concat_map (fun (a, b) -> [ a; b ]) pairs in
+  let expected =
+    List.concat_map
+      (fun (a, b) ->
+        List.map
+          (fun op -> Ir.eval_binop op a b)
+          Ir.
+            [
+              Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Shr; Ceq; Cne; Clt;
+              Cle; Cgt; Cge;
+            ])
+      pairs
+  in
+  List.iter
+    (fun config ->
+      let bin = compile ~config operators_src [ "main" ] in
+      let what = "operators@" ^ C.name config in
+      conform ~what bin ~entry:"main" ~input ();
+      Alcotest.(check (list int))
+        (what ^ " output")
+        expected
+        (run_fast bin ~entry:"main" ~args:[] ~input Vm.default_opts).Vm.output)
+    [ C.make C.Gcc C.O0; C.make C.Gcc C.O2 ]
+
 (* ------------------------------------------------------------------ *)
 (* Edge ids: the table both cores count through.                       *)
 
@@ -338,6 +415,10 @@ let tests =
     Alcotest.test_case "synthetic binaries conform across opts grid" `Slow
       test_synth_conformance;
     QCheck_alcotest.to_alcotest test_qcheck_conformance;
+    Alcotest.test_case "every budget from 1 to 400 on the suite seeds" `Slow
+      test_budget_sweep;
+    Alcotest.test_case "every binary operator at the edge operands" `Quick
+      test_operator_grid;
     Alcotest.test_case "edge table holds every static transfer" `Quick
       test_edge_table;
     Alcotest.test_case "budget exhaustion mid-call" `Quick test_budget_mid_call;
