@@ -175,9 +175,9 @@ remaining="$(find "$scratch/cache/objects" -type f 2>/dev/null | wc -l)"
 
 echo "== daemon smoke (serve + --connect, byte-identical to direct CLI) =="
 # Start a daemon on a scratch socket (plus a TCP listener on an
-# ephemeral port), drive rank/check/profile/trace requests through --connect
-# clients, and byte-diff rank/check stdout against direct (in-process)
-# CLI runs. profile output is a wall-time table, so only its exit
+# ephemeral port), drive rank/check/profile/trace/value-check/debug
+# requests through --connect clients, and byte-diff their output
+# against direct (in-process) CLI runs. profile output is a wall-time table, so only its exit
 # status is asserted. The daemon runs with --no-cache so both paths
 # compute from the same cold state, and with --jobs 2 so every request
 # it serves fans its sweeps out over the engine's worker pool, checked
@@ -221,6 +221,30 @@ ci_diff "$scratch/trace-direct.json" "$scratch/trace-daemon.json" \
 grep -qx '  lines lost: \[\]' "$scratch/trace-against.out" \
   && grep -qx '  lines gained: \[\]' "$scratch/trace-against.out" || {
   echo "trace smoke: --against did not read the document back unchanged" >&2
+  exit 1
+}
+
+# The value oracle compiles through the engine like its sibling views,
+# so the daemon serves it from tier 1 with the same report.
+"$cli" value-check -p zlib -l Og > "$scratch/value-check-direct.out"
+"$cli" value-check -p zlib -l Og --connect "$sock" > "$scratch/value-check-daemon.out"
+ci_diff "$scratch/value-check-direct.out" "$scratch/value-check-daemon.out" \
+  "debugtuner_cli value-check -p zlib -l Og [--connect SOCK]"
+# A debug script on an inline program: a continue from the breakpoint on
+# a call stops at the breakpoint inside the callee.
+printf '%s\n' 'int helper(int a) {' '  int b = a * 2;' '  return b + 1;' '}' \
+  'int main() {' '  int x = input();' '  int y = helper(x);' '  int arr[3];' \
+  '  arr[0] = y;' '  arr[1] = y + 1;' '  arr[2] = 9;' '  output(y);' \
+  '  return 0;' '}' > "$scratch/helper.c"
+printf '%s\n' 'break 7' 'break 2' 'run 21' 'continue' > "$scratch/helper.dbg"
+"$cli" debug -p "$scratch/helper.c" -l O0 -x "$scratch/helper.dbg" \
+  > "$scratch/debug-direct.out"
+"$cli" debug -p "$scratch/helper.c" -l O0 -x "$scratch/helper.dbg" \
+  --connect "$sock" > "$scratch/debug-daemon.out"
+ci_diff "$scratch/debug-direct.out" "$scratch/debug-daemon.out" \
+  "debugtuner_cli debug -p helper.c -l O0 -x helper.dbg [--connect SOCK]"
+grep -qx 'breakpoint 2, stopped at helper, line 2' "$scratch/debug-direct.out" || {
+  echo "debug smoke: continue did not stop at the callee's breakpoint" >&2
   exit 1
 }
 

@@ -983,12 +983,10 @@ let exec_sample b (p : Suite_types.sprogram) cfg bin entry period =
        /. float_of_int coll.Autofdo.samples_taken);
   text
 
-let exec_value_check b (p : Suite_types.sprogram) (cfg : Config.t) entry input =
+let exec_value_check b (p : Suite_types.sprogram) (cfg : Config.t) bin entry
+    input =
   let entry = default_entry p entry in
-  let r =
-    Value_oracle.check (Suite_types.ast p) ~config:cfg
-      ~roots:(Suite_types.roots p) ~entry ~input
-  in
+  let r = Value_oracle.check (Suite_types.ast p) bin ~entry ~input in
   bpf b "%s at %s (%s):\n%s" p.Suite_types.p_name (Config.name cfg) entry
     (Value_oracle.report_to_string r);
   if cfg.Config.level = Config.O0 && r.Value_oracle.rp_mismatches <> [] then 1
@@ -1016,16 +1014,12 @@ let run_compile ctx ~subject ~config ~profile ~sanitize (view : Request.view) =
       let p = subject_program subject in
       exec_measure ctx b p config;
       (Buffer.contents b, None, Response.D_none, 0)
-  | Request.Value_check { v_entry; v_input } ->
-      let p = subject_program subject in
-      let code = exec_value_check b p config v_entry v_input in
-      (Buffer.contents b, None, Response.D_none, code)
   | Request.Summary ->
       let p = subject_program subject in
       let data = exec_summary ctx b p config ~profile ~sanitize in
       (Buffer.contents b, None, data, 0)
   | Request.Dump _ | Request.Verify | Request.Disasm _ | Request.Trace _
-  | Request.Debug _ | Request.Sample _ -> (
+  | Request.Debug _ | Request.Sample _ | Request.Value_check _ -> (
       let p = subject_program subject in
       let bin = compile_subject ctx p config ~profile ~sanitize in
       match view with
@@ -1047,6 +1041,9 @@ let run_compile ctx ~subject ~config ~profile ~sanitize (view : Request.view) =
       | Request.Sample { s_entry; s_period } ->
           let artifact = exec_sample b p config bin s_entry s_period in
           (Buffer.contents b, Some artifact, Response.D_none, 0)
+      | Request.Value_check { v_entry; v_input } ->
+          let code = exec_value_check b p config bin v_entry v_input in
+          (Buffer.contents b, None, Response.D_none, code)
       | _ -> assert false)
 
 (* -- rank / tune -- *)
@@ -1373,8 +1370,8 @@ let run_profile_locked ctx ~subject ~config ~sanitize ~stats ~trace =
         if not trace then None
         else begin
           let js = Obs.to_chrome_json session in
-          (* Self-check the artifact before shipping it: balanced spans
-             and at least one span per profiled pass. *)
+          (* Self-check the artifact before shipping it: well-formed
+             complete spans and at least one span per profiled pass. *)
           (match Obs.validate_chrome js with
           | Error msg -> failwith ("trace validation failed: " ^ msg)
           | Ok v ->

@@ -5,9 +5,10 @@
     visible; this oracle checks *what* the debugger would print. It runs
     the reference AST interpreter with a statement observer (recording
     every visible local at the first execution of each source line) and
-    in parallel replays the binary under the debugger protocol
-    (recording every debug-info-materializable variable at the first
-    hit of each line), then compares the two views variable by
+    runs the binary in one debugger session under the paper's trace
+    protocol ({!Session.first_hits}: a temporary breakpoint on every
+    line, recording every variable the debug info can read at each
+    line's first hit), then compares the two views variable by
     variable.
 
     At O0 the views must agree exactly — statements execute in source
@@ -22,7 +23,7 @@
     phenomenon the authors' companion work studies in production
     compilers). *)
 
-type oval = Vint of int | Varr of int list
+type oval = Session.value = Vint of int | Varr of int list
 
 let oval_to_string = function
   | Vint n -> string_of_int n
@@ -69,126 +70,50 @@ let interp_snapshots (ast : Minic.Ast.program) ~entry ~input =
   seen
 
 (* ------------------------------------------------------------------ *)
-(* Debugger side                                                       *)
-
-let materialize_oval (st : Vm.state) (vi_is_array : bool)
-    (where : Dwarfish.location) : oval option =
-  match st.Vm.frames with
-  | [] -> None
-  | f :: _ -> (
-      match where with
-      | Dwarfish.Const n -> Some (Vint n)
-      | Dwarfish.In_reg k ->
-          if k >= 0 && k < Array.length st.Vm.pregs then
-            Some (Vint st.Vm.pregs.(k))
-          else None
-      | Dwarfish.In_slot o ->
-          if o < 0 || o >= Array.length f.Vm.fr_mem then None
-          else if vi_is_array then
-            let size =
-              List.find_map
-                (fun (_, off, size) -> if off = o then Some size else None)
-                f.Vm.fr_fi.Emit.fi_slot_offset
-            in
-            Option.map
-              (fun size ->
-                Varr
-                  (List.init
-                     (min size (Array.length f.Vm.fr_mem - o))
-                     (fun i -> f.Vm.fr_mem.(o + i))))
-              size
-          else Some (Vint f.Vm.fr_mem.(o)))
-
-(* Replay the binary, stopping (conceptually) at the first hit of every
-   line-table line, and materialize what the debug info exposes. *)
-let debugger_snapshots (bin : Emit.binary) ~entry ~input =
-  let line_at = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Dwarfish.line_entry) ->
-      if not (Hashtbl.mem line_at e.Dwarfish.addr) then
-        Hashtbl.replace line_at e.Dwarfish.addr e.Dwarfish.line)
-    bin.Emit.debug.Dwarfish.line_table;
-  let is_array =
-    let t = Hashtbl.create 16 in
-    List.iter
-      (fun (vi : Dwarfish.var_info) ->
-        if vi.Dwarfish.vi_is_array then
-          Hashtbl.replace t vi.Dwarfish.vi_var ())
-      bin.Emit.debug.Dwarfish.vars;
-    fun v -> Hashtbl.mem t v
-  in
-  let seen : (int, string * (string, oval) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let st = Vm.init_state bin ~entry ~args:[] ~input in
-  let observe () =
-    match Hashtbl.find_opt line_at st.Vm.pc with
-    | Some line when not (Hashtbl.mem seen line) -> (
-        match st.Vm.frames with
-        | [] -> ()
-        | f :: _ ->
-            let fn = f.Vm.fr_fi.Emit.fi_name in
-            let env = Hashtbl.create 8 in
-            List.iter
-              (fun ((v : Ir.var_id), where) ->
-                if v.Ir.origin = fn then
-                  match materialize_oval st (is_array v) where with
-                  | Some value -> Hashtbl.replace env v.Ir.name value
-                  | None -> ())
-              (Dwarfish.available_at bin.Emit.debug st.Vm.pc);
-            Hashtbl.replace seen line (fn, env))
-    | _ -> ()
-  in
-  (try
-     while not st.Vm.halted do
-       observe ();
-       try Vm.step st Vm.default_opts None with Exit -> ()
-     done
-   with Vm.Budget_exhausted -> ());
-  seen
-
-(* ------------------------------------------------------------------ *)
 (* Comparison                                                          *)
 
-(** [check ast ~config ~roots ~entry ~input] compiles and compares the
-    two views. Function-header lines are excluded: their addresses are
-    the prologue, which the debugger protocol skips (gdb's break-after-
-    prologue), so values there are not yet meaningful. *)
-let check (ast : Minic.Ast.program) ~(config : Config.t) ~roots ~entry ~input
-    : report =
-  let bin = Toolchain.compile ast ~config ~roots in
+(** [check ast bin ~entry ~input] compares the two views of [bin], a
+    compile of [ast]. Function-header lines are excluded: their
+    addresses are the prologue, which the debugger protocol skips (gdb's
+    break-after-prologue), so values there are not yet meaningful. *)
+let check (ast : Minic.Ast.program) (bin : Emit.binary) ~entry ~input : report =
   let header_lines =
     List.map (fun (f : Minic.Ast.func) -> f.Minic.Ast.fline) ast.Minic.Ast.funcs
   in
   let interp = interp_snapshots ast ~entry ~input in
-  let dbg = debugger_snapshots bin ~entry ~input in
   let lines = ref 0 and values = ref 0 in
   let mismatches = ref [] in
-  Hashtbl.iter
-    (fun line (dbg_fn, dbg_env) ->
-      if not (List.mem line header_lines) then
-        match Hashtbl.find_opt interp line with
-        | Some (int_fn, int_env) when int_fn = dbg_fn ->
-            incr lines;
-            Hashtbl.iter
-              (fun name dval ->
-                match Hashtbl.find_opt int_env name with
-                | Some ival ->
-                    incr values;
-                    if ival <> dval then
-                      mismatches :=
-                        {
-                          mm_line = line;
-                          mm_func = dbg_fn;
-                          mm_var = name;
-                          mm_debugger = dval;
-                          mm_interp = ival;
-                        }
-                        :: !mismatches
-                | None -> ())
-              dbg_env
-        | _ -> ())
-    dbg;
+  List.iter
+    (fun { Session.hit_line = line; hit_func = fn; hit_values } ->
+      match Hashtbl.find_opt interp line with
+      | Some (int_fn, int_env)
+        when int_fn = fn && not (List.mem line header_lines) ->
+          incr lines;
+          (* The stopped function's own variables, by name. *)
+          let shown = Hashtbl.create 8 in
+          List.iter
+            (fun ((v : Ir.var_id), value) ->
+              if v.Ir.origin = fn then Hashtbl.replace shown v.Ir.name value)
+            hit_values;
+          Hashtbl.iter
+            (fun name dval ->
+              match Hashtbl.find_opt int_env name with
+              | Some ival ->
+                  incr values;
+                  if ival <> dval then
+                    mismatches :=
+                      {
+                        mm_line = line;
+                        mm_func = fn;
+                        mm_var = name;
+                        mm_debugger = dval;
+                        mm_interp = ival;
+                      }
+                      :: !mismatches
+              | None -> ())
+            shown
+      | _ -> ())
+    (Session.first_hits bin ~entry ~input);
   {
     rp_lines = !lines;
     rp_values = !values;

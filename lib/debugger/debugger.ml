@@ -35,11 +35,8 @@ let trace ?(all_locations = true) (prog : Vm.loaded) ~entry
     ~(inputs : int list list) : trace =
   let bin = prog.Vm.binary in
   let bps = Array.make (Array.length bin.Emit.code) false in
-  let line_at = Hashtbl.create 64 in
   List.iter
-    (fun (e : Dwarfish.line_entry) ->
-      bps.(e.Dwarfish.addr) <- true;
-      Hashtbl.replace line_at e.Dwarfish.addr e.Dwarfish.line)
+    (fun (e : Dwarfish.line_entry) -> bps.(e.Dwarfish.addr) <- true)
     bin.Emit.debug.Dwarfish.line_table;
   if not all_locations then begin
     Array.fill bps 0 (Array.length bps) false;
@@ -59,7 +56,7 @@ let trace ?(all_locations = true) (prog : Vm.loaded) ~entry
       let new_lines =
         List.filter_map
           (fun addr ->
-            match Hashtbl.find_opt line_at addr with
+            match bin.Emit.line_of.(addr) with
             | Some line when not (Hashtbl.mem stepped line) ->
                 let vars =
                   Dwarfish.available_at bin.Emit.debug addr

@@ -28,7 +28,10 @@
     Every command returns its output lines; [script] replays a whole
     command list and returns the transcript, so sessions are easy to
     test and to diff across optimization levels — which is exactly what
-    the paper does to attribute losses. *)
+    the paper does to attribute losses. [first_hits] runs the paper's
+    trace protocol as a session: the value oracle's debugger side. *)
+
+type value = Vint of int | Varr of int list
 
 type cond = {
   c_var : string;
@@ -55,17 +58,37 @@ type watchpoint = {
 type t = {
   bin : Emit.binary;
   entry : string;
-  mutable breakpoints : bp list;
+  line_addrs : (int, int list) Hashtbl.t;
+      (** every line-table address of each line, ascending *)
+  arrays : (Ir.var_id, unit) Hashtbl.t;  (** the array variables *)
+  breakpoints : (int, bp) Hashtbl.t;  (** by line *)
+  bp_at : bp option array;  (** the breakpoint armed at each address *)
   mutable watchpoints : watchpoint list;
   mutable st : Vm.state option;  (** [None] until [run] / after exit *)
   mutable running : bool;
 }
 
 let create (bin : Emit.binary) ~entry =
+  let debug = bin.Emit.debug in
+  let line_addrs = Hashtbl.create 64 in
+  List.iter
+    (fun (e : Dwarfish.line_entry) ->
+      Hashtbl.replace line_addrs e.Dwarfish.line
+        (e.Dwarfish.addr
+        :: Option.value ~default:[] (Hashtbl.find_opt line_addrs e.Dwarfish.line)))
+    (List.rev debug.Dwarfish.line_table);
+  let arrays = Hashtbl.create 16 in
+  List.iter
+    (fun (vi : Dwarfish.var_info) ->
+      if vi.Dwarfish.vi_is_array then Hashtbl.replace arrays vi.Dwarfish.vi_var ())
+    debug.Dwarfish.vars;
   {
     bin;
     entry;
-    breakpoints = [];
+    line_addrs;
+    arrays;
+    breakpoints = Hashtbl.create 64;
+    bp_at = Array.make (Array.length bin.Emit.code) None;
     watchpoints = [];
     st = None;
     running = false;
@@ -92,45 +115,45 @@ let slot_size (fi : Emit.func_info) offset =
     (fun (_, o, size) -> if o = offset then Some size else None)
     fi.Emit.fi_slot_offset
 
-(* Materialize a variable's value from its DWARF-like location, exactly
+(* Every variable the debug info can see here, with its location. *)
+let visible_vars (s : t) (st : Vm.state) =
+  Dwarfish.available_at s.bin.Emit.debug st.Vm.pc
+
+(* Read a visible variable's value from its DWARF-like location, exactly
    as the debugger would: registers from the register file, slots from
-   the current frame, constants from the entry itself. *)
-let materialize (st : Vm.state) (where : Dwarfish.location) ~is_array =
+   the current frame, constants from the entry itself; an array is
+   every word of its slot. [Error] carries the placeholder a debugger
+   shows for a location it cannot read. *)
+let read (s : t) (st : Vm.state) ((v : Ir.var_id), (where : Dwarfish.location)) =
   match st.Vm.frames with
-  | [] -> "<no frame>"
+  | [] -> Error "<no frame>"
   | f :: _ -> (
       match where with
-      | Dwarfish.Const n -> string_of_int n
+      | Dwarfish.Const n -> Ok (Vint n)
       | Dwarfish.In_reg k ->
-          if k >= 0 && k < Array.length st.Vm.pregs then
-            string_of_int st.Vm.pregs.(k)
-          else "<bad register>"
+          if k >= 0 && k < Array.length st.Vm.pregs then Ok (Vint st.Vm.pregs.(k))
+          else Error "<bad register>"
       | Dwarfish.In_slot o ->
-          if o < 0 || o >= Array.length f.Vm.fr_mem then "<bad slot>"
-          else if is_array then
+          if o < 0 || o >= Array.length f.Vm.fr_mem then Error "<bad slot>"
+          else if Hashtbl.mem s.arrays v then
             let size =
               match slot_size f.Vm.fr_fi o with
-              | Some s -> min s (Array.length f.Vm.fr_mem - o)
+              | Some n -> min n (Array.length f.Vm.fr_mem - o)
               | None -> 1
             in
-            let words =
-              List.init (min size 8) (fun i ->
-                  string_of_int f.Vm.fr_mem.(o + i))
-            in
-            "{"
-            ^ String.concat ", " words
-            ^ (if size > 8 then ", ..." else "")
-            ^ "}"
-          else string_of_int f.Vm.fr_mem.(o))
+            Ok (Varr (List.init size (fun i -> f.Vm.fr_mem.(o + i))))
+          else Ok (Vint f.Vm.fr_mem.(o)))
 
-let visible_vars (s : t) (st : Vm.state) =
-  let avail = Dwarfish.available_at s.bin.Emit.debug st.Vm.pc in
-  let is_array v =
-    List.exists
-      (fun (vi : Dwarfish.var_info) -> vi.Dwarfish.vi_var = v && vi.Dwarfish.vi_is_array)
-      s.bin.Emit.debug.Dwarfish.vars
-  in
-  List.map (fun (v, where) -> (v, where, is_array v)) avail
+(* What the debugger displays for a read: an array's first 8 words. *)
+let format_value = function
+  | Ok (Vint n) -> string_of_int n
+  | Ok (Varr words) ->
+      "{"
+      ^ String.concat ", "
+          (List.filteri (fun i _ -> i < 8) words |> List.map string_of_int)
+      ^ (if List.length words > 8 then ", ..." else "")
+      ^ "}"
+  | Error placeholder -> placeholder
 
 (* The in-scope candidate a debugger shows for [name] here: the current
    function's own variable of that name, else the first visible one;
@@ -138,20 +161,19 @@ let visible_vars (s : t) (st : Vm.state) =
 let pick_visible (s : t) (st : Vm.state) name =
   let fn = cur_func s st in
   let candidates =
-    List.filter (fun (v, _, _) -> v.Ir.name = name) (visible_vars s st)
+    List.filter (fun ((v : Ir.var_id), _) -> v.Ir.name = name) (visible_vars s st)
   in
-  match List.find_opt (fun (v, _, _) -> v.Ir.origin = fn) candidates with
+  match List.find_opt (fun ((v : Ir.var_id), _) -> v.Ir.origin = fn) candidates with
   | Some c -> Some c
   | None -> ( match candidates with c :: _ -> Some c | [] -> None)
 
 (* The value a debugger would display for [name] here: the in-scope
-   candidate's materialization, or a placeholder. Used by conditions
-   and by (software) watchpoints, which re-sample after every
-   instruction. *)
+   candidate's read, or a placeholder. Used by conditions and by
+   (software) watchpoints, which re-sample after every instruction. *)
 let sample_value (s : t) (st : Vm.state) name =
   match pick_visible s st name with
-  | Some (_, where, is_array) -> materialize st where ~is_array
-  | None -> "<not visible>"
+  | Some c -> read s st c
+  | None -> Error "<not visible>"
 
 (* All variables the debug info mentions anywhere inside the current
    function — used to distinguish "optimized out here" from "no such
@@ -190,9 +212,8 @@ exception Stop of string list
    optimized out at the stop site) stops with a note, like gdb's "Error
    in testing breakpoint condition" behaviour. *)
 let eval_cond (s : t) (st : Vm.state) (c : cond) =
-  match int_of_string_opt (sample_value s st c.c_var) with
-  | None -> `Unevaluable
-  | Some v ->
+  match sample_value s st c.c_var with
+  | Ok (Vint v) ->
       let holds =
         match c.c_op with
         | "==" -> v = c.c_value
@@ -204,16 +225,25 @@ let eval_cond (s : t) (st : Vm.state) (c : cond) =
         | _ -> false
       in
       if holds then `Stop else `Skip
+  | Ok (Varr _) | Error _ -> `Unevaluable
 
-let hit_breakpoint (s : t) (st : Vm.state) pc =
-  match
-    List.find_opt (fun b -> List.mem pc b.bp_addrs) s.breakpoints
-  with
+let arm (s : t) (b : bp) =
+  Hashtbl.replace s.breakpoints b.bp_line b;
+  List.iter (fun a -> s.bp_at.(a) <- Some b) b.bp_addrs
+
+let disarm (s : t) (b : bp) =
+  Hashtbl.remove s.breakpoints b.bp_line;
+  List.iter (fun a -> s.bp_at.(a) <- None) b.bp_addrs
+
+(* The breakpoint that stops execution at the current address, if any,
+   with its condition note; a temporary one is consumed. *)
+let hit_breakpoint (s : t) (st : Vm.state) =
+  let pc = st.Vm.pc in
+  match if pc >= 0 && pc < Array.length s.bp_at then s.bp_at.(pc) else None with
   | None -> None
   | Some b -> (
       let consume note =
-        if b.bp_temporary then
-          s.breakpoints <- List.filter (fun x -> x != b) s.breakpoints;
+        if b.bp_temporary then disarm s b;
         Some (b, note)
       in
       match b.bp_cond with
@@ -228,7 +258,7 @@ let hit_breakpoint (s : t) (st : Vm.state) pc =
                    (Printf.sprintf
                       "note: condition %s %s %d could not be evaluated (%s = %s)"
                       c.c_var c.c_op c.c_value c.c_var
-                      (sample_value s st c.c_var)))))
+                      (format_value (sample_value s st c.c_var))))))
 
 (* The lines a breakpoint stop prints, wherever it is hit: the
    condition note, if any, then the stop. *)
@@ -240,28 +270,27 @@ let breakpoint_report (s : t) (st : Vm.state) (b, note) =
         b.bp_line (stop_report s st);
     ]
 
-(* Run until [stop_here] says stop, a breakpoint is hit, or the program
-   exits. [skip_bp_line] suppresses breakpoint stops while still on that
-   source line, so stepping off a breakpointed multi-location line does
-   not immediately re-trigger it (gdb's behaviour). *)
-let resume ?skip_bp_line (s : t) (st : Vm.state) ~stop_here =
-  let opts = Vm.default_opts in
-  (* Breakpoints re-arm once execution leaves [skip_bp_line] at the
-     starting frame depth or shallower: a loop coming back to the line
-     stops again, but a call made *from* the line (and the line's
-     post-call locations) does not re-trigger it. *)
-  let armed = ref (skip_bp_line = None) in
+(* Run until [stop_here] says stop, a breakpoint or watchpoint fires, or
+   the program exits; return the stop's report. [skip_bp_line]'s own
+   locations stay held back until execution leaves that line at the
+   starting frame depth or shallower, so stepping off a breakpointed
+   multi-location line does not re-trigger it at once (gdb's behaviour),
+   while a loop coming back to it stops again. Every other breakpoint
+   stays armed, those in a call made from the line included. Raises
+   [Vm.Budget_exhausted] and [Vm.Runtime_error]. *)
+let run_to_stop ?skip_bp_line (s : t) (st : Vm.state) ~stop_here =
+  let held = ref skip_bp_line in
   let depth0 = List.length st.Vm.frames in
   try
     while not st.Vm.halted do
-      (try Vm.step st opts None with Exit -> ());
+      (try Vm.step st Vm.default_opts None with Exit -> ());
       if st.Vm.halted then raise (Stop [ exit_report st ]);
+      let line = cur_line s st in
       if
-        (not !armed)
-        && cur_line s st <> skip_bp_line
+        !held <> None && line <> !held
         && List.length st.Vm.frames <= depth0
-      then armed := true;
-      (match if !armed then hit_breakpoint s st st.Vm.pc else None with
+      then held := None;
+      (match if line <> !held then hit_breakpoint s st else None with
       | Some hit -> raise (Stop (breakpoint_report s st hit))
       | None -> ());
       (* Software watchpoints: re-sample after every instruction, like
@@ -283,7 +312,7 @@ let resume ?skip_bp_line (s : t) (st : Vm.state) ~stop_here =
                  ])
           end
           else if depth_now = w.wp_depth then begin
-            let now = sample_value s st w.wp_name in
+            let now = format_value (sample_value s st w.wp_name) in
             if now <> w.wp_last then begin
               let old = w.wp_last in
               w.wp_last <- now;
@@ -301,8 +330,10 @@ let resume ?skip_bp_line (s : t) (st : Vm.state) ~stop_here =
       if stop_here st then raise (Stop [ stop_report s st ])
     done;
     [ exit_report st ]
-  with
-  | Stop lines -> lines
+  with Stop lines -> lines
+
+let resume ?skip_bp_line (s : t) (st : Vm.state) ~stop_here =
+  try run_to_stop ?skip_bp_line s st ~stop_here with
   | Vm.Budget_exhausted ->
       s.running <- false;
       [ "[program timed out]" ]
@@ -325,27 +356,17 @@ let require_running (s : t) f =
 (* ------------------------------------------------------------------ *)
 (* Commands                                                            *)
 
-let addrs_of_line (s : t) line =
-  let rec collect = function
-    | [] -> []
-    | (e : Dwarfish.line_entry) :: rest ->
-        (if e.Dwarfish.line = line then [ e.Dwarfish.addr ] else [])
-        @ collect rest
-  in
-  collect s.bin.Emit.debug.Dwarfish.line_table
-
 let cmd_break ?cond (s : t) line ~temporary =
-  match addrs_of_line s line with
-  | [] ->
+  match Hashtbl.find_opt s.line_addrs line with
+  | None ->
       [
         Printf.sprintf
           "no code at line %d (line not in the binary's line table)" line;
       ]
-  | addrs ->
-      s.breakpoints <-
+  | Some addrs ->
+      arm s
         { bp_line = line; bp_addrs = addrs; bp_temporary = temporary;
-          bp_cond = cond }
-        :: List.filter (fun b -> b.bp_line <> line) s.breakpoints;
+          bp_cond = cond };
       [
         Printf.sprintf "%s at line %d (%d location%s)%s"
           (if temporary then "temporary breakpoint" else "breakpoint")
@@ -368,7 +389,7 @@ let cmd_watch (s : t) name =
     let baseline, depth =
       match s.st with
       | Some st when s.running ->
-          (sample_value s st name, List.length st.Vm.frames)
+          (format_value (sample_value s st name), List.length st.Vm.frames)
       | _ -> ("<not visible>", 1)
     in
     s.watchpoints <-
@@ -390,14 +411,14 @@ let cmd_info_watchpoints (s : t) =
   | ws ->
       List.map
         (fun w -> Printf.sprintf "%s = %s" w.wp_name w.wp_last)
-        (List.sort compare (List.map (fun w -> w) ws))
+        (List.sort compare ws)
 
 let cmd_delete (s : t) line =
-  let before = List.length s.breakpoints in
-  s.breakpoints <- List.filter (fun b -> b.bp_line <> line) s.breakpoints;
-  if List.length s.breakpoints < before then
-    [ Printf.sprintf "deleted breakpoint at line %d" line ]
-  else [ Printf.sprintf "no breakpoint at line %d" line ]
+  match Hashtbl.find_opt s.breakpoints line with
+  | Some b ->
+      disarm s b;
+      [ Printf.sprintf "deleted breakpoint at line %d" line ]
+  | None -> [ Printf.sprintf "no breakpoint at line %d" line ]
 
 let cmd_run (s : t) input =
   let st = Vm.init_state s.bin ~entry:s.entry ~args:[] ~input in
@@ -405,11 +426,11 @@ let cmd_run (s : t) input =
   s.running <- true;
   List.iter
     (fun w ->
-      w.wp_last <- sample_value s st w.wp_name;
+      w.wp_last <- format_value (sample_value s st w.wp_name);
       w.wp_depth <- List.length st.Vm.frames)
     s.watchpoints;
   (* Stop before executing the entry address if it carries a breakpoint. *)
-  match hit_breakpoint s st st.Vm.pc with
+  match hit_breakpoint s st with
   | Some hit -> breakpoint_report s st hit
   | None -> finish_stop s st (resume s st ~stop_here:(fun _ -> false))
 
@@ -442,11 +463,8 @@ let cmd_finish (s : t) =
 let cmd_print (s : t) name =
   require_running s (fun st ->
       match pick_visible s st name with
-      | Some (v, where, is_array) ->
-          [
-            Printf.sprintf "%s = %s" v.Ir.name
-              (materialize st where ~is_array);
-          ]
+      | Some ((v, _) as c) ->
+          [ Printf.sprintf "%s = %s" v.Ir.name (format_value (read s st c)) ]
       | None ->
           if
             List.exists
@@ -463,11 +481,11 @@ let cmd_info_locals (s : t) =
       | [] -> [ "no locals visible here" ]
       | vars ->
           List.map
-            (fun ((v : Ir.var_id), where, is_array) ->
+            (fun (((v : Ir.var_id), _) as c) ->
               Printf.sprintf "%s%s = %s"
                 (if v.Ir.origin = fn then "" else v.Ir.origin ^ "::")
                 v.Ir.name
-                (materialize st where ~is_array))
+                (format_value (read s st c)))
             (List.sort compare vars))
 
 let cmd_info_line (s : t) =
@@ -477,7 +495,7 @@ let cmd_info_line (s : t) =
       | None -> [ Printf.sprintf "no line for address %d" st.Vm.pc ])
 
 let cmd_info_breakpoints (s : t) =
-  match s.breakpoints with
+  match Hashtbl.fold (fun _ b acc -> b :: acc) s.breakpoints [] with
   | [] -> [ "no breakpoints" ]
   | bps ->
       List.map
@@ -591,3 +609,32 @@ let script (bin : Emit.binary) ~entry commands =
         (exec s c))
     commands;
   Buffer.contents buf
+
+type hit = {
+  hit_line : int;
+  hit_func : string;
+  hit_values : (Ir.var_id * value) list;
+}
+
+(* Each line's temporary breakpoint is consumed at its first hit, so the
+   stopped line's hold-back never hides one of them. *)
+let first_hits (bin : Emit.binary) ~entry ~input =
+  let s = create bin ~entry in
+  Hashtbl.iter
+    (fun line addrs ->
+      arm s
+        { bp_line = line; bp_addrs = addrs; bp_temporary = true; bp_cond = None })
+    s.line_addrs;
+  let st = Vm.init_state bin ~entry ~args:[] ~input in
+  let hit () =
+    let value ((v, _) as c) = Result.to_option (read s st c) |> Option.map (fun x -> (v, x)) in
+    { hit_line = Option.get (cur_line s st); hit_func = cur_func s st;
+      hit_values = List.filter_map value (visible_vars s st) }
+  in
+  let rec go hits =
+    match run_to_stop ?skip_bp_line:(cur_line s st) s st ~stop_here:(fun _ -> false) with
+    | _ when st.Vm.halted -> List.rev hits
+    | _ -> go (hit () :: hits)
+    | exception Vm.Budget_exhausted -> List.rev hits
+  in
+  go (if Option.is_some (hit_breakpoint s st) then [ hit () ] else [])

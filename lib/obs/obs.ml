@@ -487,16 +487,15 @@ let self_time_report (s : session) =
 
 type validation = {
   v_events : int;  (** events checked (metadata excluded) *)
-  v_spans : (string * int) list;
-      (** per-name span counts ([B] and [X] events), sorted *)
+  v_spans : (string * int) list;  (** per-name span counts, sorted *)
 }
 
 (** [validate_chrome text] checks that [text] is a well-formed Chrome
-    [trace_event] JSON document: a [{"traceEvents": [...]}] object (or a
-    bare event array), every event an object with a string ["name"], a
-    ["ph"] of B/E/X/M, a numeric [ts >= 0] and, for X, a numeric
-    [dur >= 0]; and per [(pid, tid)] the B/E events (in timestamp order)
-    form balanced, name-matched nesting. *)
+    [trace_event] JSON document of the kind {!to_chrome_json} writes: a
+    [{"traceEvents": [...]}] object (or a bare event array), every event
+    an object with a string ["name"] and a ["ph"] of X (a complete span,
+    with a numeric [ts >= 0] and a numeric [dur >= 0]) or M (metadata).
+    The first bad event, in document order, is the error. *)
 let validate_chrome (text : string) : (validation, string) result =
   match Util.Json.parse text with
   | exception Util.Json.Parse_error msg -> Error ("malformed JSON: " ^ msg)
@@ -513,108 +512,44 @@ let validate_chrome (text : string) : (validation, string) result =
       in
       match events with
       | Error e -> Error e
-      | Ok evs -> (
-          let err = ref None in
-          let fail_ev i msg =
-            if !err = None then err := Some (Printf.sprintf "event %d: %s" i msg)
+      | Ok evs ->
+          let spans = Hashtbl.create 16 in
+          let check ev =
+            let str k = Option.bind (Util.Json.field k ev) Util.Json.str
+            and num k = Option.bind (Util.Json.field k ev) Util.Json.num in
+            match ev with
+            | Util.Json.Obj _ -> (
+                match (str "name", str "ph") with
+                | None, _ -> Error "missing string \"name\""
+                | _, None -> Error "missing string \"ph\""
+                | Some _, Some "M" -> Ok ()
+                | Some name, Some "X" -> (
+                    match (num "ts", num "dur") with
+                    | None, _ -> Error "missing numeric \"ts\""
+                    | Some ts, _ when ts < 0.0 -> Error "negative \"ts\""
+                    | _, None -> Error "X event missing numeric \"dur\""
+                    | _, Some d when d < 0.0 -> Error "negative \"dur\""
+                    | _ ->
+                        Hashtbl.replace spans name
+                          (1 + Option.value ~default:0 (Hashtbl.find_opt spans name));
+                        Ok ())
+                | Some _, Some ph -> Error ("bad \"ph\": " ^ ph))
+            | _ -> Error "not an object"
           in
-          let checked = ref [] in
-          List.iteri
-            (fun i ev ->
-              match ev with
-              | Util.Json.Obj _ -> (
-                  let str k = Option.bind (Util.Json.field k ev) Util.Json.str
-                  and num k = Option.bind (Util.Json.field k ev) Util.Json.num in
-                  match (str "name", str "ph") with
-                  | None, _ -> fail_ev i "missing string \"name\""
-                  | _, None -> fail_ev i "missing string \"ph\""
-                  | Some name, Some ph -> (
-                      match ph with
-                      | "M" -> ()
-                      | "B" | "E" | "X" -> (
-                          let pid =
-                            Option.value ~default:0.0 (num "pid")
-                          and tid = Option.value ~default:0.0 (num "tid") in
-                          match num "ts" with
-                          | None -> fail_ev i "missing numeric \"ts\""
-                          | Some ts when ts < 0.0 -> fail_ev i "negative \"ts\""
-                          | Some ts -> (
-                              match ph with
-                              | "X" -> (
-                                  match num "dur" with
-                                  | None ->
-                                      fail_ev i "X event missing numeric \"dur\""
-                                  | Some d when d < 0.0 ->
-                                      fail_ev i "negative \"dur\""
-                                  | Some _ ->
-                                      checked :=
-                                        (pid, tid, ts, ph, name, i) :: !checked)
-                              | _ ->
-                                  checked :=
-                                    (pid, tid, ts, ph, name, i) :: !checked))
-                      | _ -> fail_ev i ("bad \"ph\": " ^ ph)))
-              | _ -> fail_ev i "not an object")
-            evs;
-          match !err with
-          | Some e -> Error e
-          | None ->
-              (* B/E balance per (pid, tid), in timestamp order. *)
-              let lanes = Hashtbl.create 8 in
-              List.iter
-                (fun ((pid, tid, _, _, _, _) as e) ->
-                  let key = (pid, tid) in
-                  let l =
-                    try Hashtbl.find lanes key with Not_found -> []
-                  in
-                  Hashtbl.replace lanes key (e :: l))
-                !checked;
-              let spans = Hashtbl.create 16 in
-              let bump name =
-                Hashtbl.replace spans name
-                  (1 + try Hashtbl.find spans name with Not_found -> 0)
-              in
-              Hashtbl.iter
-                (fun _ lane ->
-                  let sorted =
-                    List.stable_sort
-                      (fun (_, _, a, _, _, ai) (_, _, b, _, _, bi) ->
-                        match compare a b with 0 -> compare ai bi | c -> c)
-                      (List.rev lane)
-                  in
-                  let stk = ref [] in
-                  List.iter
-                    (fun (_, _, _, ph, name, i) ->
-                      match ph with
-                      | "X" -> bump name
-                      | "B" ->
-                          bump name;
-                          stk := name :: !stk
-                      | "E" -> (
-                          match !stk with
-                          | top :: rest when top = name -> stk := rest
-                          | top :: _ ->
-                              fail_ev i
-                                (Printf.sprintf
-                                   "E \"%s\" does not match open B \"%s\"" name
-                                   top)
-                          | [] -> fail_ev i ("E \"" ^ name ^ "\" with no open B"))
-                      | _ -> ())
-                    sorted;
-                  match !stk with
-                  | [] -> ()
-                  | top :: _ ->
-                      if !err = None then
-                        err := Some ("unclosed B event \"" ^ top ^ "\""))
-                lanes;
-              (match !err with
-              | Some e -> Error e
-              | None ->
-                  Ok
-                    {
-                      v_events = List.length !checked;
-                      v_spans =
-                        List.sort compare
-                          (Hashtbl.fold
-                             (fun name c acc -> (name, c) :: acc)
-                             spans []);
-                    })))
+          let rec go i = function
+            | [] ->
+                let v_spans =
+                  List.sort compare
+                    (Hashtbl.fold (fun name c acc -> (name, c) :: acc) spans [])
+                in
+                Ok
+                  {
+                    v_events = List.fold_left (fun n (_, c) -> n + c) 0 v_spans;
+                    v_spans;
+                  }
+            | ev :: rest -> (
+                match check ev with
+                | Ok () -> go (i + 1) rest
+                | Error msg -> Error (Printf.sprintf "event %d: %s" i msg))
+          in
+          go 0 evs)

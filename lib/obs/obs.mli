@@ -104,12 +104,12 @@ val self_time_report : session -> string
 
 type validation = {
   v_events : int;  (** events checked (metadata excluded) *)
-  v_spans : (string * int) list;
-      (** per-name span counts ([B] and [X] events), sorted *)
+  v_spans : (string * int) list;  (** per-name span counts, sorted *)
 }
 
 val validate_chrome : string -> (validation, string) result
-(** Check a Chrome [trace_event] document: well-formed JSON, every event
-    carries a string name, a [ph] of B/E/X/M, a non-negative numeric
-    [ts] (and [dur] for X), and per-[(pid, tid)] lane the B/E events
-    nest and balance. *)
+(** Check a Chrome [trace_event] document of the kind {!to_chrome_json}
+    writes: well-formed JSON, every event carries a string name and a
+    [ph] of X (a complete span, with a non-negative numeric [ts] and
+    [dur]) or M (metadata). Any other [ph], B and E included, is an
+    error. *)

@@ -210,8 +210,8 @@ let func_by_name st name =
 
 (** A fresh machine state for [bin], positioned at the first instruction
     of [entry] with [args] delivered: the prologue shared by
-    {!Reference.run}, the debugger's sessions and the value oracle's
-    replay. Raises [Runtime_error] when [entry] does not exist. *)
+    {!Reference.run} and the debugger's sessions (the value oracle's
+    among them). Raises [Runtime_error] when [entry] does not exist. *)
 let init_state (bin : Emit.binary) ~entry ~args ~input =
   let globals = Hashtbl.create 16 in
   List.iter

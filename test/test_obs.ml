@@ -181,6 +181,33 @@ let test_chrome_rejects_corruption () =
   | Ok _ -> Alcotest.fail "validator accepted truncated JSON"
   | Error _ -> ()
 
+(* [Obs] writes complete spans only, so the validator accepts X and M
+   events and nothing else. *)
+let chrome_doc events = {|{"traceEvents":[|} ^ String.concat "," events ^ "]}"
+
+let x_event = {|{"name":"a","ph":"X","ts":1,"dur":2,"pid":1,"tid":0}|}
+
+let validation doc = Result.map ignore (Obs.validate_chrome doc)
+
+let test_chrome_rejects_begin () =
+  Alcotest.(check (result unit string))
+    "X and M pass" (Ok ())
+    (validation
+       (chrome_doc
+          [ {|{"name":"thread_name","ph":"M","pid":1,"tid":0}|}; x_event ]));
+  Alcotest.(check (result unit string))
+    "a B event is a bad ph"
+    (Error {|event 1: bad "ph": B|})
+    (validation
+       (chrome_doc
+          [ x_event; {|{"name":"a","ph":"B","ts":3,"pid":1,"tid":0}|} ]))
+
+let test_chrome_rejects_x_without_dur () =
+  Alcotest.(check (result unit string))
+    "an X event needs a dur"
+    (Error {|event 0: X event missing numeric "dur"|})
+    (validation (chrome_doc [ {|{"name":"a","ph":"X","ts":3}|}; x_event ]))
+
 (* ------------------------------------------------------------------ *)
 (* Per-pass deltas telescope to the whole-compile deltas               *)
 
@@ -394,6 +421,10 @@ let tests =
       test_chrome_roundtrip;
     Alcotest.test_case "validator rejects corruption" `Quick
       test_chrome_rejects_corruption;
+    Alcotest.test_case "validator rejects a B event" `Quick
+      test_chrome_rejects_begin;
+    Alcotest.test_case "validator rejects an X event without dur" `Quick
+      test_chrome_rejects_x_without_dur;
     Alcotest.test_case "per-pass deltas telescope" `Quick
       test_deltas_telescope;
     Alcotest.test_case "vm counters" `Quick test_vm_counters;

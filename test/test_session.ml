@@ -76,6 +76,47 @@ let test_next_steps_over () =
   Alcotest.(check string) "next skips the call"
     "stopped at main, line 9" (one s "next")
 
+(* The stopped line's own locations are held back, not the breakpoints
+   of the function it calls; a continue from the callee stops again at
+   line 7's post-call location, which line 7's breakpoint also arms. *)
+let test_continue_stops_in_callee () =
+  Alcotest.(check string) "continue from main stops inside helper"
+    (String.concat "\n"
+       [
+         "(dbg) break 7";
+         "breakpoint at line 7 (3 locations)";
+         "(dbg) break 2";
+         "breakpoint at line 2 (3 locations)";
+         "(dbg) run 21";
+         "breakpoint 7, stopped at main, line 7";
+         "(dbg) continue";
+         "breakpoint 2, stopped at helper, line 2";
+         "(dbg) continue";
+         "breakpoint 7, stopped at main, line 7";
+         "(dbg) continue";
+         "[program exited; output: [43]]";
+         "";
+       ])
+    (Session.script (compile C.O0) ~entry:"main"
+       [ "break 7"; "break 2"; "run 21"; "continue"; "continue"; "continue" ])
+
+let test_next_stops_in_callee () =
+  Alcotest.(check string) "next over a call stops at a breakpoint inside it"
+    (String.concat "\n"
+       [
+         "(dbg) break 7";
+         "breakpoint at line 7 (3 locations)";
+         "(dbg) break 2";
+         "breakpoint at line 2 (3 locations)";
+         "(dbg) run 21";
+         "breakpoint 7, stopped at main, line 7";
+         "(dbg) next";
+         "breakpoint 2, stopped at helper, line 2";
+         "";
+       ])
+    (Session.script (compile C.O0) ~entry:"main"
+       [ "break 7"; "break 2"; "run 21"; "next" ])
+
 let test_array_and_locals () =
   let s = session C.O0 in
   ignore (Session.exec s "break 12");
@@ -330,11 +371,62 @@ let test_unevaluable_condition_at_entry () =
     [ note; "breakpoint 3, stopped at main, line 3" ]
     (Session.exec s "run")
 
+(* The session's all-lines protocol (the value oracle's debugger side)
+   stops at the lines the measurement trace records, in the same order. *)
+let stop_lines bin ~entry ~input =
+  List.map
+    (fun (h : Session.hit) -> h.Session.hit_line)
+    (Session.first_hits bin ~entry ~input)
+
+let trace_lines bin ~entry ~input =
+  (Debugger.trace (Vm.load bin) ~entry ~inputs:[ input ]).Debugger.hit_order
+
+let configs = C.make C.Gcc C.O0 :: Debugtuner.Experiments.all_standard_configs
+
+let test_stops_match_trace () =
+  List.iter
+    (fun (p : Suite_types.sprogram) ->
+      let ast = Suite_types.ast p in
+      List.iter
+        (fun cfg ->
+          let bin = T.compile ast ~config:cfg ~roots:(Suite_types.roots p) in
+          List.iter
+            (fun (h : Suite_types.harness) ->
+              let entry = h.Suite_types.h_entry in
+              List.iteri
+                (fun i input ->
+                  Alcotest.(check (list int))
+                    (Printf.sprintf "%s/%s seed %d at %s" p.Suite_types.p_name
+                       entry i (C.name cfg))
+                    (trace_lines bin ~entry ~input)
+                    (stop_lines bin ~entry ~input))
+                h.Suite_types.h_seeds)
+            p.Suite_types.p_harnesses)
+        configs)
+    (Programs.all @ Spec.all)
+
+let qcheck_stops_match_trace =
+  QCheck.Test.make ~name:"session stops where the trace stops (random programs)"
+    ~count:20
+    QCheck.(int_range 1 60_000)
+    (fun seed ->
+      let ast = Minic.Typecheck.parse_and_check (Synth.generate ~seed) in
+      List.for_all
+        (fun cfg ->
+          let bin = T.compile ast ~config:cfg ~roots:[ "main" ] in
+          stop_lines bin ~entry:"main" ~input:[]
+          = trace_lines bin ~entry:"main" ~input:[])
+        configs)
+
 let tests =
   [
     Alcotest.test_case "break, run, print" `Quick test_break_run_print;
     Alcotest.test_case "step into + finish" `Quick test_step_into_and_finish;
     Alcotest.test_case "next steps over calls" `Quick test_next_steps_over;
+    Alcotest.test_case "continue stops in a callee" `Quick
+      test_continue_stops_in_callee;
+    Alcotest.test_case "next stops in a callee" `Quick
+      test_next_stops_in_callee;
     Alcotest.test_case "arrays and info locals" `Quick test_array_and_locals;
     Alcotest.test_case "continue to exit" `Quick test_continue_to_exit;
     Alcotest.test_case "tbreak clears on hit" `Quick test_tbreak_clears;
@@ -358,4 +450,7 @@ let tests =
       test_tbreak_at_entry;
     Alcotest.test_case "unevaluable condition at the entry address" `Quick
       test_unevaluable_condition_at_entry;
+    Alcotest.test_case "stops where the trace stops" `Quick
+      test_stops_match_trace;
+    QCheck_alcotest.to_alcotest qcheck_stops_match_trace;
   ]

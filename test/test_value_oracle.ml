@@ -6,18 +6,18 @@
     phenomenon) but must stay rare. *)
 
 module C = Debugtuner.Config
+module T = Debugtuner.Toolchain
 module VO = Debugtuner.Value_oracle
 
 let check_program (p : Suite_types.sprogram) cfg =
   let ast = Suite_types.ast p in
+  let bin = T.compile ast ~config:cfg ~roots:(Suite_types.roots p) in
   List.map
     (fun h ->
       let input =
         match h.Suite_types.h_seeds with s :: _ -> s | [] -> []
       in
-      ( h.Suite_types.h_entry,
-        VO.check ast ~config:cfg ~roots:(Suite_types.roots p)
-          ~entry:h.Suite_types.h_entry ~input ))
+      (h.Suite_types.h_entry, VO.check ast bin ~entry:h.Suite_types.h_entry ~input))
     p.Suite_types.p_harnesses
 
 let test_o0_suite_clean () =
@@ -56,11 +56,8 @@ let qcheck_o0_random_clean =
     (fun seed ->
       let src = Synth.generate ~seed in
       let ast = Minic.Typecheck.parse_and_check src in
-      let r =
-        VO.check ast
-          ~config:(C.make C.Gcc C.O0)
-          ~roots:[ "main" ] ~entry:"main" ~input:[]
-      in
+      let bin = T.compile ast ~config:(C.make C.Gcc C.O0) ~roots:[ "main" ] in
+      let r = VO.check ast bin ~entry:"main" ~input:[] in
       r.VO.rp_mismatches = [])
 
 let test_og_skew_is_rare () =
@@ -85,12 +82,10 @@ let test_og_skew_is_rare () =
 let test_report_format () =
   let p = Programs.find "zlib" in
   let ast = Suite_types.ast p in
-  let r =
-    VO.check ast
-      ~config:(C.make C.Gcc C.O0)
-      ~roots:(Suite_types.roots p) ~entry:"fuzz_deflate"
-      ~input:[ 1; 2; 3 ]
+  let bin =
+    T.compile ast ~config:(C.make C.Gcc C.O0) ~roots:(Suite_types.roots p)
   in
+  let r = VO.check ast bin ~entry:"fuzz_deflate" ~input:[ 1; 2; 3 ] in
   let s = VO.report_to_string r in
   Alcotest.(check bool) "mentions counts" true
     (String.length s > 20 && String.sub s 0 12 = "value oracle");
