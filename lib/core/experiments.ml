@@ -974,9 +974,8 @@ let corpus_rows ~engine ?shard spec configs : corpus_row list =
           Measure_engine.prepare engine ~fuzz_budget:e.Corpus.e_fuzz_budget
             e.Corpus.e_program
         in
-        List.map
-          (fun config ->
-            let m, _ = Measure_engine.measure engine prepared config in
+        List.map2
+          (fun config (m, _) ->
             let h = m.Metrics.m_hybrid in
             {
               cr_index = e.Corpus.e_index;
@@ -987,7 +986,8 @@ let corpus_rows ~engine ?shard spec configs : corpus_row list =
               cr_cov = h.Metrics.line_coverage;
               cr_product = h.Metrics.product;
             })
-          configs)
+          configs
+          (Measure_engine.measure_sweep engine prepared configs))
       mine
   in
   let programs = List.length mine in

@@ -198,16 +198,18 @@ let compile t p config =
 let compile_packed t p config =
   (tier1 t p config (parse_and_compile p config)).entry
 
-let measure t (p : Evaluation.prepared) config =
-  let l =
-    tier1 t p.Evaluation.program config (fun () -> Evaluation.compile p config)
-  in
+let measure_lookup t (p : Evaluation.prepared) l =
   let m =
     Memo.find_or_add ~hit:l.hit t.measures
       (p.Evaluation.content_digest ^ "@" ^ l.entry.pk_full_digest)
       (fun () -> measure_uncached p (binary p.Evaluation.program l))
   in
   (m, l.entry)
+
+let measure t (p : Evaluation.prepared) config =
+  measure_lookup t p
+    (tier1 t p.Evaluation.program config (fun () ->
+         Evaluation.compile p config))
 
 (** The paper's headline number for a configuration, engine-cached. *)
 let product t prepared config =
@@ -270,173 +272,263 @@ let open_store ?dir ?max_bytes () =
 
 (* ------------------------------------------------------------------ *)
 (* Pass-prefix incremental compilation (DESIGN.md "Incremental
-   compilation"). A sweep's configurations mostly run the identical
-   pipeline prefix up to their first divergence; the planner below
-   groups a config set by shared prefix, executes each shared segment
-   once through [Toolchain.advance], and schedules only the divergent
-   suffixes ([Toolchain.resume]) on the Domain pool. Results are seeded
-   into the ordinary tier-1 table, so they are byte-identical and
-   indistinguishable from straight-line compiles to every consumer. *)
+   compilation"). The configurations of one program mostly run the same
+   pipeline entries from the same states: every level but O0 starts
+   from one prelude, the levels of a compiler share most entries, and a
+   sweep's disable-sets differ in a few. The planner below walks any
+   set of configurations of one program over their compilers' slot
+   lists ([Toolchain.slots]) and runs each entry once for every
+   configuration whose key agrees; only the lone suffixes and the
+   backends run as jobs on the Domain pool. Results are seeded into the
+   ordinary tier-1 table, byte-identical to straight-line compiles. *)
 
-(* One unit of sweep work: a suffix compile forked from a shared
-   checkpoint, a group of configurations proven state-identical at the
-   end of the pipeline (one backend run serves them all), or a
-   configuration with no shareable prefix (singleton pipeline family),
-   compiled straight. *)
-type sweep_job =
-  | Suffix of Config.t * Toolchain.checkpoint
-  | Merged of Config.t list * Toolchain.checkpoint
-  | Straight of Config.t
+(* One configuration in the walk: its input position, its slots and,
+   per slot, the key under which it runs an IR pass there ([None]: it
+   skips the slot — the level has no entry there, the configuration
+   disables it, or it is a backend flag, which leaves the IR alone). *)
+type member = {
+  m_index : int;
+  m_config : Config.t;
+  m_slots : (string * Toolchain.entry) option array;
+  m_keys : string option array;
+}
 
-(* The prefix-sharing the divergence trie alone guarantees, as leaf
-   depths: purely structural (a function of the enabled-bit vectors,
-   never of pass behaviour). This is what the prefix/* counters report
-   — [passes_skipped] is exactly the sum of shared-prefix lengths, the
+let member index config =
+  let slots = Toolchain.slots config in
+  {
+    m_index = index;
+    m_config = config;
+    m_slots = slots;
+    m_keys =
+      Array.map
+        (function
+          | Some (key, (Toolchain.Ir_pass (name, _) : Toolchain.entry))
+            when Config.enabled config name ->
+              Some key
+          | _ -> None)
+        slots;
+  }
+
+(* The member's entries in slots [lo, hi). *)
+let entries m lo hi =
+  List.filter_map
+    (fun s -> Option.map snd m.m_slots.(s))
+    (List.init (max 0 (hi - lo)) (fun i -> lo + i))
+
+(* Split [xs] into classes by [key], classes in order of first
+   appearance, members in input order. *)
+let classes key xs =
+  let order = ref [] in
+  List.iter
+    (fun x ->
+      let k = key x in
+      match List.assoc_opt k !order with
+      | Some cell -> cell := x :: !cell
+      | None -> order := (k, ref [ x ]) :: !order)
+    xs;
+  List.rev_map (fun (k, cell) -> (k, List.rev !cell)) !order
+
+(* The prefix sharing the slot trie alone guarantees, as leaf depths:
+   purely structural, a function of each configuration's slots and raw
+   enabled bits, never of pass behaviour. A group extends its trunk
+   while every member has the same key or none at the next slot, and
+   splits by key where they differ; a member's depth is the number of
+   its own pipeline entries before the slot where it left its last
+   group (all of them if it never did). This is what the prefix/*
+   counters report — [passes_skipped] is exactly the sum of depths, the
    invariant the property tests pin down — while the execution walk in
-   [plan_family] is free to do strictly better via no-op merging,
-   surfaced separately as prefix/merged. *)
-let structural_depths n tagged =
+   [plan] does strictly better via no-op merging, surfaced separately as
+   prefix/merged. Every level but O0 shares the prelude, which no
+   counter counts. *)
+let structural_depths groups =
   let depths = ref [] in
-  let note idx (c, _) = depths := (c, idx) :: !depths in
-  let rec go idx tagged =
-    match tagged with
+  let raw m s =
+    match m.m_slots.(s) with
+    | Some (key, e) when Config.enabled m.m_config (Toolchain.entry_name e) ->
+        Some key
+    | _ -> None
+  in
+  let own m s =
+    let k = ref 0 in
+    for i = 0 to s - 1 do
+      if m.m_slots.(i) <> None then incr k
+    done;
+    !k
+  in
+  let note s m = depths := own m s :: !depths in
+  let rec go s = function
     | [] -> ()
-    | [ single ] -> note idx single
-    | ((_, b0) :: rest) as all ->
-        let k = ref idx in
-        while
-          !k < n && List.for_all (fun (_, b) -> b.(!k) = b0.(!k)) rest
-        do
+    | [ m ] -> note s m
+    | m0 :: rest as all ->
+        let n = Array.length m0.m_slots in
+        let k = ref s in
+        while !k < n && List.for_all (fun m -> raw m !k = raw m0 !k) rest do
           incr k
         done;
-        let k = !k in
-        if k > idx then begin
-          if k >= n then List.iter (note k) all else go k all
-        end
-        else if idx >= n then
-          (* Identical bit vectors under distinct fingerprints (disabled
-             passes outside this pipeline; always the case at O0, where
-             the pipeline is empty). *)
-          List.iter (note idx) all
-        else begin
-          let yes, no = List.partition (fun (_, b) -> b.(idx)) all in
-          go idx yes;
-          go idx no
-        end
+        if !k >= n then List.iter (note n) all
+        else if !k > s then go !k all
+        else
+          List.iter
+            (fun (_, part) -> go s part)
+            (classes (fun m -> raw m s) all)
   in
-  go 0 tagged;
+  List.iter (go 0) groups;
   !depths
 
-(* Divergence-tree construction for one pipeline family (all configs
-   share compiler + level, hence the same pass table). Trunk segments on
-   which every remaining config agrees are executed once via [advance];
-   at the first disagreeing entry the contested entry is probed: it runs
-   once on the enabled side, and if the state digest (and accumulated
-   backend options) did not change, the entry was a no-op on this
-   subject, the split is immaterial, and both sides continue together —
-   on real suite programs most disabled passes are no-ops, so most
-   sweep configurations merge all the way to the end of the pipeline
-   and share a single backend run ([Merged]). Only genuinely divergent
-   groups are partitioned and planned recursively; singletons run their
-   unique suffix as a leaf [resume]. Deterministic: configs keep their
-   input order, the enabled branch is planned first. *)
-let plan_family ~ast ~roots configs =
-  let rep = List.hd configs in
-  let entries = Array.of_list (Toolchain.pipeline rep) in
-  let n = Array.length entries in
-  (* Raw bits drive the structural counters (the shared-prefix model the
-     property tests pin down); effective bits — which fold in the gcc
-     gated inliners' master-"inline" read — drive the execution walk,
-     because only they determine an entry's behaviour. *)
-  let bits c =
-    Array.map (fun e -> Config.enabled c (Toolchain.entry_name e)) entries
+(* One unit of sweep work on the pool: a lone configuration's remaining
+   entries from a slot, then its backend; or a group of configurations
+   that end at one state with equal backend inputs, served by one
+   backend run. *)
+type job =
+  | Suffix of member * int * Toolchain.state
+  | Backend of Config.t list * Toolchain.state
+
+(* The walk. The groups at the root: every O0 configuration (lowering
+   only, no slots), then every other configuration, which share one
+   prelude and split by compiler into one walk per slot list. A group
+   whose members agree on the keys of the next slots runs those entries
+   once; at a contested slot every distinct key runs on a fork of its
+   own, the first on the live state, while the members that skip the
+   slot keep the state from before it; forks whose digests are equal
+   merge again, the running forks first, so on real programs most
+   contested entries turn out to be no-ops and their configurations go
+   on together. A group at the end of its slots runs one backend per
+   distinct backend input. Deterministic: members keep their input
+   order, classes the order of their first fork. *)
+let plan ~ast ~roots configs =
+  let members = List.mapi member configs in
+  let o0, optimized =
+    List.partition (fun m -> m.m_config.Config.level = Config.O0) members
   in
-  let effective c = Array.map (fun e -> Toolchain.entry_effective c e) entries in
+  let by_compiler =
+    List.map snd (classes (fun m -> m.m_config.Config.compiler) optimized)
+  in
   List.iter
-    (fun (_, depth) ->
+    (fun depth ->
       if depth > 0 then begin
         Util.Counters.bump "prefix/hits";
         Util.Counters.bump ~n:depth "prefix/passes_skipped"
       end
       else Util.Counters.bump "prefix/misses")
-    (structural_depths n (List.map (fun c -> (c, bits c)) configs));
-  let tagged = List.map (fun c -> (c, effective c)) configs in
-  let note_capture cp =
+    (structural_depths (o0 :: by_compiler));
+  let capture st =
+    let cp = obs_span "prefix:snapshot" [] (fun () -> Toolchain.capture st) in
     Util.Counters.bump
       ~n:(Toolchain.checkpoint_bytes cp)
-      "prefix/snapshot_bytes"
+      "prefix/snapshot_bytes";
+    cp
   in
-  let cp0 =
-    obs_span "prefix:snapshot" [ ("upto", "0") ] (fun () ->
-        Toolchain.start ast ~config:rep ~roots)
+  let restore cp =
+    obs_span "prefix:restore" [] (fun () -> Toolchain.restore cp)
   in
-  note_capture cp0;
+  let digest st = obs_span "prefix:digest" [] (fun () -> Toolchain.digest st) in
   let jobs = ref [] in
-  let rec plan cp tagged =
-    let idx = Toolchain.checkpoint_index cp in
-    match tagged with
+  let ends group st =
+    match classes (fun m -> Toolchain.backend_inputs m.m_config) group with
     | [] -> ()
-    | [ (c, _) ] -> jobs := Suffix (c, cp) :: !jobs
-    | _ when idx >= n ->
-        (* Two or more configs state-identical at the end of the
-           pipeline: one backend run serves the whole group. *)
-        jobs := Merged (List.map fst tagged, cp) :: !jobs
-    | ((c0, b0) :: rest) as all ->
-        let j = ref idx in
+    | (_, first) :: others ->
+        let job ms st =
+          jobs := Backend (List.map (fun m -> m.m_config) ms, st) :: !jobs
+        in
+        if others <> [] then begin
+          let cp = capture st in
+          List.iter (fun (_, ms) -> job ms (restore cp)) others
+        end;
+        job first st
+  in
+  let rec walk group st s =
+    match group with
+    | [] -> ()
+    | [ m ] -> jobs := Suffix (m, s, st) :: !jobs
+    | m0 :: rest ->
+        let n = Array.length m0.m_keys in
+        let j = ref s in
         while
-          !j < n && List.for_all (fun (_, b) -> b.(!j) = b0.(!j)) rest
+          !j < n && List.for_all (fun m -> m.m_keys.(!j) = m0.m_keys.(!j)) rest
         do
           incr j
         done;
         let j = !j in
-        if j > idx then begin
-          (* Agreed segment [idx, j): execute it once. When every entry
-             in it is disabled, [advance] shares the snapshot and there
-             is no new capture to account for. *)
-          let cp' =
-            obs_span "prefix:snapshot"
-              [ ("upto", string_of_int j) ]
-              (fun () -> Toolchain.advance ~upto:j cp c0)
-          in
-          let executed = ref false in
-          for i = idx to j - 1 do
-            if b0.(i) then executed := true
-          done;
-          if !executed then note_capture cp';
-          plan cp' all
+        if j > s then begin
+          (* Agreed slots [s, j): run them once. *)
+          obs_span "prefix:advance"
+            [ ("upto", string_of_int j) ]
+            (fun () -> Toolchain.advance st m0.m_config (entries m0 s j));
+          walk group st j
         end
-        else begin
-          (* Contested entry [idx]: probe it on the enabled side. *)
-          let yes, no = List.partition (fun (_, b) -> b.(idx)) all in
-          let rep_yes = fst (List.hd yes) in
-          let cp_yes =
-            obs_span "prefix:snapshot"
-              [ ("upto", string_of_int (idx + 1)) ]
-              (fun () -> Toolchain.advance ~upto:(idx + 1) cp rep_yes)
-          in
-          if
-            Toolchain.checkpoint_digest cp_yes = Toolchain.checkpoint_digest cp
-            && Toolchain.checkpoint_opts cp_yes = Toolchain.checkpoint_opts cp
-          then
-            (* The entry was a no-op on this subject: skipping it and
-               running it coincide, so the split is immaterial and
-               everyone continues from the post-entry state. *)
-            plan cp_yes all
-          else begin
-            note_capture cp_yes;
-            plan cp_yes yes;
-            plan cp no
-          end
-        end
+        else if s >= n then ends group st
+        else probe group st s
+  and probe group st s =
+    let running, skipping =
+      List.partition (fun (key, _) -> key <> None)
+        (classes (fun m -> m.m_keys.(s)) group)
+    in
+    (* Only the members that skip the slot compare against the state
+       before it. *)
+    let before = if skipping = [] then "" else digest st in
+    let cp = capture st in
+    let forks =
+      List.mapi
+        (fun i (_, ms) ->
+          let m = List.hd ms in
+          let st = if i = 0 then st else restore cp in
+          obs_span "prefix:probe"
+            [ ("slot", string_of_int s) ]
+            (fun () -> Toolchain.advance st m.m_config (entries m s (s + 1)));
+          (digest st, lazy st, ms))
+        running
+      @ List.map (fun (_, ms) -> (before, lazy (restore cp), ms)) skipping
+    in
+    List.iter
+      (fun (_, same) ->
+        let _, st, _ = List.hd same in
+        let ms =
+          List.sort
+            (fun a b -> compare a.m_index b.m_index)
+            (List.concat_map (fun (_, _, ms) -> ms) same)
+        in
+        walk ms (Lazy.force st) (s + 1))
+      (classes (fun (d, _, _) -> d) forks)
   in
-  plan cp0 tagged;
+  let prelude group =
+    let level = (List.hd group).m_config.Config.level in
+    obs_span "prefix:prelude" [] (fun () -> Toolchain.prelude ast ~level ~roots)
+  in
+  if o0 <> [] then ends o0 (prelude o0);
+  (match by_compiler with
+  | [] -> ()
+  | first :: others ->
+      let st = prelude first in
+      let cp = if others = [] then None else Some (capture st) in
+      walk first st 0;
+      List.iter (fun group -> walk group (restore (Option.get cp)) 0) others);
   List.rev !jobs
+
+(* Run one job: the configurations it served and their binary. *)
+let run_job = function
+  | Suffix (m, s, st) ->
+      ( [ m.m_config ],
+        obs_span "prefix:resume"
+          [ ("config", Config.fingerprint m.m_config) ]
+          (fun () ->
+            Toolchain.advance st m.m_config
+              (entries m s (Array.length m.m_slots));
+            Toolchain.finish st m.m_config) )
+  | Backend (cs, st) ->
+      let rep = List.hd cs in
+      Util.Counters.bump ~n:(List.length cs - 1) "prefix/merged";
+      ( cs,
+        obs_span "prefix:resume"
+          [ ("config", Config.fingerprint rep) ]
+          (fun () -> Toolchain.finish st rep) )
 
 (* The sweep's filter probes tier 1 once per configuration (memory,
    then disk); a planned compile is then published with [Memo.fill],
    which counts the miss without probing again. The source is parsed
-   only when there is work to plan. *)
-let compile_sweep t (p : Suite_types.sprogram) configs =
+   only when there is work to plan. With [live], returns the lookup of
+   every configuration it compiled, its binary included; without, the
+   binaries are dropped as soon as they are packed. *)
+let sweep t (p : Suite_types.sprogram) ~ast ~live configs =
   let key = compile_keys p in
   let seen = Hashtbl.create 16 in
   let fresh c =
@@ -452,60 +544,45 @@ let compile_sweep t (p : Suite_types.sprogram) configs =
       (fun c -> fresh c && Option.is_none (Memo.find_opt t.binaries (key c)))
       configs
   in
-  if todo <> [] then begin
-    let ast = Suite_types.ast p and roots = Suite_types.roots p in
-    let publish c produce =
-      ignore (Memo.fill t.binaries (key c) produce : packed)
-    in
-    (* Group by pipeline family, preserving input order. *)
-    let families = ref [] in
-    List.iter
-      (fun c ->
-        let fam = (c.Config.compiler, c.Config.level) in
-        match List.assoc_opt fam !families with
-        | Some cell -> cell := c :: !cell
-        | None -> families := !families @ [ (fam, ref [ c ]) ])
-      todo;
-    let jobs =
-      List.concat_map
-        (fun (_, cell) ->
-          match List.rev !cell with
-          | [ c ] -> [ Straight c ]
-          | group -> plan_family ~ast ~roots group)
-        !families
-    in
-    ignore
+  if todo = [] then []
+  else
+    let jobs = plan ~ast:(ast ()) ~roots:(Suite_types.roots p) todo in
+    List.concat
       (map t
          (fun job ->
-           match job with
-           | Straight c ->
-               Util.Counters.bump "prefix/misses";
-               publish c (fun () ->
-                   pack
-                     (span "compile" p.Suite_types.p_name (fun () ->
-                          Toolchain.compile ast ~config:c ~roots)))
-           | Suffix (c, cp) ->
-               publish c (fun () ->
-                   pack
-                     (obs_span "prefix:resume"
-                        [ ("config", Config.fingerprint c) ]
-                        (fun () -> Toolchain.resume ~from:cp c)))
-           | Merged (cs, cp) ->
-               (* One backend run, packed once; every config in the
-                  group is seeded the same entry. *)
-               let rep = List.hd cs in
+           let cs, bin = run_job job in
+           (* One backend run, packed once; every configuration it
+              served is seeded the same entry. *)
+           let entry = lazy (pack bin) in
+           List.map
+             (fun c ->
                let entry =
-                 lazy
-                   (pack
-                      (obs_span "prefix:resume"
-                         [ ("config", Config.fingerprint rep) ]
-                         (fun () -> Toolchain.resume ~from:cp rep)))
+                 Memo.fill t.binaries (key c) (fun () -> Lazy.force entry)
                in
-               Util.Counters.bump ~n:(List.length cs - 1) "prefix/merged";
-               List.iter (fun c -> publish c (fun () -> Lazy.force entry)) cs)
-         jobs
-        : unit list)
-  end
+               let live = if live then Some bin else None in
+               (c, { entry; live; hit = "dedups" }))
+             cs)
+         jobs)
+
+let compile_sweep t (p : Suite_types.sprogram) configs =
+  ignore (sweep t p ~ast:(fun () -> Suite_types.ast p) ~live:false configs)
+
+let measure_sweep t (p : Evaluation.prepared) configs =
+  let fresh = Hashtbl.create 16 in
+  List.iter
+    (fun (c, l) -> Hashtbl.replace fresh (Config.fingerprint c) l)
+    (sweep t p.Evaluation.program
+       ~ast:(fun () -> p.Evaluation.ast)
+       ~live:true configs);
+  List.map
+    (fun config ->
+      let fp = Config.fingerprint config in
+      match Hashtbl.find_opt fresh fp with
+      | Some l ->
+          Hashtbl.remove fresh fp;
+          measure_lookup t p l
+      | None -> measure t p config)
+    configs
 
 (** One flat, sorted [(name, value)] table over every counter source:
     this engine's caches, its store, the process table (sanitizer,

@@ -79,44 +79,64 @@ let apply_profile env =
 (* ------------------------------------------------------------------ *)
 (* Pipeline definitions                                                *)
 
+(* A pipeline position as defined: the entry, the parameters its
+   closure was built with, and whether the closure also reads the
+   master [inline] switch — what the entry's behaviour key carries
+   ([slots]). *)
+type defn = { d_entry : entry; d_params : string Lazy.t; d_gated : bool }
+
+(* Parameters are printed only where a key is built: pipelines are
+   rebuilt on every compile. *)
+let defn ?(params = lazy "") ?(gated = false) entry =
+  { d_entry = entry; d_params = params; d_gated = gated }
+
+let ir_pass name f = defn (Ir_pass (name, f))
+let simple name f = ir_pass name (fun env -> f env.prog)
+let flag name f = defn (Backend_flag (name, f))
+
+let policy_params (p : Inline.policy) =
+  Printf.sprintf "once=%b,small=%d,functions=%d,caller=%d,rounds=%d"
+    p.Inline.called_once p.Inline.small_threshold p.Inline.functions_threshold
+    p.Inline.max_caller_size p.Inline.rounds
+
 let inline_pass name policy =
-  Ir_pass
-    ( name,
-      fun env ->
-        ignore (Inline.run env.prog ~policy ~roots:env.roots);
-        apply_profile env )
+  defn ~params:(lazy (policy_params policy))
+    (Ir_pass
+       ( name,
+         fun env ->
+           ignore (Inline.run env.prog ~policy ~roots:env.roots);
+           apply_profile env ))
 
 (* gcc's specific inlining toggles are all gated by the master [inline]
-   switch (-fno-inline turns the inliner off wholesale). Every gated
-   name is recorded so that [entry_effective] can expose the full
-   behaviour-determining input of an entry to the sweep planner. *)
-let gated_names : (string, unit) Hashtbl.t = Hashtbl.create 8
-
+   switch (-fno-inline turns the inliner off wholesale). *)
 let gated_inline_pass name policy =
-  Hashtbl.replace gated_names name ();
-  Ir_pass
-    ( name,
-      fun env ->
-        if env.enabled "inline" then begin
-          ignore (Inline.run env.prog ~policy ~roots:env.roots);
-          apply_profile env
-        end )
+  defn ~params:(lazy (policy_params policy)) ~gated:true
+    (Ir_pass
+       ( name,
+         fun env ->
+           if env.enabled "inline" then begin
+             ignore (Inline.run env.prog ~policy ~roots:env.roots);
+             apply_profile env
+           end ))
 
-let simple name f = Ir_pass (name, fun env -> f env.prog)
+let unroll name =
+  defn ~params:(lazy "factor=2")
+    (Ir_pass
+       ( name,
+         fun env ->
+           Hashtbl.iter
+             (fun _ fn -> ignore (Loop_unroll.run fn ~factor:2))
+             env.prog.Ir.funcs ))
 
-let gcc_pipeline (level : Config.level) : entry list =
+let gcc_defined (level : Config.level) =
   let base =
     [
-      Ir_pass
-        ( "ipa-pure-const",
-          fun env ->
-            Ipa_pure_const.run env.prog;
-            env.pure <- Ipa_pure_const.pure_predicate env.prog );
-      Ir_pass
-        ( "guess-branch-probability",
-          fun env ->
-            Branch_prob.run_program env.prog;
-            apply_profile env );
+      ir_pass "ipa-pure-const" (fun env ->
+          Ipa_pure_const.run env.prog;
+          env.pure <- Ipa_pure_const.pure_predicate env.prog);
+      ir_pass "guess-branch-probability" (fun env ->
+          Branch_prob.run_program env.prog;
+          apply_profile env);
     ]
   in
   let inliners =
@@ -158,10 +178,9 @@ let gcc_pipeline (level : Config.level) : entry list =
     [
       simple "tree-ccp" Instcombine.run_program;
       simple "tree-forwprop" Instcombine.run_program;
-      Ir_pass
-        ( "tree-fre",
-          fun env -> Cse.run_global_program ~pure_calls:env.pure env.prog );
-      Ir_pass ("dce", fun env -> Dce.run_program ~pure_calls:env.pure env.prog);
+      ir_pass "tree-fre" (fun env ->
+          Cse.run_global_program ~pure_calls:env.pure env.prog);
+      ir_pass "dce" (fun env -> Dce.run_program ~pure_calls:env.pure env.prog);
     ]
   in
   let o1_extras =
@@ -170,11 +189,9 @@ let gcc_pipeline (level : Config.level) : entry list =
       simple "tree-ch" Loop_rotate.run_program;
       simple "tree-loop-optimize" Licm.run_program;
       simple "tree-sink" Sink.run_program;
-      Ir_pass
-        ( "tree-dominator-opts",
-          fun env ->
-            Cse.run_global_program ~pure_calls:env.pure env.prog;
-            Jump_threading.run_program env.prog );
+      ir_pass "tree-dominator-opts" (fun env ->
+          Cse.run_global_program ~pure_calls:env.pure env.prog;
+          Jump_threading.run_program env.prog);
       simple "tree-ter" Ter.run_program;
     ]
   in
@@ -183,46 +200,40 @@ let gcc_pipeline (level : Config.level) : entry list =
       simple "tree-ivopts" (fun p ->
           Hashtbl.iter (fun _ fn -> ignore (Lsr.run fn)) p.Ir.funcs);
       simple "dse" (fun p -> ignore (Dse.run p));
-      Ir_pass
-        ( "expensive-opts",
-          (* The -fexpensive-optimizations group: a second redundancy /
-             sinking / dead-store round. *)
-          fun env ->
-            Cse.run_global_program ~pure_calls:env.pure env.prog;
-            Sink.run_program env.prog;
-            ignore (Dse.run env.prog) );
+      (* The -fexpensive-optimizations group: a second redundancy /
+         sinking / dead-store round. *)
+      ir_pass "expensive-opts" (fun env ->
+          Cse.run_global_program ~pure_calls:env.pure env.prog;
+          Sink.run_program env.prog;
+          ignore (Dse.run env.prog));
       simple "if-conversion" (fun p -> If_conversion.run_program p);
     ]
   in
   let o3_extras =
-    [
-      simple "cunroll" (fun p ->
-          Hashtbl.iter (fun _ fn -> ignore (Loop_unroll.run fn ~factor:2)) p.Ir.funcs);
-      simple "tree-slp-vectorize" Slp.run_program;
-    ]
+    [ unroll "cunroll"; simple "tree-slp-vectorize" Slp.run_program ]
   in
   let late =
     [
       simple "thread-jumps" Jump_threading.run_program;
-      Ir_pass ("dce", fun env -> Dce.run_program ~pure_calls:env.pure env.prog);
+      ir_pass "dce" (fun env -> Dce.run_program ~pure_calls:env.pure env.prog);
     ]
   in
   let backend_flags =
     [
-      Backend_flag ("tree-coalesce-vars", fun o -> { o with Mach.coalesce = true });
-      Backend_flag
-        ("ira-share-spill-slots", fun o -> { o with Mach.share_spill_slots = true });
-      Backend_flag ("shrink-wrap", fun o -> { o with Mach.shrink_wrap = true });
-      Backend_flag ("reorder-blocks", fun o -> { o with Mach.place_blocks = true });
+      flag "tree-coalesce-vars" (fun o -> { o with Mach.coalesce = true });
+      flag "ira-share-spill-slots" (fun o ->
+          { o with Mach.share_spill_slots = true });
+      flag "shrink-wrap" (fun o -> { o with Mach.shrink_wrap = true });
+      flag "reorder-blocks" (fun o -> { o with Mach.place_blocks = true });
     ]
   in
   let o1_flags =
-    [ Backend_flag ("toplevel-reorder", fun o -> { o with Mach.icf = true }) ]
+    [ flag "toplevel-reorder" (fun o -> { o with Mach.icf = true }) ]
   in
   let o2_flags =
     [
-      Backend_flag ("schedule-insns2", fun o -> { o with Mach.schedule = true });
-      Backend_flag ("crossjumping", fun o -> { o with Mach.tail_merge = true });
+      flag "schedule-insns2" (fun o -> { o with Mach.schedule = true });
+      flag "crossjumping" (fun o -> { o with Mach.tail_merge = true });
     ]
   in
   match level with
@@ -238,7 +249,7 @@ let gcc_pipeline (level : Config.level) : entry list =
       base @ inliners @ scalar_cleanup @ o1_extras @ o2_extras @ o3_extras
       @ late @ backend_flags @ o1_flags @ o2_flags
 
-let clang_pipeline (level : Config.level) : entry list =
+let clang_defined (level : Config.level) =
   let inliner threshold =
     inline_pass "Inliner" { Inline.policy_off with small_threshold = threshold }
   in
@@ -263,45 +274,36 @@ let clang_pipeline (level : Config.level) : entry list =
   in
   let o2 =
     [
-      Ir_pass
-        ( "GVN",
-          fun env -> Cse.run_global_program ~pure_calls:env.pure env.prog );
+      ir_pass "GVN" (fun env ->
+          Cse.run_global_program ~pure_calls:env.pure env.prog);
       simple "JumpThreading" Jump_threading.run_program;
       simple "DSE" (fun p -> ignore (Dse.run p));
-      simple "LoopUnroll" (fun p ->
-          Hashtbl.iter (fun _ fn -> ignore (Loop_unroll.run fn ~factor:2)) p.Ir.funcs);
+      unroll "LoopUnroll";
       simple "SimplifyCFG" Simplify_cfg.run_program;
     ]
   in
-  let o3 =
-    [
-      simple "LoopUnroll" (fun p ->
-          Hashtbl.iter (fun _ fn -> ignore (Loop_unroll.run fn ~factor:2)) p.Ir.funcs);
-      simple "SLPVectorizer" Slp.run_program;
-    ]
-  in
+  let o3 = [ unroll "LoopUnroll"; simple "SLPVectorizer" Slp.run_program ] in
   let dce_late =
     [
-      Ir_pass ("ADCE", fun env -> Dce.run_program ~pure_calls:env.pure env.prog);
+      ir_pass "ADCE" (fun env ->
+          Dce.run_program ~pure_calls:env.pure env.prog);
     ]
   in
   let purity =
     [
-      Ir_pass
-        ( "FunctionAttrs",
-          fun env ->
-            Ipa_pure_const.run env.prog;
-            env.pure <- Ipa_pure_const.pure_predicate env.prog );
+      ir_pass "FunctionAttrs" (fun env ->
+          Ipa_pure_const.run env.prog;
+          env.pure <- Ipa_pure_const.pure_predicate env.prog);
     ]
   in
   let machine_flags =
     [
-      Backend_flag ("Machine code sinking", fun o -> { o with Mach.sink = true });
-      Backend_flag
-        ("Control Flow Optimizer", fun o -> { o with Mach.tail_merge = true });
-      Backend_flag
-        ("Branch Prob BB Placement", fun o -> { o with Mach.place_blocks = true });
-      Backend_flag ("Machine Scheduler", fun o -> { o with Mach.schedule = true });
+      flag "Machine code sinking" (fun o -> { o with Mach.sink = true });
+      flag "Control Flow Optimizer" (fun o ->
+          { o with Mach.tail_merge = true });
+      flag "Branch Prob BB Placement" (fun o ->
+          { o with Mach.place_blocks = true });
+      flag "Machine Scheduler" (fun o -> { o with Mach.schedule = true });
     ]
   in
   match level with
@@ -310,10 +312,12 @@ let clang_pipeline (level : Config.level) : entry list =
   | Config.O2 -> purity @ o1 @ o2 @ dce_late @ machine_flags
   | Config.O3 -> purity @ o1 @ o2 @ o3 @ dce_late @ machine_flags
 
-let pipeline (c : Config.t) =
+let defined (c : Config.t) =
   match c.Config.compiler with
-  | Config.Gcc -> gcc_pipeline c.Config.level
-  | Config.Clang -> clang_pipeline c.Config.level
+  | Config.Gcc -> gcc_defined c.Config.level
+  | Config.Clang -> clang_defined c.Config.level
+
+let pipeline (c : Config.t) = List.map (fun d -> d.d_entry) (defined c)
 
 (** Names of the toggleable passes of a configuration's level, in
     pipeline order, deduplicated — the sweep set of Section V. *)
@@ -359,22 +363,17 @@ end
 (* The single pipeline driver
 
    Every consumer of the IR phase — [compile], [pipeline_trace], and
-   the incremental [start]/[advance]/[resume] entry points — runs the
-   same prelude and the same entry fold below, observing progress
-   through one [notify] callback. There is deliberately no second copy
-   of the fold anywhere: a driver change is a change for all consumers
-   at once. *)
+   the incremental [prelude]/[advance]/[finish] entry points — runs the
+   same prelude, the same entry fold and the same backend below,
+   observing progress through one [notify] callback. There is
+   deliberately no second copy of the fold anywhere: a driver change is
+   a change for all consumers at once. *)
 
 (** What the driver just did at one pipeline position. *)
 type step =
   | Ran_pass of string  (** an [Ir_pass] executed (cleanup included) *)
-  | Set_flag of string  (** a [Backend_flag] folded into the options *)
+  | Set_flag of string  (** a [Backend_flag] the configuration enables *)
   | Skipped of string  (** the entry was disabled by the configuration *)
-
-type ir_state = { st_env : env; mutable st_mach : Mach.opts }
-(** The complete mutable state of the IR phase between two pipeline
-    entries: the pass environment (program included) plus the backend
-    options accumulated so far. Everything a snapshot must capture. *)
 
 let compose_instruments ~sanitize instrument =
   Instrument.combine
@@ -389,76 +388,108 @@ let sanitize_of (options : Options.t) =
    its own row instead of inside the pass before it. *)
 let cleanup prog = Obs.Span.wrap "cleanup" (fun () -> Cleanup.run_program prog)
 
-(* Run a slice of pipeline entries against the state, firing [notify]
-   once per entry (executed or skipped). *)
-let run_entries (state : ir_state) (config : Config.t)
+(* Run a slice of pipeline entries against the environment, firing
+   [notify] once per entry (executed or skipped). Backend flags leave
+   the program alone: {!backend_inputs} folds them. *)
+let run_entries (env : env) (config : Config.t)
     ~(notify : Ir.program -> step -> unit) entries =
   List.iter
     (fun e ->
       match e with
       | Ir_pass (name, f) when Config.enabled config name ->
-          f state.st_env;
-          cleanup state.st_env.prog;
-          notify state.st_env.prog (Ran_pass name)
-      | Backend_flag (name, f) when Config.enabled config name ->
-          state.st_mach <- f state.st_mach;
-          notify state.st_env.prog (Set_flag name)
-      | e -> notify state.st_env.prog (Skipped (entry_name e)))
+          f env;
+          cleanup env.prog;
+          notify env.prog (Ran_pass name)
+      | Backend_flag (name, _) when Config.enabled config name ->
+          notify env.prog (Set_flag name)
+      | e -> notify env.prog (Skipped (entry_name e)))
     entries
 
-(* Lowering and SSA construction — everything that runs before pipeline
-   entry 0, whatever the configuration's disabled set. *)
-let ir_prelude (options : Options.t) src ~(config : Config.t) ~roots ~notify =
+(* Lowering and, at every level but O0, SSA construction — everything
+   that runs before pipeline entry 0, whatever the configuration. The
+   result depends on the level only through "O0 or not". *)
+let ir_prelude src ~(level : Config.level) ~notify =
   let prog = Lower.lower_program src in
-  let env =
-    {
-      prog;
-      roots;
-      pure = (fun _ -> false);
-      profile = options.Options.profile;
-      enabled = Config.enabled config;
-    }
-  in
   (* The freshly lowered program routes merges through slots; the
      sanitizer's "lower" boundary skips the dominance check. *)
   notify prog (Ran_pass "lower");
-  let state = { st_env = env; st_mach = Mach.opts_o0 } in
-  if config.Config.level <> Config.O0 then begin
+  if level <> Config.O0 then begin
     (* into-ssa: neither compiler lets you opt out of SSA
        construction. *)
     Hashtbl.iter (fun _ fn -> Mem2reg.run fn) prog.Ir.funcs;
     cleanup prog;
-    notify prog (Ran_pass "mem2reg");
-    (* clang's register allocator always coalesces and shares stack
-       slots and shrink-wraps; gcc exposes these as flags. *)
-    (if config.Config.compiler = Config.Clang then
-       state.st_mach <-
-         {
-           state.st_mach with
-           Mach.coalesce = true;
-           share_spill_slots = true;
-           shrink_wrap = true;
-           sched_keep_lines = true;
-         });
-    apply_profile env
+    notify prog (Ran_pass "mem2reg")
   end;
-  state
+  prog
 
 (* The whole IR phase: prelude, every pipeline entry, final profile
    re-annotation. *)
 let ir_phase (options : Options.t) src ~(config : Config.t) ~roots ~notify =
-  let state = ir_prelude options src ~config ~roots ~notify in
+  let prog = ir_prelude src ~level:config.Config.level ~notify in
   if config.Config.level <> Config.O0 then begin
-    run_entries state config ~notify (pipeline config);
-    apply_profile state.st_env
+    let env =
+      {
+        prog;
+        roots;
+        pure = (fun _ -> false);
+        profile = options.Options.profile;
+        enabled = Config.enabled config;
+      }
+    in
+    apply_profile env;
+    run_entries env config ~notify (pipeline config);
+    apply_profile env
   end;
-  state
+  prog
+
+(* What the backend reads of a configuration besides the program: its
+   machine options, with every enabled backend flag folded in, and
+   whether entry values are emitted. *)
+let backend_of (options : Options.t) (config : Config.t) =
+  let base =
+    if config.Config.level <> Config.O0 && config.Config.compiler = Config.Clang
+    then
+      (* clang's register allocator always coalesces and shares stack
+         slots and shrink-wraps; gcc exposes these as flags. *)
+      {
+        Mach.opts_o0 with
+        Mach.coalesce = true;
+        share_spill_slots = true;
+        shrink_wrap = true;
+        sched_keep_lines = true;
+      }
+    else Mach.opts_o0
+  in
+  let opts =
+    List.fold_left
+      (fun o e ->
+        match e with
+        | Backend_flag (name, f) when Config.enabled config name -> f o
+        | _ -> o)
+      base (pipeline config)
+  in
+  (* Ablation hook: force the scheduler's line-retention behaviour
+     (gcc's scheduler strips displaced lines, clang's keeps them)
+     independently of the compiler family. *)
+  let opts =
+    match options.Options.sched_keep_lines with
+    | Some v -> { opts with Mach.sched_keep_lines = v }
+    | None -> opts
+  in
+  let entry_values =
+    match options.Options.entry_values with
+    | Some v -> v
+    | None ->
+        config.Config.compiler = Config.Gcc && config.Config.level <> Config.O0
+  in
+  (opts, entry_values)
+
+let backend_inputs = backend_of Options.default
 
 (* Instruction selection, machine passes and emission from a finished
-   IR-phase state. *)
-let backend_emit inst (options : Options.t) ~(config : Config.t)
-    (state : ir_state) : Emit.binary =
-  let prog = state.st_env.prog in
+   IR phase. Instruction selection rewrites the program (out of SSA). *)
+let backend_emit inst ((opts : Mach.opts), entry_values) (prog : Ir.program) :
+    Emit.binary =
   let mfuncs =
     Instrument.phase inst "backend" (fun () ->
         (* Emission order: source order (our toplevel-reorder only gates
@@ -468,33 +499,21 @@ let backend_emit inst (options : Options.t) ~(config : Config.t)
           |> List.sort (fun (a : Ir.fn) b ->
                  compare (a.Ir.f_line, a.Ir.f_name) (b.Ir.f_line, b.Ir.f_name))
         in
-        (* Ablation hook: force the scheduler's line-retention behaviour
-           (gcc's scheduler strips displaced lines, clang's keeps them)
-           independently of the compiler family. *)
-        (match options.Options.sched_keep_lines with
-        | Some v -> state.st_mach <- { state.st_mach with Mach.sched_keep_lines = v }
-        | None -> ());
         List.map
           (fun fn ->
-            let m = Isel.translate_fn fn state.st_mach in
+            let m = Isel.translate_fn fn opts in
             inst.Instrument.on_pass "isel" (Instrument.Mach_fn m);
             List.iter
               (fun (name, pass) ->
                 pass m;
                 inst.Instrument.on_pass name (Instrument.Mach_fn m))
-              (Mach_passes.passes state.st_mach);
+              (Mach_passes.passes opts);
             m)
           fns)
   in
-  let entry_values =
-    match options.Options.entry_values with
-    | Some v -> v
-    | None ->
-        config.Config.compiler = Config.Gcc && config.Config.level <> Config.O0
-  in
   Instrument.phase inst "emit" (fun () ->
       let bin =
-        Emit.emit ~icf:state.st_mach.Mach.icf ~entry_values
+        Emit.emit ~icf:opts.Mach.icf ~entry_values
           { Mach.mfuncs; mglobals = prog.Ir.prog_globals }
       in
       inst.Instrument.on_pass "emit" (Instrument.Binary bin);
@@ -519,152 +538,151 @@ let notify_on_pass inst prog = function
 let compile ?(options = Options.default) ?(instrument = Instrument.nop)
     (src : Minic.Ast.program) ~(config : Config.t) ~roots : Emit.binary =
   let inst = compose_instruments ~sanitize:(sanitize_of options) instrument in
-  let state =
+  let prog =
     Instrument.phase inst "ir" (fun () ->
         ir_phase options src ~config ~roots ~notify:(notify_on_pass inst))
   in
-  backend_emit inst options ~config state
+  backend_emit inst (backend_of options config) prog
 
 (* ------------------------------------------------------------------ *)
-(* Incremental compilation: checkpoints of the IR phase
+(* Incremental compilation: a forkable IR phase
 
-   A checkpoint freezes the complete IR-phase state at a pipeline
-   index: a deep [Ir.Snapshot] of the program plus the accumulated
-   backend options. [resume] replays only the pipeline suffix — the
-   sanitizer and [Instrument.on_pass] still fire at every boundary it
-   executes — and must produce a binary byte-identical
-   ([Emit.binary.full_digest]) to a straight-line [compile] of the same
-   configuration; the unit and property tests gate exactly that.
+   The sweep planner drives the IR phase of many configurations of one
+   program at once over live [state]s: one prelude, each pipeline entry
+   run once for every configuration that runs it under the same
+   behaviour key, a fork ([capture], [restore]) where configurations
+   disagree, [digest] to see whether forks ended up alike, and one
+   [finish] per backend. Each call composes the instruments [compile]
+   does, so the sanitizer and the tracer see every boundary that runs.
 
-   Soundness of sharing one checkpoint between configurations: entry
-   [j]'s behaviour depends on the IR state, on [Config.enabled] of its
-   own name, and (for gcc's gated inliners) on [Config.enabled
-   "inline"] — whose entry always precedes the gated ones in the
-   pipeline list. So two configurations that agree on {!entry_effective}
-   of entries [0..k) run byte-identical prefixes (see DESIGN.md
-   "Incremental compilation"). *)
+   Soundness of sharing one run between configurations: an entry's
+   behaviour depends on the IR state, on its own closure (name, the
+   parameters it was built with, its position) and, for gcc's gated
+   inliners, on [Config.enabled "inline"]. [slots] keys all three, so
+   configurations that ran the same keys from the same state hold
+   identical states (see DESIGN.md "Incremental compilation"). *)
 
-type checkpoint = {
-  cp_snapshot : Ir.Snapshot.t;
-  cp_index : int;  (** pipeline entries [0, cp_index) already executed *)
-  cp_mach : Mach.opts;
-  cp_compiler : Config.compiler;
-  cp_level : Config.level;
-  cp_roots : string list;
+(** The configuration's pipeline aligned on its compiler's slot list —
+    the O3 pipeline, which holds every level's pipeline as a
+    subsequence by (name, occurrence); [test toolchain] pins that. Slot
+    [s] holds the behaviour key and the entry the level runs there, or
+    [None] where the level has no entry. A key is the entry's name, its
+    occurrence among the pipeline's entries of that name, the
+    parameters its closure was built with, and for a gated inliner
+    whether the master [inline] switch is off (its closure then does
+    nothing, and only the cleanup after it runs). Empty at O0. *)
+let slots (c : Config.t) : (string * entry) option array =
+  let identified defs =
+    let seen = Hashtbl.create 32 in
+    List.map
+      (fun d ->
+        let name = entry_name d.d_entry in
+        let occ = Option.value ~default:0 (Hashtbl.find_opt seen name) in
+        Hashtbl.replace seen name (occ + 1);
+        (Printf.sprintf "%s#%d" name occ, d))
+      defs
+  in
+  let key id d =
+    String.concat ""
+      [
+        id;
+        (match Lazy.force d.d_params with "" -> "" | p -> "(" ^ p ^ ")");
+        (if d.d_gated && not (Config.enabled c "inline") then "/inline-off"
+         else "");
+      ]
+  in
+  match identified (defined c) with
+  | [] -> [||]
+  | own ->
+      let rest = ref own in
+      let aligned =
+        List.map
+          (fun (id, _) ->
+            match !rest with
+            | (id', d) :: tl when id' = id ->
+                rest := tl;
+                Some (key id d, d.d_entry)
+            | _ -> None)
+          (identified (defined (Config.make c.Config.compiler Config.O3)))
+      in
+      if !rest <> [] then
+        invalid_arg
+          "Toolchain.slots: a level's pipeline is not a subsequence of its \
+           compiler's O3 pipeline";
+      Array.of_list aligned
+
+type checkpoint = { cp_snapshot : Ir.Snapshot.t; cp_roots : string list }
+
+type state = {
+  s_prog : Ir.program;
+  s_roots : string list;
+  mutable s_pure : string -> bool;
+  mutable s_digest : string option;
+      (** the program's digest, while no pass has run since it was taken *)
 }
 
-let checkpoint_index cp = cp.cp_index
+let fresh_state prog roots pure =
+  { s_prog = prog; s_roots = roots; s_pure = pure; s_digest = None }
+
+(* What [compile] composes under default options. *)
+let default_instruments () =
+  compose_instruments ~sanitize:(sanitize_of Options.default) Instrument.nop
+
+let prelude (src : Minic.Ast.program) ~(level : Config.level) ~roots =
+  let inst = default_instruments () in
+  let prog =
+    Instrument.phase inst "ir" (fun () ->
+        ir_prelude src ~level ~notify:(notify_on_pass inst))
+  in
+  fresh_state prog roots (fun _ -> false)
+
+let advance (st : state) (config : Config.t) entries =
+  if
+    List.exists
+      (function
+        | Ir_pass (name, _) -> Config.enabled config name
+        | Backend_flag _ -> false)
+      entries
+  then begin
+    let env =
+      {
+        prog = st.s_prog;
+        roots = st.s_roots;
+        pure = st.s_pure;
+        profile = None;
+        enabled = Config.enabled config;
+      }
+    in
+    let inst = default_instruments () in
+    Instrument.phase inst "ir" (fun () ->
+        run_entries env config ~notify:(notify_on_pass inst) entries);
+    st.s_pure <- env.pure;
+    st.s_digest <- None
+  end
+
+let digest (st : state) =
+  match st.s_digest with
+  | Some d -> d
+  | None ->
+      let d = Ir.Snapshot.digest_program st.s_prog in
+      st.s_digest <- Some d;
+      d
+
+let capture (st : state) =
+  { cp_snapshot = Ir.Snapshot.capture st.s_prog; cp_roots = st.s_roots }
+
 let checkpoint_bytes cp = Ir.Snapshot.size_bytes cp.cp_snapshot
-let checkpoint_digest cp = Ir.Snapshot.digest cp.cp_snapshot
-let checkpoint_opts cp = cp.cp_mach
 
-let pipeline_length (config : Config.t) = List.length (pipeline config)
-
-(** The full behaviour-determining input of entry [e] under [config]:
-    its own enabled bit and, for gcc's gated inliners, the master
-    "inline" bit their closures read ([gated_names]). Two same-family
-    configurations agreeing on [entry_effective] of an entry execute it
-    identically from identical state — the planner's merge walk keys on
-    this, not on the raw bit, so it never shares across the one
-    cross-entry dependency. *)
-let entry_effective (config : Config.t) e =
-  let name = entry_name e in
-  Config.enabled config name
-  && ((not (Hashtbl.mem gated_names name)) || Config.enabled config "inline")
-
-let capture_checkpoint index (state : ir_state) ~(config : Config.t) ~roots =
-  {
-    cp_snapshot = Ir.Snapshot.capture state.st_env.prog;
-    cp_index = index;
-    cp_mach = state.st_mach;
-    cp_compiler = config.Config.compiler;
-    cp_level = config.Config.level;
-    cp_roots = roots;
-  }
-
-let check_family (cp : checkpoint) (config : Config.t) what =
-  if cp.cp_compiler <> config.Config.compiler || cp.cp_level <> config.Config.level
-  then invalid_arg (what ^ ": checkpoint belongs to another pipeline family")
-
-(* Rebuild a live IR-phase state from a checkpoint. The purity
-   predicate is reconstructed from the restored program itself:
+(* The purity predicate is rebuilt from the restored program itself:
    [Ipa_pure_const.pure_predicate] reads the [is_pure] flags, which are
    snapshot state — before the purity pass ever ran they are all false,
    which is exactly the initial predicate. *)
-let restore_state (options : Options.t) (cp : checkpoint) ~(config : Config.t) =
+let restore (cp : checkpoint) =
   let prog = Ir.Snapshot.restore cp.cp_snapshot in
-  let env =
-    {
-      prog;
-      roots = cp.cp_roots;
-      pure = Ipa_pure_const.pure_predicate prog;
-      profile = options.Options.profile;
-      enabled = Config.enabled config;
-    }
-  in
-  { st_env = env; st_mach = cp.cp_mach }
+  fresh_state prog cp.cp_roots (Ipa_pure_const.pure_predicate prog)
 
-let entries_slice (config : Config.t) lo hi =
-  List.filteri (fun i _ -> i >= lo && i < hi) (pipeline config)
-
-(** [start src config] runs lowering and SSA construction and freezes
-    the state before pipeline entry 0 — the root checkpoint every
-    prefix of [config]'s family shares. *)
-let start ?(options = Options.default) ?(instrument = Instrument.nop)
-    (src : Minic.Ast.program) ~(config : Config.t) ~roots : checkpoint =
-  let inst = compose_instruments ~sanitize:(sanitize_of options) instrument in
-  let state =
-    Instrument.phase inst "ir" (fun () ->
-        ir_prelude options src ~config ~roots ~notify:(notify_on_pass inst))
-  in
-  capture_checkpoint 0 state ~config ~roots
-
-(** [advance ~upto cp config] forks the checkpoint, executes pipeline
-    entries [cp.index, upto) under [config]'s gates, and freezes the
-    result. The input checkpoint is not consumed: advancing is how the
-    sweep planner grows a trunk while keeping every divergence point
-    alive. *)
-let advance ?(options = Options.default) ?(instrument = Instrument.nop)
-    ~(upto : int) (cp : checkpoint) (config : Config.t) : checkpoint =
-  check_family cp config "Toolchain.advance";
-  if upto < cp.cp_index then
-    invalid_arg "Toolchain.advance: upto precedes the checkpoint";
-  let entries = entries_slice config cp.cp_index upto in
-  if
-    not
-      (List.exists (fun e -> Config.enabled config (entry_name e)) entries)
-  then
-    (* Every entry in the slice is disabled: nothing would execute, so
-       the state is unchanged — share the snapshot instead of paying a
-       restore + capture round trip just to bump the index. *)
-    { cp with cp_index = upto }
-  else begin
-    let inst = compose_instruments ~sanitize:(sanitize_of options) instrument in
-    let state = restore_state options cp ~config in
-    Instrument.phase inst "ir" (fun () ->
-        run_entries state config ~notify:(notify_on_pass inst) entries);
-    capture_checkpoint upto state ~config ~roots:cp.cp_roots
-  end
-
-(** [resume ~from config] replays only the pipeline suffix
-    [from.index, end) and finishes the compilation (backend and
-    emission included). Byte-identical to [compile] of the same
-    configuration whenever [from] holds the state [config]'s own
-    pipeline reaches at [from]'s index — in particular whenever [from]
-    was captured under configurations agreeing with [config] on
-    {!entry_effective} of every entry before that index. *)
-let resume ?(options = Options.default) ?(instrument = Instrument.nop)
-    ~(from : checkpoint) (config : Config.t) : Emit.binary =
-  check_family from config "Toolchain.resume";
-  let inst = compose_instruments ~sanitize:(sanitize_of options) instrument in
-  let state = restore_state options from ~config in
-  Instrument.phase inst "ir" (fun () ->
-      if config.Config.level <> Config.O0 then begin
-        run_entries state config ~notify:(notify_on_pass inst)
-          (entries_slice config from.cp_index (pipeline_length config));
-        apply_profile state.st_env
-      end);
-  backend_emit inst options ~config state
+let finish (st : state) (config : Config.t) =
+  backend_emit (default_instruments ()) (backend_inputs config) st.s_prog
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline tracing                                                    *)
@@ -726,7 +744,7 @@ let pipeline_trace (src : Minic.Ast.program) ~(config : Config.t) ~roots :
     | Set_flag name -> steps := (name ^ " (backend)", ir_stats_of prog) :: !steps
     | Skipped _ -> ()
   in
-  ignore (ir_phase Options.default src ~config ~roots ~notify : ir_state);
+  ignore (ir_phase Options.default src ~config ~roots ~notify : Ir.program);
   List.rev !steps
 
 (** Convenience: parse, check and compile a source string. The

@@ -87,14 +87,6 @@ type entry =
 
 val entry_name : entry -> string
 
-val entry_effective : Config.t -> entry -> bool
-(** The full behaviour-determining input of an entry under a
-    configuration: its own enabled bit and, for gcc's gated inliners,
-    the master "inline" bit their closures also read. Two same-family
-    configurations agreeing on [entry_effective] of an entry execute it
-    identically from identical state; agreeing on the raw
-    {!Config.enabled} bit alone does not guarantee that. *)
-
 val pipeline : Config.t -> entry list
 (** The level's pass table in execution order (both families). *)
 
@@ -127,79 +119,81 @@ val pipeline_trace :
 
 (** {1 Incremental compilation}
 
-    The IR phase is a resumable fold: a {!checkpoint} freezes its
-    complete state (a deep {!Ir.Snapshot} of the program plus the
-    accumulated backend options) at a pipeline index, and {!resume}
-    replays only the suffix. Checkpoints are forkable — {!advance} and
-    {!resume} never consume their input — so a sweep of configurations
-    sharing a pipeline prefix compiles the prefix once. A resumed
-    compilation is byte-identical ([Emit.binary.full_digest]) to a
-    straight-line {!compile}; the sanitizer and [on_pass] instruments
-    still fire at every boundary the suffix executes. *)
+    The IR phase of several configurations of one program, run as a
+    walk over live {!state}s: the sweep planner
+    ([Measure_engine.compile_sweep]) runs one {!prelude}, {!advance}s a
+    state through each pipeline entry once for every configuration that
+    runs it under the same behaviour key ({!slots}), forks a state where
+    configurations disagree ({!capture}, {!restore}), compares forks by
+    {!digest}, and {!finish}es each distinct backend once. Every call
+    composes the instruments {!compile} does — the sanitizer when the
+    global gate is on and the [Obs] tracer — so they fire at every
+    boundary that runs. A binary finished from a state is byte-identical
+    ([Emit.binary.full_digest]) to a straight {!compile} of the
+    configuration whenever the state holds what the configuration's own
+    pipeline reaches there. *)
+
+val slots : Config.t -> (string * entry) option array
+(** The configuration's pipeline aligned on its compiler's slot list:
+    the compiler's O3 pipeline, which holds every level's pipeline as a
+    subsequence by (name, occurrence). Slot [s] holds the behaviour key
+    and entry the configuration's level runs there, or [None] where the
+    level has none. A key is the entry's name, its occurrence among the
+    pipeline's entries of that name (gcc runs [dce] twice), the
+    parameters its closure was built with (the inliners' policies, the
+    unroll factor) and, for gcc's gated inliners, whether the master
+    ["inline"] switch they read is off. Two configurations that run an
+    entry under one key from one state reach one state. The array is
+    empty at O0. *)
+
+val backend_inputs : Config.t -> Mach.opts * bool
+(** What the backend reads of a configuration besides the program: its
+    machine options (the compiler's always-on allocator flags and every
+    enabled backend flag, folded) and whether entry values are emitted.
+    Configurations that end the IR phase at one state with equal inputs
+    get identical binaries. *)
+
+type state
+(** A live IR-phase state: a program and the purity predicate its
+    passes computed. One walk owns it; {!capture} and {!restore} fork
+    it. *)
 
 type checkpoint
-(** Frozen IR-phase state before pipeline entry [index]; shares no
-    mutable structure with any live compilation. *)
+(** A frozen state: a deep {!Ir.Snapshot} sharing no mutable structure
+    with any live state. *)
 
-val checkpoint_index : checkpoint -> int
-(** Pipeline entries [0, index) are already executed. *)
+val prelude :
+  Minic.Ast.program -> level:Config.level -> roots:string list -> state
+(** Lower the program and, at any level but O0, build SSA and clean up:
+    the state before pipeline entry 0, the same for every level but
+    O0. *)
+
+val advance : state -> Config.t -> entry list -> unit
+(** Run the entries the configuration enables, in order, each followed
+    by the inter-pass cleanup, under the configuration's gates. Backend
+    flags leave the program alone. *)
+
+val digest : state -> string
+(** {!Ir.Snapshot.digest_program} of the state's program: an MD5 of the
+    marshalled fields that {!Ir.fn_to_string} prints plus the ones it
+    omits (entry label, fresh-name counters, purity and inline markers,
+    slot array-ness, block frequencies, probabilities and
+    predecessors, globals). Iteration-order independent; computed once
+    between two passes that change the state. Two states with equal
+    digests run every later pass alike. *)
+
+val capture : state -> checkpoint
+(** Freeze a copy of the state; the state stays live. *)
 
 val checkpoint_bytes : checkpoint -> int
-(** Approximate heap footprint of the underlying snapshot. *)
+(** The heap bytes the capture's copy allocated, counted while it
+    copied. *)
 
-val checkpoint_digest : checkpoint -> string
-(** Content digest of the snapshotted program ({!Ir.Snapshot.digest}):
-    an MD5 of the marshalled fields that {!Ir.fn_to_string} prints plus
-    the ones it omits (entry label, fresh-name counters, purity and
-    inline markers, slot array-ness, block frequencies, probabilities
-    and predecessors, globals). Iteration-order independent, computed
-    once per checkpoint. *)
+val restore : checkpoint -> state
+(** A fresh live state holding the checkpoint's program. A checkpoint
+    is never consumed: it restores any number of times. *)
 
-val checkpoint_opts : checkpoint -> Mach.opts
-(** The accumulated backend options at the checkpoint. Together with
-    {!checkpoint_digest} this is the complete compilation state: two
-    same-family checkpoints at the same index with equal digests and
-    equal options produce byte-identical binaries from any common
-    suffix — the fact the sweep planner's no-op merging rests on. *)
-
-val pipeline_length : Config.t -> int
-(** Number of pipeline entries of the configuration's family (0 at O0). *)
-
-val start :
-  ?options:Options.t ->
-  ?instrument:Instrument.t ->
-  Minic.Ast.program ->
-  config:Config.t ->
-  roots:string list ->
-  checkpoint
-(** Lower, build SSA, and freeze the state before pipeline entry 0 —
-    the root checkpoint shared by every configuration of the family. *)
-
-val advance :
-  ?options:Options.t ->
-  ?instrument:Instrument.t ->
-  upto:int ->
-  checkpoint ->
-  Config.t ->
-  checkpoint
-(** [advance ~upto cp config] forks [cp], executes entries
-    [index, upto) under [config]'s pass gates, and freezes the result.
-    When every entry in the slice is disabled the state cannot change,
-    so the returned checkpoint shares [cp]'s snapshot (no copy is
-    made). Raises [Invalid_argument] on a pipeline-family mismatch or
-    [upto < index]. *)
-
-val resume :
-  ?options:Options.t ->
-  ?instrument:Instrument.t ->
-  from:checkpoint ->
-  Config.t ->
-  Emit.binary
-(** [resume ~from config] replays pipeline entries [from.index, end)
-    and finishes the compilation (backend, emission). Byte-identical to
-    {!compile} whenever [from] holds the state [config]'s own pipeline
-    reaches at [from]'s index: in particular whenever [from] was
-    captured under configurations agreeing with [config] on
-    {!entry_effective} of every entry before that index, and whenever
-    an entry they disagree on left {!checkpoint_digest} and
-    {!checkpoint_opts} unchanged (a no-op on this program). *)
+val finish : state -> Config.t -> Emit.binary
+(** Instruction selection, machine passes and emission under the
+    configuration's {!backend_inputs}. Consumes the state: instruction
+    selection rewrites its program. *)

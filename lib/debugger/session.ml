@@ -421,18 +421,25 @@ let cmd_delete (s : t) line =
   | None -> [ Printf.sprintf "no breakpoint at line %d" line ]
 
 let cmd_run (s : t) input =
-  let st = Vm.init_state s.bin ~entry:s.entry ~args:[] ~input in
-  s.st <- Some st;
-  s.running <- true;
-  List.iter
-    (fun w ->
-      w.wp_last <- format_value (sample_value s st w.wp_name);
-      w.wp_depth <- List.length st.Vm.frames)
-    s.watchpoints;
-  (* Stop before executing the entry address if it carries a breakpoint. *)
-  match hit_breakpoint s st with
-  | Some hit -> breakpoint_report s st hit
-  | None -> finish_stop s st (resume s st ~stop_here:(fun _ -> false))
+  match Vm.init_state s.bin ~entry:s.entry ~args:[] ~input with
+  | exception Vm.Runtime_error m ->
+      (* An entry the binary lacks: nothing runs. *)
+      s.st <- None;
+      s.running <- false;
+      [ "[runtime error: " ^ m ^ "]" ]
+  | st -> (
+      s.st <- Some st;
+      s.running <- true;
+      List.iter
+        (fun w ->
+          w.wp_last <- format_value (sample_value s st w.wp_name);
+          w.wp_depth <- List.length st.Vm.frames)
+        s.watchpoints;
+      (* Stop before executing the entry address if it carries a
+         breakpoint. *)
+      match hit_breakpoint s st with
+      | Some hit -> breakpoint_report s st hit
+      | None -> finish_stop s st (resume s st ~stop_here:(fun _ -> false)))
 
 let cmd_continue (s : t) =
   require_running s (fun st ->

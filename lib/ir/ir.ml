@@ -709,67 +709,88 @@ module Snapshot = struct
     sn_funcs : (string * fn) list;  (** deep copies, sorted by name *)
     sn_globals : global_def list;
     mutable sn_digest : string option;  (** computed on demand *)
-    sn_words : int;  (** reachable heap words of the copied functions *)
+    sn_words : int;  (** heap words the copy allocated *)
   }
 
-  let copy_ikind = function
-    | Vec (op, lanes) -> Vec (op, Array.copy lanes)
+  (* Every copy counts the heap words it allocates into [words] as it
+     goes (a block of [n] fields takes [n + 1]), so a capture knows its
+     size without a second walk over the copy. *)
+  let alloc words x =
+    words := !words + Obj.size (Obj.repr x) + 1;
+    x
+
+  let alloc_list words l =
+    words := !words + (3 * List.length l);
+    l
+
+  let copy_ikind words = function
+    | Vec (op, lanes) -> alloc words (Vec (op, alloc words (Array.copy lanes)))
     | ik -> ik
 
-  let copy_instr (i : instr) = { ik = copy_ikind i.ik; line = i.line }
+  let copy_instr words (i : instr) =
+    alloc words { ik = copy_ikind words i.ik; line = i.line }
 
-  let copy_phi (p : phi) = { p_dst = p.p_dst; p_args = p.p_args }
+  let copy_phi words (p : phi) = alloc words { p_dst = p.p_dst; p_args = p.p_args }
 
-  let copy_block (b : block) =
-    {
-      b_label = b.b_label;
-      phis = List.map copy_phi b.phis;
-      instrs = List.map copy_instr b.instrs;
-      term = b.term;
-      term_line = b.term_line;
-      preds = b.preds;
-      freq = b.freq;
-      prob = b.prob;
-    }
+  let copy_block words (b : block) =
+    alloc words
+      {
+        b_label = b.b_label;
+        phis = alloc_list words (List.map (copy_phi words) b.phis);
+        instrs = alloc_list words (List.map (copy_instr words) b.instrs);
+        term = b.term;
+        term_line = b.term_line;
+        preds = b.preds;
+        freq = b.freq;
+        prob = b.prob;
+      }
 
-  let copy_fn (fn : fn) =
-    {
-      f_name = fn.f_name;
-      f_line = fn.f_line;
-      f_params = fn.f_params;
-      f_slots = fn.f_slots;
-      blocks = Label_store.map copy_block fn.blocks;
-      entry = fn.entry;
-      layout = fn.layout;
-      next_reg = fn.next_reg;
-      next_label = fn.next_label;
-      next_slot = fn.next_slot;
-      is_pure = fn.is_pure;
-      always_inline = fn.always_inline;
-    }
+  (* The store's record, its slot array and one [Some] per block. *)
+  let copy_blocks words blocks =
+    let copy = alloc words (Label_store.map (copy_block words) blocks) in
+    ignore (alloc words copy.Label_store.slots);
+    words := !words + (2 * Label_store.length copy);
+    copy
+
+  let copy_fn words (fn : fn) =
+    alloc words
+      {
+        f_name = fn.f_name;
+        f_line = fn.f_line;
+        f_params = fn.f_params;
+        f_slots = fn.f_slots;
+        blocks = copy_blocks words fn.blocks;
+        entry = fn.entry;
+        layout = fn.layout;
+        next_reg = fn.next_reg;
+        next_label = fn.next_label;
+        next_slot = fn.next_slot;
+        is_pure = fn.is_pure;
+        always_inline = fn.always_inline;
+      }
 
   let sorted_names (p : program) =
     Hashtbl.fold (fun n _ acc -> n :: acc) p.funcs []
     |> List.sort String.compare
 
   let capture (p : program) : t =
+    let words = ref 0 in
     let funcs =
-      List.map (fun n -> (n, copy_fn (Hashtbl.find p.funcs n))) (sorted_names p)
+      alloc_list words
+        (List.map
+           (fun n -> alloc words (n, copy_fn words (Hashtbl.find p.funcs n)))
+           (sorted_names p))
     in
-    {
-      sn_funcs = funcs;
-      sn_globals = p.prog_globals;
-      sn_digest = None;
-      sn_words = Obj.reachable_words (Obj.repr funcs);
-    }
+    { sn_funcs = funcs; sn_globals = p.prog_globals; sn_digest = None; sn_words = !words }
 
   (** A fresh program sharing no mutable state with the snapshot: every
       restore forks its own copy, so many resumed compilations can run
       from one snapshot (even concurrently — the snapshot itself is
       only read). *)
   let restore (t : t) : program =
+    let words = ref 0 in
     let funcs = Hashtbl.create (max 16 (List.length t.sn_funcs)) in
-    List.iter (fun (n, fn) -> Hashtbl.replace funcs n (copy_fn fn)) t.sn_funcs;
+    List.iter (fun (n, fn) -> Hashtbl.replace funcs n (copy_fn words fn)) t.sn_funcs;
     { funcs; prog_globals = t.sn_globals }
 
   (* The digest hashes a projection of the program that holds what

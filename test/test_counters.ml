@@ -421,6 +421,9 @@ engine/compile/misses 28
 engine/measure/dedups 1
 engine/measure/misses 27
 engine/prepare/misses 4
+prefix/hits 28
+prefix/passes_skipped 108
+prefix/snapshot_bytes 912016
 shard/programs 4
 shard/rows 28
 |}
@@ -432,6 +435,9 @@ engine/compile/misses 14
 engine/measure/dedups 1
 engine/measure/misses 13
 engine/prepare/misses 2
+prefix/hits 14
+prefix/passes_skipped 54
+prefix/snapshot_bytes 595968
 shard/programs 2
 shard/rows 14
 |}
@@ -451,7 +457,7 @@ prefix/hits 443
 prefix/merged 136
 prefix/misses 13
 prefix/passes_skipped 6184
-prefix/snapshot_bytes 14469832
+prefix/snapshot_bytes 5889176
 search/candidates 4
 search/frontier 4
 search/rounds 1

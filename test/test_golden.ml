@@ -313,6 +313,25 @@ let corpus =
     ("selfcomp-1", "clang-O3", "2b4022de43cbee50f8e741a3def59844");
   ]
 
+(* The same digests from sweeps: every program's gcc-O0 and standard
+   configurations planned together, read back from tier 1. gcc-O0 has
+   no pinned digest; it must equal its straight compile. *)
+let swept (programs : Suite_types.sprogram list) =
+  let eng = ME.create () and o0 = C.make C.Gcc C.O0 in
+  List.concat_map
+    (fun (p : Suite_types.sprogram) ->
+      ME.compile_sweep eng p (o0 :: E.all_standard_configs);
+      let digest config = (ME.compile_packed eng p config).ME.pk_full_digest in
+      Alcotest.(check string)
+        (p.Suite_types.p_name ^ " at gcc-O0")
+        (T.compile (Suite_types.ast p) ~config:o0 ~roots:(Suite_types.roots p))
+          .Emit.full_digest
+        (digest o0);
+      List.map
+        (fun config -> (p.Suite_types.p_name, C.name config, digest config))
+        E.all_standard_configs)
+    programs
+
 let corpus_table = "8b3dbd432d6a15c9bd19f6aff8b6ee0c"
 
 let check_pinned pinned actual =
@@ -329,6 +348,14 @@ let tests =
       (fun () -> check_pinned suite (actual_suite ()));
     Alcotest.test_case "corpus binaries at the standard configs" `Quick
       (fun () -> check_pinned corpus (actual_corpus ()));
+    Alcotest.test_case "sweeps reproduce the pinned binaries" `Quick
+      (fun () ->
+        check_pinned suite (swept Programs.all);
+        check_pinned corpus
+          (swept
+             (List.map
+                (fun (e : Corpus.entry) -> e.Corpus.e_program)
+                (Corpus.generate ~seed:corpus_seed ~n:corpus_n))));
     Alcotest.test_case "rendered corpus tables" `Quick (fun () ->
         Alcotest.(check string) "digest" corpus_table (actual_corpus_table ()));
   ]

@@ -1,13 +1,14 @@
 (** Property tests for the pass-prefix sweep planner
-    ([Measure_engine.compile_sweep]): over random configuration sets,
-    (a) every binary the planner seeds is byte-identical ([full_digest])
-    to a straight-line [Toolchain.compile], and (b) the [prefix/*]
-    counters match an independent reference model of the divergence
-    tree — [passes_skipped] is exactly the sum of shared-prefix
-    lengths, including the O0/empty-pipeline edge case. The counters are
-    structural by contract, so (b) holds no matter how much better the
-    planner's semantic no-op merging does; (a) is what keeps the
-    merging honest. *)
+    ([Measure_engine.compile_sweep]): over random configuration sets
+    across both compilers and every level, (a) every binary the planner
+    seeds is byte-identical ([full_digest]) to a straight-line
+    [Toolchain.compile], and (b) the [prefix/*] counters match an
+    independent reference model of the slot trie — [passes_skipped] is
+    exactly the sum of shared-prefix lengths, including the
+    O0/empty-pipeline edge case. The counters are structural by
+    contract, so (b) holds no matter how much better the planner's
+    semantic no-op merging does; (a) is what keeps the merging
+    honest. *)
 
 module C = Debugtuner.Config
 module T = Debugtuner.Toolchain
@@ -43,30 +44,50 @@ let counter name = Option.value ~default:0 (List.assoc_opt name !sweep_rows)
 (* ------------------------------------------------------------------ *)
 (* Reference model                                                     *)
 
-(* Leaf depths of the divergence tree over one pipeline family: extend
-   the trunk while every config agrees on the next entry's enabled bit,
-   split at the first disagreement, stop at singletons. A leaf's depth
-   is the number of pipeline entries its compile did not re-execute. *)
-let leaf_depths n bitss =
-  let rec plan idx = function
-    | [] -> []
-    | [ _ ] -> [ idx ]
-    | b0 :: rest as l ->
-        let k = ref idx in
-        while !k < n && List.for_all (fun b -> b.(!k) = b0.(!k)) rest do
-          incr k
-        done;
-        if !k > idx then if !k >= n then List.map (fun _ -> n) l else plan !k l
-        else if idx >= n then List.map (fun _ -> idx) l
-        else
-          let yes, no = List.partition (fun b -> b.(idx)) l in
-          plan idx yes @ plan idx no
+(* The slot trie's leaf depths in closed form. Two configurations of
+   one compiler share the trie's trunk up to the first slot where their
+   raw keys differ (a key where the level has the entry and enables it,
+   none otherwise). A configuration leaves its last group at the deepest
+   such slot over every other configuration of its compiler (the end of
+   the slots if one agrees everywhere, slot 0 if it is alone), and its
+   depth counts its own pipeline entries before that slot. O0 has no
+   slots: every O0 configuration is a miss. *)
+let model_depths configs =
+  let raw c =
+    Array.map
+      (function
+        | Some (key, e) when C.enabled c (T.entry_name e) -> Some key
+        | _ -> None)
+      (T.slots c)
   in
-  plan 0 bitss
+  let common a b =
+    let n = Array.length a in
+    let k = ref 0 in
+    while !k < n && a.(!k) = b.(!k) do
+      incr k
+    done;
+    !k
+  in
+  List.map
+    (fun c ->
+      if c.C.level = C.O0 then 0
+      else
+        let keys = raw c in
+        let reach =
+          List.fold_left
+            (fun acc c' ->
+              if c' == c || c'.C.compiler <> c.C.compiler || c'.C.level = C.O0
+              then acc
+              else max acc (common keys (raw c')))
+            0 configs
+        in
+        Array.to_list (T.slots c)
+        |> List.filteri (fun i _ -> i < reach)
+        |> List.filter Option.is_some |> List.length)
+    configs
 
-(* Expected (hits, misses, passes_skipped) for a sweep over [configs]:
-   dedupe by fingerprint, group by pipeline family, singletons compile
-   straight (one miss), groups follow the divergence tree. *)
+(* Expected (hits, misses, passes_skipped) for a sweep over [configs],
+   deduplicated by fingerprint. *)
 let expected_counters configs =
   let seen = Hashtbl.create 8 in
   let uniq =
@@ -80,54 +101,41 @@ let expected_counters configs =
         end)
       configs
   in
-  let fams = ref [] in
-  List.iter
-    (fun c ->
-      let key = (c.C.compiler, c.C.level) in
-      match List.assoc_opt key !fams with
-      | Some r -> r := c :: !r
-      | None -> fams := !fams @ [ (key, ref [ c ]) ])
-    uniq;
   List.fold_left
-    (fun acc (_, r) ->
-      match List.rev !r with
-      | [ _ ] ->
-          let h, m, sk = acc in
-          (h, m + 1, sk)
-      | group ->
-          let names = List.map T.entry_name (T.pipeline (List.hd group)) in
-          let n = List.length names in
-          let bits c =
-            Array.of_list (List.map (fun nm -> C.enabled c nm) names)
-          in
-          List.fold_left
-            (fun (h, m, sk) d ->
-              if d > 0 then (h + 1, m, sk + d) else (h, m + 1, sk))
-            acc
-            (leaf_depths n (List.map bits group)))
-    (0, 0, 0) !fams
+    (fun (h, m, sk) d -> if d > 0 then (h + 1, m, sk + d) else (h, m + 1, sk))
+    (0, 0, 0) (model_depths uniq)
 
 (* ------------------------------------------------------------------ *)
 (* Random configuration sets                                           *)
 
+let standard =
+  List.concat_map
+    (fun comp -> List.map (C.make comp) (C.standard_levels comp))
+    [ C.Gcc; C.Clang ]
+
 (* Tiny deterministic LCG so a failing case reproduces from the QCheck
-   input alone. *)
+   input alone. A set is, with probability one half, gcc-O0 plus the
+   whole standard set, then up to 12 configurations of either compiler
+   at any level with random disable-sets (the master "inline" switch
+   and a name outside every pipeline among the candidates). *)
 let derive_configs rand_seed count =
   let state = ref (rand_seed land 0x3FFFFFFF) in
   let next bound =
     state := ((!state * 48271) + 11) land 0x3FFFFFFF;
     !state mod max 1 bound
   in
-  List.init count (fun _ ->
-      let comp = if next 2 = 0 then C.Gcc else C.Clang in
-      let levels = C.O0 :: C.standard_levels comp in
-      let level = List.nth levels (next (List.length levels)) in
-      let names = T.pass_names (C.make comp level) in
-      let pool = "not-a-pass" :: names in
-      let disabled =
-        List.init (next 4) (fun _ -> List.nth pool (next (List.length pool)))
-      in
-      C.make ~disabled comp level)
+  let whole = if next 2 = 0 then C.make C.Gcc C.O0 :: standard else [] in
+  whole
+  @ List.init count (fun _ ->
+        let comp = if next 2 = 0 then C.Gcc else C.Clang in
+        let levels = C.O0 :: C.standard_levels comp in
+        let level = List.nth levels (next (List.length levels)) in
+        let names = T.pass_names (C.make comp level) in
+        let pool = "not-a-pass" :: "inline" :: names in
+        let disabled =
+          List.init (next 5) (fun _ -> List.nth pool (next (List.length pool)))
+        in
+        C.make ~disabled comp level)
 
 let run_sweep configs =
   let eng = ME.create () in
@@ -159,14 +167,26 @@ let check_byte_identity ?(p = sp) eng configs =
         (straight ~p config).Emit.full_digest bin.Emit.full_digest)
     configs (seeded eng p configs)
 
+(* Subjects vary too: a fixed program sees a given inliner threshold
+   change nothing, and a planner that confused two levels' inliners
+   would go unnoticed. *)
+let subject synth_seed =
+  {
+    sp with
+    Suite_types.p_name = Printf.sprintf "prefix-prop-%d" synth_seed;
+    p_source = Synth.generate ~seed:synth_seed;
+  }
+
 let qcheck_planner =
   QCheck.Test.make ~name:"planner: byte-identity + counter arithmetic"
-    ~count:12
-    QCheck.(pair (int_range 0 1_000_000) (int_range 1 7))
-    (fun (rand_seed, count) ->
+    ~count:16
+    QCheck.(triple (int_range 0 1_000_000) (int_range 1 12) (int_range 1 400))
+    (fun (rand_seed, count, synth_seed) ->
+      let p = subject synth_seed in
       let configs = derive_configs rand_seed count in
-      let eng = run_sweep configs in
-      check_byte_identity eng configs;
+      let eng = ME.create () in
+      scoped_sweep (fun () -> ME.compile_sweep eng p configs);
+      check_byte_identity ~p eng configs;
       let h, m, sk = expected_counters configs in
       Alcotest.(check int) "prefix/hits" h (counter "prefix/hits");
       Alcotest.(check int) "prefix/misses" m (counter "prefix/misses");
@@ -203,6 +223,40 @@ let test_ranking_shape () =
      one-disabled configs collapse this way. *)
   Alcotest.(check bool) "no-op passes merged" true
     (counter "prefix/merged" > 0)
+
+(* A program's standard set and gcc-O0, the corpus job's shape: every
+   level but O0 runs one prelude (one lowering for O0, one for the
+   rest, one SSA construction), and the counters read the trie by hand:
+   gcc's levels share ipa-pure-const and guess-branch-probability, then
+   split on the inliner's threshold (Og 1, O1 4, O2 and O3 8), and O2
+   and O3 go on to split on inline-small-functions (16 against 24);
+   clang's three share FunctionAttrs, SROA, EarlyCSE, SimplifyCFG and
+   InstCombine and split on the Inliner (12, 16, 20). *)
+let test_standard_set () =
+  let configs = C.make C.Gcc C.O0 :: standard in
+  let eng = ME.create () in
+  let was = !Sanitize.enabled in
+  Sanitize.enabled := true;
+  let (), rows =
+    Fun.protect
+      ~finally:(fun () -> Sanitize.enabled := was)
+      (fun () ->
+        Util.Counters.scoped (fun () -> ME.compile_sweep eng sp configs))
+  in
+  let row name = Option.value ~default:0 (List.assoc_opt name rows) in
+  check_byte_identity eng configs;
+  Alcotest.(check int) "two lowerings" 2 (row "sanitize/lower/checked");
+  Alcotest.(check int) "one SSA construction" 1 (row "sanitize/mem2reg/checked");
+  Alcotest.(check int) "one ipa-pure-const run" 1
+    (row "sanitize/ipa-pure-const/checked");
+  Alcotest.(check int) "one FunctionAttrs run" 1
+    (row "sanitize/FunctionAttrs/checked");
+  Alcotest.(check int) "hits" 7 (row "prefix/hits");
+  Alcotest.(check int) "misses" 1 (row "prefix/misses");
+  Alcotest.(check int) "passes skipped" ((2 * 2) + (2 * 4) + (3 * 5))
+    (row "prefix/passes_skipped");
+  let h, m, sk = expected_counters configs in
+  Alcotest.(check (list int)) "model agrees" [ 7; 1; 27 ] [ h; m; sk ]
 
 (* O0 has an empty pipeline: everything compiles as a prefix miss, and
    nothing breaks. *)
@@ -343,6 +397,8 @@ let tests =
     QCheck_alcotest.to_alcotest qcheck_planner;
     Alcotest.test_case "ranking-shaped sweep" `Quick test_ranking_shape;
     Alcotest.test_case "O0 / empty pipeline" `Quick test_o0_edge;
+    Alcotest.test_case "a standard set shares one prelude" `Quick
+      test_standard_set;
     Alcotest.test_case "identical-bit configs share one backend run" `Quick
       test_merged_identical_bits;
     Alcotest.test_case "prepared-subject sweep" `Quick

@@ -117,6 +117,20 @@ let test_next_stops_in_callee () =
     (Session.script (compile C.O0) ~entry:"main"
        [ "break 7"; "break 2"; "run 21"; "next" ])
 
+(* A run of an entry the binary lacks answers a line, like any runtime
+   error, and leaves the session not running. *)
+let test_run_missing_entry () =
+  Alcotest.(check string) "missing entry"
+    (String.concat "\n"
+       [
+         "(dbg) run";
+         "[runtime error: no entry function nope]";
+         "(dbg) continue";
+         "the program is not running (use: run [inputs])";
+         "";
+       ])
+    (Session.script (compile C.O0) ~entry:"nope" [ "run"; "continue" ])
+
 let test_array_and_locals () =
   let s = session C.O0 in
   ignore (Session.exec s "break 12");
@@ -427,6 +441,7 @@ let tests =
       test_continue_stops_in_callee;
     Alcotest.test_case "next stops in a callee" `Quick
       test_next_stops_in_callee;
+    Alcotest.test_case "run on a missing entry" `Quick test_run_missing_entry;
     Alcotest.test_case "arrays and info locals" `Quick test_array_and_locals;
     Alcotest.test_case "continue to exit" `Quick test_continue_to_exit;
     Alcotest.test_case "tbreak clears on hit" `Quick test_tbreak_clears;

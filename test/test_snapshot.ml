@@ -1,10 +1,10 @@
-(** Tests for [Ir.Snapshot] and the resumable pipeline driver
-    ([Toolchain.start] / [advance] / [resume]): a resumed compilation
-    must be byte-identical ([Emit.binary.full_digest]) to a
-    straight-line [Toolchain.compile]; checkpoints must be forkable and
-    mutation-isolated; snapshot digests must be independent of
-    [Hashtbl] iteration order — including after the inliner runs, whose
-    caller order used to follow bucket order. *)
+(** Tests for [Ir.Snapshot] and the forkable IR phase
+    ([Toolchain.prelude] / [advance] / [capture] / [restore] /
+    [finish]): a compilation driven through them must be byte-identical
+    ([Emit.binary.full_digest]) to a straight-line [Toolchain.compile];
+    checkpoints must be forkable and mutation-isolated; snapshot digests
+    must be independent of [Hashtbl] iteration order — including after
+    the inliner runs, whose caller order used to follow bucket order. *)
 
 module C = Debugtuner.Config
 module T = Debugtuner.Toolchain
@@ -16,8 +16,25 @@ let digest (bin : Emit.binary) = bin.Emit.full_digest
 
 let check_same name a b = Alcotest.(check string) name (digest a) (digest b)
 
+(* The configuration's entries in slots [lo, hi). *)
+let entries config lo hi =
+  Array.to_list (T.slots config)
+  |> List.filteri (fun i _ -> i >= lo && i < hi)
+  |> List.filter_map (Option.map snd)
+
+let slot_count config = Array.length (T.slots config)
+
 (* ------------------------------------------------------------------ *)
 (* Straight-line vs resumed compilation                                *)
+
+(* Advance to slot [mid], freeze, and finish from a restored copy. *)
+let resumed ast config ~mid =
+  let n = slot_count config in
+  let st = T.prelude ast ~level:config.C.level ~roots in
+  T.advance st config (entries config 0 mid);
+  let st = T.restore (T.capture st) in
+  T.advance st config (entries config mid n);
+  T.finish st config
 
 let test_resume_identity () =
   List.iter
@@ -25,20 +42,14 @@ let test_resume_identity () =
       let ast = ast_of ~seed in
       let label = Printf.sprintf "seed %d, %s" seed (C.name config) in
       let straight = T.compile ast ~config ~roots in
-      let cp0 = T.start ast ~config ~roots in
-      Alcotest.(check int) (label ^ ": root index") 0 (T.checkpoint_index cp0);
-      check_same (label ^ ": resume from root") straight
-        (T.resume ~from:cp0 config);
-      let n = T.pipeline_length config in
+      let n = slot_count config in
+      check_same (label ^ ": resume from the prelude") straight
+        (resumed ast config ~mid:0);
       if n > 0 then begin
-        let mid = T.advance ~upto:(n / 2) cp0 config in
-        check_same (label ^ ": resume from middle") straight
-          (T.resume ~from:mid config);
-        let full = T.advance ~upto:n mid config in
-        Alcotest.(check int) (label ^ ": full index") n
-          (T.checkpoint_index full);
-        check_same (label ^ ": resume past last pass") straight
-          (T.resume ~from:full config)
+        check_same (label ^ ": resume from the middle") straight
+          (resumed ast config ~mid:(n / 2));
+        check_same (label ^ ": resume past the last slot") straight
+          (resumed ast config ~mid:n)
       end)
     [
       (1, C.make C.Gcc C.O2);
@@ -47,21 +58,63 @@ let test_resume_identity () =
       (3, C.make C.Gcc C.O0);
     ]
 
-(* A checkpoint is never consumed: several configurations of one family
-   can fork from the same snapshot, and an earlier resume must not
-   perturb a later one. *)
+(* A checkpoint is never consumed: several configurations can fork from
+   the same snapshot, and an earlier finish must not perturb a later
+   one. *)
 let test_checkpoint_forkable () =
   let ast = ast_of ~seed:4 in
   let base = C.make C.Gcc C.O2 in
   let nodce = C.make ~disabled:[ "dce" ] C.Gcc C.O2 in
-  let cp0 = T.start ast ~config:base ~roots in
-  let from_cp0 config = T.resume ~from:cp0 config in
+  let cp0 = T.capture (T.prelude ast ~level:C.O2 ~roots) in
+  let from_cp0 config =
+    let st = T.restore cp0 in
+    T.advance st config (entries config 0 (slot_count config));
+    T.finish st config
+  in
   check_same "disabled-dce fork" (T.compile ast ~config:nodce ~roots)
     (from_cp0 nodce);
-  check_same "baseline fork after sibling resume"
+  check_same "baseline fork after sibling finish"
     (T.compile ast ~config:base ~roots)
     (from_cp0 base);
   check_same "same fork twice" (from_cp0 base) (from_cp0 base)
+
+(* Every level but O0 starts from one prelude, whichever compiler: one
+   prelude state finishes every standard configuration exactly as a
+   straight compile does. A checkpoint is a copy: passes run on the
+   live state after the capture leave it, and its restores, alone. *)
+let test_prelude_shared () =
+  let ast = ast_of ~seed:10 in
+  let st = T.prelude ast ~level:C.O1 ~roots in
+  let before = T.digest st in
+  Alcotest.(check bool) "digest non-empty" true (String.length before > 0);
+  List.iter
+    (fun level ->
+      Alcotest.(check string)
+        ("prelude at " ^ C.level_name level ^ " = prelude at O1")
+        before
+        (T.digest (T.prelude ast ~level ~roots)))
+    [ C.Og; C.O2; C.O3 ];
+  Alcotest.(check bool) "O0 prelude differs (no SSA)" true
+    (T.digest (T.prelude ast ~level:C.O0 ~roots) <> before);
+  let cp = T.capture st in
+  let o3 = C.make C.Gcc C.O3 in
+  T.advance st o3 (entries o3 0 (slot_count o3));
+  Alcotest.(check bool) "passes changed the live state" true
+    (T.digest st <> before);
+  Alcotest.(check string) "the checkpoint kept the prelude" before
+    (T.digest (T.restore cp));
+  Alcotest.(check bool) "snapshot size counted" true (T.checkpoint_bytes cp > 0);
+  List.iter
+    (fun config ->
+      let st = T.restore cp in
+      T.advance st config (entries config 0 (slot_count config));
+      check_same
+        ("from the shared prelude: " ^ C.name config)
+        (T.compile ast ~config ~roots)
+        (T.finish st config))
+    (List.concat_map
+       (fun comp -> List.map (C.make comp) (C.standard_levels comp))
+       [ C.Gcc; C.Clang ])
 
 (* ------------------------------------------------------------------ *)
 (* Mutation isolation                                                  *)
@@ -150,25 +203,6 @@ let test_pipeline_order_regression () =
         (Ir.Snapshot.digest (Ir.Snapshot.capture b)))
     [ 7; 8; 9 ]
 
-(* ------------------------------------------------------------------ *)
-(* Checkpoint metadata and misuse                                      *)
-
-let test_checkpoint_guards () =
-  let ast = ast_of ~seed:10 in
-  let gcc = C.make C.Gcc C.O2 in
-  let clang = C.make C.Clang C.O2 in
-  let cp = T.start ast ~config:gcc ~roots in
-  Alcotest.(check bool) "digest non-empty" true
-    (String.length (T.checkpoint_digest cp) > 0);
-  Alcotest.check_raises "family mismatch"
-    (Invalid_argument
-       "Toolchain.resume: checkpoint belongs to another pipeline family")
-    (fun () -> ignore (T.resume ~from:cp clang : Emit.binary));
-  Alcotest.check_raises "rewind refused"
-    (Invalid_argument "Toolchain.advance: upto precedes the checkpoint")
-    (fun () ->
-      ignore (T.advance ~upto:1 (T.advance ~upto:3 cp gcc) gcc : T.checkpoint))
-
 let tests =
   [
     Alcotest.test_case "resume = straight-line compile" `Quick
@@ -179,5 +213,6 @@ let tests =
       test_digest_order_independence;
     Alcotest.test_case "pipeline order regression" `Quick
       test_pipeline_order_regression;
-    Alcotest.test_case "checkpoint guards" `Quick test_checkpoint_guards;
+    Alcotest.test_case "prelude shared across levels" `Quick
+      test_prelude_shared;
   ]

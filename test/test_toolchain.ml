@@ -22,6 +22,71 @@ let test_pipelines_grow_with_level () =
   Alcotest.(check bool) "clang O1 < O2 <= O3" true
     (n C.Clang C.O1 < n C.Clang C.O2 && n C.Clang C.O2 <= n C.Clang C.O3)
 
+(* The sweep planner aligns every level on its compiler's O3 pipeline:
+   each level's pipeline is a subsequence of it by (name, occurrence),
+   so [Toolchain.slots] holds exactly the level's entries, in order, at
+   slot positions that grow. Keys carry what distinguishes two levels'
+   closures of one entry, and nothing else. *)
+let test_slots_align_on_o3 () =
+  List.iter
+    (fun comp ->
+      let o3 = Array.length (T.slots (C.make comp C.O3)) in
+      Alcotest.(check int) "O3 fills its slots"
+        (List.length (T.pipeline (C.make comp C.O3)))
+        o3;
+      List.iter
+        (fun level ->
+          let c = C.make comp level in
+          let slots = T.slots c in
+          let what = C.name c in
+          if level = C.O0 then
+            Alcotest.(check int) (what ^ ": no slots") 0 (Array.length slots)
+          else begin
+            Alcotest.(check int) (what ^ ": the compiler's slot count") o3
+              (Array.length slots);
+            Alcotest.(check (list string))
+              (what ^ ": its own entries, in order")
+              (List.map T.entry_name (T.pipeline c))
+              (List.filter_map
+                 (Option.map (fun (_, e) -> T.entry_name e))
+                 (Array.to_list slots))
+          end)
+        [ C.O0; C.Og; C.O1; C.O2; C.O3 ])
+    [ C.Gcc; C.Clang ];
+  let key comp level name occurrence =
+    let matching =
+      List.filter_map
+        (function
+          | Some (k, e) when T.entry_name e = name -> Some k | _ -> None)
+        (Array.to_list (T.slots (C.make comp level)))
+    in
+    List.nth matching occurrence
+  in
+  Alcotest.(check bool) "O2 and O3 inline-small-functions differ" true
+    (key C.Gcc C.O2 "inline-small-functions" 0
+    <> key C.Gcc C.O3 "inline-small-functions" 0);
+  Alcotest.(check bool) "Og and O1 inline differ" true
+    (key C.Gcc C.Og "inline" 0 <> key C.Gcc C.O1 "inline" 0);
+  Alcotest.(check string) "O2 and O3 inline agree" (key C.Gcc C.O2 "inline" 0)
+    (key C.Gcc C.O3 "inline" 0);
+  Alcotest.(check string) "Og and O3 tree-ccp agree"
+    (key C.Gcc C.Og "tree-ccp" 0)
+    (key C.Gcc C.O3 "tree-ccp" 0);
+  Alcotest.(check bool) "a gated inliner's key carries the master switch"
+    true
+    (key C.Gcc C.O2 "inline-functions" 0
+    <> (List.filter_map
+          (function
+            | Some (k, e) when T.entry_name e = "inline-functions" -> Some k
+            | _ -> None)
+          (Array.to_list (T.slots (C.make ~disabled:[ "inline" ] C.Gcc C.O2)))
+       |> List.hd));
+  Alcotest.(check bool) "the two dce runs differ" true
+    (key C.Gcc C.O2 "dce" 0 <> key C.Gcc C.O2 "dce" 1);
+  Alcotest.(check bool) "clang's inliner thresholds differ" true
+    (key C.Clang C.O1 "Inliner" 0 <> key C.Clang C.O2 "Inliner" 0
+    && key C.Clang C.O2 "Inliner" 0 <> key C.Clang C.O3 "Inliner" 0)
+
 let test_paper_pass_names_present () =
   let gcc_o2 = T.pass_names (C.make C.Gcc C.O2) in
   List.iter
@@ -245,6 +310,8 @@ let tests =
     QCheck_alcotest.to_alcotest qcheck_pareto_front_sound;
     Alcotest.test_case "config names" `Quick test_config_names;
     Alcotest.test_case "pipelines grow" `Quick test_pipelines_grow_with_level;
+    Alcotest.test_case "levels align on the O3 slots" `Quick
+      test_slots_align_on_o3;
     Alcotest.test_case "paper pass names" `Quick test_paper_pass_names_present;
     Alcotest.test_case "disabling changes .text" `Quick
       test_disabling_pass_changes_or_keeps_binary;
